@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from . import exact, graph_io, milp, propagation, spread, structural
 from .decomposition import classify_cut_vertices
@@ -51,11 +51,26 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _non_negative(kind: type) -> Callable[[str], int | float]:
+    """argparse type: a number of ``kind`` that is at least 0."""
+
+    def parse(text: str) -> int | float:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+        return value
+
+    return parse
+
+
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit json-lines output")
-    parser.add_argument("--budget-n", type=int, default=None,
+    parser.add_argument("--budget-n", type=_non_negative(int), default=None,
                         help="vertex ceiling for the enumeration oracle")
-    parser.add_argument("--budget-seconds", type=float, default=None,
+    parser.add_argument("--budget-seconds", type=_non_negative(float), default=None,
                         help="time ceiling for the enumeration oracle")
     parser.add_argument("--budget-bin", type=int, default=30,
                         help="binary variable ceiling for the model validator")
@@ -148,15 +163,26 @@ def _budget(args: argparse.Namespace) -> Budget:
     n = args.budget_n
     if n is None:
         env = os.environ.get(BUDGET_ENV)
-        n = int(env) if env else Budget().max_vertices
+        try:
+            n = _non_negative(int)(env) if env else Budget().max_vertices
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"{BUDGET_ENV}: {exc}") from None
     return Budget(max_vertices=n, max_seconds=args.budget_seconds)
 
 
+def _read(path: str, stdin: IO[str]) -> str:
+    """Text of a graph file, or of stdin for ``-``."""
+    try:
+        if path == "-":
+            return stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
 def _load(args: argparse.Namespace, stdin: IO[str]) -> Graph:
-    if args.input == "-":
-        return graph_io.load_graph(stdin.read(), args.input_format)
-    with open(args.input, "r", encoding="utf-8") as handle:
-        return graph_io.load_graph(handle, args.input_format)
+    return graph_io.load_graph(_read(args.input, stdin), args.input_format)
 
 
 def _emit(out: IO[str], args: argparse.Namespace, record: dict, text_lines: list[str]) -> None:
@@ -378,8 +404,7 @@ def _cmd_batch(args, out, err, stdin) -> int:
         row = {"name": name}
         started = time.perf_counter()
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                g = graph_io.load_graph(handle, args.input_format)
+            g = graph_io.load_graph(_read(path, stdin), args.input_format)
             row["n"], row["m"] = g.n, g.m
             method = "-"
             if "pd" in problems:
@@ -452,6 +477,9 @@ def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None,
         return 1
     except FileNotFoundError as exc:
         err.write(f"cannot read {exc.filename}\n")
+        return 1
+    except OSError as exc:  # a directory, no permission, ...
+        err.write(f"cannot open {exc.filename}: {exc.strerror}\n")
         return 1
     except (BudgetExceededError, DisconnectedError) as exc:
         err.write(f"infeasible: {exc}\n")

@@ -165,8 +165,7 @@ def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False)
         optima: list[tuple[int, ...]] = []
         for combo in combinations(range(g.n), k):
             _check_deadline(deadline)
-            ok, _ = propagation.is_power_dominating(g, bits_of(combo))
-            if ok:
+            if propagation.colors_within(g, combo, g.n):
                 if not all_optima:
                     return certify(g, combo, METHOD_BRUTE, connected=False)
                 optima.append(combo)
@@ -187,8 +186,7 @@ def _min_connected(g: Graph, seed_mask: int, budget: Budget,
             _check_deadline(deadline)
             if not g.is_connected_mask(mask):
                 continue
-            ok, _ = propagation.is_power_dominating(g, mask)
-            if ok:
+            if propagation.colors_within(g, mask, g.n):
                 feasible.append(mask)
         if feasible:
             optima = _sorted_sets(feasible)
@@ -236,7 +234,7 @@ def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
         optima: list[tuple[int, ...]] = []
         for combo in combinations(range(g.n), k):
             _check_deadline(deadline)
-            if propagation.colors_within(g, bits_of(combo), rounds):
+            if propagation.colors_within(g, combo, rounds):
                 if not all_optima:
                     return certify(g, combo, METHOD_BRUTE, connected=False)
                 optima.append(combo)
@@ -263,9 +261,8 @@ def min_zero_forcing(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     for k in range(0, g.n + 1):
         for combo in combinations(range(g.n), k):
             _check_deadline(deadline)
-            mask = bits_of(combo)
-            if propagation.is_zero_forcing(g, mask):
-                state, forces = propagation.forcing_closure(g, mask)
+            if propagation.is_zero_forcing(g, combo):
+                state, forces = propagation.forcing_closure(g, combo)
                 trace = propagation.PropagationTrace(combo, forces, state.vertices())
                 return SolveResult(k, combo, trace, METHOD_BRUTE)
     raise SolverInternalError("no zero forcing set found (unreachable)")

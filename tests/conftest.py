@@ -134,6 +134,41 @@ def naive_propagate(g: Graph, s: set[int], dominate: bool = True) -> set[int]:
         colored |= additions
 
 
+def naive_trace(g: Graph, s: set[int], dominate: bool = True, start: int | None = None,
+                rounds: int | None = None) -> tuple[list[tuple[int, int, int, str]], set[int]]:
+    """Synchronized-round run with plain sets: the entries as
+    (timestep, source, target, kind) and the final colored set.
+
+    The domination step (round 1) credits each neighbor to the smallest
+    chosen vertex next to it; every later round recomputes all eligible
+    forces from scratch and credits each target to its smallest source.
+    Forcing rounds are numbered from ``start`` (2 after a domination step,
+    else 1) and stop after round ``rounds`` when it is given.
+    """
+    colored = set(s)
+    entries: list[tuple[int, int, int, str]] = []
+    if dominate:
+        for v in sorted(s):
+            for w in sorted(g.neighbors(v)):
+                if w not in colored:
+                    colored.add(w)
+                    entries.append((1, v, w, "dominate"))
+    t = start if start is not None else (2 if dominate else 1)
+    while rounds is None or t <= rounds:
+        source_of: dict[int, int] = {}
+        for v in colored:
+            uncolored = [w for w in g.neighbors(v) if w not in colored]
+            if len(uncolored) == 1:
+                w = uncolored[0]
+                source_of[w] = min(source_of.get(w, v), v)
+        if not source_of:
+            break
+        entries += [(t, source_of[w], w, "force") for w in sorted(source_of)]
+        colored |= set(source_of)
+        t += 1
+    return entries, colored
+
+
 def naive_is_pds(g: Graph, s: set[int]) -> bool:
     if not s:
         return g.n == 0

@@ -233,3 +233,39 @@ class TestErrorMapping:
     def test_wrong_method_class_is_usage_error(self):
         code, _, err = run("solve", CACTUS, "--method", "tree")
         assert code == 1 and "usage error" in err
+
+
+class TestBadInputNeverTracesBack:
+    """Each bad input exits 1 with a single line on stderr."""
+
+    @staticmethod
+    def assert_one_line_usage_failure(result, needle):
+        code, out, err = result
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and needle in err
+
+    def test_non_integer_budget_env(self, monkeypatch):
+        monkeypatch.setenv("POWERDOM_BUDGET_N", "abc")
+        self.assert_one_line_usage_failure(
+            run("solve", TREE, "--method", "brute"), "POWERDOM_BUDGET_N")
+
+    def test_input_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes("caf\xe9 b\n".encode("latin-1"))
+        self.assert_one_line_usage_failure(run("solve", str(path)), "not UTF-8")
+
+    def test_directory_as_input(self, tmp_path):
+        self.assert_one_line_usage_failure(run("solve", str(tmp_path)), str(tmp_path))
+
+    def test_directory_among_batch_inputs(self, tmp_path):
+        self.assert_one_line_usage_failure(run("batch", TREE, str(tmp_path)),
+                                           str(tmp_path))
+
+    def test_negative_budget_n(self):
+        self.assert_one_line_usage_failure(
+            run("solve", TREE, "--problem", "pd", "--budget-n", "-3"), "--budget-n")
+
+    def test_negative_budget_seconds(self):
+        self.assert_one_line_usage_failure(
+            run("solve", TREE, "--problem", "pd", "--budget-seconds", "-0.5"),
+            "--budget-seconds")

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from powerdom import propagation as prop
-from powerdom.errors import NotPowerDominatingError
+from powerdom.errors import NotPowerDominatingError, PowerDomError
 from powerdom.graphs import Graph, bits_of, complete_graph, cycle_graph, path_graph
 
 from conftest import (
@@ -202,3 +203,72 @@ class TestTraces:
         lines = prop.trace_lines(g, trace)
         assert lines[0] == "t=1 v1 -> v2 [dominate]"
         assert lines[1] == "t=2 v2 -> v3 [force]"
+
+    def test_replay_rejects_illegal_entries(self):
+        g = path_graph(5)
+        _, trace = prop.is_power_dominating(g, [1])
+        dom, dom2, f1, f2 = trace.forces  # 1->0, 1->2 at t=1; 2->3 at 2; 3->4 at 3
+
+        def replay(forces, final=trace.final_colored):
+            prop.replay_trace(g, prop.PropagationTrace(trace.initial, tuple(forces), final))
+
+        cases = [
+            ([dom, dom2, f1, f1], "target 3 colored twice"),
+            ([prop.Force(2, 1, 0, "dominate"), dom2, f1, f2], "domination entry outside round 1"),
+            ([dom, dom2, prop.Force(1, 2, 3, "dominate")], "domination entry outside round 1"),
+            ([prop.Force(1, 1, 4, "dominate"), dom2, f1], "domination along a non-edge"),
+            ([dom2, f1, prop.Force(3, 4, 0, "force")], "source 4 not colored at t=3"),
+            ([dom, dom2, prop.Force(2, 3, 4, "force"), f1], "source 3 not colored at t=2"),
+            ([dom, dom2, f1, prop.Force(2, 2, 4, "force")], "source 2 cannot force 4 at t=2"),
+        ]
+        for forces, message in cases:
+            with pytest.raises(PowerDomError, match=message):
+                replay(forces)
+        with pytest.raises(PowerDomError, match="does not reproduce"):
+            replay(trace.forces, final=(0, 1, 2, 3))
+
+    def test_replay_of_a_long_path_is_linear(self):
+        g = path_graph(20000)
+        ok, trace = prop.is_power_dominating(g, [0])
+        assert ok and trace.rounds() == 19999
+        started = time.perf_counter()
+        assert prop.replay_trace(g, trace) == g.full_mask
+        assert time.perf_counter() - started < 5.0
+
+
+class TestScaling:
+    """Long chains run in linear time; the former round-by-round rescan took
+    minutes here."""
+
+    N = 50_000
+
+    @pytest.mark.parametrize("where", ["end", "centre"])
+    def test_path(self, where):
+        g = path_graph(self.N)
+        start = 0 if where == "end" else self.N // 2
+        started = time.perf_counter()
+        ok, trace = prop.is_power_dominating(g, [start])
+        assert time.perf_counter() - started < 5.0
+        assert ok and len(trace.forces) == self.N - 1
+        assert trace.rounds() == (self.N - 1 if where == "end" else self.N // 2)
+
+    @pytest.mark.parametrize("where", ["end", "centre"])
+    def test_spider(self, where):
+        leg = (self.N - 1) // 3
+        edges = []
+        for k in range(3):
+            prev = 0
+            for i in range(leg):
+                v = 1 + k * leg + i
+                edges.append((prev, v))
+                prev = v
+        g = Graph([str(v) for v in range(3 * leg + 1)], edges)
+        start = 0 if where == "centre" else leg  # leg is the far end of leg 0
+        started = time.perf_counter()
+        ok, trace = prop.is_power_dominating(g, [start])
+        assert time.perf_counter() - started < 5.0
+        if where == "centre":
+            assert ok and trace.rounds() == leg
+        else:
+            # a leaf of a spider with three legs colors only its own leg
+            assert not ok and trace.final_colored == tuple(range(leg + 1))

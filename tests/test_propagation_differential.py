@@ -1,0 +1,140 @@
+"""The propagation engine against the set-based reference ``naive_trace``.
+
+Every public entry point of the engine is compared on seeded random trees,
+cacti and general graphs (n <= 20), on long paths, spiders and cycles, and
+on hypothesis-generated graphs.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powerdom import propagation as prop
+from powerdom.errors import NotPowerDominatingError
+from powerdom.graphs import Graph, cycle_graph, path_graph
+
+from conftest import naive_trace, random_cactus, random_connected_graph, random_tree
+
+START_TIMES = (-2, 0, 1, 2, 7)
+
+
+def spider(legs: tuple[int, ...]) -> Graph:
+    labels = ["c"]
+    edges = []
+    for leg, length in enumerate(legs):
+        prev = 0
+        for i in range(length):
+            labels.append(f"l{leg}_{i}")
+            edges.append((prev, len(labels) - 1))
+            prev = len(labels) - 1
+    return Graph(labels, edges)
+
+
+def entries(forces) -> list[tuple[int, int, int, str]]:
+    return [(f.timestep, f.source, f.target, f.kind) for f in forces]
+
+
+def assert_trace_matches(g: Graph, s: list[int]) -> None:
+    expected, colored = naive_trace(g, set(s))
+    ok, trace = prop.is_power_dominating(g, s)
+    assert trace == prop.PropagationTrace(
+        tuple(sorted(set(s))),
+        tuple(prop.Force(*e) for e in expected),
+        tuple(sorted(colored)),
+    )
+    assert ok == (len(colored) == g.n)
+
+
+def assert_checks_match(g: Graph, s: list[int], every_limit: bool) -> None:
+    """colors_within, is_zero_forcing, ppt_of_set and forcing_closure."""
+    expected, colored = naive_trace(g, set(s))
+    full = len(colored) == g.n
+    last = max((e[0] for e in expected), default=1)
+    for r in range(1, g.n + 1):
+        if every_limit:
+            _, within = naive_trace(g, set(s), rounds=r)
+            want = bool(s) and len(within) == g.n
+        else:
+            want = full and last <= r
+        assert prop.colors_within(g, s, r) is want, r
+    if full:
+        assert prop.ppt_of_set(g, s) == last
+    else:
+        try:
+            prop.ppt_of_set(g, s)
+        except NotPowerDominatingError:
+            pass
+        else:
+            raise AssertionError("ppt_of_set accepted a set that does not dominate")
+    _, zero = naive_trace(g, set(s), dominate=False)
+    assert prop.is_zero_forcing(g, s) is (len(zero) == g.n)
+    for start in START_TIMES:
+        expected, closed = naive_trace(g, set(s), dominate=False, start=start)
+        state, forces = prop.forcing_closure(g, s, start)
+        assert entries(forces) == expected
+        assert state.vertices() == tuple(sorted(closed))
+        assert state.timestep == (expected[-1][0] if expected else start - 1)
+
+
+def random_instances(seed: int, count: int):
+    rng = random.Random(seed)
+    makers = (random_tree, random_cactus, random_connected_graph)
+    for i in range(count):
+        g = makers[i % 3](rng, rng.randint(2, 20))
+        yield g, rng.sample(range(g.n), rng.randint(1, min(g.n, 4)))
+
+
+def long_instances():
+    for g in (path_graph(300), cycle_graph(301), spider((90, 100, 110)),
+              spider((40, 40, 41, 60, 1))):
+        ends = [v for v in range(g.n) if len(g.adj[v]) == 1]
+        yield g, [0]
+        yield g, [g.n // 2]
+        yield g, ends[:2]
+        yield g, [g.n - 1, g.n // 3]
+
+
+class TestRandomGraphs:
+    def test_traces(self):
+        for g, s in random_instances(101, 300):
+            assert_trace_matches(g, s)
+
+    def test_checks(self):
+        for g, s in random_instances(103, 150):
+            assert_checks_match(g, s, every_limit=True)
+
+    def test_mask_and_vertex_inputs_agree(self):
+        for g, s in random_instances(107, 100):
+            mask = sum(1 << v for v in s)
+            assert prop.is_power_dominating(g, mask) == prop.is_power_dominating(g, s)
+            assert prop.colors_within(g, mask, g.n) == prop.colors_within(g, s, g.n)
+
+
+class TestLongGraphs:
+    def test_traces(self):
+        for g, s in long_instances():
+            assert_trace_matches(g, s)
+
+    def test_checks(self):
+        for g, s in long_instances():
+            assert_checks_match(g, s, every_limit=False)
+
+
+@st.composite
+def graph_and_set(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    s = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return Graph([str(i) for i in range(n)], edges), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_and_set())
+def test_engine_matches_reference(case):
+    g, s = case
+    assert_trace_matches(g, s)
+    assert_checks_match(g, s, every_limit=True)
