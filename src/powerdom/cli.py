@@ -209,30 +209,23 @@ def _cmd_solve(args, out, err, stdin) -> int:
     if args.T is not None and args.method != "milp":
         raise _UsageError("--T applies to the milp method only")
     budget = _budget(args)
-    if args.problem == "pd":
-        if args.method == "milp":
-            model = milp.build_model1(g, args.T)
-            solution = milp.solve_small(model, args.budget_bin)
-            if solution.status != milp.OPTIMAL:
-                raise BudgetExceededError("model validator budget exhausted")
-            chosen, trace = milp.decode_assignment(model, solution.assignment)
-            result = exact.SolveResult(len(chosen), chosen, trace, exact.METHOD_MILP)
-        elif args.method in ("auto", "brute"):
-            result = exact.min_pds(g, budget, all_optima=args.all_optima)
-        else:
+    if args.method == "milp":
+        model = milp.build_model1(g, args.T)
+        if args.problem == "cpd":
+            model = milp.add_mtz_connectivity(model, g)
+        solution = milp.solve_small(model, args.budget_bin)
+        if solution.status != milp.OPTIMAL:
+            raise BudgetExceededError("model validator budget exhausted")
+        chosen, trace = milp.decode_assignment(model, solution.assignment)
+        result = exact.SolveResult(len(chosen), chosen, trace, exact.METHOD_MILP)
+    elif args.problem == "pd":
+        if args.method not in ("auto", "brute"):
             raise _UsageError(f"method {args.method} solves cpd only")
+        result = exact.min_pds(g, budget, all_optima=args.all_optima)
+    elif args.method == "brute":
+        result = exact.min_cpds(g, budget, all_optima=args.all_optima)
     else:
-        if args.method == "milp":
-            model = milp.add_mtz_connectivity(milp.build_model1(g, args.T), g)
-            solution = milp.solve_small(model, args.budget_bin)
-            if solution.status != milp.OPTIMAL:
-                raise BudgetExceededError("model validator budget exhausted")
-            chosen, trace = milp.decode_assignment(model, solution.assignment)
-            result = exact.SolveResult(len(chosen), chosen, trace, exact.METHOD_MILP)
-        elif args.method == "brute":
-            result = exact.min_cpds(g, budget, all_optima=args.all_optima)
-        else:
-            result = structural.solve_cpds(g, args.method, budget)
+        result = structural.solve_cpds(g, args.method, budget)
     payload = _result_payload(g, result, args.problem)
     lines = [
         f"optimum: {result.optimum}",
@@ -326,9 +319,10 @@ def _cmd_decompose(args, out, err, stdin) -> int:
         "blocks": [],
     }
     lines = [f"mandatory: {' '.join(g.labels_of(taxonomy.mandatory))}"]
-    result = structural.decompose_cpds(g, budget=budget)
+    result = structural.decompose_cpds(g, budget=budget, pieces=pieces)
+    mandatory = set(taxonomy.mandatory)
     for i, (core, sub, remap) in enumerate(pieces, start=1):
-        anchors = [v for v in core if v in set(taxonomy.mandatory)]
+        anchors = [v for v in core if v in mandatory]
         record["blocks"].append(
             {
                 "core": list(g.labels_of(core)),

@@ -1,5 +1,12 @@
 """Cut vertices, biconnected components, pendant paths, graph classes.
 
+Everything here is read from one :class:`GraphProfile` per graph, built by
+:func:`profile` in a single O(n + m) pass (one block DFS plus per-vertex
+arrays) and kept on the graph, which is never mutated, so the analysis
+runs once however many solvers ask for it. :func:`blocks`,
+:func:`classify_cut_vertices`, :func:`recognize`, :func:`is_path_graph`
+and :func:`pendant_path_inventory` are accessors over that profile.
+
 The cut-vertex taxonomy splits the cut vertices of a connected non-path
 graph into three classes by the number of components their removal leaves
 and by the number of pendant paths attached to them:
@@ -15,6 +22,7 @@ power dominating set, which is what makes the fast solvers work.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DisconnectedError, GraphError
 from .graphs import Graph, bits_of
@@ -34,8 +42,12 @@ class BlockDecomposition:
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
-    block_tree: tuple[tuple[int, int], ...]
     trivial: tuple[bool, ...]
+
+    @cached_property
+    def block_tree(self) -> tuple[tuple[int, int], ...]:
+        cuts = set(self.cut_vertices)
+        return tuple((i, v) for i, blk in enumerate(self.blocks) for v in blk if v in cuts)
 
     def blocks_containing(self, v: int) -> tuple[int, ...]:
         return tuple(i for i, b in enumerate(self.blocks) if v in b)
@@ -62,12 +74,13 @@ class CutVertexTaxonomy:
     def mandatory_mask(self) -> int:
         return bits_of(self.mandatory)
 
-    @property
-    def pendant_vertex_mask(self) -> int:
-        mask = 0
-        for _, chain in self.pendant_paths:
-            mask |= bits_of(chain)
-        return mask
+    @cached_property
+    def cut_set(self) -> frozenset[int]:
+        return frozenset(self.r1 + self.r2 + self.r3)
+
+    @cached_property
+    def r1_set(self) -> frozenset[int]:
+        return frozenset(self.r1)
 
 
 @dataclass(frozen=True)
@@ -86,87 +99,67 @@ class GraphClass:
         return not (self.block_graph or self.cactus)
 
 
-def _require_connected(g: Graph) -> None:
-    if not g.is_connected():
-        raise DisconnectedError("operation requires a connected graph")
+@dataclass(frozen=True)
+class GraphProfile:
+    """Everything the structural solvers read about one graph.
 
-
-def is_path_graph(g: Graph) -> bool:
-    """True for P_n (including the one- and two-vertex cases)."""
-    if not g.is_connected():
-        return False
-    if g.n == 1:
-        return True
-    return g.m == g.n - 1 and max(g.degree(v) for v in range(g.n)) <= 2
-
-
-def pendant_path_inventory(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
-    """All pendant paths of a connected graph plus per-vertex counts.
-
-    A pendant path is a maximal chain of degree-<=2 vertices ending in a
-    leaf and hanging from a vertex of degree >= 3 by a single edge. Path
-    graphs have none by convention.
+    For a disconnected graph only ``connected`` is set; the other fields
+    are None because blocks, cut vertices and classes are defined for
+    connected graphs only.
     """
-    if is_path_graph(g):
-        return (), tuple(0 for _ in range(g.n))
-    paths: list[tuple[int, tuple[int, ...]]] = []
-    count = [0] * g.n
-    on_chain = [False] * g.n
-    for leaf in range(g.n):
-        if g.degree(leaf) != 1:
-            continue
-        chain = [leaf]
-        prev, cur = leaf, g.adj[leaf][0]
-        while g.degree(cur) == 2:
-            chain.append(cur)
-            a, b = g.adj[cur]
-            prev, cur = cur, (b if a == prev else a)
-        # cur has degree >= 3: attachment vertex; chain runs leaf -> base
-        chain.reverse()
-        paths.append((cur, tuple(chain)))
-        count[cur] += 1
-        for v in chain:
-            on_chain[v] = True
-    for v in range(g.n):
-        # interior chain vertices are cut vertices lying on a pendant path
-        if on_chain[v] and g.degree(v) == 2:
-            count[v] = 1
-    paths.sort(key=lambda p: (p[0], p[1][0]))
-    return tuple(paths), tuple(count)
+
+    connected: bool
+    decomposition: BlockDecomposition | None
+    taxonomy: CutVertexTaxonomy | None
+    graph_class: GraphClass | None
 
 
-def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components and cut vertices (linear-time DFS)."""
-    _require_connected(g)
-    if g.n == 1:
-        return BlockDecomposition((), (), (), ())
+def profile(g: Graph) -> GraphProfile:
+    """The profile of ``g``, built on first use and kept on the graph."""
+    if g._profile is None:
+        g._profile = _analyse(g)
+    return g._profile
+
+
+def connected_profile(g: Graph) -> GraphProfile:
+    """The profile of ``g``; raises unless ``g`` is connected."""
+    info = profile(g)
+    if not info.connected:
+        raise DisconnectedError("operation requires a connected graph")
+    return info
+
+
+def _block_dfs(g: Graph) -> list[tuple[tuple[int, ...], int]] | None:
+    """Biconnected components of the component of vertex 0, each as a
+    sorted vertex tuple with its edge count, in one iterative DFS; None
+    when the graph is disconnected.
+
+    Vertices wait on a stack until the block below their tree edge
+    closes. The edges of a block are the tree edges into its popped
+    vertices plus the back edges leaving them upward.
+    """
+    adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
-    edge_stack: list[tuple[int, int]] = []
-    block_sets: list[tuple[int, ...]] = []
-    cuts: set[int] = set()
-    root = 0
-    counter = 0
-    disc[root] = low[root] = counter
-    counter += 1
-    root_children = 0
-    stack: list[list[int]] = [[root, 0]]
+    up = [0] * g.n  # back edges from a vertex to an ancestor other than its parent
+    disc[0] = 0
+    counter = 1
+    waiting: list[int] = []
+    found: list[tuple[tuple[int, ...], int]] = []
+    stack = [(0, iter(adj[0]))]
     while stack:
-        v, i = stack[-1]
-        if i < len(g.adj[v]):
-            stack[-1][1] += 1
-            w = g.adj[v][i]
+        v, neighbors = stack[-1]
+        for w in neighbors:
             if disc[w] == -1:
                 parent[w] = v
                 disc[w] = low[w] = counter
                 counter += 1
-                if v == root:
-                    root_children += 1
-                edge_stack.append((v, w))
-                stack.append([w, 0])
-            elif w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
+                waiting.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < disc[v] and w != parent[v]:
+                up[v] += 1
                 if disc[w] < low[v]:
                     low[v] = disc[w]
         else:
@@ -177,81 +170,118 @@ def blocks(g: Graph) -> BlockDecomposition:
             if low[v] < low[u]:
                 low[u] = low[v]
             if low[v] >= disc[u]:
-                members: set[int] = set()
+                members = [u]
+                edges = 0
                 while True:
-                    a, b = edge_stack.pop()
-                    members.add(a)
-                    members.add(b)
-                    if (a, b) == (u, v):
+                    x = waiting.pop()
+                    members.append(x)
+                    edges += 1 + up[x]
+                    if x == v:
                         break
-                block_sets.append(tuple(sorted(members)))
-                if u != root:
-                    cuts.add(u)
-    if root_children > 1:
-        cuts.add(root)
-    block_sets.sort()
-    cut_tuple = tuple(sorted(cuts))
-    tree = tuple(
-        (i, v) for i, blk in enumerate(block_sets) for v in blk if v in cuts
-    )
-    pendant_paths, _ = pendant_path_inventory(g)
-    chain_mask = 0
-    for _, chain in pendant_paths:
-        chain_mask |= bits_of(chain)
-    trivial = tuple(
-        len(blk) == 2 and bool(chain_mask & bits_of(blk)) for blk in block_sets
-    )
-    return BlockDecomposition(tuple(block_sets), cut_tuple, tree, trivial)
+                members.sort()
+                found.append((tuple(members), edges))
+    if counter < g.n:
+        return None
+    found.sort()
+    return found
 
 
-def classify_cut_vertices(g: Graph, decomposition: BlockDecomposition | None = None) -> CutVertexTaxonomy:
+def _pendant_paths(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """Pendant paths and per-vertex counts of a connected non-path graph."""
+    paths: list[tuple[int, tuple[int, ...]]] = []
+    count = [0] * g.n
+    adj = g.adj
+    for leaf in range(g.n):
+        if len(adj[leaf]) != 1:
+            continue
+        chain = [leaf]
+        prev, cur = leaf, adj[leaf][0]
+        while len(adj[cur]) == 2:
+            chain.append(cur)
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+        # cur has degree >= 3: attachment vertex; chain runs leaf -> base
+        chain.reverse()
+        paths.append((cur, tuple(chain)))
+        count[cur] += 1
+        # interior chain vertices are cut vertices lying on a pendant path
+        for v in chain[:-1]:
+            count[v] = 1
+    paths.sort(key=lambda p: (p[0], p[1][0]))
+    return tuple(paths), tuple(count)
+
+
+def _analyse(g: Graph) -> GraphProfile:
+    """One O(n + m) pass: the block DFS, then per-vertex arrays."""
+    found = _block_dfs(g)
+    if found is None:
+        return GraphProfile(False, None, None, None)
+    n, m = g.n, g.m
+    block_sets = tuple(blk for blk, _ in found)
+    membership = [0] * n
+    for blk in block_sets:
+        for v in blk:
+            membership[v] += 1
+    # in a connected graph the cut vertices are the vertices of two or more blocks
+    cut_vertices = tuple(v for v in range(n) if membership[v] >= 2)
+    path = n == 1 or (m == n - 1 and max(len(a) for a in g.adj) <= 2)
+    if path:
+        pendant_paths, counts = (), (0,) * n
+        taxonomy = CutVertexTaxonomy((), (), (), (), (), counts)
+    else:
+        pendant_paths, counts = _pendant_paths(g)
+        r1 = tuple(v for v in cut_vertices if membership[v] == 2 and counts[v] >= 1)
+        r2 = tuple(v for v in cut_vertices if membership[v] == 2 and counts[v] == 0)
+        r3 = tuple(v for v in cut_vertices if membership[v] >= 3)
+        taxonomy = CutVertexTaxonomy(r1, r2, r3, tuple(sorted(r2 + r3)), pendant_paths, counts)
+    on_chain = {v for _, chain in pendant_paths for v in chain}
+    trivial = tuple(len(blk) == 2 and not on_chain.isdisjoint(blk) for blk in block_sets)
+    graph_class = GraphClass(
+        path=path,
+        cycle=n >= 3 and m == n and all(len(a) == 2 for a in g.adj),
+        tree=m == n - 1,
+        block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e in found),
+        cactus=all(e == len(blk) for blk, e in found if len(blk) > 2),
+    )
+    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial),
+                        taxonomy, graph_class)
+
+
+def is_path_graph(g: Graph) -> bool:
+    """True for P_n (including the one- and two-vertex cases)."""
+    info = profile(g)
+    return info.connected and info.graph_class.path
+
+
+def pendant_path_inventory(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """All pendant paths of a connected graph plus per-vertex counts.
+
+    A pendant path is a maximal chain of degree-<=2 vertices ending in a
+    leaf and hanging from a vertex of degree >= 3 by a single edge. Path
+    graphs have none by convention.
+    """
+    taxonomy = connected_profile(g).taxonomy
+    return taxonomy.pendant_paths, taxonomy.pendant_count
+
+
+def blocks(g: Graph) -> BlockDecomposition:
+    """Biconnected components and cut vertices of a connected graph."""
+    return connected_profile(g).decomposition
+
+
+def classify_cut_vertices(g: Graph) -> CutVertexTaxonomy:
     """Partition the cut vertices into the r1/r2/r3 classes.
 
     For a path graph every field is empty by convention. Removal component
     counts come from block membership: deleting a cut vertex leaves one
     component per block containing it.
     """
-    _require_connected(g)
-    pendant_paths, counts = pendant_path_inventory(g)
-    if is_path_graph(g):
-        return CutVertexTaxonomy((), (), (), (), (), tuple(counts))
-    dec = decomposition if decomposition is not None else blocks(g)
-    membership = [0] * g.n
-    for blk in dec.blocks:
-        for v in blk:
-            membership[v] += 1
-    r1, r2, r3 = [], [], []
-    for v in dec.cut_vertices:
-        pieces = membership[v]
-        if pieces >= 3:
-            r3.append(v)
-        elif counts[v] >= 1:
-            r1.append(v)
-        else:
-            r2.append(v)
-    mandatory = tuple(sorted(r2 + r3))
-    return CutVertexTaxonomy(
-        tuple(r1), tuple(r2), tuple(r3), mandatory, pendant_paths, tuple(counts)
-    )
+    return connected_profile(g).taxonomy
 
 
-def recognize(g: Graph, decomposition: BlockDecomposition | None = None) -> GraphClass:
+def recognize(g: Graph) -> GraphClass:
     """Classify ``g`` as path / cycle / tree / block graph / cactus."""
-    _require_connected(g)
-    path = is_path_graph(g)
-    cycle = g.n >= 3 and g.m == g.n and all(g.degree(v) == 2 for v in range(g.n))
-    tree = g.m == g.n - 1
-    dec = decomposition if decomposition is not None else blocks(g)
-    block_graph = True
-    cactus = True
-    for blk in dec.blocks:
-        k = len(blk)
-        inner = sum(1 for u in blk for w in g.adj[u] if w in set(blk)) // 2
-        if inner != k * (k - 1) // 2:
-            block_graph = False
-        if k > 2 and inner != k:
-            cactus = False
-    return GraphClass(path=path, cycle=cycle, tree=tree, block_graph=block_graph, cactus=cactus)
+    return connected_profile(g).graph_class
 
 
 def cycle_order(g: Graph, block: tuple[int, ...]) -> tuple[int, ...]:

@@ -155,24 +155,30 @@ def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
 # -- solvers ---------------------------------------------------------------
 
 
-def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False) -> SolveResult:
-    """Minimum power dominating set by cardinality-ascending enumeration."""
-    if not g.is_connected():
-        raise DisconnectedError("minimum power dominating set requires a connected graph")
+def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool) -> SolveResult:
+    """Smallest sets that color ``g`` within ``rounds`` rounds, by
+    cardinality-ascending enumeration."""
     budget.check_size(g)
     deadline = budget.deadline()
     for k in range(1, g.n + 1):
         optima: list[tuple[int, ...]] = []
         for combo in combinations(range(g.n), k):
             _check_deadline(deadline)
-            if propagation.colors_within(g, combo, g.n):
+            if propagation.colors_within(g, combo, rounds):
                 if not all_optima:
                     return certify(g, combo, METHOD_BRUTE, connected=False)
                 optima.append(combo)
         if optima:
             return certify(g, optima[0], METHOD_BRUTE, connected=False,
                            all_optima=tuple(optima))
-    raise SolverInternalError("no power dominating set found (unreachable)")
+    raise SolverInternalError("no set colors the graph (unreachable)")
+
+
+def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False) -> SolveResult:
+    """Minimum power dominating set by cardinality-ascending enumeration."""
+    if not g.is_connected():
+        raise DisconnectedError("minimum power dominating set requires a connected graph")
+    return _min_coloring(g, g.n, budget, all_optima)
 
 
 def _min_connected(g: Graph, seed_mask: int, budget: Budget,
@@ -228,20 +234,7 @@ def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
         raise GraphError("round budget must be at least 1")
     if not g.is_connected():
         raise DisconnectedError("round-limited power domination requires a connected graph")
-    budget.check_size(g)
-    deadline = budget.deadline()
-    for k in range(1, g.n + 1):
-        optima: list[tuple[int, ...]] = []
-        for combo in combinations(range(g.n), k):
-            _check_deadline(deadline)
-            if propagation.colors_within(g, combo, rounds):
-                if not all_optima:
-                    return certify(g, combo, METHOD_BRUTE, connected=False)
-                optima.append(combo)
-        if optima:
-            return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                           all_optima=tuple(optima))
-    raise SolverInternalError("no set colors the graph (unreachable)")
+    return _min_coloring(g, rounds, budget, all_optima)
 
 
 def ppt(g: Graph, budget: Budget = DEFAULT_BUDGET, connected: bool = False) -> int:
@@ -280,10 +273,13 @@ def zf_to_cpd_gadget(g: Graph, k: int) -> tuple[Graph, int]:
     """
     n = g.n
     labels = list(g.labels)
+    taken = set(labels)
     edges = list(g.edges())
 
     def add(stem: str) -> int:
-        labels.append(fresh_label(labels, stem))
+        label = fresh_label(taken, stem)
+        taken.add(label)
+        labels.append(label)
         return len(labels) - 1
 
     hub = add("hub")

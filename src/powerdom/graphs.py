@@ -7,7 +7,7 @@ lists are kept sorted and mirrored as bitmasks so that set-heavy algorithms
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import GraphError
 
@@ -28,9 +28,9 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def fresh_label(existing: Iterable[str], stem: str) -> str:
-    """Return ``stem``, suffixed with underscores until it is unused."""
-    taken = set(existing)
+def fresh_label(taken: Container[str], stem: str) -> str:
+    """Return ``stem``, suffixed with underscores until it is not in ``taken``
+    (a set or dict, which a caller adding many labels keeps and extends)."""
     label = stem
     while label in taken:
         label += "_"
@@ -40,7 +40,8 @@ def fresh_label(existing: Iterable[str], stem: str) -> str:
 class Graph:
     """Simple undirected graph. Instances are never mutated after __init__."""
 
-    __slots__ = ("n", "labels", "adj", "nbr_bits", "_index")
+    # _profile memoizes decomposition.profile; safe because nothing mutates a Graph
+    __slots__ = ("n", "m", "labels", "adj", "nbr_bits", "_index", "_profile")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -63,8 +64,10 @@ class Graph:
         self.n = n
         self.labels = labels
         self.adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
+        self.m = sum(len(a) for a in self.adj) // 2
         self.nbr_bits = tuple(bits_of(s) for s in neighbor_sets)
         self._index = index
+        self._profile = None
 
     @classmethod
     def from_labeled_edges(
@@ -88,10 +91,6 @@ class Graph:
         return cls(labels, edges)
 
     # -- basic accessors ------------------------------------------------
-
-    @property
-    def m(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
 
     @property
     def full_mask(self) -> int:
@@ -219,7 +218,7 @@ class Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u}, {v})")
         stem = f"sub_{self.labels[u]}_{self.labels[v]}"
-        labels = list(self.labels) + [fresh_label(self.labels, stem)]
+        labels = list(self.labels) + [fresh_label(self._index, stem)]
         w = self.n
         edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
         edges += [(u, w), (v, w)]
@@ -251,10 +250,12 @@ def attach_leaves(g: Graph, x: Iterable[int], r: int) -> Graph:
         if not 0 <= v < g.n:
             raise GraphError(f"vertex {v} not in graph")
     labels = list(g.labels)
+    taken = set(labels)
     edges = list(g.edges())
     for v in targets:
         for j in range(1, r + 1):
-            lab = fresh_label(labels, f"{g.labels[v]}_leaf{j}")
+            lab = fresh_label(taken, f"{g.labels[v]}_leaf{j}")
+            taken.add(lab)
             labels.append(lab)
             edges.append((v, len(labels) - 1))
     return Graph(labels, edges)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .decomposition import blocks, profile
 from .errors import GraphError, SolverInternalError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult
 from .graphs import Graph
@@ -59,8 +60,6 @@ def vertex_spread(g: Graph, v: int, solver: Solver | None = None,
     """Spread under deletion of a non-cut vertex."""
     if g.n < 2:
         raise GraphError("cannot delete the only vertex")
-    from .decomposition import blocks
-
     if v in blocks(g).cut_vertices:
         raise GraphError(f"vertex {g.labels[v]} is a cut vertex; deletion disconnects")
     solve = _resolve(g, solver, budget)
@@ -76,7 +75,7 @@ def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
     if not g.has_edge(u, v):
         raise GraphError("no such edge")
     removed = g.delete_edge(u, v)
-    if not removed.is_connected():
+    if not profile(removed).connected:
         raise GraphError("edge is a cut edge; deletion disconnects")
     solve = _resolve(g, solver, budget)
     before = solve(g)

@@ -13,17 +13,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import exact
-from .decomposition import (
-    BlockDecomposition,
-    CutVertexTaxonomy,
-    blocks,
-    classify_cut_vertices,
-    cycle_order,
-    recognize,
-)
+from .decomposition import (CutVertexTaxonomy, blocks, connected_profile, cycle_order,
+                            profile, recognize)
 from .errors import DecompositionError, GraphClassError, GraphError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult, certify
-from .graphs import Graph, attach_leaves, bits_of
+from .graphs import Graph, attach_leaves
 
 
 def tree_cpds(g: Graph) -> SolveResult:
@@ -32,13 +26,12 @@ def tree_cpds(g: Graph) -> SolveResult:
     Paths need a single vertex; any other tree has the mandatory set as its
     unique optimum.
     """
-    info = recognize(g)
-    if not info.tree:
+    info = connected_profile(g)
+    if not info.graph_class.tree:
         raise GraphClassError("input is not a tree")
-    if info.path:
+    if info.graph_class.path:
         return certify(g, (0,), exact.METHOD_TREE, connected=True)
-    taxonomy = classify_cut_vertices(g)
-    return certify(g, taxonomy.mandatory, exact.METHOD_TREE, connected=True)
+    return certify(g, info.taxonomy.mandatory, exact.METHOD_TREE, connected=True)
 
 
 def tree_pd_equals_cpd(g: Graph) -> bool:
@@ -49,12 +42,12 @@ def tree_pd_equals_cpd(g: Graph) -> bool:
     lies on a pendant path and every vertex of degree >= 3 has at least two
     pendant paths attached.
     """
-    info = recognize(g)
-    if not info.tree:
+    info = connected_profile(g)
+    if not info.graph_class.tree:
         raise GraphClassError("input is not a tree")
-    if info.path:
+    if info.graph_class.path:
         return True
-    taxonomy = classify_cut_vertices(g)
+    taxonomy = info.taxonomy
     for v in range(g.n):
         d = g.degree(v)
         if d == 2 and taxonomy.pendant_count[v] != 1:
@@ -66,14 +59,12 @@ def tree_pd_equals_cpd(g: Graph) -> bool:
 
 def block_graph_cpds(g: Graph) -> SolveResult:
     """Optimal connected power dominating set of a block graph."""
-    dec = blocks(g)
-    info = recognize(g, dec)
-    if not info.block_graph:
+    info = connected_profile(g)
+    if not info.graph_class.block_graph:
         raise GraphClassError("input is not a block graph")
-    taxonomy = classify_cut_vertices(g, dec)
-    if taxonomy.mandatory:
-        return certify(g, taxonomy.mandatory, exact.METHOD_BLOCK, connected=True)
-    big = [blk for blk in dec.blocks if len(blk) >= 3]
+    if info.taxonomy.mandatory:
+        return certify(g, info.taxonomy.mandatory, exact.METHOD_BLOCK, connected=True)
+    big = [blk for blk in info.decomposition.blocks if len(blk) >= 3]
     # no mandatory vertices: either a path, or one clique wearing pendant paths
     witness = (min(big[0]),) if big else (0,)
     return certify(g, witness, exact.METHOD_BLOCK, connected=True)
@@ -96,10 +87,6 @@ class Segment:
     @property
     def size(self) -> int:
         return len(self.interior)
-
-    @property
-    def interior_mask(self) -> int:
-        return bits_of(self.interior)
 
 
 @dataclass(frozen=True)
@@ -142,8 +129,7 @@ def feasible_segments(
     for i, v in enumerate(cycle):
         if not g.has_edge(v, cycle[(i + 1) % len(cycle)]):
             raise GraphError("vertex list is not a cycle in traversal order")
-    cut_set = set(taxonomy.r1) | set(taxonomy.r2) | set(taxonomy.r3)
-    r1_set = set(taxonomy.r1)
+    cut_set, r1_set = taxonomy.cut_set, taxonomy.r1_set
     families: list[dict[frozenset[int], Segment]] = [{}, {}, {}]
     for direction in (cycle, (cycle[0],) + tuple(reversed(cycle[1:]))):
         pos = [i for i, v in enumerate(direction) if v in cut_set]
@@ -198,53 +184,54 @@ def cactus_cpds(g: Graph) -> SolveResult:
     largest excludable segment; pure paths and pure cycles need just one
     vertex.
     """
-    dec = blocks(g)
-    info = recognize(g, dec)
-    if not info.cactus:
+    info = connected_profile(g)
+    if not info.graph_class.cactus:
         raise GraphClassError("input is not a cactus graph")
-    if info.path or info.cycle:
+    if info.graph_class.path or info.graph_class.cycle:
         return certify(g, (0,), exact.METHOD_CACTUS, connected=True)
-    taxonomy = classify_cut_vertices(g, dec)
-    excluded = taxonomy.pendant_vertex_mask
-    for blk in dec.blocks:
-        if len(blk) < 3:
-            continue
-        family = feasible_segments(g, cycle_order(g, blk), taxonomy)
-        excluded |= family.best.interior_mask
-    witness = tuple(v for v in range(g.n) if not (excluded >> v) & 1)
+    taxonomy = info.taxonomy
+    excluded = {v for _, chain in taxonomy.pendant_paths for v in chain}
+    for blk in info.decomposition.blocks:
+        if len(blk) >= 3:
+            excluded.update(feasible_segments(g, cycle_order(g, blk), taxonomy).best.interior)
+    witness = [v for v in range(g.n) if v not in excluded]
     return certify(g, witness, exact.METHOD_CACTUS, connected=True)
 
 
 SubSolver = Callable[[Graph], SolveResult]
+Piece = tuple[tuple[int, ...], Graph, dict[int, int]]
+
+
+def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
+    """The strongest solver for ``g``'s class; ``split`` allows the
+    cut-vertex decomposition before the enumeration fallback. Block
+    pieces are solved with ``split`` off: a piece's only nontrivial block
+    is the piece itself, so splitting it again would never end."""
+    graph_class = recognize(g)  # builds the profile the solvers below read
+    if graph_class.tree:
+        return tree_cpds(g)
+    if graph_class.block_graph:
+        return block_graph_cpds(g)
+    if graph_class.cactus:
+        return cactus_cpds(g)
+    if split and blocks(g).cut_vertices:
+        return decompose_cpds(g, budget=budget)
+    return exact.min_cpds(g, budget)
 
 
 def _auto_subsolver(budget: Budget) -> SubSolver:
-    def solve(sub: Graph) -> SolveResult:
-        info = recognize(sub)
-        if info.tree:
-            return tree_cpds(sub)
-        if info.block_graph:
-            return block_graph_cpds(sub)
-        if info.cactus:
-            return cactus_cpds(sub)
-        return exact.min_cpds(sub, budget)
-
-    return solve
+    return lambda sub: _dispatch(sub, budget, split=False)
 
 
-def nontrivial_block_subgraphs(
-    g: Graph,
-    dec: BlockDecomposition | None = None,
-    taxonomy: CutVertexTaxonomy | None = None,
-) -> list[tuple[tuple[int, ...], Graph, dict[int, int]]]:
+def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
     """Materialize each nontrivial block together with the pendant paths
     attached to its vertices. Returns (core vertices, subgraph, index map)."""
-    dec = dec if dec is not None else blocks(g)
-    taxonomy = taxonomy if taxonomy is not None else classify_cut_vertices(g, dec)
+    info = connected_profile(g)
     attached: dict[int, list[tuple[int, ...]]] = {}
-    for attach, chain in taxonomy.pendant_paths:
+    for attach, chain in info.taxonomy.pendant_paths:
         attached.setdefault(attach, []).append(chain)
     out = []
+    dec = info.decomposition
     for blk, trivial in zip(dec.blocks, dec.trivial):
         if trivial:
             continue
@@ -261,6 +248,7 @@ def decompose_cpds(
     g: Graph,
     subsolver: SubSolver | None = None,
     budget: Budget = DEFAULT_BUDGET,
+    pieces: list[Piece] | None = None,
 ) -> SolveResult:
     """Split the problem over nontrivial blocks and recombine.
 
@@ -268,23 +256,22 @@ def decompose_cpds(
     mandatory vertices it contains, the witnesses are unioned, and the
     double-counted mandatory vertices are discounted. The recombined witness
     is re-certified; an inconsistent recombination raises instead of
-    returning a wrong answer.
+    returning a wrong answer. ``pieces`` passes in the result of
+    :func:`nontrivial_block_subgraphs` when the caller already built it.
     """
-    if not g.is_connected():
+    info = profile(g)
+    if not info.connected:
         raise GraphClassError("decomposition requires a connected graph")
-    dec = blocks(g)
-    if not dec.cut_vertices:
+    if not info.decomposition.cut_vertices:
         raise GraphClassError("decomposition requires at least one cut vertex")
-    taxonomy = classify_cut_vertices(g, dec)
-    info = recognize(g, dec)
-    if info.path:
+    if info.graph_class.path:
         raise GraphClassError("decomposition does not apply to paths")
     solve = subsolver if subsolver is not None else _auto_subsolver(budget)
-    mandatory = set(taxonomy.mandatory)
+    mandatory = set(info.taxonomy.mandatory)
     membership = {v: 0 for v in mandatory}
     total = 0
     union: set[int] = set()
-    for blk, sub, remap in nontrivial_block_subgraphs(g, dec, taxonomy):
+    for blk, sub, remap in pieces if pieces is not None else nontrivial_block_subgraphs(g):
         anchors = [remap[v] for v in blk if v in mandatory]
         for v in blk:
             if v in mandatory:
@@ -329,14 +316,4 @@ def solve_cpds(g: Graph, method: str = "auto", budget: Budget = DEFAULT_BUDGET) 
         return exact.min_cpds(g, budget)
     if method != "auto":
         raise GraphError(f"unknown method {method!r}")
-    dec = blocks(g)
-    info = recognize(g, dec)
-    if info.tree:
-        return tree_cpds(g)
-    if info.block_graph:
-        return block_graph_cpds(g)
-    if info.cactus:
-        return cactus_cpds(g)
-    if dec.cut_vertices:
-        return decompose_cpds(g, budget=budget)
-    return exact.min_cpds(g, budget)
+    return _dispatch(g, budget, split=True)

@@ -44,6 +44,16 @@ class TestSolve:
         assert code == 0
         assert "optimum: 2" in out and "method: milp" in out
 
+    def test_milp_method_models_the_problem_asked(self):
+        # two stars joined through x: {c1, c2} power dominates, but only
+        # {c1, x, c2} is also connected
+        stars = "c1 l1\nc1 l2\nc1 x\nx c2\nc2 l3\nc2 l4\n"
+        for problem, optimum, witness in (("pd", 2, "c1 c2"), ("cpd", 3, "c1 x c2")):
+            code, out, _ = run("solve", "-", "--problem", problem, "--method", "milp",
+                               "--budget-bin", "90", stdin=stars)
+            assert code == 0
+            assert f"optimum: {optimum}\nwitness: {witness}\nmethod: milp\n" == out
+
     def test_stdin_input(self):
         code, out, _ = run("solve", "-", "--problem", "pd", stdin="a b\nb c\n")
         assert code == 0 and "optimum: 1" in out

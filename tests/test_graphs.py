@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -162,6 +163,64 @@ class TestAttachLeaves:
         g = Graph(["a", "a_leaf1"], [(0, 1)])
         h = attach_leaves(g, [0], 1)
         assert len(set(h.labels)) == h.n
+
+
+def rescanning_fresh_label(existing: list[str], stem: str) -> str:
+    """The label rule written plainly: a set of every label so far, per call."""
+    taken = set(existing)
+    while stem in taken:
+        stem += "_"
+    return stem
+
+
+class TestFreshLabels:
+    """New labels come out exactly as the plain rule makes them, and making
+    one costs O(1) lookups, not a copy of every label so far."""
+
+    CLASHING = ["a", "a_leaf1", "a_leaf1_", "a_leaf1_leaf1", "b", "hub", "hub_",
+                "probe1", "pa1_1", "qa2_1", "cap1_"]
+
+    def test_attach_leaves_matches_the_plain_rule(self):
+        g = Graph(self.CLASHING, [(i, i + 1) for i in range(len(self.CLASHING) - 1)])
+        h = attach_leaves(g, range(g.n), 3)
+        labels = list(g.labels)
+        for v in range(g.n):
+            for j in (1, 2, 3):
+                labels.append(rescanning_fresh_label(labels, f"{g.labels[v]}_leaf{j}"))
+        assert list(h.labels) == labels
+
+    def test_zf_gadget_matches_the_plain_rule(self):
+        from powerdom.exact import zf_to_cpd_gadget
+
+        g = Graph(self.CLASHING[:4], [(0, 1), (1, 2), (1, 3)])
+        h, _ = zf_to_cpd_gadget(g, 1)
+        labels = list(g.labels)
+        stems = ["hub", "hubleaf1", "hubleaf2"]
+        for i in range(g.n):
+            stems += [f"probe{i + 1}", f"cap{i + 1}"]
+            stems += [f"pa{i + 1}_{j + 1}" for j in range(g.n)]
+            stems += [f"qa{i + 1}_{j + 1}" for j in range(g.n)]
+        for stem in stems:
+            labels.append(rescanning_fresh_label(labels, stem))
+        assert list(h.labels) == labels
+
+    def test_subdivision_label(self):
+        g = Graph(["u", "v", "sub_u_v"], [(0, 1), (1, 2)])
+        assert g.subdivide_edge(0, 1).labels[-1] == "sub_u_v_"
+
+    def test_many_leaves_are_linear(self):
+        started = time.perf_counter()
+        g = attach_leaves(path_graph(8000), range(0, 8000, 2), 3)
+        assert time.perf_counter() - started < 5.0
+        assert g.n == 8000 + 3 * 4000
+
+    def test_large_zf_gadget_is_linear(self):
+        from powerdom.exact import zf_to_cpd_gadget
+
+        started = time.perf_counter()
+        h, bound = zf_to_cpd_gadget(path_graph(80), 1)
+        assert time.perf_counter() - started < 5.0
+        assert (h.n, bound) == (80 + 3 + 80 * (2 + 2 * 80), 2)
 
 
 class TestConnectivityHelpers:

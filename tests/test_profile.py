@@ -1,0 +1,188 @@
+"""The per-graph profile: built once, shared by every solver, linear in size.
+
+Blocks and articulation points are cross-checked against networkx where it
+is installed; the decomposition and the spread are checked against the
+enumeration oracle on hypothesis-generated graphs with a cut vertex.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from powerdom import decomposition, exact, spread, structural
+from powerdom.decomposition import (
+    blocks,
+    classify_cut_vertices,
+    is_path_graph,
+    pendant_path_inventory,
+    profile,
+    recognize,
+)
+from powerdom.errors import DisconnectedError
+from powerdom.graphs import Graph, path_graph
+
+from conftest import (
+    bowtie,
+    random_block_graph,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+)
+
+
+def general_with_cut_vertices() -> Graph:
+    """A diamond, a K_{2,3} glued to it at d3, a triangle on k4, and a
+    pendant path on d0: two general blocks, one clique, one pendant path."""
+    edges = [("d0", "d1"), ("d0", "d2"), ("d1", "d2"), ("d1", "d3"), ("d2", "d3"),
+             ("d3", "k1"), ("d3", "k2"), ("d3", "k3"), ("k4", "k1"), ("k4", "k2"),
+             ("k4", "k3"), ("k4", "t1"), ("k4", "t2"), ("t1", "t2"),
+             ("d0", "p1"), ("p1", "p2")]
+    return Graph.from_labeled_edges(edges)
+
+
+class TestProfile:
+    def test_built_once_per_graph(self):
+        g = bowtie()
+        first = profile(g)
+        assert profile(g) is first
+        assert blocks(g) is first.decomposition
+        assert classify_cut_vertices(g) is first.taxonomy
+        assert recognize(g) is first.graph_class
+
+    def test_derived_graphs_get_their_own(self):
+        g = bowtie()
+        smaller = g.delete_vertex(4)
+        assert profile(smaller) is not profile(g)
+        assert blocks(smaller).blocks == ((0, 1, 2), (0, 3))
+
+    def test_disconnected(self):
+        g = Graph(["a", "b", "c"], [(0, 1)])
+        info = profile(g)
+        assert not info.connected
+        assert info.decomposition is info.taxonomy is info.graph_class is None
+        assert not is_path_graph(g)
+        for accessor in (blocks, classify_cut_vertices, recognize, pendant_path_inventory):
+            with pytest.raises(DisconnectedError):
+                accessor(g)
+
+    def test_taxonomy_sets(self):
+        tax = classify_cut_vertices(general_with_cut_vertices())
+        assert tax.cut_set == set(tax.r1) | set(tax.r2) | set(tax.r3)
+        assert tax.r1_set == set(tax.r1)
+
+
+def nx_graph(g: Graph):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    return nx, h
+
+
+class TestAgainstNetworkx:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_blocks_and_articulation_points(self, seed):
+        rng = random.Random(4000 + seed)
+        makers = (random_connected_graph, random_tree, random_cactus, random_block_graph)
+        for _ in range(25):
+            g = rng.choice(makers)(rng, rng.randint(2, 60))
+            nx, h = nx_graph(g)
+            dec = blocks(g)
+            assert {frozenset(b) for b in dec.blocks} == {
+                frozenset(c) for c in nx.biconnected_components(h)}
+            assert list(dec.cut_vertices) == sorted(nx.articulation_points(h))
+
+    def test_dense_graph_with_long_cycles(self):
+        g = random_connected_graph(random.Random(77), 400, extra=150)
+        nx, h = nx_graph(g)
+        assert {frozenset(b) for b in blocks(g).blocks} == {
+            frozenset(c) for c in nx.biconnected_components(h)}
+        assert list(blocks(g).cut_vertices) == sorted(nx.articulation_points(h))
+
+
+@st.composite
+def graph_with_cut_vertex(draw, most: int = 8):
+    """Connected non-path graph on at most ``most`` vertices with a cut vertex."""
+    n = draw(st.integers(3, most))
+    tree = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n))
+    g = Graph([str(i) for i in range(n)], tree + extra)
+    assume(blocks(g).cut_vertices and not is_path_graph(g))
+    return g
+
+
+ROOMY = exact.Budget(max_vertices=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_with_cut_vertex())
+def test_decomposition_matches_the_oracle(g):
+    assert structural.decompose_cpds(g, budget=ROOMY).optimum == exact.min_cpds(g).optimum
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_with_cut_vertex(), st.data())
+def test_subdivision_never_lowers_the_optimum(g, data):
+    u, v = data.draw(st.sampled_from(g.edges()))
+    report = spread.subdivide_edge_delta(g, u, v, budget=ROOMY)
+    assert report.spread >= 0
+    assert report.before.optimum == exact.min_cpds(g).optimum
+
+
+class TestAnalyseOnce:
+    def test_one_block_dfs_per_graph_and_per_expanded_block(self, monkeypatch):
+        # count the pieces on a copy, so that g itself is not analysed yet
+        g = general_with_cut_vertices()
+        pieces = len(structural.nontrivial_block_subgraphs(Graph(g.labels, g.edges())))
+        assert pieces == 3  # diamond, K_{2,3}, triangle
+        calls = []
+        original = decomposition._block_dfs
+
+        def counted(h):
+            calls.append(h.n)
+            return original(h)
+
+        monkeypatch.setattr(decomposition, "_block_dfs", counted)
+        result = structural.solve_cpds(g)
+        assert result.method == exact.METHOD_DECOMPOSITION
+        assert len(calls) == 1 + pieces
+        assert calls[0] == g.n
+
+    def test_structural_solvers_share_the_analysis(self, monkeypatch):
+        calls = []
+        original = decomposition._block_dfs
+        monkeypatch.setattr(decomposition, "_block_dfs",
+                            lambda h: calls.append(h) or original(h))
+        rng = random.Random(8)
+        for make in (random_tree, random_cactus, random_block_graph):
+            g = make(rng, 300)
+            structural.solve_cpds(g)
+            structural.solve_cpds(g)
+        assert len(calls) == 3
+
+
+class TestScaling:
+    """Wall-clock guards: the analysis and the structural solvers are linear,
+    so 32k vertices take about a second; the bound only catches a return
+    to quadratic work."""
+
+    N = 32_000
+
+    @pytest.mark.parametrize("make", [random_cactus, random_tree], ids=["cactus", "tree"])
+    def test_solve_cpds(self, make):
+        g = make(random.Random(32), self.N)
+        started = time.perf_counter()
+        result = structural.solve_cpds(g)
+        assert time.perf_counter() - started < 6.0
+        assert result.method in (exact.METHOD_CACTUS, exact.METHOD_TREE)
+
+    def test_long_path_profile(self):
+        g = path_graph(self.N)
+        started = time.perf_counter()
+        assert recognize(g).path and len(blocks(g).blocks) == self.N - 1
+        assert time.perf_counter() - started < 6.0
