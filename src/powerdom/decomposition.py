@@ -21,7 +21,7 @@ power dominating set, which is what makes the fast solvers work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DisconnectedError, GraphError
@@ -37,12 +37,15 @@ class BlockDecomposition:
     vertex, necessarily a cut vertex. ``block_tree`` is the bipartite
     incidence between block indices and cut vertices. ``trivial`` flags
     blocks that are single edges lying on a pendant path (including the
-    edge that joins the path to its attachment vertex).
+    edge that joins the path to its attachment vertex). ``cycles`` maps
+    each block that is a cycle to its vertices in the order of a walk
+    around it.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     trivial: tuple[bool, ...]
+    cycles: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
 
     @cached_property
     def block_tree(self) -> tuple[tuple[int, int], ...]:
@@ -129,14 +132,16 @@ def connected_profile(g: Graph) -> GraphProfile:
     return info
 
 
-def _block_dfs(g: Graph) -> list[tuple[tuple[int, ...], int]] | None:
+def _block_dfs(g: Graph) -> list[tuple[tuple[int, ...], int, tuple[int, ...] | None]] | None:
     """Biconnected components of the component of vertex 0, each as a
-    sorted vertex tuple with its edge count, in one iterative DFS; None
-    when the graph is disconnected.
+    sorted vertex tuple with its edge count and, for a cycle, its walk
+    order, in one iterative DFS; None when the graph is disconnected.
 
     Vertices wait on a stack until the block below their tree edge
     closes. The edges of a block are the tree edges into its popped
-    vertices plus the back edges leaving them upward.
+    vertices plus the back edges leaving them upward. The DFS runs along
+    a cycle block as a path, so the block's attachment vertex followed by
+    its popped vertices is a walk around the cycle.
     """
     adj = g.adj
     disc = [-1] * g.n
@@ -146,7 +151,7 @@ def _block_dfs(g: Graph) -> list[tuple[tuple[int, ...], int]] | None:
     disc[0] = 0
     counter = 1
     waiting: list[int] = []
-    found: list[tuple[tuple[int, ...], int]] = []
+    found: list[tuple[tuple[int, ...], int, tuple[int, ...] | None]] = []
     stack = [(0, iter(adj[0]))]
     while stack:
         v, neighbors = stack[-1]
@@ -178,8 +183,9 @@ def _block_dfs(g: Graph) -> list[tuple[tuple[int, ...], int]] | None:
                     edges += 1 + up[x]
                     if x == v:
                         break
+                walk = tuple(members) if edges == len(members) > 2 else None
                 members.sort()
-                found.append((tuple(members), edges))
+                found.append((tuple(members), edges, walk))
     if counter < g.n:
         return None
     found.sort()
@@ -217,7 +223,7 @@ def _analyse(g: Graph) -> GraphProfile:
     if found is None:
         return GraphProfile(False, None, None, None)
     n, m = g.n, g.m
-    block_sets = tuple(blk for blk, _ in found)
+    block_sets = tuple(blk for blk, _, _ in found)
     membership = [0] * n
     for blk in block_sets:
         for v in blk:
@@ -240,10 +246,11 @@ def _analyse(g: Graph) -> GraphProfile:
         path=path,
         cycle=n >= 3 and m == n and all(len(a) == 2 for a in g.adj),
         tree=m == n - 1,
-        block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e in found),
-        cactus=all(e == len(blk) for blk, e in found if len(blk) > 2),
+        block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e, _ in found),
+        cactus=all(e == len(blk) for blk, e, _ in found if len(blk) > 2),
     )
-    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial),
+    cycles = {blk: walk for blk, _, walk in found if walk is not None}
+    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial, cycles),
                         taxonomy, graph_class)
 
 
@@ -289,22 +296,16 @@ def cycle_order(g: Graph, block: tuple[int, ...]) -> tuple[int, ...]:
 
     The walk starts at the smallest-index vertex and moves toward its
     smaller-index neighbor inside the block, which fixes a deterministic
-    orientation for segment scans.
+    orientation for segment scans. The block's walk comes from the
+    profile, so the cost is O(len(block)) however many other blocks share
+    its vertices.
     """
-    members = set(block)
-    if len(members) < 3:
+    if len(block) < 3:
         raise GraphError("cycle block needs at least three vertices")
-    start = min(members)
-    in_block = [w for w in g.adj[start] if w in members]
-    if len(in_block) != 2:
+    walk = connected_profile(g).decomposition.cycles.get(tuple(sorted(block)))
+    if walk is None:
         raise GraphError("block is not a cycle")
-    order = [start, min(in_block)]
-    while len(order) < len(members):
-        prev, cur = order[-2], order[-1]
-        nxt = [w for w in g.adj[cur] if w in members and w != prev]
-        if len(nxt) != 1:
-            raise GraphError("block is not a cycle")
-        order.append(nxt[0])
-    if not g.has_edge(order[-1], start):
-        raise GraphError("block is not a cycle")
-    return tuple(order)
+    i = walk.index(min(walk))
+    if walk[i - 1] < walk[(i + 1) % len(walk)]:
+        return walk[i::-1] + walk[:i:-1]
+    return walk[i:] + walk[:i]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 from . import propagation
@@ -456,138 +457,196 @@ def _export_mps(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TERM = re.compile(r"([+-]?)\s*(\d+(?:\.\d+)?)?\s*([A-Za-z_][A-Za-z0-9_]*)")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TERM_BODY = rf"(?:\d+\s*)?{_NAME}"
+# a sum of terms, each but the first joined by its sign; validated whole so
+# that nothing between the terms is skipped
+_EXPR = rf"(?:[+-]?\s*{_TERM_BODY}(?:\s*[+-]\s*{_TERM_BODY})*)?"
+_TERM = re.compile(rf"([+-]?)\s*(\d*)\s*({_NAME})")
+_LP_SECTIONS = frozenset(("minimize", "subject to", "bounds", "generals", "binaries", "end"))
+_MPS_SECTIONS = frozenset(("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"))
+_REL_OF = {"L": "<=", "G": ">=", "E": "="}
 
 
-def _parse_expr(text: str) -> tuple[tuple[int, str], ...]:
-    terms = []
-    for sign, coef, name in _TERM.findall(text):
-        value = int(float(coef)) if coef else 1
-        if sign == "-":
-            value = -value
-        terms.append((value, name))
-    return tuple(terms)
+def _integer(token: str, number: int) -> int:
+    """A coefficient, right-hand side or bound from line ``number`` of MPS
+    text; every number in a model is an integer."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ModelError(f"MPS line {number}: {token!r} is not an integer") from None
+
+
+@cache
+def _lp_line_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """Objective, constraint and bound lines; compiled on first use, since
+    importing the package should not pay for them."""
+    return (re.compile(rf"(?:[^:]*:)?\s*({_EXPR})\s*"),
+            re.compile(rf"([^:]*):\s*({_EXPR})\s*(<=|>=|=)\s*(-?\d+)"),
+            re.compile(rf"(-?\d+)\s*<=\s*({_NAME})\s*<=\s*(-?\d+)"))
+
+
+def _parse_expr(text: str) -> list[tuple[int, str]]:
+    """The terms of an expression already matched by ``_EXPR``."""
+    return [(-int(coef or 1) if sign == "-" else int(coef or 1), name)
+            for sign, coef, name in _TERM.findall(text)]
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse LP text produced by :func:`export` back into a model."""
+    """Parse LP text produced by :func:`export` back into a model.
+
+    One pass over the lines, one regular expression per line; malformed
+    text raises :class:`ModelError` naming the line.
+    """
+    objective_line, constraint_line, bound_line = _lp_line_patterns()
     name = "parsed"
-    objective: tuple[tuple[int, str], ...] = ()
+    objective: list[tuple[int, str]] = []
     constraints: list[Constraint] = []
     bounds: dict[str, tuple[int, int]] = {}
-    bound_order: list[str] = []
-    generals: list[str] = []
-    binaries: list[str] = []
+    generals: set[str] = set()
+    declared: list[str] = []  # names listed under Generals or Binaries
     section = None
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("\\"):
+        if line[0] == "\\":
             name = line[1:].strip() or name
             continue
         lowered = line.lower()
-        if lowered in ("minimize", "subject to", "bounds", "generals", "binaries", "end"):
+        if lowered in _LP_SECTIONS:
             section = lowered
             continue
-        if section == "minimize":
-            expr = line.split(":", 1)[1] if ":" in line else line
-            objective += _parse_expr(expr)
-        elif section == "subject to":
-            label, rest = line.split(":", 1)
-            match = re.search(r"(<=|>=|=)\s*(-?\d+(?:\.\d+)?)\s*$", rest)
-            if not match:
-                raise ModelError(f"cannot parse constraint {line!r}")
-            expr = rest[: match.start()]
-            constraints.append(
-                Constraint(label.strip(), _parse_expr(expr), match.group(1),
-                           int(float(match.group(2))))
-            )
+        if section == "subject to":
+            if ":" not in line or line[0] == ":":
+                raise ModelError(f"LP line {number}: constraint {line!r} has no label")
+            match = constraint_line.fullmatch(line)
+            if match is None:
+                raise ModelError(f"LP line {number}: cannot parse constraint {line!r}")
+            label, expr, relation, rhs = match.groups()
+            constraints.append(Constraint(label.strip(), tuple(_parse_expr(expr)),
+                                          relation, int(rhs)))
         elif section == "bounds":
-            match = re.match(r"(-?\d+)\s*<=\s*([A-Za-z_][A-Za-z0-9_]*)\s*<=\s*(-?\d+)", line)
-            if not match:
-                raise ModelError(f"cannot parse bound {line!r}")
-            bounds[match.group(2)] = (int(match.group(1)), int(match.group(3)))
-            bound_order.append(match.group(2))
+            match = bound_line.fullmatch(line)
+            if match is None:
+                raise ModelError(f"LP line {number}: cannot parse bound {line!r}")
+            lo, var, hi = match.groups()
+            if var in bounds:
+                raise ModelError(f"LP line {number}: second bound line for {var!r}")
+            bounds[var] = (int(lo), int(hi))
+        elif section == "minimize":
+            match = objective_line.fullmatch(line)
+            if match is None:
+                raise ModelError(f"LP line {number}: cannot parse objective {line!r}")
+            objective += _parse_expr(match.group(1))
         elif section == "generals":
-            generals.append(line)
+            names = line.split()
+            generals.update(names)
+            declared += names
         elif section == "binaries":
-            binaries.append(line)
-    integer_names = set(generals)
-    variables = []
-    for nm in bound_order:
-        lo, hi = bounds[nm]
-        kind = INTEGER if nm in integer_names else BINARY
-        variables.append(Variable(nm, kind, lo, hi))
-    return MilpModel(name, tuple(variables), objective, tuple(constraints))
+            declared += line.split()
+        else:
+            raise ModelError(f"LP line {number}: {line!r} is outside the model sections")
+    unbounded = [var for _, var in objective if var not in bounds]
+    unbounded += [var for con in constraints for _, var in con.terms if var not in bounds]
+    unbounded += [var for var in declared if var not in bounds]
+    if unbounded:
+        raise ModelError(f"LP variable {unbounded[0]!r} has no bound line")
+    variables = tuple(Variable(var, INTEGER if var in generals else BINARY, lo, hi)
+                      for var, (lo, hi) in bounds.items())
+    return MilpModel(name, variables, tuple(objective), tuple(constraints))
 
 
 def parse_mps(text: str) -> MilpModel:
-    """Parse MPS text produced by :func:`export` back into a model."""
+    """Parse MPS text produced by :func:`export` back into a model.
+
+    One pass over the lines files every COLUMNS entry under its row, so
+    each row's terms come out in column order at a cost linear in the
+    text. Variables follow the BOUNDS section, which lists every column in
+    declaration order. Malformed text raises :class:`ModelError` naming the
+    line, row or column.
+    """
     name = "parsed"
-    rel_of = {"L": "<=", "G": ">=", "E": "="}
+    objective_row = None
     row_rel: dict[str, str] = {}
-    row_order: list[str] = []
-    col_terms: dict[str, list[tuple[str, int]]] = {}
-    col_order: list[str] = []
+    terms_of: dict[str, list[tuple[int, str]]] = {}  # every row, the objective too
     rhs: dict[str, int] = {}
-    kinds: dict[str, str] = {}
+    columns: dict[str, str] = {}  # COLUMNS order; each name to its first object
+    kinds: dict[str, str] = {}  # BOUNDS order
     lows: dict[str, int] = {}
     highs: dict[str, int] = {}
     section = None
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        if raw.startswith("NAME"):
-            parts = raw.split()
-            if len(parts) > 1:
-                name = parts[1]
-            continue
-        if raw.strip() in ("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-            section = raw.strip()
-            continue
+    column = None
+    for number, raw in enumerate(text.splitlines(), 1):
         parts = raw.split()
-        if section == "ROWS":
+        if not parts:
+            continue
+        if raw[0] not in " \t":
+            if parts[0] == "NAME":
+                name = parts[1] if len(parts) > 1 else name
+            elif len(parts) == 1 and parts[0] in _MPS_SECTIONS:
+                section = parts[0]
+            else:
+                raise ModelError(f"MPS line {number}: unknown section {raw.strip()!r}")
+            continue
+        if section == "COLUMNS" and len(parts) == 3:
+            col, row, value = parts
+            terms = terms_of.get(row)
+            if terms is None:
+                if row == "'MARKER'":
+                    continue
+                raise ModelError(
+                    f"MPS line {number}: column {col!r} has an entry in undeclared row {row!r}")
+            if col != column:
+                if col in columns:
+                    raise ModelError(
+                        f"MPS line {number}: the entries of column {col!r} are not contiguous")
+                columns[col] = column = col
+            # one name object per column, however many rows and bounds name it
+            terms.append((_integer(value, number), column))
+        elif section == "ROWS" and len(parts) == 2:
             code, row = parts
-            if code != "N":
-                row_rel[row] = rel_of[code]
-                row_order.append(row)
-        elif section == "COLUMNS":
-            if "'MARKER'" in raw:
-                continue
-            col, row, coef = parts
-            if col not in col_terms:
-                col_terms[col] = []
-                col_order.append(col)
-            col_terms[col].append((row, int(float(coef))))
-        elif section == "RHS":
-            _, row, value = parts
-            rhs[row] = int(float(value))
-        elif section == "BOUNDS":
-            if parts[0] == "BV":
-                kinds[parts[2]] = BINARY
-                lows[parts[2]], highs[parts[2]] = 0, 1
-            elif parts[0] == "LI":
-                kinds.setdefault(parts[2], INTEGER)
-                lows[parts[2]] = int(float(parts[3]))
-            elif parts[0] == "UI":
-                kinds.setdefault(parts[2], INTEGER)
-                highs[parts[2]] = int(float(parts[3]))
-    objective = tuple(
-        (coef, col) for col in col_order for row, coef in col_terms[col] if row == "obj"
-    )
-    constraints = []
-    for row in row_order:
-        terms = tuple(
-            (coef, col)
-            for col in col_order
-            for r, coef in col_terms[col]
-            if r == row
-        )
-        constraints.append(Constraint(row, terms, row_rel[row], rhs.get(row, 0)))
-    variables = tuple(
-        Variable(col, kinds[col], lows[col], highs[col]) for col in col_order
-    )
-    return MilpModel(name, variables, objective, tuple(constraints))
-
-
+            if row in terms_of:
+                raise ModelError(f"MPS line {number}: row {row!r} declared twice")
+            if code == "N":
+                if objective_row is not None:
+                    raise ModelError(f"MPS line {number}: second objective row {row!r}")
+                objective_row = row
+            elif code in _REL_OF:
+                row_rel[row] = _REL_OF[code]
+            else:
+                raise ModelError(f"MPS line {number}: unknown row type {code!r}")
+            terms_of[row] = []
+        elif section == "RHS" and len(parts) == 3:
+            row = parts[1]
+            if row not in row_rel:
+                raise ModelError(f"MPS line {number}: RHS entry for {row!r}, "
+                                 f"which is not a constraint row")
+            rhs[row] = _integer(parts[2], number)
+        elif section == "BOUNDS" and parts[0] == "BV" and len(parts) == 3:
+            col = parts[2]
+            kinds[col] = BINARY
+            lows[col], highs[col] = 0, 1
+        elif section == "BOUNDS" and parts[0] in ("LI", "UI") and len(parts) == 4:
+            col = parts[2]
+            kinds.setdefault(col, INTEGER)
+            value = _integer(parts[3], number)
+            if parts[0] == "LI":
+                lows[col] = value
+            else:
+                highs[col] = value
+        else:
+            raise ModelError(f"MPS line {number}: cannot read {raw.strip()!r} "
+                             f"in section {section or 'none'}")
+    for col in columns:
+        if col not in kinds:
+            raise ModelError(f"MPS column {col!r} has no BOUNDS entry")
+    variables = []
+    for col, kind in kinds.items():
+        if col not in lows or col not in highs:
+            raise ModelError(f"MPS column {col!r} lacks its LI or UI bound")
+        variables.append(Variable(columns.get(col, col), kind, lows[col], highs[col]))
+    objective = tuple(terms_of[objective_row]) if objective_row is not None else ()
+    constraints = tuple(Constraint(row, tuple(terms_of[row]), rel, rhs.get(row, 0))
+                        for row, rel in row_rel.items())
+    return MilpModel(name, tuple(variables), objective, constraints)

@@ -12,7 +12,7 @@ from powerdom.decomposition import (
     cycle_order,
     recognize,
 )
-from powerdom.errors import DisconnectedError
+from powerdom.errors import DisconnectedError, GraphError
 from powerdom.graphs import (
     Graph,
     attach_leaves,
@@ -25,6 +25,7 @@ from powerdom.graphs import (
 from conftest import (
     bowtie,
     naive_components_without,
+    random_cactus,
     random_connected_graph,
     spider_three_legs,
 )
@@ -204,3 +205,50 @@ class TestRecognize:
         order = cycle_order(g, (0, 1, 2, 3, 4))
         assert order[0] == 0 and order[1] == 1
         assert bits_of(order) == bits_of(range(5))
+
+
+def cycle_order_by_scan(g: Graph, block: tuple[int, ...]) -> tuple[int, ...]:
+    """The orientation rule read off the adjacency lists: start at the
+    smallest vertex, step to its smaller neighbor in the block, then on."""
+    members = set(block)
+    start = min(members)
+    order = [start, min(w for w in g.adj[start] if w in members)]
+    while len(order) < len(members):
+        prev, cur = order[-2], order[-1]
+        order.append(next(w for w in g.adj[cur] if w in members and w != prev))
+    return tuple(order)
+
+
+def shuffled(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with its vertices renumbered and its edge list reordered, so
+    the DFS meets each cycle from a random vertex in a random direction."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) if rng.random() < 0.5 else (perm[v], perm[u])
+             for u, v in g.edges()]
+    rng.shuffle(edges)
+    return Graph([str(i) for i in range(g.n)], edges)
+
+
+class TestCycleOrder:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_adjacency_scan(self, seed):
+        rng = random.Random(seed)
+        for g in (shuffled(rng, random_cactus(rng, rng.randint(3, 80))),
+                  shuffled(rng, random_connected_graph(rng, rng.randint(3, 30), 3))):
+            for blk in blocks(g).blocks:
+                members = set(blk)
+                if len(blk) < 3:
+                    continue
+                if all(sum(w in members for w in g.adj[v]) == 2 for v in blk):
+                    assert cycle_order(g, blk) == cycle_order_by_scan(g, blk)
+                else:
+                    with pytest.raises(GraphError):
+                        cycle_order(g, blk)
+
+    def test_rejects_blocks_that_are_not_cycles(self):
+        g = complete_graph(4)
+        with pytest.raises(GraphError):
+            cycle_order(g, (0, 1, 2, 3))
+        with pytest.raises(GraphError):
+            cycle_order(path_graph(3), (0, 1))

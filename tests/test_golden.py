@@ -5,8 +5,10 @@ three fixed graphs: a spider with three legs (600 vertices), a flower of
 four 4-cycles sharing one vertex, and a 20-vertex random cactus; and for
 three seeded 300-vertex graphs that exercise the structural solvers and
 the decomposition: a random tree, a random block graph, and a tree of
-small 2-connected blocks that are neither cliques nor cycles. Any
-change to a witness, a trace line or the batch table changes a digest.
+small 2-connected blocks that are neither cliques nor cycles; and for
+the LP and MPS export of the pd and cpd models of a seeded 60-vertex
+random graph. Any change to a witness, a trace line, the batch table or
+an exported model byte changes a digest.
 When such a change is intended, record the new digests and say in
 CHANGES.md why the output moved.
 """
@@ -84,11 +86,21 @@ def seeded_general_edges() -> list[tuple[str, str]]:
     return edges
 
 
+def seeded_model_edges() -> list[tuple[str, str]]:
+    """A random spanning tree on 60 vertices plus 30 random chords."""
+    rng = random.Random(304)
+    edges = {(rng.randrange(i), i) for i in range(1, 60)}
+    while len(edges) < 59 + 30:
+        u, v = sorted(rng.sample(range(60), 2))
+        edges.add((u, v))
+    return [(f"m{u}", f"m{v}") for u, v in sorted(edges)]
+
+
 ORIGINAL = ("spider", "flower", "cactus")
 GRAPHS = {"spider": (spider_edges, "hub"), "flower": (flower_edges, "h"),
           "cactus": (cactus_edges, "k0"), "tree": (seeded_tree_edges, "t0"),
           "blockgraph": (seeded_block_graph_edges, "b0"),
-          "general": (seeded_general_edges, "g0")}
+          "general": (seeded_general_edges, "g0"), "model": (seeded_model_edges, "m0")}
 # the edge the spread digest subdivides: the first edge of a diamond
 SPREAD_TARGET = "g0,g1"
 
@@ -106,6 +118,10 @@ DIGESTS = {
     ("solve-json", "general"): (0, "af9f4d10e65613eaf4e4c97aa24c900ef837c78fa232b6feaee217b912361973"),
     ("decompose", "general"): (0, "ee2e7d749c8fff9dd0383382a2ea113282037c60b06a62eca4625b3a40b88ac4"),
     ("spread", "general"): (0, "55adc9a725ebcde3981fa9a2439bde9a6699cc7ce6891aa6bde089e82383b8a5"),
+    ("model-pd-lp", "model"): (0, "a4ed44be6662dc27a7dfd505904c20ea9930a93e4360aba72bf1f2fef4587e5e"),
+    ("model-pd-mps", "model"): (0, "060a85a9b1886b248a2dad7818bfd2c68fce4f71decf40b79d437bdcb6b83863"),
+    ("model-cpd-lp", "model"): (0, "1f19d0ae3ac1747f1ce2a43515fd27b33401bceeae2a235fa312f557907ae1cf"),
+    ("model-cpd-mps", "model"): (0, "2444a6546cbc458c9a5a32ed33f1196e5a99d12126567e8316215accc01426d1"),
 }
 
 
@@ -130,6 +146,9 @@ def argv_for(command: str, graph: str, files: dict[str, str]) -> list[str]:
     if command == "spread":
         return ["spread", files[graph], "--op", "subdivide-edge", "--target", SPREAD_TARGET,
                 "--json"]
+    if command.startswith("model-"):
+        _, problem, fmt = command.split("-")
+        return ["model", files[graph], "--problem", problem, "--format", fmt]
     if command == "check":
         return ["check", files[graph], "--problem", "pd", "--trace",
                 "--set", GRAPHS[graph][1]]

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerdom import exact, milp
 from powerdom import propagation as prop
@@ -192,3 +196,151 @@ class TestExport:
                 model = milp.add_mtz_connectivity(model, g)
             parsed = milp.parse_mps(milp.export(model, "mps"))
             assert parsed.canonical() == model.canonical()
+
+
+@st.composite
+def small_connected_graphs(draw) -> Graph:
+    """A random spanning tree on at most 9 vertices plus a few chords."""
+    n = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 2:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+    return Graph([f"v{i}" for i in range(n)], sorted(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=small_connected_graphs(), connected=st.booleans(),
+       horizon=st.sampled_from([None, 1, 3]), fmt=st.sampled_from(["lp", "mps"]))
+def test_parse_inverts_export(g, connected, horizon, fmt):
+    model = milp.build_model1(g, horizon)
+    if connected:
+        model = milp.add_mtz_connectivity(model, g)
+    parse = milp.parse_lp if fmt == "lp" else milp.parse_mps
+    parsed = parse(milp.export(model, fmt))
+    assert parsed.canonical() == model.canonical()
+    assert parsed.name == model.name
+    assert parsed.variables == model.variables
+    if fmt == "lp":
+        assert parsed == model
+
+
+def pinned_model(seed: int, connected: bool) -> milp.MilpModel:
+    g = random_connected_graph(random.Random(seed), 60)
+    model = milp.build_model1(g)
+    return milp.add_mtz_connectivity(model, g) if connected else model
+
+
+# sha256 of repr((name, variables, objective, constraints)) of each reader's
+# output on two seeded 60-vertex models; the MPS reader lists a row's terms
+# in column order, so its models equal the built ones only under canonical()
+PARSE_DIGESTS = {
+    (61, False, "lp"): "d0883571beb52f302e0e27a9876820f0b5afd9ad9b9a9e34101e58e83bf887a5",
+    (61, False, "mps"): "8877dcea4d8ae4ff6e87e282611eb3c3e3d52e7f7dc666f8f12296f0958706d1",
+    (62, True, "lp"): "33abe00a1e6e77e01079504686fd1d46520363e820a7b823a8163ded7a67863f",
+    (62, True, "mps"): "6c94a045c8bef208402a4760e32b31bf46dbf3c26b0550cf9075451d6f75239b",
+}
+
+
+@pytest.mark.parametrize("seed,connected,fmt", sorted(PARSE_DIGESTS))
+def test_parse_matches_recorded_digest(seed, connected, fmt):
+    parse = milp.parse_lp if fmt == "lp" else milp.parse_mps
+    parsed = parse(milp.export(pinned_model(seed, connected), fmt))
+    text = repr((parsed.name, parsed.variables, parsed.objective, parsed.constraints))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARSE_DIGESTS[seed, connected, fmt]
+
+
+def test_mps_reader_is_linear():
+    """The cpd model of a sparse 400-vertex graph has about 5500 rows; a
+    reader that scans every column entry for each row takes seconds on it."""
+    g = random_connected_graph(random.Random(400), 400, extra=40)
+    model = milp.add_mtz_connectivity(milp.build_model1(g), g)
+    text = milp.export(model, "mps")
+    started = time.perf_counter()
+    parsed = milp.parse_mps(text)
+    assert time.perf_counter() - started < 2.0
+    assert parsed.canonical() == model.canonical()
+
+
+P2_LP = milp.export(milp.build_model1(path_graph(2), 2), "lp")
+P2_MPS = milp.export(milp.build_model1(path_graph(2), 2), "mps")
+
+
+def edited(text: str, old: str, new: str) -> str:
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+class TestMalformedText:
+    """Each defect raises ModelError with one line naming where it is."""
+
+    def check(self, parse, text: str, where: str) -> None:
+        with pytest.raises(ModelError) as caught:
+            parse(text)
+        message = str(caught.value)
+        assert where in message and "\n" not in message
+
+    def test_mps_rows_line_with_three_fields(self):
+        self.check(milp.parse_mps, edited(P2_MPS, " E  cover_v1\n", " E  cover_v1 spare\n"),
+                   "MPS line 4")
+
+    def test_mps_coefficient_not_a_number(self):
+        self.check(milp.parse_mps,
+                   edited(P2_MPS, "y_v1__v2    order_v1__v2    3", "y_v1__v2    order_v1__v2    x"),
+                   "MPS line 19")
+
+    def test_mps_coefficient_not_an_integer(self):
+        self.check(milp.parse_mps,
+                   edited(P2_MPS, "y_v1__v2    order_v1__v2    3", "y_v1__v2    order_v1__v2    2.5"),
+                   "'2.5'")
+
+    def test_mps_column_without_bounds(self):
+        self.check(milp.parse_mps, edited(P2_MPS, " BV bnd    y_v2__v1\n", ""), "'y_v2__v1'")
+
+    @pytest.mark.parametrize("line", [" LI bnd    x_v2    0\n", " UI bnd    x_v2    2\n"],
+                             ids=["lower", "upper"])
+    def test_mps_integer_column_without_a_bound(self, line):
+        self.check(milp.parse_mps, edited(P2_MPS, line, ""), "'x_v2'")
+
+    def test_mps_entry_in_undeclared_row(self):
+        self.check(milp.parse_mps, edited(P2_MPS, " L  order_v2__v1\n", ""), "'order_v2__v1'")
+
+    def test_mps_unknown_bound_type(self):
+        self.check(milp.parse_mps, edited(P2_MPS, " BV bnd    s_v1", " FR bnd    s_v1"),
+                   "MPS line 29")
+
+    @pytest.mark.parametrize("old,new,where", [
+        (" E  cover_v2\n", " E  cover_v1\n", "MPS line 5"),
+        (" E  cover_v1\n", " N  cover_v1\n", "MPS line 4"),
+        (" E  cover_v1\n", " X  cover_v1\n", "MPS line 4"),
+        ("    s_v1    cover_v1    1\n    s_v2    obj    1\n",
+         "    s_v2    obj    1\n    s_v1    cover_v1    1\n", "MPS line 12"),
+        ("    rhs    cover_v1    1", "    rhs    obj    1", "MPS line 24"),
+        ("RHS\n", "RANGES\n", "MPS line 23"),
+        ("ROWS\n", "", "MPS line 2"),
+    ], ids=["row-twice", "second-objective", "row-type", "split-column", "rhs-on-objective",
+            "unknown-section", "outside-sections"])
+    def test_mps_other_defects(self, old, new, where):
+        self.check(milp.parse_mps, edited(P2_MPS, old, new), where)
+
+    def test_lp_constraint_without_label(self):
+        self.check(milp.parse_lp, edited(P2_LP, " cover_v1: s_v1", " s_v1"), "LP line 5")
+
+    def test_lp_variable_without_bound(self):
+        self.check(milp.parse_lp, edited(P2_LP, " 0 <= y_v1__v2 <= 1\n", ""), "'y_v1__v2'")
+
+    @pytest.mark.parametrize("old,new,where", [
+        ("x_v1 - x_v2", "x_v1 * x_v2", "LP line 7"),
+        ("x_v1 - x_v2", "x_v1 x_v2", "LP line 7"),
+        ("x_v1 - x_v2 + 3 y_v1__v2", "x_v1 - x_v2 + 2.5 y_v1__v2", "LP line 7"),
+        (" 0 <= s_v2 <= 1\n", " 0 <= s_v1 <= 1\n", "LP line 11"),
+        ("Minimize\n", "", "LP line 2"),
+    ], ids=["junk-between-terms", "missing-sign", "fraction", "bound-twice",
+            "outside-sections"])
+    def test_lp_other_defects(self, old, new, where):
+        self.check(milp.parse_lp, edited(P2_LP, old, new), where)
+
+
+def test_mps_row_without_rhs_entry_has_rhs_zero():
+    parsed = milp.parse_mps(edited(P2_MPS, "    rhs    cover_v1    1\n", ""))
+    assert [c.rhs for c in parsed.constraints] == [0, 1, 2, 2]
