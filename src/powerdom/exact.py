@@ -1,10 +1,12 @@
 """Exact solvers by explicit enumeration, plus the hardness gadget builder.
 
-These are the oracles everything else is validated against, so they favor
-transparency over speed: candidate sets are enumerated in ascending
-cardinality and checked with the propagation engine. Exceeding the
-configured budget raises a typed error rather than degrading to a
-heuristic.
+These are the oracles everything else is validated against. They search
+level by level in ascending cardinality and return every optimum of the
+first level that has one, with the lexicographically smallest as the
+witness. Power domination, with or without a round limit, runs on a
+fort-driven search that prunes with the forts its failed closures leave
+behind. Exceeding the configured budget raises a typed error rather than
+degrading to a heuristic.
 
 The connected solvers exploit one structural fact: every connected power
 dominating set of a non-path graph contains the mandatory set (r2 | r3 cut
@@ -102,34 +104,32 @@ def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
 def _connected_supersets(g: Graph, seed: int, size: int, banned: int,
                          deadline: float | None) -> list[int]:
     """All sets of ``size`` vertices reachable from ``seed`` by repeatedly
-    adding a neighbor of the current set, each emitted exactly once."""
+    adding a neighbor of the current set, each emitted exactly once.
+
+    Depth first with an explicit stack: a node's children add its
+    unblocked frontier vertices in ascending order, and each child blocks
+    the vertices of its earlier siblings."""
     out: list[int] = []
     nbr = g.nbr_bits
-    seed_count = seed.bit_count()
-    if seed_count > size:
+    if seed.bit_count() > size:
         return out
     reach0 = 0
     for v in iter_bits(seed):
         reach0 |= nbr[v]
+    stack = [(seed, reach0, banned)]
     calls = 0
-
-    def rec(cur: int, reach: int, blocked: int) -> None:
-        nonlocal calls
+    while stack:
         calls += 1
         if calls & 0xFFF == 0:
             _check_deadline(deadline)
+        cur, reach, blocked = stack.pop()
         if cur.bit_count() == size:
             out.append(cur)
-            return
+            continue
         cand = reach & ~cur & ~blocked
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            rec(cur | low, reach | nbr[v], blocked)
-            blocked |= low
-
-    rec(seed, reach0, banned)
+        for v in reversed(list(iter_bits(cand))):
+            low = 1 << v
+            stack.append((cur | low, reach | nbr[v], blocked | (cand & (low - 1))))
     return out
 
 
@@ -156,21 +156,67 @@ def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
 
 
 def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool) -> SolveResult:
-    """Smallest sets that color ``g`` within ``rounds`` rounds, by
-    cardinality-ascending enumeration."""
+    """Smallest sets that color ``g`` within ``rounds`` rounds, by a
+    fort-driven search over the levels k = 1, 2, ...
+
+    A fort is a non-empty vertex set that no outside vertex has exactly one
+    neighbor in. A set colors ``g`` only if its closed neighborhood meets
+    every fort, and a failed closure leaves a fort uncolored. The search
+    keeps the forts it learns across levels, each as the mask of its
+    hitters (the vertices whose closed neighborhood meets it). A node is a
+    chosen set and a banned set. It branches on the unbanned hitters of
+    the missed fort with the fewest of them, in ascending order, banning
+    each hitter after its branch, so every k-set is reached at most once.
+    When every learned fort is hit, one closure either yields a new fort
+    to branch on, an optimum (k vertices that color ``g`` within
+    ``rounds``), or, for a smaller set that colors ``g`` too slowly,
+    branches on every unbanned vertex. Every optimum of the first level
+    that has one is found, and they are returned sorted.
+    """
     budget.check_size(g)
     deadline = budget.deadline()
+    closed = [bits_of(row) | 1 << v for v, row in enumerate(g.adj)]
+    everyone = g.full_mask
+    hitters: list[int] = []
     for k in range(1, g.n + 1):
-        optima: list[tuple[int, ...]] = []
-        for combo in combinations(range(g.n), k):
+        found: list[int] = []
+        stack = [(0, 0, 0)]  # chosen, banned, number chosen
+        while stack:
             _check_deadline(deadline)
-            if propagation.colors_within(g, combo, rounds):
-                if not all_optima:
-                    return certify(g, combo, METHOD_BRUTE, connected=False)
-                optima.append(combo)
-        if optima:
+            chosen, banned, size = stack.pop()
+            branch = -1
+            fewest = g.n + 1
+            for hit in hitters:
+                if not hit & chosen:
+                    free = hit & ~banned
+                    count = free.bit_count()
+                    if count < fewest:
+                        branch, fewest = free, count
+                        if count <= 1:
+                            break
+            if branch < 0:
+                gap, last = propagation._uncolored(g, chosen)
+                if gap:
+                    hit = 0
+                    for v in iter_bits(gap):
+                        hit |= closed[v]
+                    hitters.append(hit)
+                    branch = hit & ~banned
+                elif size == k:
+                    if last <= rounds:
+                        found.append(chosen)
+                    continue
+                else:
+                    branch = everyone & ~chosen & ~banned
+            if size == k:
+                continue
+            for v in reversed(list(iter_bits(branch))):
+                low = 1 << v
+                stack.append((chosen | low, banned | (branch & (low - 1)), size + 1))
+        if found:
+            optima = _sorted_sets(found)
             return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                           all_optima=tuple(optima))
+                           all_optima=tuple(optima) if all_optima else None)
     raise SolverInternalError("no set colors the graph (unreachable)")
 
 
@@ -242,6 +288,11 @@ def ppt(g: Graph, budget: Budget = DEFAULT_BUDGET, connected: bool = False) -> i
     dominating sets."""
     base = min_cpds(g, budget, all_optima=True) if connected \
         else min_pds(g, budget, all_optima=True)
+    return fastest_optimum(g, base)
+
+
+def fastest_optimum(g: Graph, base: SolveResult) -> int:
+    """Minimum propagation time over ``base.all_optima``."""
     assert base.all_optima is not None
     return min(propagation.ppt_of_set(g, s) for s in base.all_optima)
 

@@ -103,8 +103,10 @@ def _clean(label: str) -> str:
     return _SANITIZE.sub("_", label)
 
 
-def _check_unique(names: list[str], what: str) -> None:
-    seen: set[str] = set()
+def _check_unique(names: list[str], what: str, taken: set[str] | None = None) -> None:
+    """Raise on a repeated name, or on one already in ``taken`` (which the
+    check fills in)."""
+    seen = set() if taken is None else taken
     for name in names:
         if name in seen:
             raise ModelError(f"{what} name collision: {name!r}")
@@ -215,8 +217,11 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
                 g.n - 1,
             )
         )
-    _check_unique([v.name for v in variables], "variable")
-    _check_unique([c.name for c in constraints], "constraint")
+    # build_model1 checked the base's names, and export checks any model's
+    _check_unique([v.name for v in variables[len(model.variables):]], "variable",
+                  {v.name for v in model.variables})
+    _check_unique([c.name for c in constraints[len(model.constraints):]], "constraint",
+                  {c.name for c in model.constraints})
     meta = dict(model.meta)
     meta["connected"] = True
     return MilpModel(

@@ -19,7 +19,8 @@ whose number dropped to one in the round before. Recording the trace
 (one :class:`Force` per colored vertex) is opt-in for internal callers:
 the functions that return a trace record it, while the yes/no checks used
 inside the enumeration oracles (:func:`colors_within`,
-:func:`is_zero_forcing`, :func:`ppt_of_set`) skip it.
+:func:`is_zero_forcing`, :func:`ppt_of_set`, and :func:`_uncolored`, the
+closure of the fort-driven search) skip it.
 """
 
 from __future__ import annotations
@@ -249,6 +250,15 @@ def colors_within(g: Graph, s: Iterable[int] | int, rounds: int) -> bool:
         return False
     front, _, _ = _propagate(g, seeds, dominate=True, start=2, limit=rounds)
     return front.total == g.n
+
+
+def _uncolored(g: Graph, s: int) -> tuple[int, int]:
+    """Trace-free power domination closure of the vertex mask ``s``: the
+    mask of the vertices it leaves uncolored, and the last round that
+    colored a vertex. A non-empty uncolored set is a fort: no colored
+    vertex has exactly one neighbor in it."""
+    front, _, last = _propagate(g, _members(s), dominate=True, start=2)
+    return front.mask() ^ g.full_mask, last
 
 
 def ppt_of_set(g: Graph, s: Iterable[int] | int) -> int:

@@ -117,13 +117,18 @@ def naive_is_connected_set(g: Graph, s: set[int]) -> bool:
     return naive_components(g.edges(), set(s)) == 1
 
 
-def naive_propagate(g: Graph, s: set[int], dominate: bool = True) -> set[int]:
-    """Final colored set using plain sets and reversed iteration order."""
+def naive_propagate(g: Graph, s: set[int], dominate: bool = True,
+                    rounds: int | None = None) -> set[int]:
+    """Final colored set using plain sets and reversed iteration order;
+    with ``rounds``, the set colored by the end of that round (the
+    domination step is round 1)."""
     colored = set(s)
     if dominate:
         for v in s:
             colored.update(g.neighbors(v))
-    while True:
+    done = 1 if dominate else 0
+    while rounds is None or done < rounds:
+        done += 1
         additions = set()
         for v in sorted(colored, reverse=True):
             uncolored = [w for w in g.neighbors(v) if w not in colored]
@@ -132,6 +137,7 @@ def naive_propagate(g: Graph, s: set[int], dominate: bool = True) -> set[int]:
         if not additions:
             return colored
         colored |= additions
+    return colored
 
 
 def naive_trace(g: Graph, s: set[int], dominate: bool = True, start: int | None = None,
@@ -205,6 +211,25 @@ def naive_min_pds_size(g: Graph) -> int:
             if naive_is_pds(g, set(combo)):
                 return k
     raise AssertionError("unreachable")
+
+
+def naive_min_coloring(g: Graph, rounds: int) -> list[tuple[int, ...]]:
+    """Every smallest set that colors ``g`` within ``rounds`` rounds, in
+    lexicographic order, by checking all subsets of each size."""
+    from itertools import combinations
+
+    for k in range(1, g.n + 1):
+        found = [combo for combo in combinations(range(g.n), k)
+                 if len(naive_propagate(g, set(combo), rounds=rounds)) == g.n]
+        if found:
+            return found
+    raise AssertionError("unreachable")
+
+
+def naive_is_fort(g: Graph, f: set[int]) -> bool:
+    """A non-empty set that no outside vertex has exactly one neighbor in."""
+    return bool(f) and all(
+        sum(w in f for w in g.neighbors(v)) != 1 for v in range(g.n) if v not in f)
 
 
 def naive_min_cpds(g: Graph, collect_all: bool = False):

@@ -212,6 +212,22 @@ class TestBatch:
         code, out, _ = run("batch", TREE, "--times")
         assert code == 0 and "time_s" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("extra,want", [((), [True]), (("--skip-ppt",), [False]),
+                                            (("--problems", "cpd"), [True])])
+    def test_one_pd_search_per_graph(self, monkeypatch, extra, want):
+        from powerdom import exact
+
+        searches = []
+        search = exact.min_pds
+
+        def counting(g, budget=exact.DEFAULT_BUDGET, all_optima=False):
+            searches.append(all_optima)
+            return search(g, budget, all_optima)
+
+        monkeypatch.setattr(exact, "min_pds", counting)
+        code, out, _ = run("batch", TREE, "--json", *extra)
+        assert code == 0 and searches == want
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

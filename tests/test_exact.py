@@ -215,3 +215,11 @@ class TestBudget:
         tight = Budget(max_vertices=20, max_seconds=0.0)
         with pytest.raises(BudgetExceededError):
             exact.min_cpds(g, tight)
+
+    def test_time_ceiling_of_the_pd_search(self):
+        g = complete_bipartite(8, 8)
+        tight = Budget(max_vertices=20, max_seconds=0.0)
+        with pytest.raises(BudgetExceededError):
+            exact.min_pds(g, tight)
+        with pytest.raises(BudgetExceededError):
+            exact.l_round_pd(g, 2, tight)

@@ -7,8 +7,12 @@ three seeded 300-vertex graphs that exercise the structural solvers and
 the decomposition: a random tree, a random block graph, and a tree of
 small 2-connected blocks that are neither cliques nor cycles; and for
 the LP and MPS export of the pd and cpd models of a seeded 60-vertex
-random graph. Any change to a witness, a trace line, the batch table or
-an exported model byte changes a digest.
+random graph; and for the enumeration oracles on three graphs of 18 to
+20 vertices (hubs(5), a seeded tree, and two seeded sparse graphs sharing
+a cut vertex): ``batch --json`` (also with ``--problems cpd`` and with
+``--skip-ppt``), ``solve --problem pd --method brute --all-optima --json``,
+``ppt --json`` and ``ppt --connected --json``. Any change to a witness,
+a trace line, the batch table or an exported model byte changes a digest.
 When such a change is intended, record the new digests and say in
 CHANGES.md why the output moved.
 """
@@ -96,11 +100,39 @@ def seeded_model_edges() -> list[tuple[str, str]]:
     return [(f"m{u}", f"m{v}") for u, v in sorted(edges)]
 
 
+def hubs_edges(k: int = 5) -> list[tuple[str, str]]:
+    """A spine of k vertices, each with three leaves: gamma_P = k."""
+    edges = [(f"s{i}", f"s{i + 1}") for i in range(k - 1)]
+    edges += [(f"s{i}", f"l{i}_{j}") for i in range(k) for j in range(3)]
+    return edges
+
+
+def small_tree_edges() -> list[tuple[str, str]]:
+    rng = random.Random(305)
+    return [(f"r{i}", f"r{rng.randrange(i)}") for i in range(1, 18)]
+
+
+def small_cut_edges() -> list[tuple[str, str]]:
+    """Two random trees of 10 vertices with two chords each, sharing the
+    cut vertex c9 (19 vertices)."""
+    rng = random.Random(306)
+    edges = set()
+    for offset in (0, 9):
+        part = {(rng.randrange(i), i) for i in range(1, 10)}
+        while len(part) < 11:
+            part.add(tuple(sorted(rng.sample(range(10), 2))))
+        edges |= {(u + offset, v + offset) for u, v in part}
+    return [(f"c{u}", f"c{v}") for u, v in sorted(edges)]
+
+
 ORIGINAL = ("spider", "flower", "cactus")
+ORACLE = ("hubs", "smalltree", "smallcut")
 GRAPHS = {"spider": (spider_edges, "hub"), "flower": (flower_edges, "h"),
           "cactus": (cactus_edges, "k0"), "tree": (seeded_tree_edges, "t0"),
           "blockgraph": (seeded_block_graph_edges, "b0"),
-          "general": (seeded_general_edges, "g0"), "model": (seeded_model_edges, "m0")}
+          "general": (seeded_general_edges, "g0"), "model": (seeded_model_edges, "m0"),
+          "hubs": (hubs_edges, "s0"), "smalltree": (small_tree_edges, "r0"),
+          "smallcut": (small_cut_edges, "c0")}
 # the edge the spread digest subdivides: the first edge of a diamond
 SPREAD_TARGET = "g0,g1"
 
@@ -122,6 +154,26 @@ DIGESTS = {
     ("model-pd-mps", "model"): (0, "060a85a9b1886b248a2dad7818bfd2c68fce4f71decf40b79d437bdcb6b83863"),
     ("model-cpd-lp", "model"): (0, "1f19d0ae3ac1747f1ce2a43515fd27b33401bceeae2a235fa312f557907ae1cf"),
     ("model-cpd-mps", "model"): (0, "2444a6546cbc458c9a5a32ed33f1196e5a99d12126567e8316215accc01426d1"),
+    ("batch-one", "hubs"): (0, "48ab84c65ea25d8f487184657a954c7be861fc84460dc3908c63f2779a336678"),
+    ("batch-one", "smalltree"): (0, "1ae4c6496fd09b1f2ef8efacf3a84a8db740969f041f68d73357961d8a4e48bb"),
+    ("batch-one", "smallcut"): (0, "c39eebb60bb762d23ca1ad9045b898ea51472821d7695e45cb8fe6168e1896c6"),
+    ("batch-cpd", "smalltree"): (0, "8fd8496ffba3b77b5dca2b2fc3a6399efe11792a0ba6fd2eeca2a3a868830eb1"),
+    ("batch-cpd", "smallcut"): (0, "7222aaca3c002822f32ea4bd38e6c94527eb3f55a071cf6daf2e82558acdfd7a"),
+    ("batch-skip", "smalltree"): (0, "54f25af8b8f6064a5332561ed0b470d431fdee7135f797535eda9fd7d744d143"),
+    ("batch-skip", "smallcut"): (0, "ae57fbc08def8f77a75cfe684567e2090fe37d03135ceb93175f75a11080c783"),
+    ("solve-pd-all", "hubs"): (0, "aec4ce0f8c9adad9aae8d5e1cd54ebe50932394bbbead7ad4b85125eb19a7204"),
+    ("solve-pd-all", "smalltree"):
+        (0, "98d31aa52b6472ba318c0972eebce6b7f8f2b4fdaa06563c48a07898ce3194fd"),
+    ("solve-pd-all", "smallcut"):
+        (0, "b8fafbd823fc1a1e7feef5f3cfeb8bd6508c503e713dd3e0648def838e1c5241"),
+    ("ppt", "hubs"): (0, "677e71b76454faf9f8383ed8483f084011495d4c430dd032f1f419650910de29"),
+    ("ppt", "smalltree"): (0, "a3069c161882db1529ab139a245147d8e22ede01f258f88eadf8ac73f720c32d"),
+    ("ppt", "smallcut"): (0, "58abcceeacb8600f3b694779b327b15f6b3b13e4b316b5a933e3de65fad28d67"),
+    ("ppt-connected", "hubs"): (0, "9b6088c68cbe5f6c606b3e33eb1bb51c07a520483c7d103a1abacff403e98c95"),
+    ("ppt-connected", "smalltree"):
+        (0, "7440ae634314540737a62fa1848b78e6d50c3309ca63a23d46ae344a611a91c7"),
+    ("ppt-connected", "smallcut"):
+        (0, "cea3c885bdb09d5013ade8e87c72a8b5e5ad68b8e0a9a8cdc0be29c1da4e6fbf"),
 }
 
 
@@ -149,6 +201,19 @@ def argv_for(command: str, graph: str, files: dict[str, str]) -> list[str]:
     if command.startswith("model-"):
         _, problem, fmt = command.split("-")
         return ["model", files[graph], "--problem", problem, "--format", fmt]
+    if command == "batch-one":
+        return ["batch", "--json", files[graph]]
+    if command == "batch-cpd":
+        return ["batch", "--json", "--problems", "cpd", files[graph]]
+    if command == "batch-skip":
+        return ["batch", "--json", "--skip-ppt", files[graph]]
+    if command == "solve-pd-all":
+        return ["solve", files[graph], "--problem", "pd", "--method", "brute",
+                "--all-optima", "--json"]
+    if command == "ppt":
+        return ["ppt", files[graph], "--json"]
+    if command == "ppt-connected":
+        return ["ppt", files[graph], "--connected", "--json"]
     if command == "check":
         return ["check", files[graph], "--problem", "pd", "--trace",
                 "--set", GRAPHS[graph][1]]

@@ -171,6 +171,20 @@ class TestExport:
         with pytest.raises(ModelError):
             milp.build_model1(g, 2)
 
+    def test_name_collision_with_base_model(self):
+        g = Graph(["a", "b"], [(0, 1)])
+        base = milp.build_model1(g)
+        extra = milp.Variable("zr_a", milp.BINARY, 0, 1)
+        clash = milp.MilpModel(base.name, base.variables + (extra,), base.objective,
+                               base.constraints, base.meta)
+        with pytest.raises(ModelError, match="zr_a"):
+            milp.add_mtz_connectivity(clash, g)
+        clash = milp.MilpModel(base.name, base.variables, base.objective,
+                               base.constraints + (milp.Constraint("root_choice", (), "=", 0),),
+                               base.meta)
+        with pytest.raises(ModelError, match="root_choice"):
+            milp.add_mtz_connectivity(clash, g)
+
     def test_deterministic_bytes(self):
         g = random_connected_graph(random.Random(19), 7)
         model = milp.add_mtz_connectivity(milp.build_model1(g), g)
