@@ -39,6 +39,7 @@ from .propagation import (
 from .exact import (
     Budget,
     SolveResult,
+    l_round_cpd,
     l_round_pd,
     min_cpds,
     min_cpds_subject_to,

@@ -69,11 +69,9 @@ def _non_negative(kind: type) -> Callable[[str], int | float]:
 def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="emit json-lines output")
     parser.add_argument("--budget-n", type=_non_negative(int), default=None,
-                        help="vertex ceiling for the enumeration oracle")
+                        help="vertex ceiling for the exact oracles and the milp method")
     parser.add_argument("--budget-seconds", type=_non_negative(float), default=None,
-                        help="time ceiling for the enumeration oracle")
-    parser.add_argument("--budget-bin", type=int, default=30,
-                        help="binary variable ceiling for the model validator")
+                        help="time ceiling for the exact oracles and the milp method")
 
 
 def build_parser() -> _Parser:
@@ -213,9 +211,7 @@ def _cmd_solve(args, out, err, stdin) -> int:
         model = milp.build_model1(g, args.T)
         if args.problem == "cpd":
             model = milp.add_mtz_connectivity(model, g)
-        solution = milp.solve_small(model, args.budget_bin)
-        if solution.status != milp.OPTIMAL:
-            raise BudgetExceededError("model validator budget exhausted")
+        solution = milp.solve_small(model, budget)
         chosen, trace = milp.decode_assignment(model, solution.assignment)
         result = exact.SolveResult(len(chosen), chosen, trace, exact.METHOD_MILP)
     elif args.problem == "pd":
@@ -247,10 +243,11 @@ def _cmd_solve(args, out, err, stdin) -> int:
 
 def _cmd_ppt(args, out, err, stdin) -> int:
     g = _load(args, stdin)
+    budget = _budget(args)
     if args.method == "milp":
-        value = milp.ppt_by_search(g, connected=args.connected, budget=args.budget_bin)
+        value = milp.ppt_by_search(g, args.connected, budget)
     else:
-        value = exact.ppt(g, _budget(args), connected=args.connected)
+        value = exact.ppt(g, budget, connected=args.connected)
     record = {"ppt": value, "connected": args.connected, "n": g.n, "m": g.m}
     _emit(out, args, record, [f"ppt: {value}"])
     return 0

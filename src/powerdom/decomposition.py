@@ -52,9 +52,6 @@ class BlockDecomposition:
         cuts = set(self.cut_vertices)
         return tuple((i, v) for i, blk in enumerate(self.blocks) for v in blk if v in cuts)
 
-    def blocks_containing(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if v in b)
-
 
 @dataclass(frozen=True)
 class CutVertexTaxonomy:

@@ -1,25 +1,25 @@
-"""Exact solvers by explicit enumeration, plus the hardness gadget builder.
+"""Exact solvers by explicit search, plus the hardness gadget builder.
 
-These are the oracles everything else is validated against. They search
-level by level in ascending cardinality and return every optimum of the
-first level that has one, with the lexicographically smallest as the
-witness. Power domination, with or without a round limit, runs on a
-fort-driven search that prunes with the forts its failed closures leave
-behind. Exceeding the configured budget raises a typed error rather than
-degrading to a heuristic.
+These are the oracles everything else is validated against, the integer
+programming validator included. They search level by level in ascending
+cardinality and return every optimum of the first level that has one, with
+the lexicographically smallest as the witness. Power domination, with or
+without a round limit, and zero forcing run on one fort-driven search that
+prunes with the forts its failed closures leave behind. Exceeding the
+configured budget raises a typed error rather than degrading to a
+heuristic.
 
-The connected solvers exploit one structural fact: every connected power
-dominating set of a non-path graph contains the mandatory set (r2 | r3 cut
-vertices). Candidates are therefore grown outward from that set, which
-enumerates exactly the connected supersets instead of filtering all 2^n
-subsets.
+The connected solvers, with or without a round limit, exploit one
+structural fact: every connected power dominating set of a non-path graph
+contains the mandatory set (r2 | r3 cut vertices). Candidates are
+therefore grown outward from that set, which enumerates exactly the
+connected supersets instead of filtering all 2^n subsets.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from . import propagation
@@ -155,7 +155,8 @@ def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
 # -- solvers ---------------------------------------------------------------
 
 
-def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool) -> SolveResult:
+def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
+                  forcing: bool = False) -> SolveResult:
     """Smallest sets that color ``g`` within ``rounds`` rounds, by a
     fort-driven search over the levels k = 1, 2, ...
 
@@ -172,9 +173,14 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool) -> So
     ``rounds``), or, for a smaller set that colors ``g`` too slowly,
     branches on every unbanned vertex. Every optimum of the first level
     that has one is found, and they are returned sorted.
+
+    With ``forcing`` set the search finds zero forcing sets: the closure
+    skips the domination step, and a set is zero forcing exactly when it
+    meets every fort, so each fort's hitters are the fort itself.
     """
     budget.check_size(g)
     deadline = budget.deadline()
+    closure = propagation._unforced if forcing else propagation._uncolored
     closed = [bits_of(row) | 1 << v for v, row in enumerate(g.adj)]
     everyone = g.full_mask
     hitters: list[int] = []
@@ -195,11 +201,12 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool) -> So
                         if count <= 1:
                             break
             if branch < 0:
-                gap, last = propagation._uncolored(g, chosen)
+                gap, last = closure(g, chosen)
                 if gap:
-                    hit = 0
-                    for v in iter_bits(gap):
-                        hit |= closed[v]
+                    hit = gap
+                    if not forcing:
+                        for v in iter_bits(gap):
+                            hit |= closed[v]
                     hitters.append(hit)
                     branch = hit & ~banned
                 elif size == k:
@@ -227,8 +234,10 @@ def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False)
     return _min_coloring(g, g.n, budget, all_optima)
 
 
-def _min_connected(g: Graph, seed_mask: int, budget: Budget,
+def _min_connected(g: Graph, seed_mask: int, rounds: int, budget: Budget,
                    all_optima: bool, method: str) -> SolveResult:
+    """Smallest connected supersets of ``seed_mask`` that color ``g``
+    within ``rounds`` rounds, grown outward from the seed level by level."""
     budget.check_size(g)
     deadline = budget.deadline()
     start = max(1, seed_mask.bit_count())
@@ -238,7 +247,7 @@ def _min_connected(g: Graph, seed_mask: int, budget: Budget,
             _check_deadline(deadline)
             if not g.is_connected_mask(mask):
                 continue
-            if propagation.colors_within(g, mask, g.n):
+            if propagation.colors_within(g, mask, rounds):
                 feasible.append(mask)
         if feasible:
             optima = _sorted_sets(feasible)
@@ -258,7 +267,7 @@ def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False
     if not g.is_connected():
         raise DisconnectedError("a disconnected graph has no connected power dominating set")
     seed = classify_cut_vertices(g).mandatory_mask if seeded else 0
-    return _min_connected(g, seed, budget, all_optima, METHOD_BRUTE)
+    return _min_connected(g, seed, g.n, budget, all_optima, METHOD_BRUTE)
 
 
 def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUDGET,
@@ -270,7 +279,7 @@ def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUD
     if x_mask >> g.n:
         raise GraphError("constraint set is not a subset of the vertices")
     seed = x_mask | classify_cut_vertices(g).mandatory_mask
-    return _min_connected(g, seed, budget, all_optima, METHOD_BRUTE)
+    return _min_connected(g, seed, g.n, budget, all_optima, METHOD_BRUTE)
 
 
 def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
@@ -281,6 +290,18 @@ def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
     if not g.is_connected():
         raise DisconnectedError("round-limited power domination requires a connected graph")
     return _min_coloring(g, rounds, budget, all_optima)
+
+
+def l_round_cpd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
+                all_optima: bool = False) -> SolveResult:
+    """Minimum connected set that power dominates within the given number
+    of rounds."""
+    if rounds < 1:
+        raise GraphError("round budget must be at least 1")
+    if not g.is_connected():
+        raise DisconnectedError("a disconnected graph has no connected power dominating set")
+    seed = classify_cut_vertices(g).mandatory_mask
+    return _min_connected(g, seed, rounds, budget, all_optima, METHOD_BRUTE)
 
 
 def ppt(g: Graph, budget: Budget = DEFAULT_BUDGET, connected: bool = False) -> int:
@@ -299,17 +320,12 @@ def fastest_optimum(g: Graph, base: SolveResult) -> int:
 
 def min_zero_forcing(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum zero forcing set (forcing rule only, works on disconnected
-    graphs too)."""
-    budget.check_size(g)
-    deadline = budget.deadline()
-    for k in range(0, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            _check_deadline(deadline)
-            if propagation.is_zero_forcing(g, combo):
-                state, forces = propagation.forcing_closure(g, combo)
-                trace = propagation.PropagationTrace(combo, forces, state.vertices())
-                return SolveResult(k, combo, trace, METHOD_BRUTE)
-    raise SolverInternalError("no zero forcing set found (unreachable)")
+    graphs too): the lexicographically smallest optimum of the fort search,
+    with the trace of its forcing closure."""
+    witness = _min_coloring(g, g.n, budget, False, forcing=True).witness
+    state, forces = propagation.forcing_closure(g, witness)
+    trace = propagation.PropagationTrace(witness, forces, state.vertices())
+    return SolveResult(len(witness), witness, trace, METHOD_BRUTE)
 
 
 def zf_to_cpd_gadget(g: Graph, k: int) -> tuple[Graph, int]:
@@ -322,6 +338,8 @@ def zf_to_cpd_gadget(g: Graph, k: int) -> tuple[Graph, int]:
     its funnel ends are the only vertices a small connected solution can
     use, which is what ties the two problems together.
     """
+    if k < 0:
+        raise GraphError(f"zero forcing bound must be at least 0, got {k}")
     n = g.n
     labels = list(g.labels)
     taken = set(labels)

@@ -109,9 +109,6 @@ class Graph:
         """All edges as (u, v) with u < v, sorted."""
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
-    def label(self, v: int) -> str:
-        return self.labels[v]
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]

@@ -12,10 +12,10 @@ Connectivity is added on top as an arborescence: each selected vertex gets
 exactly one parent (an artificial root feeds exactly one of them), parents
 must be selected, and ordering variables forbid directed cycles.
 
-``solve_small`` is a validator, not a general solver: it enumerates the
-selection variables in ascending cardinality, derives the remaining
-variables from a propagation run, and then checks the assignment against
-every constraint row literally.
+``solve_small`` is a validator, not a general solver: it takes the
+selection from the exact oracle for the model's problem and horizon,
+derives the remaining variables from a propagation run, and then checks
+the assignment against every constraint row literally.
 """
 
 from __future__ import annotations
@@ -23,18 +23,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations
 
-from . import propagation
-from .errors import BudgetExceededError, DisconnectedError, GraphError, ModelError
-from .graphs import Graph, bits_of
+from . import exact, propagation
+from .errors import DisconnectedError, GraphError, ModelError
+from .graphs import Graph
 
 BINARY = "binary"
 INTEGER = "integer"
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-BUDGET_EXCEEDED = "budget_exceeded"
 
 
 @dataclass(frozen=True)
@@ -67,12 +64,6 @@ class MilpModel:
     objective: tuple[tuple[int, str], ...]
     constraints: tuple[Constraint, ...]
     meta: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def variable_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
-    def binary_count(self) -> int:
-        return sum(1 for v in self.variables if v.kind == BINARY)
 
     def canonical(self) -> tuple:
         """Order-insensitive structural form (for round-trip comparisons;
@@ -233,7 +224,7 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
     )
 
 
-# -- solution checking and the enumeration validator ----------------------
+# -- solution checking and the validator -----------------------------------
 
 
 def check_assignment(model: MilpModel, assignment: dict[str, int]) -> list[str]:
@@ -314,58 +305,40 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
     return chosen, propagation.PropagationTrace(chosen, tuple(forces), final)
 
 
-def solve_small(model: MilpModel, budget: int = 30) -> ModelSolution:
-    """Exact optimum of a model built here, by selection enumeration.
+def solve_small(model: MilpModel,
+                budget: exact.Budget = exact.DEFAULT_BUDGET) -> ModelSolution:
+    """Exact optimum of a model built here.
 
-    The budget caps the model's binary variable count. Candidate selections
-    are tried in ascending cardinality; feasibility of the remaining
-    variables follows from a propagation run bounded by the horizon (plus a
-    connectivity check when the arborescence part is present). The winning
-    assignment is verified against every constraint before it is returned.
+    The selection is the lexicographically smallest optimum of the exact
+    oracle for the model's horizon: :func:`exact.l_round_pd` for a power
+    domination model, :func:`exact.l_round_cpd` when the arborescence part
+    is present. Both obey ``budget`` and raise
+    :class:`BudgetExceededError` past it. The remaining variables follow
+    from the selection's propagation run, and the assignment is verified
+    against every constraint before it is returned.
     """
     if "graph" not in model.meta:
         raise ModelError("solve_small only handles models built by this module")
-    if model.binary_count() > budget:
-        return ModelSolution({}, float("nan"), BUDGET_EXCEEDED)
-    g: Graph = model.meta["graph"]
-    horizon: int = model.meta["horizon"]
-    connected: bool = model.meta.get("connected", False)
-    for k in range(0, g.n + 1):
-        for combo in combinations(range(g.n), k):
-            mask = bits_of(combo)
-            if connected and not g.is_connected_mask(mask):
-                continue
-            if not propagation.colors_within(g, mask, horizon):
-                continue
-            ok, trace = propagation.is_power_dominating(g, mask)
-            assert ok
-            assignment = _encode(model, combo, trace)
-            problems = check_assignment(model, assignment)
-            if problems:
-                raise ModelError(
-                    "derived assignment violates the model: " + "; ".join(problems)
-                )
-            return ModelSolution(assignment, float(k), OPTIMAL)
-    return ModelSolution({}, float("nan"), INFEASIBLE)
+    oracle = exact.l_round_cpd if model.meta.get("connected") else exact.l_round_pd
+    result = oracle(model.meta["graph"], model.meta["horizon"], budget)
+    assignment = _encode(model, result.witness, result.trace)
+    problems = check_assignment(model, assignment)
+    if problems:
+        raise ModelError("derived assignment violates the model: " + "; ".join(problems))
+    return ModelSolution(assignment, float(result.optimum), OPTIMAL)
 
 
 def round_number(g: Graph, rounds: int, connected: bool = False,
-                 budget: int = 30) -> int:
+                 budget: exact.Budget = exact.DEFAULT_BUDGET) -> int:
     """Optimum of the model with horizon ``rounds``."""
     model = build_model1(g, rounds)
     if connected:
         model = add_mtz_connectivity(model, g)
-    solution = solve_small(model, budget)
-    if solution.status == BUDGET_EXCEEDED:
-        raise BudgetExceededError(
-            f"model has {model.binary_count()} binaries, budget allows {budget}"
-        )
-    if solution.status != OPTIMAL:
-        raise ModelError("model unexpectedly infeasible")
-    return int(solution.objective_value)
+    return int(solve_small(model, budget).objective_value)
 
 
-def ppt_by_search(g: Graph, connected: bool = False, budget: int = 30) -> int:
+def ppt_by_search(g: Graph, connected: bool = False,
+                  budget: exact.Budget = exact.DEFAULT_BUDGET) -> int:
     """Smallest horizon whose optimum matches the unlimited-horizon one,
     found by binary search (logarithmically many solves)."""
     target = round_number(g, g.n, connected, budget)

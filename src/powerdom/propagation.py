@@ -19,8 +19,8 @@ whose number dropped to one in the round before. Recording the trace
 (one :class:`Force` per colored vertex) is opt-in for internal callers:
 the functions that return a trace record it, while the yes/no checks used
 inside the enumeration oracles (:func:`colors_within`,
-:func:`is_zero_forcing`, :func:`ppt_of_set`, and :func:`_uncolored`, the
-closure of the fort-driven search) skip it.
+:func:`is_zero_forcing`, :func:`ppt_of_set`, and :func:`_uncolored` and
+:func:`_unforced`, the closures of the fort-driven search) skip it.
 """
 
 from __future__ import annotations
@@ -258,6 +258,13 @@ def _uncolored(g: Graph, s: int) -> tuple[int, int]:
     colored a vertex. A non-empty uncolored set is a fort: no colored
     vertex has exactly one neighbor in it."""
     front, _, last = _propagate(g, _members(s), dominate=True, start=2)
+    return front.mask() ^ g.full_mask, last
+
+
+def _unforced(g: Graph, s: int) -> tuple[int, int]:
+    """:func:`_uncolored` for the forcing rule alone (no domination step):
+    the uncolored mask, a fort when non-empty, and the last round."""
+    front, _, last = _propagate(g, _members(s), dominate=False, start=1)
     return front.mask() ^ g.full_mask, last
 
 

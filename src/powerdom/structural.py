@@ -101,9 +101,6 @@ class FeasibleSegmentFamily:
     max_size: int
     best: Segment
 
-    def all_segments(self) -> tuple[Segment, ...]:
-        return self.zero_cut + self.one_cut + self.two_cut
-
 
 def _arc(cycle: Sequence[int], a: int, b: int) -> tuple[int, ...]:
     """Positions strictly between a and b walking forward; a == b wraps to

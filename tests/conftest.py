@@ -213,14 +213,16 @@ def naive_min_pds_size(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
-def naive_min_coloring(g: Graph, rounds: int) -> list[tuple[int, ...]]:
+def naive_min_coloring(g: Graph, rounds: int | None,
+                       dominate: bool = True) -> list[tuple[int, ...]]:
     """Every smallest set that colors ``g`` within ``rounds`` rounds, in
-    lexicographic order, by checking all subsets of each size."""
+    lexicographic order, by checking all subsets of each size; without
+    ``dominate``, every smallest zero forcing set."""
     from itertools import combinations
 
     for k in range(1, g.n + 1):
         found = [combo for combo in combinations(range(g.n), k)
-                 if len(naive_propagate(g, set(combo), rounds=rounds)) == g.n]
+                 if len(naive_propagate(g, set(combo), dominate, rounds)) == g.n]
         if found:
             return found
     raise AssertionError("unreachable")
@@ -232,15 +234,17 @@ def naive_is_fort(g: Graph, f: set[int]) -> bool:
         sum(w in f for w in g.neighbors(v)) != 1 for v in range(g.n) if v not in f)
 
 
-def naive_min_cpds(g: Graph, collect_all: bool = False):
-    """Minimum connected power dominating sets by filtering all subsets."""
+def naive_min_cpds(g: Graph, collect_all: bool = False, rounds: int | None = None):
+    """Minimum connected power dominating sets by filtering all subsets;
+    with ``rounds``, those that color ``g`` within that many rounds."""
     from itertools import combinations
 
     for k in range(1, g.n + 1):
         found = []
         for combo in combinations(range(g.n), k):
             s = set(combo)
-            if naive_is_connected_set(g, s) and naive_is_pds(g, s):
+            if naive_is_connected_set(g, s) and \
+                    len(naive_propagate(g, s, rounds=rounds)) == g.n:
                 if not collect_all:
                     return k, [combo]
                 found.append(combo)

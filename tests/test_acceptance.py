@@ -268,17 +268,16 @@ def test_criterion_07_milp_semantics():
     rng = random.Random(20267)
     for _ in range(300):
         g = random_connected_graph(rng, rng.randint(1, 6))
-        plain = milp.solve_small(milp.build_model1(g), budget=90)
+        plain = milp.solve_small(milp.build_model1(g))
         assert plain.status == milp.OPTIMAL
         assert plain.objective_value == exact.min_pds(g).optimum
         extended = milp.add_mtz_connectivity(milp.build_model1(g), g)
-        connected = milp.solve_small(extended, budget=150)
+        connected = milp.solve_small(extended)
         assert connected.status == milp.OPTIMAL
         assert connected.objective_value == exact.min_cpds(g).optimum
         for rounds in range(1, g.n + 1):
-            assert milp.round_number(g, rounds, budget=90) == \
-                exact.l_round_pd(g, rounds).optimum
-        assert milp.ppt_by_search(g, budget=90) == exact.ppt(g)
+            assert milp.round_number(g, rounds) == exact.l_round_pd(g, rounds).optimum
+        assert milp.ppt_by_search(g) == exact.ppt(g)
     assert time.perf_counter() - started < 600
     _report(7, "model equals oracle for pd, cpd, l-round, ppt", started,
             "300 graphs with n <= 6")
@@ -340,7 +339,7 @@ def test_criterion_10_cli_determinism():
     commands = [
         ("solve", cactus, "--problem", "cpd", "--trace"),
         ("solve", bridge, "--problem", "pd", "--json"),
-        ("solve", bridge, "--problem", "cpd", "--method", "milp", "--budget-bin", "90"),
+        ("solve", bridge, "--problem", "cpd", "--method", "milp"),
         ("ppt", cactus),
         ("check", tree, "--set", "c1,c2", "--trace"),
         ("model", tree, "--problem", "cpd", "--format", "lp"),

@@ -39,8 +39,7 @@ class TestSolve:
         assert "witness: c1 c2" in text_out
 
     def test_milp_method(self):
-        code, out, _ = run("solve", BRIDGE, "--problem", "cpd", "--method", "milp",
-                           "--budget-bin", "90")
+        code, out, _ = run("solve", BRIDGE, "--problem", "cpd", "--method", "milp")
         assert code == 0
         assert "optimum: 2" in out and "method: milp" in out
 
@@ -50,9 +49,21 @@ class TestSolve:
         stars = "c1 l1\nc1 l2\nc1 x\nx c2\nc2 l3\nc2 l4\n"
         for problem, optimum, witness in (("pd", 2, "c1 c2"), ("cpd", 3, "c1 x c2")):
             code, out, _ = run("solve", "-", "--problem", problem, "--method", "milp",
-                               "--budget-bin", "90", stdin=stars)
+                               stdin=stars)
             assert code == 0
             assert f"optimum: {optimum}\nwitness: {witness}\nmethod: milp\n" == out
+
+    def test_milp_method_on_a_model_with_48_binaries(self):
+        c8 = "".join(f"c{i} c{(i + 1) % 8}\n" for i in range(8))
+        code, out, err = run("solve", "-", "--problem", "cpd", "--method", "milp", stdin=c8)
+        assert (code, err) == (0, "")
+        assert out.startswith("optimum: 1\n")
+
+    def test_milp_method_obeys_the_vertex_budget(self):
+        for argv in (("solve", TREE, "--method", "milp"), ("ppt", TREE, "--method", "milp")):
+            code, out, err = run(*argv, "--budget-n", "3")
+            assert (code, out) == (2, "")
+            assert err == "infeasible: graph has 6 vertices, budget allows 3\n"
 
     def test_stdin_input(self):
         code, out, _ = run("solve", "-", "--problem", "pd", stdin="a b\nb c\n")
@@ -128,7 +139,7 @@ class TestPpt:
 
     def test_milp_agrees(self):
         _, brute_out, _ = run("ppt", CACTUS)
-        _, milp_out, _ = run("ppt", CACTUS, "--method", "milp", "--budget-bin", "90")
+        _, milp_out, _ = run("ppt", CACTUS, "--method", "milp")
         assert brute_out == milp_out
 
 
@@ -290,6 +301,15 @@ class TestBadInputNeverTracesBack:
     def test_negative_budget_n(self):
         self.assert_one_line_usage_failure(
             run("solve", TREE, "--problem", "pd", "--budget-n", "-3"), "--budget-n")
+
+    def test_budget_bin_is_not_an_option(self):
+        self.assert_one_line_usage_failure(
+            run("solve", TREE, "--method", "milp", "--budget-bin", "90"), "--budget-bin")
+
+    def test_negative_zero_forcing_bound(self):
+        self.assert_one_line_usage_failure(
+            run("gadget", "--kind", "zf-reduction", "--k", "-3", "--input", TREE),
+            "zero forcing bound must be at least 0")
 
     def test_negative_budget_seconds(self):
         self.assert_one_line_usage_failure(

@@ -8,7 +8,7 @@ import pytest
 
 from powerdom import exact
 from powerdom import propagation as prop
-from powerdom.errors import BudgetExceededError, DisconnectedError
+from powerdom.errors import BudgetExceededError, DisconnectedError, GraphError
 from powerdom.exact import Budget
 from powerdom.graphs import Graph, attach_leaves, complete_graph, cycle_graph, path_graph
 
@@ -85,6 +85,10 @@ class TestMinCpds:
             result = exact.min_cpds(g)
             assert result.optimum == size
             assert result.witness == optima[0]
+            for rounds in sorted({1, 2, g.n}):
+                size, optima = naive_min_cpds(g, collect_all=True, rounds=rounds)
+                limited = exact.l_round_cpd(g, rounds, all_optima=True)
+                assert (limited.optimum, limited.all_optima) == (size, tuple(optima))
 
     def test_all_optima_sorted(self):
         result = exact.min_cpds(cycle_graph(5), all_optima=True)
@@ -192,6 +196,11 @@ class TestGadget:
             assert expanded.m == g.m + 2 * n * (n - 1) + 6 * n + 2
             assert expanded.degree(expanded.index("hub")) == 2 * n + 2
 
+    def test_negative_bound_rejected(self):
+        with pytest.raises(GraphError, match="at least 0"):
+            exact.zf_to_cpd_gadget(path_graph(2), -3)
+        assert exact.zf_to_cpd_gadget(path_graph(2), 0)[1] == 1
+
     def test_mandatory_set_is_hub(self):
         from powerdom.decomposition import classify_cut_vertices
 
@@ -215,6 +224,8 @@ class TestBudget:
         tight = Budget(max_vertices=20, max_seconds=0.0)
         with pytest.raises(BudgetExceededError):
             exact.min_cpds(g, tight)
+        with pytest.raises(BudgetExceededError):
+            exact.l_round_cpd(g, 2, tight)
 
     def test_time_ceiling_of_the_pd_search(self):
         g = complete_bipartite(8, 8)
@@ -223,3 +234,5 @@ class TestBudget:
             exact.min_pds(g, tight)
         with pytest.raises(BudgetExceededError):
             exact.l_round_pd(g, 2, tight)
+        with pytest.raises(BudgetExceededError):
+            exact.min_zero_forcing(g, tight)

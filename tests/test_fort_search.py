@@ -1,9 +1,11 @@
-"""The fort-driven search behind min_pds, l_round_pd and ppt.
+"""The fort-driven search behind min_pds, l_round_pd, ppt and
+min_zero_forcing.
 
 The search must return exactly what checking every k-subset returns: the
 same optimum, the same lexicographically smallest witness and the same
-sorted list of optima, for every round limit. The reference here is the
-plain subset loop over the set-based ``naive_propagate``.
+sorted list of optima, for every round limit, and the same smallest zero
+forcing set. The reference here is the plain subset loop over the
+set-based ``naive_propagate``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from powerdom.graphs import Graph
 from conftest import (
     naive_is_fort,
     naive_min_coloring,
+    naive_trace,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -58,6 +61,25 @@ def test_matches_subset_reference(family):
             assert_matches_reference(g, rounds)
 
 
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "disconnected"])
+def test_zero_forcing_matches_subset_reference(connected):
+    rng = random.Random(f"fort/zf/{connected}")
+    for _ in range(40):
+        n = rng.randint(1, 10)
+        if connected:
+            g = random_connected_graph(rng, n)
+        else:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, min(n, len(pairs))))
+            g = Graph([str(v) for v in range(n)], edges)
+        want = naive_min_coloring(g, None, dominate=False)[0]
+        result = exact.min_zero_forcing(g)
+        assert (result.optimum, result.witness) == (len(want), want)
+        entries, colored = naive_trace(g, set(want), dominate=False)
+        assert [(f.timestep, f.source, f.target, f.kind) for f in result.trace.forces] == entries
+        assert set(result.trace.final_colored) == colored == set(range(g.n))
+
+
 @st.composite
 def connected_graphs(draw) -> Graph:
     n = draw(st.integers(1, 9))
@@ -92,6 +114,30 @@ def test_every_learned_fort_is_a_fort(g, rounds):
     finally:
         propagation._uncolored = closure
     assert learned  # the empty set's closure always leaves a fort
+    for gap in learned:
+        assert naive_is_fort(g, {v for v in range(g.n) if gap >> v & 1})
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs())
+def test_every_learned_zero_forcing_fort_is_a_fort(g):
+    learned = []
+    closure = propagation._unforced
+
+    def recording(h, s):
+        gap, last = closure(h, s)
+        if gap:
+            learned.append(gap)
+        return gap, last
+
+    propagation._unforced = recording
+    try:
+        exact.min_zero_forcing(g)
+    finally:
+        propagation._unforced = closure
+    # a closure runs only on a set that meets every fort learned so far,
+    # so it never leaves one of them uncolored again
+    assert learned and len(set(learned)) == len(learned)
     for gap in learned:
         assert naive_is_fort(g, {v for v in range(g.n) if gap >> v & 1})
 

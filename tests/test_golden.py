@@ -11,7 +11,10 @@ random graph; and for the enumeration oracles on three graphs of 18 to
 20 vertices (hubs(5), a seeded tree, and two seeded sparse graphs sharing
 a cut vertex): ``batch --json`` (also with ``--problems cpd`` and with
 ``--skip-ppt``), ``solve --problem pd --method brute --all-optima --json``,
-``ppt --json`` and ``ppt --connected --json``. Any change to a witness,
+``ppt --json`` and ``ppt --connected --json``; and for the milp method on
+the three toy fixtures under ``tests/data`` and on the 8-cycle:
+``solve --method milp --problem pd|cpd --json --trace`` and
+``ppt --method milp [--connected] --json``. Any change to a witness,
 a trace line, the batch table or an exported model byte changes a digest.
 When such a change is intended, record the new digests and say in
 CHANGES.md why the output moved.
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import random
 
 import pytest
@@ -112,6 +116,10 @@ def small_tree_edges() -> list[tuple[str, str]]:
     return [(f"r{i}", f"r{rng.randrange(i)}") for i in range(1, 18)]
 
 
+def c8_edges() -> list[tuple[str, str]]:
+    return [(f"c{i}", f"c{(i + 1) % 8}") for i in range(8)]
+
+
 def small_cut_edges() -> list[tuple[str, str]]:
     """Two random trees of 10 vertices with two chords each, sharing the
     cut vertex c9 (19 vertices)."""
@@ -127,12 +135,14 @@ def small_cut_edges() -> list[tuple[str, str]]:
 
 ORIGINAL = ("spider", "flower", "cactus")
 ORACLE = ("hubs", "smalltree", "smallcut")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+TOYS = ("toy_tree", "toy_cactus", "toy_bridge")
 GRAPHS = {"spider": (spider_edges, "hub"), "flower": (flower_edges, "h"),
           "cactus": (cactus_edges, "k0"), "tree": (seeded_tree_edges, "t0"),
           "blockgraph": (seeded_block_graph_edges, "b0"),
           "general": (seeded_general_edges, "g0"), "model": (seeded_model_edges, "m0"),
           "hubs": (hubs_edges, "s0"), "smalltree": (small_tree_edges, "r0"),
-          "smallcut": (small_cut_edges, "c0")}
+          "smallcut": (small_cut_edges, "c0"), "c8": (c8_edges, "c0")}
 # the edge the spread digest subdivides: the first edge of a diamond
 SPREAD_TARGET = "g0,g1"
 
@@ -174,6 +184,37 @@ DIGESTS = {
         (0, "7440ae634314540737a62fa1848b78e6d50c3309ca63a23d46ae344a611a91c7"),
     ("ppt-connected", "smallcut"):
         (0, "cea3c885bdb09d5013ade8e87c72a8b5e5ad68b8e0a9a8cdc0be29c1da4e6fbf"),
+    ("milp-pd", "toy_tree"):
+        (0, "c503d5732b2730ab5f4fd0d8597a0b5ffc8f64ed3e690d9614fa1895e76a8062"),
+    ("milp-pd", "toy_cactus"):
+        (0, "119dccc3638b253c62744d1abe6a38bee4b458d189f63460117c0239f977fe9e"),
+    ("milp-pd", "toy_bridge"):
+        (0, "1b2051e87f5ec47d32e80b6dc7a390682ba2ab1bffbe1ab646fddf5e733901cb"),
+    ("milp-pd", "c8"): (0, "b3be6e8363453c431d1320e110bbf65d1c3563cbeb7ddbf3661aba1d8b3fb477"),
+    ("milp-cpd", "toy_tree"):
+        (0, "7828bd308d3fc99403b141e36e014ff12b038b9d8601db8c6742314a8516cf25"),
+    ("milp-cpd", "toy_cactus"):
+        (0, "f525bba7736f5557a7bce0d077112c082f9098e392dbb5c1dc415670d6743276"),
+    ("milp-cpd", "toy_bridge"):
+        (0, "932bf095740c56e93235feea0cb06f36d3bee4b94700b61438c7ea30de874b50"),
+    ("milp-cpd", "c8"):
+        (0, "6439d4946dde81ac44127a9a00155578b218a1435db62e404d3758918e4e26ab"),
+    ("ppt-milp", "toy_tree"):
+        (0, "09765199907a6fba7036aa8e0de060cfef75e5f1383755814d97bf0bc4b38995"),
+    ("ppt-milp", "toy_cactus"):
+        (0, "8f550e8c139f2ae5244a2917fb0cc147b1cd930b9109a2b61a9b18e93a923188"),
+    ("ppt-milp", "toy_bridge"):
+        (0, "9e96b014982f51c50f4fdc3966f92354c0f70c47fcaa9984d7d3981b2c535222"),
+    ("ppt-milp", "c8"):
+        (0, "8f550e8c139f2ae5244a2917fb0cc147b1cd930b9109a2b61a9b18e93a923188"),
+    ("ppt-milp-connected", "toy_tree"):
+        (0, "3dc6d6a5230a1fc599b4a36f1bec0c0f99c9b81a01d72d332571e1344151d2f0"),
+    ("ppt-milp-connected", "toy_cactus"):
+        (0, "de3d51116ed8907a0d219d4e5a644e98ea6dada64fd2ded451b6e976e7ace1a3"),
+    ("ppt-milp-connected", "toy_bridge"):
+        (0, "4fee42a2c1926597e1225a865e6a6a7faec52ec6e6af6a3d111fc8238e4736eb"),
+    ("ppt-milp-connected", "c8"):
+        (0, "de3d51116ed8907a0d219d4e5a644e98ea6dada64fd2ded451b6e976e7ace1a3"),
 }
 
 
@@ -185,6 +226,7 @@ def files(tmp_path_factory) -> dict[str, str]:
         path = root / f"{name}.edges"
         path.write_text("".join(f"{u} {v}\n" for u, v in make()), encoding="utf-8")
         paths[name] = str(path)
+    paths.update({name: os.path.join(DATA, f"{name}.edges") for name in TOYS})
     return paths
 
 
@@ -214,6 +256,13 @@ def argv_for(command: str, graph: str, files: dict[str, str]) -> list[str]:
         return ["ppt", files[graph], "--json"]
     if command == "ppt-connected":
         return ["ppt", files[graph], "--connected", "--json"]
+    if command.startswith("milp-"):
+        return ["solve", files[graph], "--method", "milp", "--problem", command[5:],
+                "--json", "--trace"]
+    if command == "ppt-milp":
+        return ["ppt", files[graph], "--method", "milp", "--json"]
+    if command == "ppt-milp-connected":
+        return ["ppt", files[graph], "--method", "milp", "--connected", "--json"]
     if command == "check":
         return ["check", files[graph], "--problem", "pd", "--trace",
                 "--set", GRAPHS[graph][1]]

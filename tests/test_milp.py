@@ -1,4 +1,4 @@
-"""Model construction, export round trips, and the enumeration validator."""
+"""Model construction, export round trips, and the validator."""
 
 from __future__ import annotations
 
@@ -71,10 +71,8 @@ class TestMtz:
 
     def test_bridge_graph_value_rises(self):
         g = two_triangles_bridge()
-        plain = milp.solve_small(milp.build_model1(g), budget=80)
-        extended = milp.solve_small(
-            milp.add_mtz_connectivity(milp.build_model1(g), g), budget=80
-        )
+        plain = milp.solve_small(milp.build_model1(g))
+        extended = milp.solve_small(milp.add_mtz_connectivity(milp.build_model1(g), g))
         assert plain.objective_value == exact.min_pds(g).optimum
         assert extended.objective_value == exact.min_cpds(g).optimum == 2
 
@@ -85,19 +83,19 @@ class TestSolveSmall:
 
     def test_k33(self):
         model = milp.build_model1(complete_bipartite(3, 3), 6)
-        assert milp.solve_small(model, budget=80).objective_value == 2
+        assert milp.solve_small(model).objective_value == 2
 
     def test_budget_status(self):
         model = milp.build_model1(complete_bipartite(3, 3), 6)
-        solution = milp.solve_small(model, budget=10)
-        assert solution.status == milp.BUDGET_EXCEEDED
+        with pytest.raises(BudgetExceededError):
+            milp.solve_small(model, exact.Budget(max_vertices=5))
 
     def test_winning_assignment_satisfies_every_row(self):
         rng = random.Random(7)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 6))
             model = milp.add_mtz_connectivity(milp.build_model1(g), g)
-            solution = milp.solve_small(model, budget=120)
+            solution = milp.solve_small(model)
             assert solution.status == milp.OPTIMAL
             assert milp.check_assignment(model, solution.assignment) == []
 
@@ -106,7 +104,7 @@ class TestSolveSmall:
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 6))
             model = milp.build_model1(g)
-            solution = milp.solve_small(model, budget=80)
+            solution = milp.solve_small(model)
             chosen, trace = milp.decode_assignment(model, solution.assignment)
             assert prop.replay_trace(g, trace) == g.full_mask
             ok, _ = prop.is_power_dominating(g, chosen)
@@ -128,7 +126,7 @@ class TestRoundNumber:
             g = random_connected_graph(rng, rng.randint(2, 6))
             values = []
             for rounds in range(1, g.n + 1):
-                value = milp.round_number(g, rounds, budget=80)
+                value = milp.round_number(g, rounds)
                 assert value == exact.l_round_pd(g, rounds).optimum
                 values.append(value)
             assert values == sorted(values, reverse=True)
@@ -136,7 +134,8 @@ class TestRoundNumber:
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
-            milp.round_number(complete_bipartite(3, 3), 2, budget=5)
+            milp.round_number(complete_bipartite(3, 3), 2,
+                              budget=exact.Budget(max_vertices=5))
 
 
 class TestPptSearch:
@@ -149,10 +148,8 @@ class TestPptSearch:
         rng = random.Random(17)
         for _ in range(8):
             g = random_connected_graph(rng, rng.randint(1, 6))
-            assert milp.ppt_by_search(g, budget=80) == exact.ppt(g)
-            assert milp.ppt_by_search(g, connected=True, budget=120) == exact.ppt(
-                g, connected=True
-            )
+            assert milp.ppt_by_search(g) == exact.ppt(g)
+            assert milp.ppt_by_search(g, connected=True) == exact.ppt(g, connected=True)
 
 
 class TestExport:
