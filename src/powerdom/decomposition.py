@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DisconnectedError, GraphError
-from .graphs import Graph, bits_of
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,6 @@ class CutVertexTaxonomy:
     mandatory: tuple[int, ...]
     pendant_paths: tuple[tuple[int, tuple[int, ...]], ...]
     pendant_count: tuple[int, ...]
-
-    @property
-    def mandatory_mask(self) -> int:
-        return bits_of(self.mandatory)
 
     @cached_property
     def cut_set(self) -> frozenset[int]:

@@ -19,7 +19,7 @@ connected supersets instead of filtering all 2^n subsets.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import propagation
@@ -57,6 +57,16 @@ class Budget:
         if self.max_seconds is None:
             return None
         return time.perf_counter() + self.max_seconds
+
+    def until(self, deadline: float | None) -> "Budget":
+        """This budget with only the time left before ``deadline``, so that
+        several searches share one deadline; raises once it has passed."""
+        if deadline is None:
+            return self
+        left = deadline - time.perf_counter()
+        if left < 0:
+            raise BudgetExceededError("time budget exhausted")
+        return replace(self, max_seconds=left)
 
 
 DEFAULT_BUDGET = Budget()
@@ -101,16 +111,15 @@ def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
 # -- candidate enumeration ------------------------------------------------
 
 
-def _connected_supersets(g: Graph, seed: int, size: int, banned: int,
+def _connected_supersets(nbr: list[int], seed: int, size: int, banned: int,
                          deadline: float | None) -> list[int]:
     """All sets of ``size`` vertices reachable from ``seed`` by repeatedly
     adding a neighbor of the current set, each emitted exactly once.
 
     Depth first with an explicit stack: a node's children add its
     unblocked frontier vertices in ascending order, and each child blocks
-    the vertices of its earlier siblings."""
+    the vertices of its earlier siblings. ``nbr[v]`` is v's neighbor mask."""
     out: list[int] = []
-    nbr = g.nbr_bits
     if seed.bit_count() > size:
         return out
     reach0 = 0
@@ -133,17 +142,17 @@ def _connected_supersets(g: Graph, seed: int, size: int, banned: int,
     return out
 
 
-def _level_candidates(g: Graph, seed_mask: int, size: int,
+def _level_candidates(nbr: list[int], seed_mask: int, size: int,
                       deadline: float | None) -> list[int]:
     """Size-``size`` connected-growth candidates; with an empty seed the
     enumeration runs once per smallest contained vertex."""
     if seed_mask:
-        return _connected_supersets(g, seed_mask, size, 0, deadline)
+        return _connected_supersets(nbr, seed_mask, size, 0, deadline)
     out: list[int] = []
     banned = 0
-    for v in range(g.n):
+    for v in range(len(nbr)):
         low = 1 << v
-        out.extend(_connected_supersets(g, low, size, banned, deadline))
+        out.extend(_connected_supersets(nbr, low, size, banned, deadline))
         banned |= low
     return out
 
@@ -240,10 +249,11 @@ def _min_connected(g: Graph, seed_mask: int, rounds: int, budget: Budget,
     within ``rounds`` rounds, grown outward from the seed level by level."""
     budget.check_size(g)
     deadline = budget.deadline()
+    nbr = [bits_of(row) for row in g.adj]
     start = max(1, seed_mask.bit_count())
     for k in range(start, g.n + 1):
         feasible: list[int] = []
-        for mask in _level_candidates(g, seed_mask, k, deadline):
+        for mask in _level_candidates(nbr, seed_mask, k, deadline):
             _check_deadline(deadline)
             if not g.is_connected_mask(mask):
                 continue
@@ -266,7 +276,7 @@ def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False
     """
     if not g.is_connected():
         raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    seed = classify_cut_vertices(g).mandatory_mask if seeded else 0
+    seed = bits_of(classify_cut_vertices(g).mandatory) if seeded else 0
     return _min_connected(g, seed, g.n, budget, all_optima, METHOD_BRUTE)
 
 
@@ -275,10 +285,10 @@ def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUD
     """Minimum connected power dominating set containing all of ``x``."""
     if not g.is_connected():
         raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    x_mask = bits_of(x)
-    if x_mask >> g.n:
+    x = tuple(x)
+    if not all(0 <= v < g.n for v in x):
         raise GraphError("constraint set is not a subset of the vertices")
-    seed = x_mask | classify_cut_vertices(g).mandatory_mask
+    seed = bits_of(x) | bits_of(classify_cut_vertices(g).mandatory)
     return _min_connected(g, seed, g.n, budget, all_optima, METHOD_BRUTE)
 
 
@@ -300,7 +310,7 @@ def l_round_cpd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
         raise GraphError("round budget must be at least 1")
     if not g.is_connected():
         raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    seed = classify_cut_vertices(g).mandatory_mask
+    seed = bits_of(classify_cut_vertices(g).mandatory)
     return _min_connected(g, seed, rounds, budget, all_optima, METHOD_BRUTE)
 
 

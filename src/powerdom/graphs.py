@@ -1,15 +1,36 @@
 """Immutable simple undirected graphs over dense integer vertex ids.
 
-Vertices are indexed 0..n-1 and carry an external string label. Neighbor
-lists are kept sorted and mirrored as bitmasks so that set-heavy algorithms
-(propagation, subset enumeration) run on plain integers.
+Vertices are indexed 0..n-1 and carry an external string label. Each
+vertex keeps one sorted neighbor row: O(n + m) memory, and every reader
+here runs in O(n + m). Subset searches build their own neighbor bitmasks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import GraphError
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mask_of(flags: bytes | bytearray) -> int:
+    """Bitmask with bit v set iff ``flags[v]`` is 1, built in linear time."""
+    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+
+def _flags_of(mask: int, n: int = 0) -> bytearray:
+    """Inverse of :func:`_mask_of` for a non-negative mask, in linear time:
+    byte v is 1 iff bit v is set, zero-padded to at least ``n`` bytes."""
+    return bytearray(bin(mask)[:1:-1].encode().translate(_TO_FLAGS).ljust(n, b"\x00"))
+
+
+def _members(mask: int) -> list[int]:
+    """Set bit positions of a non-negative mask, ascending, in linear time."""
+    return list(compress(range(mask.bit_length()), _flags_of(mask)))
 
 
 def bits_of(vertices: Iterable[int]) -> int:
@@ -41,7 +62,7 @@ class Graph:
     """Simple undirected graph. Instances are never mutated after __init__."""
 
     # _profile memoizes decomposition.profile; safe because nothing mutates a Graph
-    __slots__ = ("n", "m", "labels", "adj", "nbr_bits", "_index", "_profile")
+    __slots__ = ("n", "m", "labels", "adj", "_index", "_profile")
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -65,7 +86,6 @@ class Graph:
         self.labels = labels
         self.adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
         self.m = sum(len(a) for a in self.adj) // 2
-        self.nbr_bits = tuple(bits_of(s) for s in neighbor_sets)
         self._index = index
         self._profile = None
 
@@ -103,7 +123,11 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.nbr_bits[u] >> v & 1)
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
@@ -123,20 +147,26 @@ class Graph:
 
     # -- connectivity ----------------------------------------------------
 
+    def _search(self, start: int, left: bytearray) -> list[int]:
+        """Vertices reached from ``start`` by a breadth-first search through
+        those flagged in ``left``, each flag cleared; O(n + m) per ``left``."""
+        left[start] = 0
+        queue = [start]
+        for v in queue:
+            for w in self.adj[v]:
+                if left[w]:
+                    left[w] = 0
+                    queue.append(w)
+        return queue
+
     def reach_mask(self, start: int, within: int | None = None) -> int:
         """Bitmask of vertices reachable from ``start`` inside ``within``."""
-        allowed = self.full_mask if within is None else within
-        if not (allowed >> start) & 1:
+        allowed = self.full_mask if within is None else within & self.full_mask
+        left = _flags_of(allowed, self.n)
+        if not (0 <= start < self.n and left[start]):
             return 0
-        reach = 1 << start
-        frontier = reach
-        while frontier:
-            grown = 0
-            for v in iter_bits(frontier):
-                grown |= self.nbr_bits[v]
-            frontier = grown & allowed & ~reach
-            reach |= frontier
-        return reach
+        self._search(start, left)
+        return allowed ^ _mask_of(left)
 
     def is_connected(self) -> bool:
         return self.reach_mask(0) == self.full_mask
@@ -150,17 +180,12 @@ class Graph:
 
     def component_masks(self, within: int | None = None) -> list[int]:
         """Connected components of the subgraph induced by ``within``."""
-        remaining = self.full_mask if within is None else within
-        out = []
-        while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = self.reach_mask(start, within=remaining)
-            out.append(comp)
-            remaining &= ~comp
-        return out
+        allowed = self.full_mask if within is None else within & self.full_mask
+        left = _flags_of(allowed, self.n)
+        return [bits_of(self._search(v, left)) for v in _members(allowed) if left[v]]
 
     def components(self) -> list[list[int]]:
-        return [list(iter_bits(mask)) for mask in self.component_masks()]
+        return [_members(mask) for mask in self.component_masks()]
 
     # -- derived graphs ---------------------------------------------------
 

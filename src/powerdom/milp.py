@@ -340,12 +340,14 @@ def round_number(g: Graph, rounds: int, connected: bool = False,
 def ppt_by_search(g: Graph, connected: bool = False,
                   budget: exact.Budget = exact.DEFAULT_BUDGET) -> int:
     """Smallest horizon whose optimum matches the unlimited-horizon one,
-    found by binary search (logarithmically many solves)."""
-    target = round_number(g, g.n, connected, budget)
+    found by binary search (logarithmically many solves). The time budget
+    bounds the whole search: each solve gets only the time left."""
+    deadline = budget.deadline()
+    target = round_number(g, g.n, connected, budget.until(deadline))
     lo, hi = 1, g.n
     while lo < hi:
         mid = (lo + hi) // 2
-        if round_number(g, mid, connected, budget) == target:
+        if round_number(g, mid, connected, budget.until(deadline)) == target:
             hi = mid
         else:
             lo = mid + 1

@@ -25,30 +25,15 @@ inside the enumeration oracles (:func:`colors_within`,
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
 from .errors import NotPowerDominatingError, PowerDomError
-from .graphs import Graph
+from .graphs import Graph, _mask_of, _members
 
 DOMINATE = "dominate"
 FORCE = "force"
-
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _mask_of(flags: bytes | bytearray) -> int:
-    """Bitmask with bit v set iff ``flags[v]`` is 1, built in linear time."""
-    return int(flags[::-1].translate(_TO_DIGITS) or b"0", 2)
-
-
-def _members(mask: int) -> list[int]:
-    """Set bit positions of a non-negative mask, ascending, in linear time."""
-    flags = bin(mask)[:1:-1].encode().translate(_TO_FLAGS)
-    return list(compress(range(len(flags)), flags))
 
 
 @dataclass(frozen=True)
@@ -318,9 +303,7 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
             if f.kind == DOMINATE:
                 if t != 1 or not initial[f.source]:
                     raise PowerDomError("domination entry outside round 1")
-                row = g.adj[f.source]
-                i = bisect_left(row, f.target)
-                if i == len(row) or row[i] != f.target:
+                if not g.has_edge(f.source, f.target):
                     raise PowerDomError("domination along a non-edge")
             else:
                 if not front.colored[f.source]:

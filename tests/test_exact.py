@@ -120,6 +120,11 @@ class TestSubjectTo:
         g = cycle_graph(5)
         assert exact.min_cpds_subject_to(g, [0, 2]).optimum == 3
 
+    @pytest.mark.parametrize("x", [[-1], [3], [0, 5]])
+    def test_constraint_outside_vertices_rejected(self, x):
+        with pytest.raises(GraphError):
+            exact.min_cpds_subject_to(path_graph(3), x)
+
     def test_leaf_expansion_equivalence(self):
         rng = random.Random(67)
         for _ in range(15):

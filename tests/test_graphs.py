@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
+from powerdom import propagation, structural
 from powerdom.errors import GraphError, ParseError
 from powerdom.graph_io import dump_edgelist, load_graph
-from powerdom.graphs import Graph, attach_leaves, complete_graph, cycle_graph, path_graph
+from powerdom.graphs import (
+    Graph,
+    attach_leaves,
+    complete_graph,
+    cycle_graph,
+    iter_bits,
+    path_graph,
+)
 
-from conftest import random_connected_graph
+from conftest import naive_components, naive_is_connected_set, random_connected_graph
 
 
 class TestConstruction:
@@ -132,6 +141,12 @@ class TestSurgery:
         assert h.labels[2] == "sub_v1_v2"
         assert sorted(h.neighbors(2)) == [0, 1]
 
+    @pytest.mark.parametrize("surgery", ["delete_edge", "contract_edge", "subdivide_edge"])
+    @pytest.mark.parametrize("u, v", [(0, 2), (-1, 1), (1, -1), (1, 3)])
+    def test_missing_edge_rejected(self, surgery, u, v):
+        with pytest.raises(GraphError):
+            getattr(path_graph(3), surgery)(u, v)
+
     def test_induced_subgraph_maps_back(self):
         g = cycle_graph(5)
         sub, remap = g.induced_subgraph([0, 1, 2])
@@ -234,3 +249,49 @@ class TestConnectivityHelpers:
         assert g.is_connected_mask(0b0011)
         assert not g.is_connected_mask(0b0101)
         assert not g.is_connected_mask(0)
+
+    def test_matches_naive_reference(self):
+        rng = random.Random(73)
+        for _ in range(80):
+            n = rng.randint(1, 11)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+            g = Graph([f"v{i}" for i in range(n)], edges)
+            for u in range(n):
+                for v in range(n):
+                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+            for u, v in [(-1, 0), (0, -1), (n, 0), (0, n)]:
+                with pytest.raises(GraphError):
+                    g.has_edge(u, v)
+            whole = set(range(n))
+            assert g.is_connected() == (naive_components(edges, whole) == 1)
+            assert g.components() == [list(iter_bits(c)) for c in g.component_masks()]
+            for within in [0, g.full_mask] + [rng.getrandbits(n) for _ in range(4)]:
+                vertices = set(iter_bits(within))
+                comps = g.component_masks(within)
+                assert sorted(v for c in comps for v in iter_bits(c)) == sorted(vertices)
+                assert len(comps) == naive_components(edges, vertices)
+                for c in comps:
+                    assert naive_is_connected_set(g, set(iter_bits(c)))
+                for start in range(n):
+                    owner = [c for c in comps if c >> start & 1]
+                    assert g.reach_mask(start, within) == (owner[0] if owner else 0)
+                connected = naive_is_connected_set(g, vertices)
+                assert g.is_connected_mask(within) == connected
+                assert propagation.is_connected_set(g, vertices) == connected
+
+
+class TestMemory:
+    @staticmethod
+    def _peak_bytes(n: int) -> int:
+        tracemalloc.start()
+        try:
+            structural.solve_cpds(path_graph(n))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_path_solve_memory_is_linear(self):
+        """Four times the vertices may take at most five times the memory
+        (quadratic neighbor masks took 7.2 times)."""
+        assert self._peak_bytes(12000) <= 5 * self._peak_bytes(3000)

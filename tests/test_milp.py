@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,18 @@ class TestPptSearch:
             g = random_connected_graph(rng, rng.randint(1, 6))
             assert milp.ppt_by_search(g) == exact.ppt(g)
             assert milp.ppt_by_search(g, connected=True) == exact.ppt(g, connected=True)
+
+    def test_time_budget_bounds_the_whole_search(self, monkeypatch):
+        """On a fake clock that moves one second per reading, each solve of
+        the search fits in the budget on its own but the search does not."""
+        clock = itertools.count(1.0)
+        monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        g, budget = path_graph(5), exact.Budget(max_seconds=30)
+        for rounds in range(1, g.n + 1):
+            milp.round_number(g, rounds, budget=budget)
+        with pytest.raises(BudgetExceededError):
+            milp.ppt_by_search(g, budget=budget)
+        assert milp.ppt_by_search(g, budget=exact.Budget(max_seconds=1000)) == 2
 
 
 class TestExport:

@@ -82,8 +82,9 @@ class TestEdgeSpread:
         assert spread.edge_spread(g, 0, 1, brute).spread == 0
 
     def test_cut_edge_rejected(self):
-        with pytest.raises(GraphError):
-            spread.edge_spread(path_graph(3), 0, 1, brute)
+        for u, v in [(0, 1), (-1, 1)]:
+            with pytest.raises(GraphError):
+                spread.edge_spread(path_graph(3), u, v, brute)
 
 
 class TestContraction:
