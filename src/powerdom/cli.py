@@ -66,8 +66,10 @@ def _non_negative(kind: type) -> Callable[[str], int | float]:
     return parse
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_common_arguments(parser: argparse.ArgumentParser, budget: bool = True) -> None:
     parser.add_argument("--json", action="store_true", help="emit json-lines output")
+    if not budget:
+        return
     parser.add_argument("--budget-n", type=_non_negative(int), default=None,
                         help="vertex ceiling for the exact oracles and the milp method")
     parser.add_argument("--budget-seconds", type=_non_negative(float), default=None,
@@ -113,7 +115,6 @@ def build_parser() -> _Parser:
 
     p_model = sub.add_parser("model", help="write the integer programming model")
     _add_graph_arguments(p_model)
-    _add_common_arguments(p_model)
     p_model.add_argument("--problem", choices=("pd", "cpd"), default="pd")
     p_model.add_argument("--T", type=int, default=None, help="horizon (default n)")
     p_model.add_argument("--format", choices=("lp", "mps"), default="lp")
@@ -124,7 +125,6 @@ def build_parser() -> _Parser:
     _add_common_arguments(p_dec)
 
     p_gadget = sub.add_parser("gadget", help="emit a named construction as an edge list")
-    _add_common_arguments(p_gadget)
     p_gadget.add_argument("--kind", required=True,
                           choices=("path-spread", "cycle-spread", "zf-reduction"))
     p_gadget.add_argument("--c", type=int, default=1, help="swing parameter")
@@ -137,7 +137,7 @@ def build_parser() -> _Parser:
 
     p_check = sub.add_parser("check", help="verify a candidate set")
     _add_graph_arguments(p_check)
-    _add_common_arguments(p_check)
+    _add_common_arguments(p_check, budget=False)
     p_check.add_argument("--set", required=True, dest="vertex_set",
                          help="comma separated vertex labels")
     p_check.add_argument("--problem", choices=("pd", "cpd"), default="cpd")
@@ -206,6 +206,9 @@ def _cmd_solve(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     if args.T is not None and args.method != "milp":
         raise _UsageError("--T applies to the milp method only")
+    if args.all_optima and (args.method == "milp" or
+                            (args.problem == "cpd" and args.method != "brute")):
+        raise _UsageError("--all-optima applies to the brute method only")
     budget = _budget(args)
     if args.method == "milp":
         model = milp.build_model1(g, args.T)
@@ -228,15 +231,15 @@ def _cmd_solve(args, out, err, stdin) -> int:
         f"witness: {' '.join(payload['witness'])}",
         f"method: {result.method}",
     ]
-    if args.all_optima and result.all_optima is not None:
+    if args.all_optima:
         payload["all_optima"] = [list(g.labels_of(s)) for s in result.all_optima]
         lines.append(f"optima: {len(result.all_optima)}")
         for s in result.all_optima:
             lines.append("  " + " ".join(g.labels_of(s)))
     if args.trace:
-        payload["trace"] = propagation.trace_lines(g, result.trace)
+        payload["trace"] = steps = propagation.trace_lines(g, result.trace)
         lines.append("trace:")
-        lines.extend("  " + t for t in propagation.trace_lines(g, result.trace))
+        lines.extend("  " + t for t in steps)
     _emit(out, args, payload, lines)
     return 0
 
@@ -376,9 +379,9 @@ def _cmd_check(args, out, err, stdin) -> int:
         f"valid for {args.problem}: {'yes' if valid else 'no'}",
     ]
     if args.trace:
-        record["trace"] = propagation.trace_lines(g, trace)
+        record["trace"] = steps = propagation.trace_lines(g, trace)
         lines.append("trace:")
-        lines.extend("  " + t for t in propagation.trace_lines(g, trace))
+        lines.extend("  " + t for t in steps)
     _emit(out, args, record, lines)
     return 0 if valid else 2
 
@@ -476,8 +479,11 @@ def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None,
     except FileNotFoundError as exc:
         err.write(f"cannot read {exc.filename}\n")
         return 1
-    except OSError as exc:  # a directory, no permission, ...
-        err.write(f"cannot open {exc.filename}: {exc.strerror}\n")
+    except OSError as exc:  # a directory, no permission, a closed stdout, ...
+        if exc.filename is None:
+            err.write(f"cannot write output: {exc.strerror}\n")
+        else:
+            err.write(f"cannot open {exc.filename}: {exc.strerror}\n")
         return 1
     except (BudgetExceededError, DisconnectedError) as exc:
         err.write(f"infeasible: {exc}\n")

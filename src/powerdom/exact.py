@@ -11,9 +11,10 @@ heuristic.
 
 The connected solvers, with or without a round limit, exploit one
 structural fact: every connected power dominating set of a non-path graph
-contains the mandatory set (r2 | r3 cut vertices). Candidates are
-therefore grown outward from that set, which enumerates exactly the
-connected supersets instead of filtering all 2^n subsets.
+contains the mandatory set (r2 | r3 cut vertices). They run one
+depth-first search that grows sets outward from that set, one neighbor at
+a time, instead of filtering all 2^n subsets, and test each grown set
+where the search reaches it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import propagation
-from .decomposition import classify_cut_vertices
+from .decomposition import profile
 from .errors import (
     BudgetExceededError,
     DisconnectedError,
@@ -108,60 +109,8 @@ def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
     return SolveResult(len(wit), wit, trace, method, all_optima)
 
 
-# -- candidate enumeration ------------------------------------------------
-
-
-def _connected_supersets(nbr: list[int], seed: int, size: int, banned: int,
-                         deadline: float | None) -> list[int]:
-    """All sets of ``size`` vertices reachable from ``seed`` by repeatedly
-    adding a neighbor of the current set, each emitted exactly once.
-
-    Depth first with an explicit stack: a node's children add its
-    unblocked frontier vertices in ascending order, and each child blocks
-    the vertices of its earlier siblings. ``nbr[v]`` is v's neighbor mask."""
-    out: list[int] = []
-    if seed.bit_count() > size:
-        return out
-    reach0 = 0
-    for v in iter_bits(seed):
-        reach0 |= nbr[v]
-    stack = [(seed, reach0, banned)]
-    calls = 0
-    while stack:
-        calls += 1
-        if calls & 0xFFF == 0:
-            _check_deadline(deadline)
-        cur, reach, blocked = stack.pop()
-        if cur.bit_count() == size:
-            out.append(cur)
-            continue
-        cand = reach & ~cur & ~blocked
-        for v in reversed(list(iter_bits(cand))):
-            low = 1 << v
-            stack.append((cur | low, reach | nbr[v], blocked | (cand & (low - 1))))
-    return out
-
-
-def _level_candidates(nbr: list[int], seed_mask: int, size: int,
-                      deadline: float | None) -> list[int]:
-    """Size-``size`` connected-growth candidates; with an empty seed the
-    enumeration runs once per smallest contained vertex."""
-    if seed_mask:
-        return _connected_supersets(nbr, seed_mask, size, 0, deadline)
-    out: list[int] = []
-    banned = 0
-    for v in range(len(nbr)):
-        low = 1 << v
-        out.extend(_connected_supersets(nbr, low, size, banned, deadline))
-        banned |= low
-    return out
-
-
 def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
     return sorted(tuple(iter_bits(m)) for m in masks)
-
-
-# -- solvers ---------------------------------------------------------------
 
 
 def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
@@ -238,30 +187,62 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
 
 def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False) -> SolveResult:
     """Minimum power dominating set by cardinality-ascending enumeration."""
-    if not g.is_connected():
+    if not profile(g).connected:
         raise DisconnectedError("minimum power dominating set requires a connected graph")
     return _min_coloring(g, g.n, budget, all_optima)
 
 
-def _min_connected(g: Graph, seed_mask: int, rounds: int, budget: Budget,
-                   all_optima: bool, method: str) -> SolveResult:
-    """Smallest connected supersets of ``seed_mask`` that color ``g``
-    within ``rounds`` rounds, grown outward from the seed level by level."""
+def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
+                   all_optima: bool, seeded: bool = True) -> SolveResult:
+    """Smallest connected sets that contain ``x`` and color ``g`` within
+    ``rounds`` rounds, by a growth search over the levels k = |seed|,
+    |seed| + 1, ... (from 1 when the seed is empty).
+
+    The seed is ``x`` plus, when ``seeded``, the mandatory set. A node is a
+    chosen set, the union of its members' neighborhoods, a banned set and
+    the number chosen. It branches on the unbanned neighbors of the chosen
+    set (on every vertex at the empty root) in ascending order, banning
+    each after its branch, so every k-set grown from the seed is reached
+    exactly once. A k-set is tested where the search reaches it: a
+    disconnected seed can grow into a disconnected set, so connectivity
+    first, then coloring within ``rounds``. Every optimum of the first
+    level that has one is found, and they are returned sorted.
+    """
+    if rounds < 1:
+        raise GraphError("round budget must be at least 1")
+    info = profile(g)
+    if not info.connected:
+        raise DisconnectedError("a disconnected graph has no connected power dominating set")
+    x = tuple(x)
+    if not all(0 <= v < g.n for v in x):
+        raise GraphError("constraint set is not a subset of the vertices")
     budget.check_size(g)
     deadline = budget.deadline()
+    seed = bits_of(x) | (bits_of(info.taxonomy.mandatory) if seeded else 0)
     nbr = [bits_of(row) for row in g.adj]
-    start = max(1, seed_mask.bit_count())
-    for k in range(start, g.n + 1):
-        feasible: list[int] = []
-        for mask in _level_candidates(nbr, seed_mask, k, deadline):
+    seed_reach = 0
+    for v in iter_bits(seed):
+        seed_reach |= nbr[v]
+    everyone = g.full_mask
+    start = seed.bit_count()
+    for k in range(max(1, start), g.n + 1):
+        found: list[int] = []
+        stack = [(seed, seed_reach, 0, start)]  # chosen, reach, banned, number chosen
+        while stack:
             _check_deadline(deadline)
-            if not g.is_connected_mask(mask):
+            chosen, reach, banned, size = stack.pop()
+            if size == k:
+                if g.is_connected_mask(chosen) and propagation.colors_within(g, chosen, rounds):
+                    found.append(chosen)
                 continue
-            if propagation.colors_within(g, mask, rounds):
-                feasible.append(mask)
-        if feasible:
-            optima = _sorted_sets(feasible)
-            return certify(g, optima[0], method, connected=True,
+            branch = (reach if chosen else everyone) & ~chosen & ~banned
+            for v in reversed(list(iter_bits(branch))):
+                low = 1 << v
+                stack.append((chosen | low, reach | nbr[v], banned | (branch & (low - 1)),
+                              size + 1))
+        if found:
+            optima = _sorted_sets(found)
+            return certify(g, optima[0], METHOD_BRUTE, connected=True,
                            all_optima=tuple(optima) if all_optima else None)
     raise SolverInternalError("no connected power dominating set found (unreachable)")
 
@@ -274,22 +255,13 @@ def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False
     connected sets; that mode exists so tests can validate the pruning
     itself.
     """
-    if not g.is_connected():
-        raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    seed = bits_of(classify_cut_vertices(g).mandatory) if seeded else 0
-    return _min_connected(g, seed, g.n, budget, all_optima, METHOD_BRUTE)
+    return _min_connected(g, (), g.n, budget, all_optima, seeded)
 
 
 def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUDGET,
                         all_optima: bool = False) -> SolveResult:
     """Minimum connected power dominating set containing all of ``x``."""
-    if not g.is_connected():
-        raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    x = tuple(x)
-    if not all(0 <= v < g.n for v in x):
-        raise GraphError("constraint set is not a subset of the vertices")
-    seed = bits_of(x) | bits_of(classify_cut_vertices(g).mandatory)
-    return _min_connected(g, seed, g.n, budget, all_optima, METHOD_BRUTE)
+    return _min_connected(g, x, g.n, budget, all_optima)
 
 
 def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
@@ -297,7 +269,7 @@ def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
     """Minimum set that power dominates within the given number of rounds."""
     if rounds < 1:
         raise GraphError("round budget must be at least 1")
-    if not g.is_connected():
+    if not profile(g).connected:
         raise DisconnectedError("round-limited power domination requires a connected graph")
     return _min_coloring(g, rounds, budget, all_optima)
 
@@ -306,12 +278,7 @@ def l_round_cpd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
                 all_optima: bool = False) -> SolveResult:
     """Minimum connected set that power dominates within the given number
     of rounds."""
-    if rounds < 1:
-        raise GraphError("round budget must be at least 1")
-    if not g.is_connected():
-        raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    seed = bits_of(classify_cut_vertices(g).mandatory)
-    return _min_connected(g, seed, rounds, budget, all_optima, METHOD_BRUTE)
+    return _min_connected(g, (), rounds, budget, all_optima)
 
 
 def ppt(g: Graph, budget: Budget = DEFAULT_BUDGET, connected: bool = False) -> int:

@@ -47,14 +47,6 @@ class SpreadReport:
         )
 
 
-def _default_solver(budget: Budget) -> Solver:
-    return lambda h: structural.solve_cpds(h, "auto", budget)
-
-
-def _resolve(g: Graph, solver: Solver | None, budget: Budget) -> Solver:
-    return solver if solver is not None else _default_solver(budget)
-
-
 def vertex_spread(g: Graph, v: int, solver: Solver | None = None,
                   budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
     """Spread under deletion of a non-cut vertex."""
@@ -62,7 +54,7 @@ def vertex_spread(g: Graph, v: int, solver: Solver | None = None,
         raise GraphError("cannot delete the only vertex")
     if v in blocks(g).cut_vertices:
         raise GraphError(f"vertex {g.labels[v]} is a cut vertex; deletion disconnects")
-    solve = _resolve(g, solver, budget)
+    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
     before = solve(g)
     after = solve(g.delete_vertex(v))
     return SpreadReport(DELETE_VERTEX, (g.labels[v],), before, after,
@@ -77,7 +69,7 @@ def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
     removed = g.delete_edge(u, v)
     if not profile(removed).connected:
         raise GraphError("edge is a cut edge; deletion disconnects")
-    solve = _resolve(g, solver, budget)
+    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
     before = solve(g)
     after = solve(removed)
     return SpreadReport(DELETE_EDGE, (g.labels[u], g.labels[v]), before, after,
@@ -87,7 +79,7 @@ def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
 def contract_edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
                          budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
     """Spread under contraction of an edge (result kept simple)."""
-    solve = _resolve(g, solver, budget)
+    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
     before = solve(g)
     after = solve(g.contract_edge(u, v))
     return SpreadReport(CONTRACT_EDGE, (g.labels[u], g.labels[v]), before, after,
@@ -101,7 +93,7 @@ def subdivide_edge_delta(g: Graph, u: int, v: int, solver: Solver | None = None,
     Subdividing can never decrease the connected power domination number;
     a negative delta therefore means a solver bug and raises.
     """
-    solve = _resolve(g, solver, budget)
+    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
     before = solve(g)
     after = solve(g.subdivide_edge(u, v))
     delta = after.optimum - before.optimum

@@ -216,10 +216,6 @@ def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
     return exact.min_cpds(g, budget)
 
 
-def _auto_subsolver(budget: Budget) -> SubSolver:
-    return lambda sub: _dispatch(sub, budget, split=False)
-
-
 def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
     """Materialize each nontrivial block together with the pendant paths
     attached to its vertices. Returns (core vertices, subgraph, index map)."""
@@ -263,7 +259,7 @@ def decompose_cpds(
         raise GraphClassError("decomposition requires at least one cut vertex")
     if info.graph_class.path:
         raise GraphClassError("decomposition does not apply to paths")
-    solve = subsolver if subsolver is not None else _auto_subsolver(budget)
+    solve = subsolver or (lambda sub: _dispatch(sub, budget, split=False))
     mandatory = set(info.taxonomy.mandatory)
     membership = {v: 0 for v in mandatory}
     total = 0

@@ -9,6 +9,7 @@ shares nothing with the implementation under test.
 from __future__ import annotations
 
 import random
+from typing import Iterable
 
 from powerdom.graphs import Graph
 
@@ -234,16 +235,19 @@ def naive_is_fort(g: Graph, f: set[int]) -> bool:
         sum(w in f for w in g.neighbors(v)) != 1 for v in range(g.n) if v not in f)
 
 
-def naive_min_cpds(g: Graph, collect_all: bool = False, rounds: int | None = None):
+def naive_min_cpds(g: Graph, collect_all: bool = False, rounds: int | None = None,
+                   required: Iterable[int] = ()):
     """Minimum connected power dominating sets by filtering all subsets;
-    with ``rounds``, those that color ``g`` within that many rounds."""
+    with ``rounds``, those that color ``g`` within that many rounds; with
+    ``required``, those that contain all of it."""
     from itertools import combinations
 
+    need = set(required)
     for k in range(1, g.n + 1):
         found = []
         for combo in combinations(range(g.n), k):
             s = set(combo)
-            if naive_is_connected_set(g, s) and \
+            if need <= s and naive_is_connected_set(g, s) and \
                     len(naive_propagate(g, s, rounds=rounds)) == g.n:
                 if not collect_all:
                     return k, [combo]

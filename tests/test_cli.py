@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -315,3 +316,34 @@ class TestBadInputNeverTracesBack:
         self.assert_one_line_usage_failure(
             run("solve", TREE, "--problem", "pd", "--budget-seconds", "-0.5"),
             "--budget-seconds")
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag)
+        for command in (("model", TREE), ("gadget", "--kind", "path-spread"))
+        for flag in ("--json", "--budget-n=0", "--budget-seconds=1")
+    ] + [(("check", TREE, "--set", "c1,c2"), flag)
+         for flag in ("--budget-n=0", "--budget-seconds=1")])
+    def test_flag_the_command_does_not_read(self, command, flag):
+        self.assert_one_line_usage_failure(run(*command, flag), flag)
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "milp"),
+        ("--problem", "pd", "--method", "milp"),
+        (),
+        ("--method", "tree"),
+        ("--method", "block"),
+        ("--method", "cactus"),
+        ("--method", "decompose"),
+    ])
+    def test_all_optima_outside_the_brute_method(self, argv):
+        self.assert_one_line_usage_failure(run("solve", TREE, "--all-optima", *argv),
+                                           "--all-optima applies to the brute method only")
+
+    def test_closed_stdout_is_a_write_error(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        err = io.StringIO()
+        code = main(["solve", TREE, "--trace"], stdout=ClosedPipe(), stderr=err)
+        assert (code, err.getvalue()) == (1, "cannot write output: Broken pipe\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -10,15 +11,53 @@ from powerdom import exact
 from powerdom import propagation as prop
 from powerdom.errors import BudgetExceededError, DisconnectedError, GraphError
 from powerdom.exact import Budget
-from powerdom.graphs import Graph, attach_leaves, complete_graph, cycle_graph, path_graph
+from powerdom.decomposition import classify_cut_vertices
+from powerdom.graphs import (Graph, attach_leaves, bits_of, complete_graph, cycle_graph,
+                             path_graph)
 
 from conftest import (
     complete_bipartite,
     double_star,
     naive_min_cpds,
     naive_min_pds_size,
+    random_cactus,
     random_connected_graph,
 )
+
+
+def cycles_with_leaf_pairs() -> list[Graph]:
+    """Cycles with two leaves on each of two or three pairwise non-adjacent
+    cycle vertices: those vertices are the mandatory set, and it is
+    disconnected."""
+    out = []
+    for size, picks in ((4, (0, 2)), (5, (0, 2)), (6, (0, 3)), (6, (0, 2, 4)),
+                        (7, (1, 4))):
+        labels = [f"c{i}" for i in range(size)]
+        edges = [(i, (i + 1) % size) for i in range(size)]
+        for v in picks:
+            for _ in range(2):
+                edges.append((v, len(labels)))
+                labels.append(f"l{len(labels)}")
+        out.append(Graph(labels, edges))
+    return out
+
+
+def disconnected_mandatory_cacti(rng: random.Random, count: int) -> list[Graph]:
+    """Random cacti whose mandatory set is disconnected (about 1 in 22)."""
+    out = []
+    while len(out) < count:
+        g = random_cactus(rng, rng.randint(6, 11))
+        mandatory = bits_of(classify_cut_vertices(g).mandatory)
+        if mandatory and not g.is_connected_mask(mandatory):
+            out.append(g)
+    return out
+
+
+def grid_graph(rows: int, cols: int) -> Graph:
+    labels = [f"{r},{c}" for r in range(rows) for c in range(cols)]
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(labels, edges)
 
 
 class TestMinPds:
@@ -78,17 +117,37 @@ class TestMinCpds:
             assert fast.witness == slow.witness
 
     def test_matches_naive_subset_filter(self):
+        """Optimum, witness and every optimum of each connected front door
+        against the subset filter, also on graphs whose mandatory set is
+        disconnected, where a grown set must pass the connectivity test."""
         rng = random.Random(43)
-        for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(1, 9))
-            size, optima = naive_min_cpds(g)
-            result = exact.min_cpds(g)
-            assert result.optimum == size
-            assert result.witness == optima[0]
+        graphs = [random_connected_graph(rng, rng.randint(1, 9)) for _ in range(20)]
+        graphs += cycles_with_leaf_pairs() + disconnected_mandatory_cacti(rng, 6)
+
+        def answer(result):
+            return result.optimum, result.witness, result.all_optima
+
+        def naive(g, **kwargs):
+            size, optima = naive_min_cpds(g, collect_all=True, **kwargs)
+            return size, optima[0], tuple(optima)
+
+        for g in graphs:
+            want = naive(g)
+            assert answer(exact.min_cpds(g, all_optima=True)) == want
+            assert answer(exact.min_cpds(g, all_optima=True, seeded=False)) == want
             for rounds in sorted({1, 2, g.n}):
-                size, optima = naive_min_cpds(g, collect_all=True, rounds=rounds)
                 limited = exact.l_round_cpd(g, rounds, all_optima=True)
-                assert (limited.optimum, limited.all_optima) == (size, tuple(optima))
+                assert answer(limited) == naive(g, rounds=rounds)
+            x = sorted(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
+            constrained = exact.min_cpds_subject_to(g, x, all_optima=True)
+            assert answer(constrained) == naive(g, required=x)
+
+    def test_grid_two_rounds_within_wall(self):
+        g = grid_graph(4, 6)
+        started = time.perf_counter()
+        result = exact.l_round_cpd(g, 2)
+        assert time.perf_counter() - started < 1.5
+        assert prop.colors_within(g, result.witness, 2)
 
     def test_all_optima_sorted(self):
         result = exact.min_cpds(cycle_graph(5), all_optima=True)
