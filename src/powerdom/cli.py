@@ -25,6 +25,7 @@ from .errors import (
     GraphError,
     ParseError,
     PowerDomError,
+    SolverInternalError,
 )
 from .exact import Budget
 from .graphs import Graph
@@ -216,6 +217,11 @@ def _cmd_solve(args, out, err, stdin) -> int:
             model = milp.add_mtz_connectivity(model, g)
         solution = milp.solve_small(model, budget)
         chosen, trace = milp.decode_assignment(model, solution.assignment)
+        # the decoded trace is what gets printed, so it is the one replayed
+        if propagation.replay_trace(g, trace) != g.full_mask:
+            raise SolverInternalError("method milp produced a non power dominating set")
+        if args.problem == "cpd" and not propagation.is_connected_set(g, chosen):
+            raise SolverInternalError("method milp produced a disconnected set")
         result = exact.SolveResult(len(chosen), chosen, trace, exact.METHOD_MILP)
     elif args.problem == "pd":
         if args.method not in ("auto", "brute"):

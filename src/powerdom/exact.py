@@ -180,8 +180,17 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
                 stack.append((chosen | low, banned | (branch & (low - 1)), size + 1))
         if found:
             optima = _sorted_sets(found)
-            return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                           all_optima=tuple(optima) if all_optima else None)
+            if not forcing:
+                return certify(g, optima[0], METHOD_BRUTE, connected=False,
+                               all_optima=tuple(optima) if all_optima else None)
+            # every zero forcing set power dominates, so certify would not
+            # catch a witness that is not zero forcing
+            state, forces = propagation.forcing_closure(g, optima[0])
+            if state.colored != everyone:
+                raise SolverInternalError(f"method {METHOD_BRUTE} produced a set that "
+                                          "is not zero forcing")
+            trace = propagation.PropagationTrace(optima[0], forces, state.vertices())
+            return SolveResult(k, optima[0], trace, METHOD_BRUTE)
     raise SolverInternalError("no set colors the graph (unreachable)")
 
 
@@ -299,10 +308,7 @@ def min_zero_forcing(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum zero forcing set (forcing rule only, works on disconnected
     graphs too): the lexicographically smallest optimum of the fort search,
     with the trace of its forcing closure."""
-    witness = _min_coloring(g, g.n, budget, False, forcing=True).witness
-    state, forces = propagation.forcing_closure(g, witness)
-    trace = propagation.PropagationTrace(witness, forces, state.vertices())
-    return SolveResult(len(witness), witness, trace, METHOD_BRUTE)
+    return _min_coloring(g, g.n, budget, False, forcing=True)
 
 
 def zf_to_cpd_gadget(g: Graph, k: int) -> tuple[Graph, int]:

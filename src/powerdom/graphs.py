@@ -90,11 +90,7 @@ class Graph:
         self._profile = None
 
     @classmethod
-    def from_labeled_edges(
-        cls,
-        pairs: Iterable[tuple[str, str]],
-        isolated: Iterable[str] = (),
-    ) -> "Graph":
+    def from_labeled_edges(cls, pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from label pairs; indices follow first appearance."""
         labels: list[str] = []
         index: dict[str, int] = {}
@@ -106,8 +102,6 @@ class Graph:
             return index[lab]
 
         edges = [(vid(a), vid(b)) for a, b in pairs]
-        for lab in isolated:
-            vid(lab)
         return cls(labels, edges)
 
     # -- basic accessors ------------------------------------------------

@@ -12,6 +12,15 @@ Connectivity is added on top as an arborescence: each selected vertex gets
 exactly one parent (an artificial root feeds exactly one of them), parents
 must be selected, and ordering variables forbid directed cycles.
 
+Every variable and row name is a prefix followed by a vertex label or an
+arc suffix ``u__v``, one per direction of each edge; a label has each
+character outside ``[A-Za-z0-9_]`` replaced by ``_``, and labels that
+clash after that raise :class:`ModelError`. The base model has variables
+``s_v``, ``x_v``, ``y_u__v`` and rows ``cover_v``, ``order_u__v``,
+``watch_u__v__w``; connectivity adds variables ``zr_v`` (root arc),
+``z_u__v`` (parent arc), ``o_v`` (rank) and rows ``root_choice``,
+``parent_v``, ``growth_u__v``, ``rank_u__v``.
+
 ``solve_small`` is a validator, not a general solver: it takes the
 selection from the exact oracle for the model's problem and horizon,
 derives the remaining variables from a propagation run, and then checks
@@ -90,10 +99,6 @@ class ModelSolution:
 _SANITIZE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _clean(label: str) -> str:
-    return _SANITIZE.sub("_", label)
-
-
 def _check_unique(names: list[str], what: str, taken: set[str] | None = None) -> None:
     """Raise on a repeated name, or on one already in ``taken`` (which the
     check fills in)."""
@@ -104,8 +109,23 @@ def _check_unique(names: list[str], what: str, taken: set[str] | None = None) ->
         seen.add(name)
 
 
-def _arcs(g: Graph) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(g.n) for v in g.adj[u]]
+def _names(g: Graph) -> tuple[list[str], list[tuple[int, int, str]]]:
+    """The name table of the models over ``g``: the cleaned label of each
+    vertex, and every arc (each edge in both directions, tail-major) with
+    its ``u__v`` suffix. Every variable and row name is a prefix followed
+    by one of these."""
+    labs = [_SANITIZE.sub("_", lab) for lab in g.labels]
+    return labs, [(u, v, f"{labs[u]}__{labs[v]}") for u in range(g.n) for v in g.adj[u]]
+
+
+def _incoming(first: list[str], arcs: list[tuple[int, int, str]],
+              names: list[str]) -> list[list[tuple[int, str]]]:
+    """Per vertex v, the term of ``first[v]`` followed by the terms of the
+    arc variables ``names`` into v, by ascending tail."""
+    terms = [[(1, name)] for name in first]
+    for (_, v, _), name in zip(arcs, names):
+        terms[v].append((1, name))
+    return terms
 
 
 def build_model1(g: Graph, t: int | None = None) -> MilpModel:
@@ -115,50 +135,30 @@ def build_model1(g: Graph, t: int | None = None) -> MilpModel:
     horizon = g.n if t is None else t
     if horizon < 1:
         raise GraphError("horizon must be at least 1")
-    labs = [_clean(lab) for lab in g.labels]
-    arcs = _arcs(g)
-    variables = [Variable(f"s_{labs[v]}", BINARY, 0, 1) for v in range(g.n)]
-    variables += [Variable(f"x_{labs[v]}", INTEGER, 0, horizon) for v in range(g.n)]
-    variables += [Variable(f"y_{labs[u]}__{labs[v]}", BINARY, 0, 1) for u, v in arcs]
-    objective = tuple((1, f"s_{labs[v]}") for v in range(g.n))
+    labs, arcs = _names(g)
+    s = ["s_" + lab for lab in labs]
+    x = ["x_" + lab for lab in labs]
+    y = ["y_" + uv for _, _, uv in arcs]
+    variables = [Variable(name, BINARY, 0, 1) for name in s]
+    variables += [Variable(name, INTEGER, 0, horizon) for name in x]
+    variables += [Variable(name, BINARY, 0, 1) for name in y]
     big = horizon + 1
-    constraints: list[Constraint] = []
-    for v in range(g.n):
-        terms = [(1, f"s_{labs[v]}")]
-        terms += [(1, f"y_{labs[u]}__{labs[v]}") for u in g.adj[v]]
-        constraints.append(Constraint(f"cover_{labs[v]}", tuple(terms), "=", 1))
-    for u, v in arcs:
-        constraints.append(
-            Constraint(
-                f"order_{labs[u]}__{labs[v]}",
-                ((1, f"x_{labs[u]}"), (-1, f"x_{labs[v]}"), (big, f"y_{labs[u]}__{labs[v]}")),
-                "<=",
-                horizon,
-            )
-        )
-    for u, v in arcs:
+    constraints = [Constraint("cover_" + lab, tuple(terms), "=", 1)
+                   for lab, terms in zip(labs, _incoming(s, arcs, y))]
+    constraints += [Constraint("order_" + uv, ((1, x[u]), (-1, x[v]), (big, name)), "<=", horizon)
+                    for (u, v, uv), name in zip(arcs, y)]
+    for (u, v, uv), name in zip(arcs, y):
         for w in g.adj[u]:
-            if w == v:
-                continue
-            constraints.append(
-                Constraint(
-                    f"watch_{labs[u]}__{labs[v]}__{labs[w]}",
-                    (
-                        (1, f"x_{labs[w]}"),
-                        (-1, f"x_{labs[v]}"),
-                        (big, f"y_{labs[u]}__{labs[v]}"),
-                        (-big, f"s_{labs[u]}"),
-                    ),
-                    "<=",
-                    horizon,
-                )
-            )
+            if w != v:
+                constraints.append(Constraint(
+                    f"watch_{uv}__{labs[w]}",
+                    ((1, x[w]), (-1, x[v]), (big, name), (-big, s[u])), "<=", horizon))
     _check_unique([v.name for v in variables], "variable")
     _check_unique([c.name for c in constraints], "constraint")
     return MilpModel(
         name="power_domination",
         variables=tuple(variables),
-        objective=objective,
+        objective=tuple((1, name) for name in s),
         constraints=tuple(constraints),
         meta={"graph": g, "horizon": horizon, "connected": False},
     )
@@ -175,51 +175,33 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
         raise ModelError("connectivity constraints already present")
     if model.meta.get("graph") is not g and model.meta.get("graph") != g:
         raise ModelError("model was not built from this graph")
-    labs = [_clean(lab) for lab in g.labels]
-    arcs = _arcs(g)
-    variables = list(model.variables)
-    variables += [Variable(f"zr_{labs[v]}", BINARY, 0, 1) for v in range(g.n)]
-    variables += [Variable(f"z_{labs[u]}__{labs[v]}", BINARY, 0, 1) for u, v in arcs]
-    variables += [Variable(f"o_{labs[v]}", INTEGER, 1, g.n) for v in range(g.n)]
-    constraints = list(model.constraints)
-    constraints.append(
-        Constraint("root_choice", tuple((1, f"zr_{labs[v]}") for v in range(g.n)), "=", 1)
-    )
-    for v in range(g.n):
-        terms = [(1, f"zr_{labs[v]}")]
-        terms += [(1, f"z_{labs[u]}__{labs[v]}") for u in g.adj[v]]
-        terms += [(-1, f"s_{labs[v]}")]
-        constraints.append(Constraint(f"parent_{labs[v]}", tuple(terms), "=", 0))
-    for u, v in arcs:
-        constraints.append(
-            Constraint(
-                f"growth_{labs[u]}__{labs[v]}",
-                ((1, f"z_{labs[u]}__{labs[v]}"), (-1, f"s_{labs[u]}")),
-                "<=",
-                0,
-            )
-        )
-    for u, v in arcs:
-        constraints.append(
-            Constraint(
-                f"rank_{labs[u]}__{labs[v]}",
-                ((1, f"o_{labs[u]}"), (-1, f"o_{labs[v]}"), (g.n, f"z_{labs[u]}__{labs[v]}")),
-                "<=",
-                g.n - 1,
-            )
-        )
+    labs, arcs = _names(g)
+    s = ["s_" + lab for lab in labs]
+    root = ["zr_" + lab for lab in labs]
+    z = ["z_" + uv for _, _, uv in arcs]
+    rank = ["o_" + lab for lab in labs]
+    variables = [Variable(name, BINARY, 0, 1) for name in root]
+    variables += [Variable(name, BINARY, 0, 1) for name in z]
+    variables += [Variable(name, INTEGER, 1, g.n) for name in rank]
+    constraints = [Constraint("root_choice", tuple((1, name) for name in root), "=", 1)]
+    constraints += [Constraint("parent_" + lab, (*terms, (-1, s[v])), "=", 0)
+                    for v, (lab, terms) in enumerate(zip(labs, _incoming(root, arcs, z)))]
+    constraints += [Constraint("growth_" + uv, ((1, name), (-1, s[u])), "<=", 0)
+                    for (u, _, uv), name in zip(arcs, z)]
+    constraints += [Constraint("rank_" + uv, ((1, rank[u]), (-1, rank[v]), (g.n, name)),
+                               "<=", g.n - 1)
+                    for (u, v, uv), name in zip(arcs, z)]
     # build_model1 checked the base's names, and export checks any model's
-    _check_unique([v.name for v in variables[len(model.variables):]], "variable",
-                  {v.name for v in model.variables})
-    _check_unique([c.name for c in constraints[len(model.constraints):]], "constraint",
+    _check_unique([v.name for v in variables], "variable", {v.name for v in model.variables})
+    _check_unique([c.name for c in constraints], "constraint",
                   {c.name for c in model.constraints})
     meta = dict(model.meta)
     meta["connected"] = True
     return MilpModel(
         name="connected_power_domination",
-        variables=tuple(variables),
+        variables=model.variables + tuple(variables),
         objective=model.objective,
-        constraints=tuple(constraints),
+        constraints=model.constraints + tuple(constraints),
         meta=meta,
     )
 
@@ -254,18 +236,18 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
     """Turn a propagation run into a full variable assignment."""
     g: Graph = model.meta["graph"]
     horizon: int = model.meta["horizon"]
-    labs = [_clean(lab) for lab in g.labels]
+    labs, arcs = _names(g)
     chosen_set = set(chosen)
-    assignment = {f"s_{labs[v]}": int(v in chosen_set) for v in range(g.n)}
+    assignment = {"s_" + lab: int(v in chosen_set) for v, lab in enumerate(labs)}
     colored_at = {v: 0 for v in chosen_set}
-    parent_arc = {}
+    parent_arc = set()
     for f in trace.forces:
         colored_at[f.target] = f.timestep
-        parent_arc[(f.source, f.target)] = 1
-    for v in range(g.n):
-        assignment[f"x_{labs[v]}"] = min(colored_at[v], horizon)
-    for u, v in _arcs(g):
-        assignment[f"y_{labs[u]}__{labs[v]}"] = parent_arc.get((u, v), 0)
+        parent_arc.add((f.source, f.target))
+    for v, lab in enumerate(labs):
+        assignment["x_" + lab] = min(colored_at[v], horizon)
+    for u, v, uv in arcs:
+        assignment["y_" + uv] = int((u, v) in parent_arc)
     if model.meta.get("connected"):
         root = min(chosen_set)
         order: dict[int, int] = {}
@@ -279,11 +261,11 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
                     order[w] = len(order) + 1
                     tree_parent[w] = u
                     queue.append(w)
-        for v in range(g.n):
-            assignment[f"zr_{labs[v]}"] = int(v == root)
-            assignment[f"o_{labs[v]}"] = order.get(v, g.n)
-        for u, v in _arcs(g):
-            assignment[f"z_{labs[u]}__{labs[v]}"] = int(tree_parent.get(v) == u)
+        for v, lab in enumerate(labs):
+            assignment["zr_" + lab] = int(v == root)
+            assignment["o_" + lab] = order.get(v, g.n)
+        for u, v, uv in arcs:
+            assignment["z_" + uv] = int(tree_parent.get(v) == u)
     return assignment
 
 
@@ -292,14 +274,14 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
     """Read the selected set and its force schedule back out of a feasible
     assignment produced by this module."""
     g: Graph = model.meta["graph"]
-    labs = [_clean(lab) for lab in g.labels]
-    chosen = tuple(v for v in range(g.n) if assignment[f"s_{labs[v]}"] == 1)
+    labs, arcs = _names(g)
+    chosen = tuple(v for v, lab in enumerate(labs) if assignment["s_" + lab] == 1)
     chosen_set = set(chosen)
     forces = []
-    for u, v in _arcs(g):
-        if assignment[f"y_{labs[u]}__{labs[v]}"] == 1:
+    for u, v, uv in arcs:
+        if assignment["y_" + uv] == 1:
             kind = propagation.DOMINATE if u in chosen_set else propagation.FORCE
-            forces.append(propagation.Force(assignment[f"x_{labs[v]}"], u, v, kind))
+            forces.append(propagation.Force(assignment["x_" + labs[v]], u, v, kind))
     forces.sort(key=lambda f: (f.timestep, f.target))
     final = tuple(sorted(chosen_set | {f.target for f in forces}))
     return chosen, propagation.PropagationTrace(chosen, tuple(forces), final)

@@ -198,12 +198,10 @@ def dominate_step(g: Graph, s: Iterable[int] | int) -> ColorState:
     return ColorState(front.mask(), 1)
 
 
-def forcing_closure(
-    g: Graph, colored: Iterable[int] | int, start_time: int = 1
-) -> tuple[ColorState, tuple[Force, ...]]:
+def forcing_closure(g: Graph,
+                    colored: Iterable[int] | int) -> tuple[ColorState, tuple[Force, ...]]:
     """Close ``colored`` under the forcing rule; returns state and forces."""
-    front, forces, last = _propagate(g, _seeds(g, colored), dominate=False,
-                                     start=start_time, record=True)
+    front, forces, last = _propagate(g, _seeds(g, colored), dominate=False, start=1, record=True)
     return ColorState(front.mask(), last), tuple(forces)
 
 

@@ -119,46 +119,42 @@ def feasible_segments(
 ) -> FeasibleSegmentFamily:
     """Candidate segment families for one cycle block with >= 1 cut vertex.
 
-    Both traversal directions are scanned and duplicates (as vertex sets)
-    merged, so the maximum does not depend on the stored orientation.
+    One walk in the stored orientation finds every segment; the reverse
+    walk would find the same vertex sets, so the maximum does not depend
+    on the orientation. Segments are merged by vertex set, since adjacent
+    cut vertices yield several empty ones.
     """
     cycle = tuple(cycle)
+    size = len(cycle)
     for i, v in enumerate(cycle):
-        if not g.has_edge(v, cycle[(i + 1) % len(cycle)]):
+        if not g.has_edge(v, cycle[(i + 1) % size]):
             raise GraphError("vertex list is not a cycle in traversal order")
     cut_set, r1_set = taxonomy.cut_set, taxonomy.r1_set
+    pos = [i for i, v in enumerate(cycle) if v in cut_set]
+    k = len(pos)
+    if k == 0:
+        raise GraphError("cycle block has no cut vertex")
     families: list[dict[frozenset[int], Segment]] = [{}, {}, {}]
-    for direction in (cycle, (cycle[0],) + tuple(reversed(cycle[1:]))):
-        pos = [i for i, v in enumerate(direction) if v in cut_set]
-        k = len(pos)
-        if k == 0:
-            raise GraphError("cycle block has no cut vertex")
 
-        def anchor(i: int) -> int:
-            return direction[pos[i % k]]
+    def anchor(i: int) -> int:
+        return cycle[pos[i % k]]
 
-        def record(level: int, i: int, j: int) -> None:
-            seg = Segment(
-                cycle,
-                anchor(i),
-                anchor(j),
-                _arc(direction, pos[i % k], pos[j % k]),
-            )
-            families[level].setdefault(frozenset(seg.interior), seg)
+    def record(level: int, i: int, j: int) -> None:
+        seg = Segment(cycle, anchor(i), anchor(j), _arc(cycle, pos[i % k], pos[j % k]))
+        families[level].setdefault(frozenset(seg.interior), seg)
 
+    for i in range(k):
+        record(0, i, i + 1)
+    if k >= 2:
         for i in range(k):
-            record(0, i, i + 1)
-        if k >= 2:
-            for i in range(k):
-                if anchor(i + 1) in r1_set:
-                    record(1, i, i + 2)
-        if k >= 3:
-            size = len(direction)
-            for i in range(k):
-                first, second = anchor(i + 1), anchor(i + 2)
-                adjacent = (pos[(i + 1) % k] + 1) % size == pos[(i + 2) % k]
-                if first in r1_set and second in r1_set and adjacent:
-                    record(2, i, i + 3)
+            if anchor(i + 1) in r1_set:
+                record(1, i, i + 2)
+    if k >= 3:
+        for i in range(k):
+            first, second = anchor(i + 1), anchor(i + 2)
+            adjacent = (pos[(i + 1) % k] + 1) % size == pos[(i + 2) % k]
+            if first in r1_set and second in r1_set and adjacent:
+                record(2, i, i + 3)
     groups = tuple(
         tuple(sorted(fam.values(), key=lambda s: s.interior))
         for fam in families

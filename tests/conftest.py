@@ -141,7 +141,7 @@ def naive_propagate(g: Graph, s: set[int], dominate: bool = True,
     return colored
 
 
-def naive_trace(g: Graph, s: set[int], dominate: bool = True, start: int | None = None,
+def naive_trace(g: Graph, s: set[int], dominate: bool = True,
                 rounds: int | None = None) -> tuple[list[tuple[int, int, int, str]], set[int]]:
     """Synchronized-round run with plain sets: the entries as
     (timestep, source, target, kind) and the final colored set.
@@ -149,8 +149,8 @@ def naive_trace(g: Graph, s: set[int], dominate: bool = True, start: int | None 
     The domination step (round 1) credits each neighbor to the smallest
     chosen vertex next to it; every later round recomputes all eligible
     forces from scratch and credits each target to its smallest source.
-    Forcing rounds are numbered from ``start`` (2 after a domination step,
-    else 1) and stop after round ``rounds`` when it is given.
+    Forcing rounds are numbered from 2 after a domination step, else from
+    1, and stop after round ``rounds`` when it is given.
     """
     colored = set(s)
     entries: list[tuple[int, int, int, str]] = []
@@ -160,7 +160,7 @@ def naive_trace(g: Graph, s: set[int], dominate: bool = True, start: int | None 
                 if w not in colored:
                     colored.add(w)
                     entries.append((1, v, w, "dominate"))
-    t = start if start is not None else (2 if dominate else 1)
+    t = 2 if dominate else 1
     while rounds is None or t <= rounds:
         source_of: dict[int, int] = {}
         for v in colored:

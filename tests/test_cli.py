@@ -9,6 +9,8 @@ import os
 
 import pytest
 
+from powerdom import exact, milp
+from powerdom import propagation as prop
 from powerdom.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -59,6 +61,41 @@ class TestSolve:
         code, out, err = run("solve", "-", "--problem", "cpd", "--method", "milp", stdin=c8)
         assert (code, err) == (0, "")
         assert out.startswith("optimum: 1\n")
+
+    @pytest.mark.parametrize("problem", ["pd", "cpd"])
+    def test_milp_method_with_rewritten_labels(self, problem):
+        edges = "bus-1 bus.2\nbus.2 3/4\n3/4 bus-1\n3/4 x+y\nx+y a.b\na.b c/d\na.b e-f\n"
+        code, out, err = run("solve", "-", "--problem", problem, "--method", "milp", "--trace",
+                             stdin=edges)
+        assert (code, err) == (0, "")
+        _, brute, _ = run("solve", "-", "--problem", problem, "--method", "brute", stdin=edges)
+        assert out.split("method:")[0] == brute.split("method:")[0]
+        assert "-> c/d" in out and "-> e-f" in out
+
+    @pytest.mark.parametrize("problem", ["pd", "cpd"])
+    def test_milp_method_certifies_the_decoded_trace(self, monkeypatch, problem):
+        decode = milp.decode_assignment
+
+        def drop_last_force(model, assignment):
+            chosen, trace = decode(model, assignment)
+            forces = trace.forces[:-1]
+            final = tuple(sorted(set(chosen) | {f.target for f in forces}))
+            return chosen, prop.PropagationTrace(chosen, forces, final)
+
+        monkeypatch.setattr(milp, "decode_assignment", drop_last_force)
+        code, out, err = run("solve", TREE, "--problem", problem, "--method", "milp")
+        assert (code, out) == (2, "")
+        assert err == "error: method milp produced a non power dominating set\n"
+
+    def test_milp_method_certifies_connectivity(self, monkeypatch):
+        def pd_witness(model, assignment):
+            result = exact.min_pds(model.meta["graph"])
+            return result.witness, result.trace
+
+        monkeypatch.setattr(milp, "decode_assignment", pd_witness)
+        stars = "c1 l1\nc1 l2\nc1 x\nx c2\nc2 l3\nc2 l4\n"
+        code, out, err = run("solve", "-", "--problem", "cpd", "--method", "milp", stdin=stars)
+        assert (code, out, err) == (2, "", "error: method milp produced a disconnected set\n")
 
     def test_milp_method_obeys_the_vertex_budget(self):
         for argv in (("solve", TREE, "--method", "milp"), ("ppt", TREE, "--method", "milp")):

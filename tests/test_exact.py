@@ -9,7 +9,8 @@ import pytest
 
 from powerdom import exact
 from powerdom import propagation as prop
-from powerdom.errors import BudgetExceededError, DisconnectedError, GraphError
+from powerdom.errors import (BudgetExceededError, DisconnectedError, GraphError,
+                             SolverInternalError)
 from powerdom.exact import Budget
 from powerdom.decomposition import classify_cut_vertices
 from powerdom.graphs import (Graph, attach_leaves, bits_of, complete_graph, cycle_graph,
@@ -239,6 +240,13 @@ class TestZeroForcing:
     def test_disconnected_adds_up(self):
         g = Graph(["a", "b", "c", "d"], [(0, 1), (2, 3)])
         assert exact.min_zero_forcing(g).optimum == 2
+
+    def test_witness_is_certified_by_forcing(self, monkeypatch):
+        """A search whose closure runs the domination step finds power
+        dominating sets; the forcing certificate must reject them."""
+        monkeypatch.setattr(prop, "_unforced", prop._uncolored)
+        with pytest.raises(SolverInternalError, match="not zero forcing"):
+            exact.min_zero_forcing(cycle_graph(6))
 
 
 class TestGadget:

@@ -223,6 +223,31 @@ class TestExport:
             assert parsed.canonical() == model.canonical()
 
 
+REWRITTEN = ["bus-1", "bus.2", "3/4", "a b", "bus-5", "x+y", "v7"]
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["pd", "cpd"])
+def test_rewritten_labels(connected):
+    """Labels with characters outside [A-Za-z0-9_] appear rewritten in
+    every name; the model still solves, decodes and reads back."""
+    rng = random.Random(31)
+    for _ in range(6):
+        g = Graph(REWRITTEN, random_connected_graph(rng, len(REWRITTEN)).edges())
+        for horizon in (1, 2, None):
+            model = milp.build_model1(g, horizon)
+            if connected:
+                model = milp.add_mtz_connectivity(model, g)
+            assert {"s_bus_1", "x_bus_2", "s_3_4", "s_a_b", "s_x_y"} <= {
+                v.name for v in model.variables}
+            solution = milp.solve_small(model)
+            chosen, trace = milp.decode_assignment(model, solution.assignment)
+            assert prop.replay_trace(g, trace) == g.full_mask
+            assert len(chosen) == solution.objective_value
+            assert not connected or prop.is_connected_set(g, chosen)
+            assert milp.parse_lp(milp.export(model, "lp")).canonical() == model.canonical()
+            assert milp.parse_mps(milp.export(model, "mps")).canonical() == model.canonical()
+
+
 @st.composite
 def small_connected_graphs(draw) -> Graph:
     """A random spanning tree on at most 9 vertices plus a few chords."""

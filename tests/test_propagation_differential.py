@@ -18,8 +18,6 @@ from powerdom.graphs import Graph, cycle_graph, path_graph
 
 from conftest import naive_trace, random_cactus, random_connected_graph, random_tree
 
-START_TIMES = (-2, 0, 1, 2, 7)
-
 
 def spider(legs: tuple[int, ...]) -> Graph:
     labels = ["c"]
@@ -69,14 +67,12 @@ def assert_checks_match(g: Graph, s: list[int], every_limit: bool) -> None:
             pass
         else:
             raise AssertionError("ppt_of_set accepted a set that does not dominate")
-    _, zero = naive_trace(g, set(s), dominate=False)
+    expected, zero = naive_trace(g, set(s), dominate=False)
     assert prop.is_zero_forcing(g, s) is (len(zero) == g.n)
-    for start in START_TIMES:
-        expected, closed = naive_trace(g, set(s), dominate=False, start=start)
-        state, forces = prop.forcing_closure(g, s, start)
-        assert entries(forces) == expected
-        assert state.vertices() == tuple(sorted(closed))
-        assert state.timestep == (expected[-1][0] if expected else start - 1)
+    state, forces = prop.forcing_closure(g, s)
+    assert entries(forces) == expected
+    assert state.vertices() == tuple(sorted(zero))
+    assert state.timestep == (expected[-1][0] if expected else 0)
 
 
 def random_instances(seed: int, count: int):

@@ -164,6 +164,31 @@ class TestSegments:
         assert len(family.two_cut) == 1
         assert family.max_size == 4
 
+    def test_reversed_walk_finds_the_same_segments(self):
+        """The families as vertex sets, the largest size and the best
+        segment's vertex set do not depend on the walk's orientation."""
+        def vertex_sets(family):
+            return [{frozenset(seg.interior) for seg in segs}
+                    for segs in (family.zero_cut, family.one_cut, family.two_cut)]
+
+        rng = random.Random(37)
+        cut_families = [0, 0]
+        for _ in range(300):
+            g = random_cactus(rng, rng.randint(4, 40))
+            taxonomy = classify_cut_vertices(g)
+            for blk in blocks(g).blocks:
+                if len(blk) < 3 or not taxonomy.cut_set.intersection(blk):
+                    continue
+                order = cycle_order(g, blk)
+                forward = structural.feasible_segments(g, order, taxonomy)
+                backward = structural.feasible_segments(g, order[::-1], taxonomy)
+                assert vertex_sets(forward) == vertex_sets(backward)
+                assert forward.max_size == backward.max_size
+                assert set(forward.best.interior) == set(backward.best.interior)
+                cut_families[0] += bool(forward.one_cut)
+                cut_families[1] += bool(forward.two_cut)
+        assert min(cut_families) > 0
+
 
 class TestCactus:
     def test_pure_cycle(self):
