@@ -14,8 +14,10 @@ must be selected, and ordering variables forbid directed cycles.
 
 Every variable and row name is a prefix followed by a vertex label or an
 arc suffix ``u__v``, one per direction of each edge; a label has each
-character outside ``[A-Za-z0-9_]`` replaced by ``_``, and labels that
-clash after that raise :class:`ModelError`. The base model has variables
+character outside ``[A-Za-z0-9_]`` replaced by ``_``, and a label that
+then clashes with an earlier vertex's gets ``_`` appended until it is
+free. Names that still collide (``a`` with ``b__c`` against ``a__b`` with
+``c``) raise :class:`ModelError`. The base model has variables
 ``s_v``, ``x_v``, ``y_u__v`` and rows ``cover_v``, ``order_u__v``,
 ``watch_u__v__w``; connectivity adds variables ``zr_v`` (root arc),
 ``z_u__v`` (parent arc), ``o_v`` (rank) and rows ``root_choice``,
@@ -35,7 +37,7 @@ from functools import cache
 
 from . import exact, propagation
 from .errors import DisconnectedError, GraphError, ModelError
-from .graphs import Graph
+from .graphs import Graph, fresh_label
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -113,8 +115,15 @@ def _names(g: Graph) -> tuple[list[str], list[tuple[int, int, str]]]:
     """The name table of the models over ``g``: the cleaned label of each
     vertex, and every arc (each edge in both directions, tail-major) with
     its ``u__v`` suffix. Every variable and row name is a prefix followed
-    by one of these."""
+    by one of these. A label that cleans to the name of an earlier vertex
+    takes the first free name with underscores appended."""
     labs = [_SANITIZE.sub("_", lab) for lab in g.labels]
+    taken, seen = set(labs), set()
+    for v, lab in enumerate(labs):
+        if lab in seen:
+            labs[v] = fresh_label(taken, lab)
+            taken.add(labs[v])
+        seen.add(lab)
     return labs, [(u, v, f"{labs[u]}__{labs[v]}") for u in range(g.n) for v in g.adj[u]]
 
 

@@ -192,6 +192,9 @@ def cactus_cpds(g: Graph) -> SolveResult:
 
 
 SubSolver = Callable[[Graph], SolveResult]
+"""Solver for one expanded block piece. It must read only the piece's
+structure (its adjacency rows), never its labels: the decomposition solves
+each distinct piece once and reuses the witness for its repeats."""
 Piece = tuple[tuple[int, ...], Graph, dict[int, int]]
 
 
@@ -243,9 +246,11 @@ def decompose_cpds(
 
     Each nontrivial block (with its pendant paths) is solved subject to the
     mandatory vertices it contains, the witnesses are unioned, and the
-    double-counted mandatory vertices are discounted. The recombined witness
-    is re-certified; an inconsistent recombination raises instead of
-    returning a wrong answer. ``pieces`` passes in the result of
+    double-counted mandatory vertices are discounted. Each distinct piece
+    (the same adjacency rows and anchors) is solved once; its repeats reuse
+    that local witness. The recombined witness is re-certified; an
+    inconsistent recombination raises instead of returning a wrong answer.
+    One time budget covers every piece. ``pieces`` passes in the result of
     :func:`nontrivial_block_subgraphs` when the caller already built it.
     """
     info = profile(g)
@@ -255,20 +260,25 @@ def decompose_cpds(
         raise GraphClassError("decomposition requires at least one cut vertex")
     if info.graph_class.path:
         raise GraphClassError("decomposition does not apply to paths")
-    solve = subsolver or (lambda sub: _dispatch(sub, budget, split=False))
+    deadline = budget.deadline()
+    solve = subsolver or (lambda sub: _dispatch(sub, budget.until(deadline), split=False))
     mandatory = set(info.taxonomy.mandatory)
     membership = {v: 0 for v in mandatory}
     total = 0
     union: set[int] = set()
+    # (rows, anchors) fix the expanded piece, and no subsolver reads labels
+    solved: dict[tuple, SolveResult] = {}
     for blk, sub, remap in pieces if pieces is not None else nontrivial_block_subgraphs(g):
-        anchors = [remap[v] for v in blk if v in mandatory]
+        anchors = tuple(remap[v] for v in blk if v in mandatory)
         for v in blk:
             if v in mandatory:
                 membership[v] += 1
-        expanded = attach_leaves(sub, anchors, 3)
-        result = solve(expanded)
-        if any(v >= sub.n for v in result.witness):
-            raise DecompositionError("block solution uses an added leaf")
+        key = (sub.adj, anchors)
+        result = solved.get(key)
+        if result is None:
+            result = solved[key] = solve(attach_leaves(sub, anchors, 3))
+            if any(v >= sub.n for v in result.witness):
+                raise DecompositionError("block solution uses an added leaf")
         back = {new: old for old, new in remap.items()}
         union.update(back[v] for v in result.witness)
         total += result.optimum

@@ -82,6 +82,66 @@ def random_cactus(rng: random.Random, n: int) -> Graph:
     return Graph(labels, edges)
 
 
+# small 2-connected blocks that are neither cliques nor cycles: diamond,
+# wheel, K_{2,3} and chorded 5-cycle, local vertex 0 glued to the tree
+GENERAL_BLOCKS = (
+    (4, ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3))),
+    (5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))),
+    (5, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2))),
+)
+
+
+def random_block_tree(rng: random.Random, n: int) -> Graph:
+    """Tree of GENERAL_BLOCKS and single edges hung on random vertices."""
+    edges: list[tuple[int, int]] = []
+    count = 1
+    while count < n:
+        size, block = rng.choice(GENERAL_BLOCKS + ((2, ((0, 1),)),))
+        if count + size - 1 > n:
+            size, block = 2, ((0, 1),)
+        members = [rng.randrange(count)] + list(range(count, count + size - 1))
+        count += size - 1
+        edges += [(members[a], members[b]) for a, b in block]
+    return Graph([str(i) for i in range(n)], edges)
+
+
+def chain_of_blocks(shapes) -> Graph:
+    """The given (size, edges) blocks in a row, each block's local vertex 0
+    glued to the last vertex of the block before it."""
+    edges: list[tuple[int, int]] = []
+    count = 1
+    for size, block in shapes:
+        members = [count - 1] + list(range(count, count + size - 1))
+        count += size - 1
+        edges += [(members[a], members[b]) for a, b in block]
+    return Graph([str(i) for i in range(count)], edges)
+
+
+def random_tree_with_chords(rng: random.Random, n: int, chords: int) -> Graph:
+    """Random tree plus ``chords`` short chords, each from a vertex to its
+    grandparent or great-grandparent."""
+    parent = [0] + [rng.randrange(i) for i in range(1, n)]
+    edges = {(parent[i], i) for i in range(1, n)}
+    for _ in range(chords):
+        v = rng.randrange(1, n)
+        up = parent[parent[v]]
+        if rng.random() < 0.5:
+            up = parent[up]
+        if up != v and (up, v) not in edges and (v, up) not in edges:
+            edges.add((up, v))
+    return Graph([str(i) for i in range(n)], sorted(edges))
+
+
+def subdivide_block_edge(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with one random edge of a nontrivial block subdivided."""
+    from powerdom.decomposition import blocks
+
+    inside = [(u, v) for blk in blocks(g).blocks if len(blk) >= 3
+              for u in blk for v in blk if u < v and g.has_edge(u, v)]
+    return g.subdivide_edge(*rng.choice(inside)) if inside else g
+
+
 # -- independent oracles -----------------------------------------------------
 
 
@@ -255,6 +315,34 @@ def naive_min_cpds(g: Graph, collect_all: bool = False, rounds: int | None = Non
         if found:
             return k, found
     raise AssertionError("unreachable")
+
+
+def naive_decompose(g: Graph, budget=None):
+    """The cut-vertex decomposition without a table of solved pieces: each
+    nontrivial block piece is expanded and solved on its own, and the
+    pieces' witnesses are unioned and certified on ``g``. Unlike the other
+    naive helpers it shares the piece list and the piece solvers with the
+    library, since what it checks is the table alone."""
+    from collections import Counter
+
+    from powerdom import exact, structural
+    from powerdom.decomposition import classify_cut_vertices
+    from powerdom.graphs import attach_leaves
+
+    budget = exact.DEFAULT_BUDGET if budget is None else budget
+    mandatory = set(classify_cut_vertices(g).mandatory)
+    shared: Counter[int] = Counter()
+    total, union = 0, set(mandatory)
+    for blk, sub, remap in structural.nontrivial_block_subgraphs(g):
+        anchors = [remap[v] for v in blk if v in mandatory]
+        shared.update(v for v in blk if v in mandatory)
+        piece = structural._dispatch(attach_leaves(sub, anchors, 3), budget, split=False)
+        keep = sorted(remap)
+        union.update(keep[v] for v in piece.witness)
+        total += piece.optimum
+    result = exact.certify(g, union, exact.METHOD_DECOMPOSITION, connected=True)
+    assert result.optimum == total - sum(k - 1 for k in shared.values())
+    return result
 
 
 # -- tiny named graphs -------------------------------------------------------

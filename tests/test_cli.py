@@ -73,6 +73,15 @@ class TestSolve:
         assert "-> c/d" in out and "-> e-f" in out
 
     @pytest.mark.parametrize("problem", ["pd", "cpd"])
+    def test_milp_method_with_labels_that_clash_after_cleaning(self, problem):
+        edges = "bus-1 bus.1\nbus.1 c\n"
+        code, out, err = run("solve", "-", "--problem", problem, "--method", "milp", "--trace",
+                             stdin=edges)
+        assert (code, err) == (0, "")
+        assert out == ("optimum: 1\nwitness: bus-1\nmethod: milp\ntrace:\n"
+                       "  t=1 bus-1 -> bus.1 [dominate]\n  t=2 bus.1 -> c [force]\n")
+
+    @pytest.mark.parametrize("problem", ["pd", "cpd"])
     def test_milp_method_certifies_the_decoded_trace(self, monkeypatch, problem):
         decode = milp.decode_assignment
 

@@ -178,8 +178,10 @@ class TestExport:
             milp.export(empty)
 
     def test_name_collision_guard(self):
-        g = Graph(["a b", "a_b"], [(0, 1)])
-        with pytest.raises(ModelError):
+        # distinct cleaned labels whose arc suffixes meet: a -> b__c and
+        # a__b -> c both name y_a__b__c
+        g = Graph(["a", "b__c", "a__b", "c"], [(0, 1), (2, 3), (1, 3)])
+        with pytest.raises(ModelError, match="y_a__b__c"):
             milp.build_model1(g, 2)
 
     def test_name_collision_with_base_model(self):
@@ -246,6 +248,27 @@ def test_rewritten_labels(connected):
             assert not connected or prop.is_connected_set(g, chosen)
             assert milp.parse_lp(milp.export(model, "lp")).canonical() == model.canonical()
             assert milp.parse_mps(milp.export(model, "mps")).canonical() == model.canonical()
+
+
+CLASHING = ["bus-1", "bus.1", "bus_1_", "c", "bus 1", "d"]
+
+
+@pytest.mark.parametrize("connected", [False, True], ids=["pd", "cpd"])
+def test_labels_that_clash_after_cleaning(connected):
+    """A label that cleans to an earlier vertex's name takes the first free
+    one with underscores appended; every other label keeps its name."""
+    g = Graph(CLASHING, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (0, 5)])
+    model = milp.build_model1(g)
+    if connected:
+        model = milp.add_mtz_connectivity(model, g)
+    assert [v.name for v in model.variables[:g.n]] == [
+        "s_bus_1", "s_bus_1__", "s_bus_1_", "s_c", "s_bus_1___", "s_d"]
+    solution = milp.solve_small(model)
+    chosen, trace = milp.decode_assignment(model, solution.assignment)
+    assert prop.replay_trace(g, trace) == g.full_mask
+    assert not connected or prop.is_connected_set(g, chosen)
+    assert milp.parse_lp(milp.export(model, "lp")) == model
+    assert milp.parse_mps(milp.export(model, "mps")).canonical() == model.canonical()
 
 
 @st.composite

@@ -27,8 +27,12 @@ from powerdom.errors import DisconnectedError
 from powerdom.graphs import Graph, path_graph
 
 from conftest import (
+    GENERAL_BLOCKS,
     bowtie,
+    chain_of_blocks,
+    naive_decompose,
     random_block_graph,
+    random_block_tree,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -153,6 +157,32 @@ class TestAnalyseOnce:
         assert len(calls) == 1 + pieces
         assert calls[0] == g.n
 
+    def test_each_distinct_piece_solved_once(self, monkeypatch):
+        """Twelve diamonds in a row, glued at their degree-2 vertices: the
+        two end pieces and the ten middle ones give three distinct pieces."""
+        g = chain_of_blocks([GENERAL_BLOCKS[0]] * 12)
+        copy = Graph(g.labels, g.edges())
+        mandatory = set(classify_cut_vertices(copy).mandatory)
+        pieces = structural.nontrivial_block_subgraphs(copy)
+        keys = {(sub.adj, tuple(remap[v] for v in blk if v in mandatory))
+                for blk, sub, remap in pieces}
+        assert (len(pieces), len(keys)) == (12, 3)
+        calls, solved = [], []
+        original = decomposition._block_dfs
+        monkeypatch.setattr(decomposition, "_block_dfs",
+                            lambda h: calls.append(h.n) or original(h))
+
+        def counting(h):
+            solved.append(h)
+            return structural._dispatch(h, exact.DEFAULT_BUDGET, split=False)
+
+        result = structural.decompose_cpds(g, subsolver=counting)
+        assert len(solved) == len(keys)
+        assert len(calls) == 1 + len(keys) and calls[0] == g.n
+        naive = naive_decompose(copy)
+        assert (result.optimum, result.witness, result.method) == (
+            naive.optimum, naive.witness, naive.method)
+
     def test_structural_solvers_share_the_analysis(self, monkeypatch):
         calls = []
         original = decomposition._block_dfs
@@ -180,6 +210,15 @@ class TestScaling:
         result = structural.solve_cpds(g)
         assert time.perf_counter() - started < 6.0
         assert result.method in (exact.METHOD_CACTUS, exact.METHOD_TREE)
+
+    def test_block_tree_of_general_blocks(self):
+        """Diamonds, wheels, K_{2,3}s and chorded 5-cycles in a tree: the
+        decomposition solves each distinct piece once."""
+        g = random_block_tree(random.Random(32), self.N)
+        started = time.perf_counter()
+        result = structural.solve_cpds(g)
+        assert time.perf_counter() - started < 2.0
+        assert result.method == exact.METHOD_DECOMPOSITION
 
     def test_flower_of_many_cycles(self):
         """4000 four-cycles through one hub: ordering each cycle must not

@@ -3,23 +3,30 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from powerdom import exact, structural
 from powerdom import propagation as prop
 from powerdom.decomposition import blocks, classify_cut_vertices, cycle_order, recognize
-from powerdom.errors import GraphClassError
+from powerdom.errors import BudgetExceededError, GraphClassError, PowerDomError
 from powerdom.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 from conftest import (
+    GENERAL_BLOCKS,
     bowtie,
+    chain_of_blocks,
     double_star,
+    naive_decompose,
     random_block_graph,
+    random_block_tree,
     random_cactus,
     random_connected_with_cut_vertex,
     random_tree,
+    random_tree_with_chords,
     spider_three_legs,
+    subdivide_block_edge,
     two_triangles_bridge,
 )
 
@@ -259,6 +266,64 @@ class TestDecomposition:
             g = random_connected_with_cut_vertex(rng, rng.randint(4, 11))
             fast = structural.decompose_cpds(g, subsolver=solver)
             assert fast.optimum == exact.min_cpds(g).optimum
+
+
+def outcome(solve, g: Graph):
+    """Optimum, witness and method of ``solve(g)``, or its error."""
+    try:
+        result = solve(g)
+    except PowerDomError as exc:
+        return type(exc).__name__, str(exc)
+    return result.optimum, result.witness, result.method
+
+
+class TestPieceTable:
+    """The decomposition solves each distinct piece once and reuses its
+    witness; its answers are those of solving every piece on its own."""
+
+    FAMILIES = {
+        "block_tree": random_block_tree,
+        "block_graph": lambda rng, n: subdivide_block_edge(rng, random_block_graph(rng, n)),
+        "tree_with_chords": lambda rng, n: subdivide_block_edge(
+            rng, random_tree_with_chords(rng, n, n // 10)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_matches_naive_decomposition(self, family):
+        rng = random.Random(f"pieces/{family}")
+        repeated = 0
+        for _ in range(30):
+            g = self.FAMILIES[family](rng, rng.randint(12, 120))
+            if not blocks(g).cut_vertices or recognize(g).path:
+                continue
+            copy = Graph(g.labels, g.edges())
+            assert outcome(structural.decompose_cpds, g) == outcome(naive_decompose, copy)
+            mandatory = set(classify_cut_vertices(g).mandatory)
+            pieces = structural.nontrivial_block_subgraphs(g)
+            keys = {(sub.adj, tuple(remap[v] for v in blk if v in mandatory))
+                    for blk, sub, remap in pieces}
+            repeated += len(keys) < len(pieces)
+        assert repeated >= 10
+
+    def test_time_budget_bounds_the_whole_decomposition(self, monkeypatch):
+        """On a fake clock that moves one second per piece searched, each of
+        the four pieces fits in the budget on its own but all four do not."""
+        now = [0.0]
+        monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        search = exact.min_cpds
+
+        def slow(h, budget=exact.DEFAULT_BUDGET):
+            now[0] += 1
+            return search(h, budget)
+
+        monkeypatch.setattr(exact, "min_cpds", slow)
+        g = chain_of_blocks(GENERAL_BLOCKS)
+        assert len(structural.nontrivial_block_subgraphs(g)) == 4
+        with pytest.raises(BudgetExceededError):
+            structural.decompose_cpds(g, budget=exact.Budget(max_seconds=2.5))
+        assert now[0] == 3
+        result = structural.solve_cpds(g, budget=exact.Budget(max_seconds=4.5))
+        assert result.method == exact.METHOD_DECOMPOSITION and now[0] == 7
 
 
 class TestAutoDispatch:
