@@ -327,19 +327,13 @@ def _cmd_decompose(args, out, err, stdin) -> int:
     lines = [f"mandatory: {' '.join(g.labels_of(taxonomy.mandatory))}"]
     result = structural.decompose_cpds(g, budget=budget, pieces=pieces)
     mandatory = set(taxonomy.mandatory)
-    for i, (core, sub, remap) in enumerate(pieces, start=1):
-        anchors = [v for v in core if v in mandatory]
-        record["blocks"].append(
-            {
-                "core": list(g.labels_of(core)),
-                "anchors": list(g.labels_of(anchors)),
-                "size": sub.n,
-            }
-        )
-        lines.append(
-            f"block {i}: core={','.join(g.labels_of(core))}"
-            f" anchors={','.join(g.labels_of(anchors))} size={sub.n}"
-        )
+    for i, (core, vertices, _) in enumerate(pieces, start=1):
+        block = {"core": list(g.labels_of(core)),
+                 "anchors": list(g.labels_of(v for v in core if v in mandatory)),
+                 "size": len(vertices)}
+        record["blocks"].append(block)
+        lines.append(f"block {i}: core={','.join(block['core'])}"
+                     f" anchors={','.join(block['anchors'])} size={block['size']}")
     record.update(_result_payload(g, result, "cpd"))
     lines.append(f"optimum: {result.optimum}")
     lines.append(f"witness: {' '.join(result.witness_labels(g))}")

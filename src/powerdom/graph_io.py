@@ -34,11 +34,10 @@ def load_graph(source: str | IO[str], fmt: str = "edgelist") -> Graph:
 def _parse_edgelist(lines: Iterable[str]) -> Graph:
     pairs: list[tuple[str, str]] = []
     for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(tokens) != 2:
+            if not tokens:
+                continue
             raise ParseError(f"expected two labels, got {len(tokens)} tokens", line=no)
         pairs.append((tokens[0], tokens[1]))
     if not pairs:

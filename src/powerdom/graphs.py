@@ -3,6 +3,11 @@
 Vertices are indexed 0..n-1 and carry an external string label. Each
 vertex keeps one sorted neighbor row: O(n + m) memory, and every reader
 here runs in O(n + m). Subset searches build their own neighbor bitmasks.
+
+Outside input (labels and an edge list) is validated once, by
+``Graph.__init__``. Derived graphs (subgraphs, edge surgery, attached
+leaves) and ``from_labeled_edges`` build their sorted rows directly and
+hand them to the trusting ``Graph._from_rows``.
 """
 
 from __future__ import annotations
@@ -58,6 +63,16 @@ def fresh_label(taken: Container[str], stem: str) -> str:
     return label
 
 
+def _sorted_rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbor rows of in-range edges; loops and repeats dropped."""
+    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            neighbor_sets[u].add(v)
+            neighbor_sets[v].add(u)
+    return tuple(tuple(sorted(s)) for s in neighbor_sets)
+
+
 class Graph:
     """Simple undirected graph. Instances are never mutated after __init__."""
 
@@ -74,35 +89,40 @@ class Graph:
             if lab in index:
                 raise GraphError(f"duplicate vertex label {lab!r}")
             index[lab] = i
-        neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+        edges = list(edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue  # loops dropped
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-        self.n = n
+        self._fill(labels, _sorted_rows(n, edges), index)
+
+    def _fill(self, labels: tuple[str, ...], adj: tuple, index: dict[str, int]) -> None:
+        self.n = len(labels)
         self.labels = labels
-        self.adj = tuple(tuple(sorted(s)) for s in neighbor_sets)
-        self.m = sum(len(a) for a in self.adj) // 2
+        self.adj = adj
+        self.m = sum(map(len, adj)) // 2
         self._index = index
         self._profile = None
 
     @classmethod
+    def _from_rows(cls, labels: Sequence[str], rows: Iterable[tuple[int, ...]],
+                   index: dict[str, int] | None = None) -> "Graph":
+        """Trusting constructor: the rows are sorted, duplicate-free and symmetric,
+        the labels unique, and ``index`` (if given) maps each label to its id."""
+        g = cls.__new__(cls)
+        labels = tuple(labels)
+        g._fill(labels, tuple(rows), index or dict(zip(labels, range(len(labels)))))
+        return g
+
+    @classmethod
     def from_labeled_edges(cls, pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from label pairs; indices follow first appearance."""
-        labels: list[str] = []
         index: dict[str, int] = {}
-
-        def vid(lab: str) -> int:
-            if lab not in index:
-                index[lab] = len(labels)
-                labels.append(lab)
-            return index[lab]
-
-        edges = [(vid(a), vid(b)) for a, b in pairs]
-        return cls(labels, edges)
+        # left to right: the second setdefault sees the first one's label
+        edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
+                 for a, b in pairs]
+        if not index:
+            raise GraphError("graph must have at least one vertex")
+        return cls._from_rows(tuple(index), _sorted_rows(len(index), edges), index)
 
     # -- basic accessors ------------------------------------------------
 
@@ -183,33 +203,36 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
+    def _induced_rows(self, keep: Sequence[int]
+                      ) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+        """Rows of the subgraph induced by the sorted, distinct ids ``keep``,
+        plus the old-index -> new-index map."""
+        remap = dict(zip(keep, range(len(keep))))
+        adj = self.adj
+        return tuple([tuple([remap[w] for w in adj[u] if w in remap]) for u in keep]), remap
+
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old-index -> new-index map."""
         keep = sorted(set(vertices))
-        remap = {old: new for new, old in enumerate(keep)}
-        labels = [self.labels[v] for v in keep]
-        edges = [
-            (remap[u], remap[v])
-            for u in keep
-            for v in self.adj[u]
-            if v in remap and u < v
-        ]
-        return Graph(labels, edges), remap
+        if not keep or keep[0] < 0 or keep[-1] >= self.n:
+            raise GraphError("an induced subgraph needs one or more vertices of the graph")
+        rows, remap = self._induced_rows(keep)
+        return Graph._from_rows([self.labels[v] for v in keep], rows), remap
 
     def delete_vertex(self, v: int) -> "Graph":
         if not 0 <= v < self.n:
             raise GraphError(f"no vertex {v}")
         if self.n == 1:
             raise GraphError("cannot delete the only vertex")
-        sub, _ = self.induced_subgraph(u for u in range(self.n) if u != v)
-        return sub
+        return self.induced_subgraph(u for u in range(self.n) if u != v)[0]
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u}, {v})")
-        drop = {(u, v), (v, u)}
-        edges = [e for e in self.edges() if e not in drop]
-        return Graph(self.labels, edges)
+        rows = list(self.adj)
+        rows[u] = tuple(w for w in rows[u] if w != v)
+        rows[v] = tuple(w for w in rows[v] if w != u)
+        return Graph._from_rows(self.labels, rows, self._index)
 
     def contract_edge(self, u: int, v: int) -> "Graph":
         """Merge the endpoints of an edge; the smaller index keeps its label.
@@ -220,25 +243,28 @@ class Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u}, {v})")
         keep, drop = min(u, v), max(u, v)
-        remap = {}
-        for w in range(self.n):
+        touched = set(self.adj[drop])
+        rows = []
+        for w, row in enumerate(self.adj):
+            if w == keep:
+                row = sorted(set(row).union(self.adj[drop]) - {keep, drop})
+            elif w in touched:
+                row = sorted({keep if x == drop else x for x in row})
             if w != drop:
-                remap[w] = w if w < drop else w - 1
-        remap[drop] = remap[keep]
-        labels = [self.labels[w] for w in range(self.n) if w != drop]
-        edges = [(remap[a], remap[b]) for a, b in self.edges()]
-        return Graph(labels, edges)
+                rows.append(tuple([x - (x > drop) for x in row]))
+        return Graph._from_rows(self.labels[:drop] + self.labels[drop + 1:], rows)
 
     def subdivide_edge(self, u: int, v: int) -> "Graph":
         """Replace edge uv by a path u-w-v through a new vertex w."""
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u}, {v})")
-        stem = f"sub_{self.labels[u]}_{self.labels[v]}"
-        labels = list(self.labels) + [fresh_label(self._index, stem)]
         w = self.n
-        edges = [e for e in self.edges() if e != (min(u, v), max(u, v))]
-        edges += [(u, w), (v, w)]
-        return Graph(labels, edges)
+        rows = list(self.adj)
+        rows[u] = tuple(x for x in rows[u] if x != v) + (w,)
+        rows[v] = tuple(x for x in rows[v] if x != u) + (w,)
+        rows.append((min(u, v), max(u, v)))
+        label = fresh_label(self._index, f"sub_{self.labels[u]}_{self.labels[v]}")
+        return Graph._from_rows(self.labels + (label,), rows)
 
     # -- dunder ------------------------------------------------------------
 
@@ -267,14 +293,16 @@ def attach_leaves(g: Graph, x: Iterable[int], r: int) -> Graph:
             raise GraphError(f"vertex {v} not in graph")
     labels = list(g.labels)
     taken = set(labels)
-    edges = list(g.edges())
+    rows = list(g.adj)
     for v in targets:
+        first = len(labels)
         for j in range(1, r + 1):
             lab = fresh_label(taken, f"{g.labels[v]}_leaf{j}")
             taken.add(lab)
             labels.append(lab)
-            edges.append((v, len(labels) - 1))
-    return Graph(labels, edges)
+        rows[v] += tuple(range(first, first + r))  # new ids exceed every old one
+        rows += [(v,)] * r
+    return Graph._from_rows(labels, rows)
 
 
 def path_graph(n: int, prefix: str = "v") -> Graph:

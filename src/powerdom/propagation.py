@@ -26,8 +26,9 @@ inside the enumeration oracles (:func:`colors_within`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NotPowerDominatingError, PowerDomError
 from .graphs import Graph, _mask_of, _members
@@ -36,12 +37,21 @@ DOMINATE = "dominate"
 FORCE = "force"
 
 
-@dataclass(frozen=True)
-class Force:
+class Force(NamedTuple):
+    """One trace entry: ``source`` colored ``target`` in round ``timestep``
+    by ``kind`` (:data:`DOMINATE` or :data:`FORCE`). A plain named tuple,
+    so recording a trace stays cheap; it compares equal to the tuple of
+    its fields."""
+
     timestep: int
     source: int
     target: int
     kind: str
+
+
+# a Force from a 4-tuple, without the Python-level __new__: the engine
+# records one per colored vertex
+_force = partial(tuple.__new__, Force)
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,8 @@ class PropagationTrace:
 
     Every target appears exactly once and never lies in the initial set;
     all domination entries carry timestep 1 and forces come strictly later
-    (or from 1 upward when there was no domination step).
+    (or from 1 upward when there was no domination step). ``forces`` holds
+    :class:`Force` tuples, one per vertex colored after the initial set.
     """
 
     initial: tuple[int, ...]
@@ -168,7 +179,7 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool, start: int,
                     taken.add(w)
                     batch.append(w)
                     if forces is not None:
-                        forces.append(Force(1, v, w, DOMINATE))
+                        forces.append(_force((1, v, w, DOMINATE)))
     front = _Frontier(g)
     ready = front.color(batch)
     left, xor = front.left, front.xor
@@ -185,7 +196,7 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool, start: int,
             break
         targets = sorted(fired)
         if forces is not None:
-            forces.extend(Force(t, fired[w], w, FORCE) for w in targets)
+            forces.extend([_force((t, fired[w], w, FORCE)) for w in targets])
         ready = front.color(targets)
         last = t
         t += 1

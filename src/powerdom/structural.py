@@ -9,6 +9,7 @@ graphs with a cut vertex, the problem splits over the nontrivial blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -102,16 +103,30 @@ class FeasibleSegmentFamily:
     best: Segment
 
 
-def _arc(cycle: Sequence[int], a: int, b: int) -> tuple[int, ...]:
+def _arc(cycle: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     """Positions strictly between a and b walking forward; a == b wraps to
     everything except that position."""
-    size = len(cycle)
-    out = []
-    i = (a + 1) % size
-    while i != b:
-        out.append(cycle[i])
-        i = (i + 1) % size
-    return tuple(out)
+    return cycle[a + 1:b] if a < b else cycle[a + 1:] + cycle[:b]
+
+
+def _spans(cycle: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[tuple[int, int, int]]:
+    """Every excludable segment of one cycle as (level, a, b): the positions
+    strictly between anchor positions a and b (all but a when a == b), which
+    swallow ``level`` cut vertices, each of class r1 (two must be adjacent)."""
+    cut_set, r1_set = taxonomy.cut_set, taxonomy.r1_set
+    pos = [i for i, v in enumerate(cycle) if v in cut_set]
+    k, size = len(pos), len(cycle)
+    if k == 0:
+        raise GraphError("cycle block has no cut vertex")
+    ring = pos * 3  # ring[i + j] is the j-th anchor position after the i-th
+    spans = [(0, ring[i], ring[i + 1]) for i in range(k)]
+    if k >= 2:
+        spans += [(1, ring[i], ring[i + 2]) for i in range(k) if cycle[ring[i + 1]] in r1_set]
+    if k >= 3:
+        spans += [(2, ring[i], ring[i + 3]) for i in range(k)
+                  if cycle[ring[i + 1]] in r1_set and cycle[ring[i + 2]] in r1_set
+                  and (ring[i + 1] + 1) % size == ring[i + 2]]
+    return spans
 
 
 def feasible_segments(
@@ -129,44 +144,16 @@ def feasible_segments(
     for i, v in enumerate(cycle):
         if not g.has_edge(v, cycle[(i + 1) % size]):
             raise GraphError("vertex list is not a cycle in traversal order")
-    cut_set, r1_set = taxonomy.cut_set, taxonomy.r1_set
-    pos = [i for i, v in enumerate(cycle) if v in cut_set]
-    k = len(pos)
-    if k == 0:
-        raise GraphError("cycle block has no cut vertex")
     families: list[dict[frozenset[int], Segment]] = [{}, {}, {}]
-
-    def anchor(i: int) -> int:
-        return cycle[pos[i % k]]
-
-    def record(level: int, i: int, j: int) -> None:
-        seg = Segment(cycle, anchor(i), anchor(j), _arc(cycle, pos[i % k], pos[j % k]))
+    for level, a, b in _spans(cycle, taxonomy):
+        seg = Segment(cycle, cycle[a], cycle[b], _arc(cycle, a, b))
         families[level].setdefault(frozenset(seg.interior), seg)
-
-    for i in range(k):
-        record(0, i, i + 1)
-    if k >= 2:
-        for i in range(k):
-            if anchor(i + 1) in r1_set:
-                record(1, i, i + 2)
-    if k >= 3:
-        for i in range(k):
-            first, second = anchor(i + 1), anchor(i + 2)
-            adjacent = (pos[(i + 1) % k] + 1) % size == pos[(i + 2) % k]
-            if first in r1_set and second in r1_set and adjacent:
-                record(2, i, i + 3)
-    groups = tuple(
-        tuple(sorted(fam.values(), key=lambda s: s.interior))
-        for fam in families
-    )
+    groups = tuple(tuple(sorted(fam.values(), key=lambda s: s.interior)) for fam in families)
     every = [seg for fam in groups for seg in fam]
     max_size = max(seg.size for seg in every)
     # among maximum segments prefer the one avoiding small vertex ids,
     # which lexicographically minimizes the complementary solution set
-    best = max(
-        (seg for seg in every if seg.size == max_size),
-        key=lambda s: tuple(sorted(s.interior)),
-    )
+    best = max((seg for seg in every if seg.size == max_size), key=lambda s: sorted(s.interior))
     return FeasibleSegmentFamily(groups[0], groups[1], groups[2], max_size, best)
 
 
@@ -175,7 +162,7 @@ def cactus_cpds(g: Graph) -> SolveResult:
 
     Keep every vertex except the pendant paths and, in each cycle, one
     largest excludable segment; pure paths and pure cycles need just one
-    vertex.
+    vertex. Only the segments of the largest size are built.
     """
     info = connected_profile(g)
     if not info.graph_class.cactus:
@@ -186,7 +173,13 @@ def cactus_cpds(g: Graph) -> SolveResult:
     excluded = {v for _, chain in taxonomy.pendant_paths for v in chain}
     for blk in info.decomposition.blocks:
         if len(blk) >= 3:
-            excluded.update(feasible_segments(g, cycle_order(g, blk), taxonomy).best.interior)
+            cycle = cycle_order(g, blk)
+            size = len(cycle)
+            spans = _spans(cycle, taxonomy)
+            most = max((b - a - 1) % size for _, a, b in spans)
+            # the largest segments, tie broken as in feasible_segments
+            excluded.update(max((_arc(cycle, a, b) for _, a, b in spans
+                                 if (b - a - 1) % size == most), key=sorted))
     witness = [v for v in range(g.n) if v not in excluded]
     return certify(g, witness, exact.METHOD_CACTUS, connected=True)
 
@@ -194,8 +187,12 @@ def cactus_cpds(g: Graph) -> SolveResult:
 SubSolver = Callable[[Graph], SolveResult]
 """Solver for one expanded block piece. It must read only the piece's
 structure (its adjacency rows), never its labels: the decomposition solves
-each distinct piece once and reuses the witness for its repeats."""
-Piece = tuple[tuple[int, ...], Graph, dict[int, int]]
+each distinct piece once, on a graph built for its first occurrence, and
+reuses the witness for its repeats."""
+Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
+"""One nontrivial block with its pendant paths, as (core, vertices, rows):
+the block's vertices, the piece's sorted global vertex ids, and the
+piece's adjacency rows over local ids (local id i is ``vertices[i]``)."""
 
 
 def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
@@ -216,8 +213,8 @@ def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
 
 
 def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
-    """Materialize each nontrivial block together with the pendant paths
-    attached to its vertices. Returns (core vertices, subgraph, index map)."""
+    """Each nontrivial block together with the pendant paths attached to its
+    vertices, as a :data:`Piece`; no graph is built."""
     info = connected_profile(g)
     attached: dict[int, list[tuple[int, ...]]] = {}
     for attach, chain in info.taxonomy.pendant_paths:
@@ -231,8 +228,9 @@ def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
         for v in blk:
             for chain in attached.get(v, ()):
                 verts.update(chain)
-        sub, remap = g.induced_subgraph(verts)
-        out.append((blk, sub, remap))
+        vertices = sorted(verts)
+        rows, _ = g._induced_rows(vertices)
+        out.append((blk, vertices, rows))
     return out
 
 
@@ -247,8 +245,9 @@ def decompose_cpds(
     Each nontrivial block (with its pendant paths) is solved subject to the
     mandatory vertices it contains, the witnesses are unioned, and the
     double-counted mandatory vertices are discounted. Each distinct piece
-    (the same adjacency rows and anchors) is solved once; its repeats reuse
-    that local witness. The recombined witness is re-certified; an
+    (the same adjacency rows and anchors) is solved once, on the only
+    graphs built for it (the piece and its leaf expansion); its repeats
+    reuse that local witness. The recombined witness is re-certified; an
     inconsistent recombination raises instead of returning a wrong answer.
     One time budget covers every piece. ``pieces`` passes in the result of
     :func:`nontrivial_block_subgraphs` when the caller already built it.
@@ -268,19 +267,19 @@ def decompose_cpds(
     union: set[int] = set()
     # (rows, anchors) fix the expanded piece, and no subsolver reads labels
     solved: dict[tuple, SolveResult] = {}
-    for blk, sub, remap in pieces if pieces is not None else nontrivial_block_subgraphs(g):
-        anchors = tuple(remap[v] for v in blk if v in mandatory)
+    for blk, vertices, rows in pieces if pieces is not None else nontrivial_block_subgraphs(g):
+        anchors = tuple(bisect_left(vertices, v) for v in blk if v in mandatory)
         for v in blk:
             if v in mandatory:
                 membership[v] += 1
-        key = (sub.adj, anchors)
+        key = (rows, anchors)
         result = solved.get(key)
         if result is None:
+            sub = Graph._from_rows(g.labels_of(vertices), rows)
             result = solved[key] = solve(attach_leaves(sub, anchors, 3))
             if any(v >= sub.n for v in result.witness):
                 raise DecompositionError("block solution uses an added leaf")
-        back = {new: old for old, new in remap.items()}
-        union.update(back[v] for v in result.witness)
+        union.update(vertices[v] for v in result.witness)
         total += result.optimum
     overlap = sum(membership[v] - 1 for v in mandatory)
     optimum = total - overlap
@@ -292,8 +291,7 @@ def decompose_cpds(
         raise DecompositionError(
             f"recombined witness has {len(union)} vertices, formula says {optimum}"
         )
-    result = certify(g, union, exact.METHOD_DECOMPOSITION, connected=True)
-    return result
+    return certify(g, union, exact.METHOD_DECOMPOSITION, connected=True)
 
 
 def solve_cpds(g: Graph, method: str = "auto", budget: Budget = DEFAULT_BUDGET) -> SolveResult:

@@ -333,12 +333,12 @@ def naive_decompose(g: Graph, budget=None):
     mandatory = set(classify_cut_vertices(g).mandatory)
     shared: Counter[int] = Counter()
     total, union = 0, set(mandatory)
-    for blk, sub, remap in structural.nontrivial_block_subgraphs(g):
-        anchors = [remap[v] for v in blk if v in mandatory]
+    for blk, vertices, rows in structural.nontrivial_block_subgraphs(g):
+        sub = Graph(g.labels_of(vertices), [(u, w) for u, row in enumerate(rows) for w in row])
+        anchors = [vertices.index(v) for v in blk if v in mandatory]
         shared.update(v for v in blk if v in mandatory)
         piece = structural._dispatch(attach_leaves(sub, anchors, 3), budget, split=False)
-        keep = sorted(remap)
-        union.update(keep[v] for v in piece.witness)
+        union.update(vertices[v] for v in piece.witness)
         total += piece.optimum
     result = exact.certify(g, union, exact.METHOD_DECOMPOSITION, connected=True)
     assert result.optimum == total - sum(k - 1 for k in shared.values())

@@ -20,7 +20,31 @@ from powerdom.graphs import (
     path_graph,
 )
 
-from conftest import naive_components, naive_is_connected_set, random_connected_graph
+from conftest import (
+    naive_components,
+    naive_is_connected_set,
+    random_block_graph,
+    random_block_tree,
+    random_cactus,
+    random_connected_graph,
+    random_tree_with_chords,
+)
+
+
+def seeded_graphs(seed: str, count: int):
+    """Seeded graphs of several shapes, triangles and 4-cycles included,
+    so that contractions merge rows."""
+    rng = random.Random(seed)
+    makers = (random_connected_graph, random_cactus, random_block_graph, random_block_tree,
+              lambda rng, n: random_tree_with_chords(rng, n, n // 4))
+    for i in range(count):
+        yield rng, makers[i % len(makers)](rng, rng.randint(3, 40))
+
+
+def assert_same_graph(got: Graph, expected: Graph) -> None:
+    assert (got.labels, got.adj, got.m) == (expected.labels, expected.adj, expected.m)
+    assert [got.index(lab) for lab in got.labels] == [
+        expected.index(lab) for lab in expected.labels]
 
 
 class TestConstruction:
@@ -105,6 +129,25 @@ class TestLoaders:
         with pytest.raises(ParseError):
             load_graph(text, "matrixmarket")
 
+    def test_edgelist_matches_the_validating_constructor(self):
+        """With repeated edges, loops, comments and blank lines mixed in,
+        the reader's graph equals Graph(labels by first appearance, edges)."""
+        for rng, g in seeded_graphs("loaders", 60):
+            pairs = [(g.labels[u], g.labels[v]) for u, v in g.edges()]
+            pairs += rng.sample(pairs, len(pairs) // 3) + [(lab, lab) for lab in g.labels[:3]]
+            pairs = [pair[::-1] if rng.random() < 0.5 else pair for pair in pairs]
+            rng.shuffle(pairs)
+            lines = [f"{a} {b}" for a, b in pairs]
+            for at in range(0, len(lines), 7):
+                lines.insert(at, rng.choice(["", "   ", "# comment", "\t# a b"]))
+            lines = [line + "  # trailing" if rng.random() < 0.2 else line for line in lines]
+            index: dict[str, int] = {}
+            for pair in pairs:
+                for lab in pair:
+                    index.setdefault(lab, len(index))
+            expected = Graph(list(index), [(index[a], index[b]) for a, b in pairs])
+            assert_same_graph(load_graph("\n".join(lines)), expected)
+
     def test_dump_roundtrip(self):
         g = random_connected_graph(random.Random(7), 9)
         again = load_graph(dump_edgelist(g))
@@ -146,6 +189,46 @@ class TestSurgery:
     def test_missing_edge_rejected(self, surgery, u, v):
         with pytest.raises(GraphError):
             getattr(path_graph(3), surgery)(u, v)
+
+    def test_row_builder_matches_the_validating_constructor(self):
+        """Each derived graph equals Graph(labels, edges) over the edge list
+        that the operation describes."""
+        merged = 0
+        for rng, g in seeded_graphs("surgery", 80):
+            labels, edges = list(g.labels), g.edges()
+            u, v = rng.choice(edges)
+            keep = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            remap = {old: new for new, old in enumerate(keep)}
+            sub, got_remap = g.induced_subgraph(keep)
+            assert got_remap == remap
+            assert_same_graph(sub, Graph([labels[x] for x in keep], [
+                (remap[a], remap[b]) for a, b in edges if a in remap and b in remap]))
+            shift = {x: x - (x > u) for x in range(g.n)}
+            assert_same_graph(g.delete_vertex(u), Graph(
+                labels[:u] + labels[u + 1:],
+                [(shift[a], shift[b]) for a, b in edges if u not in (a, b)]))
+            assert_same_graph(g.delete_edge(v, u), Graph(labels, [e for e in edges if e != (u, v)]))
+            contracted = g.contract_edge(v, u)  # u < v: u keeps its label
+            shift = {x: x - (x > v) for x in range(g.n)}
+            shift[v] = u
+            assert_same_graph(contracted, Graph(labels[:v] + labels[v + 1:],
+                                                [(shift[a], shift[b]) for a, b in edges]))
+            merged += contracted.m < g.m - 1
+            assert_same_graph(g.subdivide_edge(v, u), Graph(
+                labels + [f"sub_{labels[v]}_{labels[u]}"],
+                [e for e in edges if e != (u, v)] + [(u, g.n), (v, g.n)]))
+            targets = sorted(rng.sample(range(g.n), rng.randint(0, min(g.n, 4))))
+            r = rng.randint(1, 3)
+            leaves = [(x, f"{labels[x]}_leaf{j}") for x in targets for j in range(1, r + 1)]
+            assert_same_graph(attach_leaves(g, targets[::-1], r), Graph(
+                labels + [lab for _, lab in leaves],
+                edges + [(x, g.n + i) for i, (x, _) in enumerate(leaves)]))
+        assert merged >= 10
+
+    @pytest.mark.parametrize("vertices", [[], [-1, 0], [0, 3]])
+    def test_induced_subgraph_rejects_bad_vertex_sets(self, vertices):
+        with pytest.raises(GraphError):
+            path_graph(3).induced_subgraph(vertices)
 
     def test_induced_subgraph_maps_back(self):
         g = cycle_graph(5)

@@ -159,25 +159,35 @@ class TestAnalyseOnce:
 
     def test_each_distinct_piece_solved_once(self, monkeypatch):
         """Twelve diamonds in a row, glued at their degree-2 vertices: the
-        two end pieces and the ten middle ones give three distinct pieces."""
+        two end pieces and the ten middle ones give three distinct pieces.
+        Graphs are built only for a distinct piece: the piece itself and
+        its leaf expansion (one graph per piece would make 12 + 3)."""
         g = chain_of_blocks([GENERAL_BLOCKS[0]] * 12)
         copy = Graph(g.labels, g.edges())
         mandatory = set(classify_cut_vertices(copy).mandatory)
         pieces = structural.nontrivial_block_subgraphs(copy)
-        keys = {(sub.adj, tuple(remap[v] for v in blk if v in mandatory))
-                for blk, sub, remap in pieces}
+        keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
+                for blk, vertices, rows in pieces}
         assert (len(pieces), len(keys)) == (12, 3)
-        calls, solved = [], []
+        calls, solved, built = [], [], []
         original = decomposition._block_dfs
         monkeypatch.setattr(decomposition, "_block_dfs",
                             lambda h: calls.append(h.n) or original(h))
+        # every Graph comes from the validating constructor or the row builder
+        init, from_rows = Graph.__init__, Graph._from_rows.__func__
+        monkeypatch.setattr(Graph, "__init__",
+                            lambda h, *args: built.append(h) or init(h, *args))
+        monkeypatch.setattr(Graph, "_from_rows", classmethod(
+            lambda cls, *args: built.append(cls) or from_rows(cls, *args)))
 
         def counting(h):
             solved.append(h)
             return structural._dispatch(h, exact.DEFAULT_BUDGET, split=False)
 
         result = structural.decompose_cpds(g, subsolver=counting)
+        monkeypatch.undo()
         assert len(solved) == len(keys)
+        assert len(built) == 2 * len(keys)
         assert len(calls) == 1 + len(keys) and calls[0] == g.n
         naive = naive_decompose(copy)
         assert (result.optimum, result.witness, result.method) == (

@@ -173,18 +173,22 @@ class TestSegments:
 
     def test_reversed_walk_finds_the_same_segments(self):
         """The families as vertex sets, the largest size and the best
-        segment's vertex set do not depend on the walk's orientation."""
+        segment's vertex set do not depend on the walk's orientation, and
+        the best segment is what cactus_cpds leaves out of the cycle."""
         def vertex_sets(family):
             return [{frozenset(seg.interior) for seg in segs}
                     for segs in (family.zero_cut, family.one_cut, family.two_cut)]
 
         rng = random.Random(37)
         cut_families = [0, 0]
+        cuts_per_cycle = [0, 0, 0, 0]  # cycles with 1, 2, 3 or more cut vertices
         for _ in range(300):
             g = random_cactus(rng, rng.randint(4, 40))
             taxonomy = classify_cut_vertices(g)
+            witness = set(structural.cactus_cpds(g).witness)
             for blk in blocks(g).blocks:
-                if len(blk) < 3 or not taxonomy.cut_set.intersection(blk):
+                cuts = len(taxonomy.cut_set.intersection(blk))
+                if len(blk) < 3 or not cuts:
                     continue
                 order = cycle_order(g, blk)
                 forward = structural.feasible_segments(g, order, taxonomy)
@@ -192,9 +196,11 @@ class TestSegments:
                 assert vertex_sets(forward) == vertex_sets(backward)
                 assert forward.max_size == backward.max_size
                 assert set(forward.best.interior) == set(backward.best.interior)
+                assert set(blk) - witness == set(forward.best.interior)
                 cut_families[0] += bool(forward.one_cut)
                 cut_families[1] += bool(forward.two_cut)
-        assert min(cut_families) > 0
+                cuts_per_cycle[min(cuts, 3)] += 1
+        assert min(cut_families) > 0 and min(cuts_per_cycle[1:]) > 0
 
 
 class TestCactus:
@@ -300,8 +306,8 @@ class TestPieceTable:
             assert outcome(structural.decompose_cpds, g) == outcome(naive_decompose, copy)
             mandatory = set(classify_cut_vertices(g).mandatory)
             pieces = structural.nontrivial_block_subgraphs(g)
-            keys = {(sub.adj, tuple(remap[v] for v in blk if v in mandatory))
-                    for blk, sub, remap in pieces}
+            keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
+                    for blk, vertices, rows in pieces}
             repeated += len(keys) < len(pieces)
         assert repeated >= 10
 
