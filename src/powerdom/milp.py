@@ -23,6 +23,16 @@ free. Names that still collide (``a`` with ``b__c`` against ``a__b`` with
 ``z_u__v`` (parent arc), ``o_v`` (rank) and rows ``root_choice``,
 ``parent_v``, ``growth_u__v``, ``rank_u__v``.
 
+A model is plain tuples: :class:`Variable` and :class:`Constraint` are
+named tuples, and a term is a ``(coef, name)`` pair. The builders make
+each distinct term of a model once, and every row that holds it shares
+that object. The LP writer formats each distinct term once per export,
+and the MPS writer files each column entry as its finished line. The
+readers convert each distinct term or number once per text. They take
+only ASCII integers, and they refuse text that is not one model: a
+repeated row, right-hand side or bound, a variable whose kind disagrees
+with its declarations, or no variable at all.
+
 ``solve_small`` is a validator, not a general solver: it takes the
 selection from the exact oracle for the model's problem and horizon,
 derives the remaining variables from a propagation run, and then checks
@@ -33,7 +43,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
+from typing import NamedTuple
 
 from . import exact, propagation
 from .errors import DisconnectedError, GraphError, ModelError
@@ -45,20 +56,34 @@ INTEGER = "integer"
 OPTIMAL = "optimal"
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
+    """A column: ``kind`` is :data:`BINARY` or :data:`INTEGER`, bounded by
+    ``lower`` and ``upper``. A plain named tuple, so a model of thousands
+    of columns stays cheap to build and read; it compares equal to the
+    tuple of its fields."""
+
     name: str
     kind: str
     lower: int
     upper: int
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
+    """A row ``sum(coef * var for coef, var in terms) relation rhs`` with
+    ``relation`` one of ``<=``, ``=``, ``>=``. The builders and readers give
+    each distinct ``(coef, name)`` term of a model one tuple, shared by
+    every row that holds it. A plain named tuple, like :class:`Variable`."""
+
     name: str
     terms: tuple[tuple[int, str], ...]
-    relation: str  # "<=", "=", ">="
+    relation: str
     rhs: int
+
+
+# a Variable or Constraint from a 4-tuple, without the Python-level
+# __new__: a model holds one per column and row
+_variable = partial(tuple.__new__, Variable)
+_row = partial(tuple.__new__, Constraint)
 
 
 @dataclass(frozen=True)
@@ -102,9 +127,11 @@ _SANITIZE = re.compile(r"[^A-Za-z0-9_]")
 
 
 def _check_unique(names: list[str], what: str, taken: set[str] | None = None) -> None:
-    """Raise on a repeated name, or on one already in ``taken`` (which the
-    check fills in)."""
-    seen = set() if taken is None else taken
+    """Raise on a repeated name, or on one already in ``taken``."""
+    unique = set(names)
+    if len(unique) == len(names) and (taken is None or unique.isdisjoint(taken)):
+        return
+    seen = set() if taken is None else set(taken)
     for name in names:
         if name in seen:
             raise ModelError(f"{what} name collision: {name!r}")
@@ -127,14 +154,20 @@ def _names(g: Graph) -> tuple[list[str], list[tuple[int, int, str]]]:
     return labs, [(u, v, f"{labs[u]}__{labs[v]}") for u in range(g.n) for v in g.adj[u]]
 
 
-def _incoming(first: list[str], arcs: list[tuple[int, int, str]],
-              names: list[str]) -> list[list[tuple[int, str]]]:
-    """Per vertex v, the term of ``first[v]`` followed by the terms of the
-    arc variables ``names`` into v, by ascending tail."""
-    terms = [[(1, name)] for name in first]
-    for (_, v, _), name in zip(arcs, names):
-        terms[v].append((1, name))
-    return terms
+def _terms(coef: int, names: list[str]) -> list[tuple[int, str]]:
+    """The term ``(coef, name)`` of each name: a model makes each distinct
+    term once, and every row that holds it shares the object."""
+    return [(coef, name) for name in names]
+
+
+def _incoming(first: list[tuple[int, str]], arcs: list[tuple[int, int, str]],
+              arc_terms: list[tuple[int, str]]) -> list[list[tuple[int, str]]]:
+    """Per vertex v, the term ``first[v]`` followed by the terms of the arcs
+    into v, by ascending tail."""
+    rows = [[term] for term in first]
+    for (_, v, _), term in zip(arcs, arc_terms):
+        rows[v].append(term)
+    return rows
 
 
 def build_model1(g: Graph, t: int | None = None) -> MilpModel:
@@ -148,26 +181,26 @@ def build_model1(g: Graph, t: int | None = None) -> MilpModel:
     s = ["s_" + lab for lab in labs]
     x = ["x_" + lab for lab in labs]
     y = ["y_" + uv for _, _, uv in arcs]
-    variables = [Variable(name, BINARY, 0, 1) for name in s]
-    variables += [Variable(name, INTEGER, 0, horizon) for name in x]
-    variables += [Variable(name, BINARY, 0, 1) for name in y]
+    variables = [_variable((name, BINARY, 0, 1)) for name in s]
+    variables += [_variable((name, INTEGER, 0, horizon)) for name in x]
+    variables += [_variable((name, BINARY, 0, 1)) for name in y]
     big = horizon + 1
-    constraints = [Constraint("cover_" + lab, tuple(terms), "=", 1)
-                   for lab, terms in zip(labs, _incoming(s, arcs, y))]
-    constraints += [Constraint("order_" + uv, ((1, x[u]), (-1, x[v]), (big, name)), "<=", horizon)
-                    for (u, v, uv), name in zip(arcs, y)]
-    for (u, v, uv), name in zip(arcs, y):
-        for w in g.adj[u]:
-            if w != v:
-                constraints.append(Constraint(
-                    f"watch_{uv}__{labs[w]}",
-                    ((1, x[w]), (-1, x[v]), (big, name), (-big, s[u])), "<=", horizon))
+    s_one, x_one, x_minus = _terms(1, s), _terms(1, x), _terms(-1, x)
+    s_minus_big, y_big = _terms(-big, s), _terms(big, y)
+    constraints = [_row(("cover_" + lab, tuple(terms), "=", 1))
+                   for lab, terms in zip(labs, _incoming(s_one, arcs, _terms(1, y)))]
+    constraints += [_row(("order_" + uv, (x_one[u], x_minus[v], y_big[i]), "<=", horizon))
+                    for i, (u, v, uv) in enumerate(arcs)]
+    for i, (u, v, uv) in enumerate(arcs):
+        xv, yi, su = x_minus[v], y_big[i], s_minus_big[u]
+        constraints += [_row((f"watch_{uv}__{labs[w]}", (x_one[w], xv, yi, su), "<=", horizon))
+                        for w in g.adj[u] if w != v]
     _check_unique([v.name for v in variables], "variable")
     _check_unique([c.name for c in constraints], "constraint")
     return MilpModel(
         name="power_domination",
         variables=tuple(variables),
-        objective=tuple((1, name) for name in s),
+        objective=tuple(s_one),
         constraints=tuple(constraints),
         meta={"graph": g, "horizon": horizon, "connected": False},
     )
@@ -185,21 +218,25 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
     if model.meta.get("graph") is not g and model.meta.get("graph") != g:
         raise ModelError("model was not built from this graph")
     labs, arcs = _names(g)
-    s = ["s_" + lab for lab in labs]
     root = ["zr_" + lab for lab in labs]
     z = ["z_" + uv for _, _, uv in arcs]
     rank = ["o_" + lab for lab in labs]
-    variables = [Variable(name, BINARY, 0, 1) for name in root]
-    variables += [Variable(name, BINARY, 0, 1) for name in z]
-    variables += [Variable(name, INTEGER, 1, g.n) for name in rank]
-    constraints = [Constraint("root_choice", tuple((1, name) for name in root), "=", 1)]
-    constraints += [Constraint("parent_" + lab, (*terms, (-1, s[v])), "=", 0)
-                    for v, (lab, terms) in enumerate(zip(labs, _incoming(root, arcs, z)))]
-    constraints += [Constraint("growth_" + uv, ((1, name), (-1, s[u])), "<=", 0)
-                    for (u, _, uv), name in zip(arcs, z)]
-    constraints += [Constraint("rank_" + uv, ((1, rank[u]), (-1, rank[v]), (g.n, name)),
-                               "<=", g.n - 1)
-                    for (u, v, uv), name in zip(arcs, z)]
+    variables = [_variable((name, BINARY, 0, 1)) for name in root]
+    variables += [_variable((name, BINARY, 0, 1)) for name in z]
+    variables += [_variable((name, INTEGER, 1, g.n)) for name in rank]
+    # the base model holds s_v only with coefficients 1 and -(horizon + 1),
+    # so -1 makes new terms
+    s_minus = _terms(-1, ["s_" + lab for lab in labs])
+    z_one, z_n = _terms(1, z), _terms(g.n, z)
+    rank_one, rank_minus = _terms(1, rank), _terms(-1, rank)
+    root_one = _terms(1, root)
+    constraints = [_row(("root_choice", tuple(root_one), "=", 1))]
+    constraints += [_row(("parent_" + lab, (*terms, s_minus[v]), "=", 0))
+                    for v, (lab, terms) in enumerate(zip(labs, _incoming(root_one, arcs, z_one)))]
+    constraints += [_row(("growth_" + uv, (z_one[i], s_minus[u]), "<=", 0))
+                    for i, (u, _, uv) in enumerate(arcs)]
+    constraints += [_row(("rank_" + uv, (rank_one[u], rank_minus[v], z_n[i]), "<=", g.n - 1))
+                    for i, (u, v, uv) in enumerate(arcs)]
     # build_model1 checked the base's names, and export checks any model's
     _check_unique([v.name for v in variables], "variable", {v.name for v in model.variables})
     _check_unique([c.name for c in constraints], "constraint",
@@ -348,17 +385,24 @@ def ppt_by_search(g: Graph, connected: bool = False,
 # -- text export and the round-trip parsers --------------------------------
 
 
-def _fmt_term(coef: int, name: str, first: bool) -> str:
-    sign = "-" if coef < 0 else ("" if first else "+")
-    mag = abs(coef)
-    body = name if mag == 1 else f"{mag} {name}"
-    if first:
-        return f"{sign}{body}" if sign else body
-    return f"{sign} {body}"
+class _Shown(dict):
+    """Each distinct term as LP text writes it after a row's first term,
+    with its leading space (`` + x``, `` - 3 y``), formatted on first use."""
+
+    def __missing__(self, term: tuple[int, str]) -> str:
+        coef, name = term
+        body = name if abs(coef) == 1 else f"{abs(coef)} {name}"
+        text = self[term] = f" {'-' if coef < 0 else '+'} {body}"
+        return text
 
 
-def _expr(terms: tuple[tuple[int, str], ...]) -> str:
-    return " ".join(_fmt_term(c, n, i == 0) for i, (c, n) in enumerate(terms))
+def _expr(terms: tuple[tuple[int, str], ...], shown: _Shown) -> str:
+    """A sum of terms; the first one drops its leading space and a plus
+    sign, and keeps a minus sign unspaced."""
+    if not terms:
+        return ""
+    text = "".join(map(shown.__getitem__, terms))
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def export(model: MilpModel, fmt: str = "lp") -> str:
@@ -375,9 +419,11 @@ def export(model: MilpModel, fmt: str = "lp") -> str:
 
 
 def _export_lp(model: MilpModel) -> str:
-    lines = [f"\\ {model.name}", "Minimize", f" obj: {_expr(model.objective)}", "Subject To"]
-    for con in model.constraints:
-        lines.append(f" {con.name}: {_expr(con.terms)} {con.relation} {con.rhs}")
+    shown = _Shown()
+    lines = [f"\\ {model.name}", "Minimize", f" obj: {_expr(model.objective, shown)}",
+             "Subject To"]
+    lines += [f" {con.name}: {_expr(con.terms, shown)} {con.relation} {con.rhs}"
+              for con in model.constraints]
     # bounds cover every variable in declaration order so a re-parse can
     # reconstruct the exact variable list
     lines.append("Bounds")
@@ -402,17 +448,18 @@ def _export_mps(model: MilpModel) -> str:
     lines = [f"NAME          {model.name}", "ROWS", " N  obj"]
     for con in model.constraints:
         lines.append(f" {rel_code[con.relation]}  {con.name}")
-    by_var: dict[str, list[tuple[str, int]]] = {v.name: [] for v in model.variables}
+    # each column's entry lines, in row order
+    by_var: dict[str, list[str]] = {v.name: [] for v in model.variables}
     for coef, name in model.objective:
-        by_var[name].append(("obj", coef))
+        by_var[name].append(f"    {name}    obj    {coef}")
     for con in model.constraints:
+        row = con.name
         for coef, name in con.terms:
-            by_var[name].append((con.name, coef))
+            by_var[name].append(f"    {name}    {row}    {coef}")
     lines.append("COLUMNS")
     lines.append("    MARKER_ALL    'MARKER'    'INTORG'")
-    for var in model.variables:
-        for row, coef in by_var[var.name]:
-            lines.append(f"    {var.name}    {row}    {coef}")
+    for entries in by_var.values():
+        lines += entries
     lines.append("    MARKER_ALL    'MARKER'    'INTEND'")
     lines.append("RHS")
     for con in model.constraints:
@@ -429,23 +476,17 @@ def _export_mps(model: MilpModel) -> str:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_TERM_BODY = rf"(?:\d+\s*)?{_NAME}"
+# the only numbers either reader takes: int() alone would also read "1_0"
+# and non-ASCII digits
+_INTEGER = r"[+-]?[0-9]+"
+_TERM_BODY = rf"(?:[0-9]+\s*)?{_NAME}"
 # a sum of terms, each but the first joined by its sign; validated whole so
 # that nothing between the terms is skipped
 _EXPR = rf"(?:[+-]?\s*{_TERM_BODY}(?:\s*[+-]\s*{_TERM_BODY})*)?"
-_TERM = re.compile(rf"([+-]?)\s*(\d*)\s*({_NAME})")
 _LP_SECTIONS = frozenset(("minimize", "subject to", "bounds", "generals", "binaries", "end"))
+_LP_SECTION_LENGTH = max(map(len, _LP_SECTIONS))
 _MPS_SECTIONS = frozenset(("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"))
 _REL_OF = {"L": "<=", "G": ">=", "E": "="}
-
-
-def _integer(token: str, number: int) -> int:
-    """A coefficient, right-hand side or bound from line ``number`` of MPS
-    text; every number in a model is an integer."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ModelError(f"MPS line {number}: {token!r} is not an integer") from None
 
 
 @cache
@@ -453,28 +494,44 @@ def _lp_line_patterns() -> tuple[re.Pattern, re.Pattern, re.Pattern]:
     """Objective, constraint and bound lines; compiled on first use, since
     importing the package should not pay for them."""
     return (re.compile(rf"(?:[^:]*:)?\s*({_EXPR})\s*"),
-            re.compile(rf"([^:]*):\s*({_EXPR})\s*(<=|>=|=)\s*(-?\d+)"),
-            re.compile(rf"(-?\d+)\s*<=\s*({_NAME})\s*<=\s*(-?\d+)"))
+            re.compile(rf"([^:]*):\s*({_EXPR})\s*(<=|>=|=)\s*({_INTEGER})"),
+            re.compile(rf"({_INTEGER})\s*<=\s*({_NAME})\s*<=\s*({_INTEGER})"))
 
 
-def _parse_expr(text: str) -> list[tuple[int, str]]:
-    """The terms of an expression already matched by ``_EXPR``."""
-    return [(-int(coef or 1) if sign == "-" else int(coef or 1), name)
-            for sign, coef, name in _TERM.findall(text)]
+class _LpTerms(dict):
+    """Each distinct term text of one LP text (``x``, ``-3y``: no
+    whitespace, no plus sign) to its term, read on first sight, so every
+    row that holds the term shares one object."""
+
+    def __missing__(self, text: str) -> tuple[int, str]:
+        sign = -1 if text[0] == "-" else 1
+        body = text[1:] if sign < 0 else text
+        name = body.lstrip("0123456789")
+        term = self[text] = (sign * int(body[:len(body) - len(name)] or 1), name)
+        return term
+
+    def of(self, expr: str) -> tuple[tuple[int, str], ...]:
+        """The terms of an expression already matched by ``_EXPR``: a name
+        holds no sign, so the signs alone cut the terms apart."""
+        texts = "".join(expr.split()).replace("-", "+-").split("+")
+        return tuple(map(self.__getitem__, texts if texts[0] else texts[1:]))
 
 
 def parse_lp(text: str) -> MilpModel:
     """Parse LP text produced by :func:`export` back into a model.
 
-    One pass over the lines, one regular expression per line; malformed
-    text raises :class:`ModelError` naming the line.
+    One pass over the lines, one regular expression per line, and each
+    distinct term read once; malformed text raises :class:`ModelError`
+    naming the line or the variable.
     """
     objective_line, constraint_line, bound_line = _lp_line_patterns()
+    terms = _LpTerms()
     name = "parsed"
     objective: list[tuple[int, str]] = []
-    constraints: list[Constraint] = []
+    rows: dict[str, Constraint] = {}
     bounds: dict[str, tuple[int, int]] = {}
     generals: set[str] = set()
+    binaries: set[str] = set()
     declared: list[str] = []  # names listed under Generals or Binaries
     section = None
     for number, raw in enumerate(text.splitlines(), 1):
@@ -484,10 +541,11 @@ def parse_lp(text: str) -> MilpModel:
         if line[0] == "\\":
             name = line[1:].strip() or name
             continue
-        lowered = line.lower()
-        if lowered in _LP_SECTIONS:
-            section = lowered
-            continue
+        if len(line) <= _LP_SECTION_LENGTH:
+            lowered = line.lower()
+            if lowered in _LP_SECTIONS:
+                section = lowered
+                continue
         if section == "subject to":
             if ":" not in line or line[0] == ":":
                 raise ModelError(f"LP line {number}: constraint {line!r} has no label")
@@ -495,8 +553,10 @@ def parse_lp(text: str) -> MilpModel:
             if match is None:
                 raise ModelError(f"LP line {number}: cannot parse constraint {line!r}")
             label, expr, relation, rhs = match.groups()
-            constraints.append(Constraint(label.strip(), tuple(_parse_expr(expr)),
-                                          relation, int(rhs)))
+            label = label.strip()
+            if label in rows:
+                raise ModelError(f"LP line {number}: second constraint labelled {label!r}")
+            rows[label] = _row((label, terms.of(expr), relation, int(rhs)))
         elif section == "bounds":
             match = bound_line.fullmatch(line)
             if match is None:
@@ -509,23 +569,39 @@ def parse_lp(text: str) -> MilpModel:
             match = objective_line.fullmatch(line)
             if match is None:
                 raise ModelError(f"LP line {number}: cannot parse objective {line!r}")
-            objective += _parse_expr(match.group(1))
-        elif section == "generals":
+            objective += terms.of(match.group(1))
+        elif section in ("generals", "binaries"):
             names = line.split()
-            generals.update(names)
+            (generals if section == "generals" else binaries).update(names)
             declared += names
-        elif section == "binaries":
-            declared += line.split()
         else:
             raise ModelError(f"LP line {number}: {line!r} is outside the model sections")
-    unbounded = [var for _, var in objective if var not in bounds]
-    unbounded += [var for con in constraints for _, var in con.terms if var not in bounds]
+    unbounded = [var for _, var in terms.values() if var not in bounds]
     unbounded += [var for var in declared if var not in bounds]
     if unbounded:
         raise ModelError(f"LP variable {unbounded[0]!r} has no bound line")
-    variables = tuple(Variable(var, INTEGER if var in generals else BINARY, lo, hi)
-                      for var, (lo, hi) in bounds.items())
-    return MilpModel(name, variables, tuple(objective), tuple(constraints))
+    variables = []
+    for var, (lo, hi) in bounds.items():
+        general = var in generals
+        if general == (var in binaries):
+            listed = "both Generals and Binaries" if general else "neither Generals nor Binaries"
+            raise ModelError(f"LP variable {var!r} is listed under {listed}")
+        variables.append(_variable((var, INTEGER if general else BINARY, lo, hi)))
+    if not variables:
+        raise ModelError("LP text declares no variables")
+    return MilpModel(name, tuple(variables), tuple(objective), tuple(rows.values()))
+
+
+def _integer(token: str, number: int, numbers: dict[str, int]) -> int:
+    """A coefficient, right-hand side or bound from line ``number`` of MPS
+    text, read once per distinct token into ``numbers``; every number in a
+    model is an integer."""
+    value = numbers.get(token)
+    if value is None:
+        if re.fullmatch(_INTEGER, token) is None:
+            raise ModelError(f"MPS line {number}: {token!r} is not an integer")
+        value = numbers[token] = int(token)
+    return value
 
 
 def parse_mps(text: str) -> MilpModel:
@@ -533,16 +609,19 @@ def parse_mps(text: str) -> MilpModel:
 
     One pass over the lines files every COLUMNS entry under its row, so
     each row's terms come out in column order at a cost linear in the
-    text. Variables follow the BOUNDS section, which lists every column in
-    declaration order. Malformed text raises :class:`ModelError` naming the
-    line, row or column.
+    text; each column makes one term per distinct coefficient. Variables
+    follow the BOUNDS section, which lists every column in declaration
+    order. Malformed text raises :class:`ModelError` naming the line, row
+    or column.
     """
     name = "parsed"
     objective_row = None
     row_rel: dict[str, str] = {}
     terms_of: dict[str, list[tuple[int, str]]] = {}  # every row, the objective too
     rhs: dict[str, int] = {}
+    numbers: dict[str, int] = {}
     columns: dict[str, str] = {}  # COLUMNS order; each name to its first object
+    column_terms: dict[str, tuple[int, str]] = {}  # the current column's, by coefficient
     kinds: dict[str, str] = {}  # BOUNDS order
     lows: dict[str, int] = {}
     highs: dict[str, int] = {}
@@ -572,9 +651,13 @@ def parse_mps(text: str) -> MilpModel:
                 if col in columns:
                     raise ModelError(
                         f"MPS line {number}: the entries of column {col!r} are not contiguous")
+                # one name object per column, however many rows and bounds name it
                 columns[col] = column = col
-            # one name object per column, however many rows and bounds name it
-            terms.append((_integer(value, number), column))
+                column_terms = {}
+            term = column_terms.get(value)
+            if term is None:
+                term = column_terms[value] = (_integer(value, number, numbers), column)
+            terms.append(term)
         elif section == "ROWS" and len(parts) == 2:
             code, row = parts
             if row in terms_of:
@@ -593,19 +676,23 @@ def parse_mps(text: str) -> MilpModel:
             if row not in row_rel:
                 raise ModelError(f"MPS line {number}: RHS entry for {row!r}, "
                                  f"which is not a constraint row")
-            rhs[row] = _integer(parts[2], number)
+            if row in rhs:
+                raise ModelError(f"MPS line {number}: second RHS entry for {row!r}")
+            rhs[row] = _integer(parts[2], number, numbers)
         elif section == "BOUNDS" and parts[0] == "BV" and len(parts) == 3:
             col = parts[2]
+            if kinds.get(col) == INTEGER:
+                raise ModelError(f"MPS line {number}: column {col!r} is both BV and LI/UI")
             kinds[col] = BINARY
             lows[col], highs[col] = 0, 1
         elif section == "BOUNDS" and parts[0] in ("LI", "UI") and len(parts) == 4:
             col = parts[2]
-            kinds.setdefault(col, INTEGER)
-            value = _integer(parts[3], number)
-            if parts[0] == "LI":
-                lows[col] = value
-            else:
-                highs[col] = value
+            if kinds.setdefault(col, INTEGER) == BINARY:
+                raise ModelError(f"MPS line {number}: column {col!r} is both BV and LI/UI")
+            bound = lows if parts[0] == "LI" else highs
+            if col in bound:
+                raise ModelError(f"MPS line {number}: second {parts[0]} bound for {col!r}")
+            bound[col] = _integer(parts[3], number, numbers)
         else:
             raise ModelError(f"MPS line {number}: cannot read {raw.strip()!r} "
                              f"in section {section or 'none'}")
@@ -616,8 +703,10 @@ def parse_mps(text: str) -> MilpModel:
     for col, kind in kinds.items():
         if col not in lows or col not in highs:
             raise ModelError(f"MPS column {col!r} lacks its LI or UI bound")
-        variables.append(Variable(columns.get(col, col), kind, lows[col], highs[col]))
+        variables.append(_variable((columns.get(col, col), kind, lows[col], highs[col])))
+    if not variables:
+        raise ModelError("MPS text declares no variables")
     objective = tuple(terms_of[objective_row]) if objective_row is not None else ()
-    constraints = tuple(Constraint(row, tuple(terms_of[row]), rel, rhs.get(row, 0))
+    constraints = tuple(_row((row, tuple(terms_of[row]), rel, rhs.get(row, 0)))
                         for row, rel in row_rel.items())
     return MilpModel(name, tuple(variables), objective, constraints)

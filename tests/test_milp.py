@@ -198,6 +198,16 @@ class TestExport:
         with pytest.raises(ModelError, match="root_choice"):
             milp.add_mtz_connectivity(clash, g)
 
+    def test_lp_terms_by_position_and_sign(self):
+        """A row's first term keeps a minus sign unspaced and drops a plus;
+        a coefficient of magnitude one is not written."""
+        a, b = milp.Variable("a", milp.BINARY, 0, 1), milp.Variable("b", milp.INTEGER, 0, 4)
+        row = milp.Constraint("c", ((-3, "b"), (1, "a"), (-1, "b")), ">=", -2)
+        model = milp.MilpModel("m", (a, b), ((-1, "a"),), (row,))
+        text = milp.export(model, "lp")
+        assert " obj: -a\n" in text and " c: -3 b + a - b >= -2\n" in text
+        assert milp.parse_lp(text) == model
+
     def test_deterministic_bytes(self):
         g = random_connected_graph(random.Random(19), 7)
         model = milp.add_mtz_connectivity(milp.build_model1(g), g)
@@ -323,16 +333,46 @@ def test_parse_matches_recorded_digest(seed, connected, fmt):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARSE_DIGESTS[seed, connected, fmt]
 
 
-def test_mps_reader_is_linear():
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+def test_writers_and_readers_are_linear(fmt):
     """The cpd model of a sparse 400-vertex graph has about 5500 rows; a
-    reader that scans every column entry for each row takes seconds on it."""
+    writer or reader that scans every column entry for each row takes
+    seconds on it."""
     g = random_connected_graph(random.Random(400), 400, extra=40)
     model = milp.add_mtz_connectivity(milp.build_model1(g), g)
-    text = milp.export(model, "mps")
+    parse = milp.parse_lp if fmt == "lp" else milp.parse_mps
     started = time.perf_counter()
-    parsed = milp.parse_mps(text)
+    text = milp.export(model, fmt)
+    assert time.perf_counter() - started < 2.0
+    started = time.perf_counter()
+    parsed = parse(text)
     assert time.perf_counter() - started < 2.0
     assert parsed.canonical() == model.canonical()
+
+
+@pytest.mark.parametrize("source", ["built", "lp", "mps"])
+def test_one_object_per_distinct_term(source):
+    """Every row of a cpd model, and its objective, hold the one tuple of
+    each distinct (coef, name) term, whether the builders made the model
+    or a reader took it from the writer's text."""
+    g = random_connected_graph(random.Random(37), 30)
+    model = milp.add_mtz_connectivity(milp.build_model1(g), g)
+    if source != "built":
+        parse = milp.parse_lp if source == "lp" else milp.parse_mps
+        model = parse(milp.export(model, source))
+    terms = [*model.objective, *(term for con in model.constraints for term in con.terms)]
+    assert len({id(term) for term in terms}) == len(set(terms)) < len(terms)
+
+
+def test_records_are_tuples_of_their_fields():
+    """Variable and Constraint are named tuples: each equals the plain tuple
+    of its fields, and its repr names them."""
+    var = milp.Variable("s_a", milp.BINARY, 0, 1)
+    con = milp.Constraint("cover_a", ((1, "s_a"),), "=", 1)
+    assert var == ("s_a", "binary", 0, 1)
+    assert con == ("cover_a", ((1, "s_a"),), "=", 1)
+    assert repr(var) == "Variable(name='s_a', kind='binary', lower=0, upper=1)"
+    assert repr(con) == "Constraint(name='cover_a', terms=((1, 's_a'),), relation='=', rhs=1)"
 
 
 P2_LP = milp.export(milp.build_model1(path_graph(2), 2), "lp")
@@ -391,8 +431,18 @@ class TestMalformedText:
         ("    rhs    cover_v1    1", "    rhs    obj    1", "MPS line 24"),
         ("RHS\n", "RANGES\n", "MPS line 23"),
         ("ROWS\n", "", "MPS line 2"),
+        ("    rhs    cover_v2    1", "    rhs    cover_v1    1", "MPS line 25"),
+        ("order_v1__v2    3", "order_v1__v2    1_0", "MPS line 19"),
+        ("    rhs    cover_v1    1", "    rhs    cover_v1    \u0661", "MPS line 24"),
+        (" LI bnd    x_v1    0", " LI bnd    x_v1    \u0660", "MPS line 31"),
+        (" BV bnd    s_v1\n", " BV bnd    s_v1\n UI bnd    s_v1    3\n", "'s_v1'"),
+        (" UI bnd    x_v1    2\n", " UI bnd    x_v1    2\n BV bnd    x_v1\n", "'x_v1'"),
+        (" UI bnd    x_v1    2\n", " UI bnd    x_v1    2\n LI bnd    x_v1    1\n", "MPS line 33"),
+        (P2_MPS, "", "no variables"),
     ], ids=["row-twice", "second-objective", "row-type", "split-column", "rhs-on-objective",
-            "unknown-section", "outside-sections"])
+            "unknown-section", "outside-sections", "rhs-twice", "underscore-digits",
+            "non-ascii-rhs", "non-ascii-bound", "binary-then-integer", "integer-then-binary",
+            "bound-twice", "empty"])
     def test_mps_other_defects(self, old, new, where):
         self.check(milp.parse_mps, edited(P2_MPS, old, new), where)
 
@@ -408,10 +458,26 @@ class TestMalformedText:
         ("x_v1 - x_v2 + 3 y_v1__v2", "x_v1 - x_v2 + 2.5 y_v1__v2", "LP line 7"),
         (" 0 <= s_v2 <= 1\n", " 0 <= s_v1 <= 1\n", "LP line 11"),
         ("Minimize\n", "", "LP line 2"),
+        (" cover_v2:", " cover_v1:", "LP line 6"),
+        ("3 y_v1__v2 <= 2", "3 y_v1__v2 <= \u0662", "LP line 7"),
+        ("+ 3 y_v1__v2", "+ \u0663 y_v1__v2", "LP line 7"),
+        (" 0 <= x_v1 <= 2", " 0 <= x_v1 <= \u0662", "LP line 12"),
+        (" x_v1\n x_v2\n", " x_v2\n", "'x_v1'"),
+        ("Binaries\n", "Binaries\n x_v1\n", "'x_v1'"),
+        (P2_LP, "", "no variables"),
     ], ids=["junk-between-terms", "missing-sign", "fraction", "bound-twice",
-            "outside-sections"])
+            "outside-sections", "label-twice", "non-ascii-rhs", "non-ascii-coefficient",
+            "non-ascii-bound", "neither-kind", "both-kinds", "empty"])
     def test_lp_other_defects(self, old, new, where):
         self.check(milp.parse_lp, edited(P2_LP, old, new), where)
+
+
+def test_signed_integers_read_back():
+    """Both readers take an explicitly signed ASCII integer."""
+    lp = milp.parse_lp(edited(P2_LP, " 0 <= x_v1 <= 2", " +0 <= x_v1 <= +2"))
+    mps = milp.parse_mps(edited(P2_MPS, "    rhs    cover_v1    1", "    rhs    cover_v1    +1"))
+    assert lp == milp.parse_lp(P2_LP)
+    assert mps == milp.parse_mps(P2_MPS)
 
 
 def test_mps_row_without_rhs_entry_has_rhs_zero():
