@@ -1,9 +1,11 @@
 """Cut vertices, biconnected components, pendant paths, graph classes.
 
 Everything here is read from one :class:`GraphProfile` per graph, built by
-:func:`profile` in a single O(n + m) pass (one block DFS plus per-vertex
-arrays) and kept on the graph, which is never mutated, so the analysis
-runs once however many solvers ask for it. :func:`blocks`,
+:func:`profile` in a single O(n + m) pass and kept on the graph, which is
+never mutated, so the analysis runs once however many solvers ask for it.
+A graph with n - 1 edges takes one breadth-first search: if it is
+connected it is a tree, and its blocks are its edges. Any other graph
+takes one block DFS. Per-vertex arrays follow either way. :func:`blocks`,
 :func:`classify_cut_vertices`, :func:`recognize`, :func:`is_path_graph`
 and :func:`pendant_path_inventory` are accessors over that profile.
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 from .errors import DisconnectedError, GraphError
 from .graphs import Graph
@@ -190,9 +193,7 @@ def _pendant_paths(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], t
     paths: list[tuple[int, tuple[int, ...]]] = []
     count = [0] * g.n
     adj = g.adj
-    for leaf in range(g.n):
-        if len(adj[leaf]) != 1:
-            continue
+    for leaf in compress(range(g.n), map((1).__eq__, map(len, adj))):
         chain = [leaf]
         prev, cur = leaf, adj[leaf][0]
         while len(adj[cur]) == 2:
@@ -206,24 +207,49 @@ def _pendant_paths(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], t
         # interior chain vertices are cut vertices lying on a pendant path
         for v in chain[:-1]:
             count[v] = 1
-    paths.sort(key=lambda p: (p[0], p[1][0]))
+    paths.sort()  # by attachment vertex, then base: no vertex is the base of two paths
     return tuple(paths), tuple(count)
 
 
 def _analyse(g: Graph) -> GraphProfile:
-    """One O(n + m) pass: the block DFS, then per-vertex arrays."""
-    found = _block_dfs(g)
+    """One O(n + m) pass: a search for a tree, the block DFS for any other
+    graph, then per-vertex arrays."""
+    n = g.n
+    if g.m == n - 1:
+        if not g.is_connected():
+            return GraphProfile(False, None, None, None)
+        # a tree: each edge is a block, and a vertex lies in one block per edge
+        return _connected_profile(g, tuple(g.edges()), list(map(len, g.adj)), {}, True, True)
+    return _profile_from_blocks(g, _block_dfs(g))
+
+
+def _profile_from_blocks(
+        g: Graph, found: list[tuple[tuple[int, ...], int, tuple[int, ...] | None]] | None,
+) -> GraphProfile:
+    """The profile from the block DFS's list, or a disconnected one for None."""
     if found is None:
         return GraphProfile(False, None, None, None)
-    n, m = g.n, g.m
     block_sets = tuple(blk for blk, _, _ in found)
-    membership = [0] * n
+    membership = [0] * g.n
     for blk in block_sets:
         for v in blk:
             membership[v] += 1
+    return _connected_profile(
+        g, block_sets, membership,
+        {blk: walk for blk, _, walk in found if walk is not None},
+        block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e, _ in found),
+        cactus=all(e == len(blk) for blk, e, _ in found if len(blk) > 2))
+
+
+def _connected_profile(g: Graph, block_sets: tuple[tuple[int, ...], ...], membership: list[int],
+                       cycles: dict[tuple[int, ...], tuple[int, ...]],
+                       block_graph: bool, cactus: bool) -> GraphProfile:
+    """Taxonomy and class of a connected graph from its sorted blocks and
+    the number of blocks holding each vertex."""
+    n, m = g.n, g.m
     # in a connected graph the cut vertices are the vertices of two or more blocks
-    cut_vertices = tuple(v for v in range(n) if membership[v] >= 2)
-    path = n == 1 or (m == n - 1 and max(len(a) for a in g.adj) <= 2)
+    cut_vertices = tuple(compress(range(n), map((2).__le__, membership)))
+    path = n == 1 or (m == n - 1 and max(map(len, g.adj)) <= 2)
     if path:
         pendant_paths, counts = (), (0,) * n
         taxonomy = CutVertexTaxonomy((), (), (), (), (), counts)
@@ -239,10 +265,9 @@ def _analyse(g: Graph) -> GraphProfile:
         path=path,
         cycle=n >= 3 and m == n and all(len(a) == 2 for a in g.adj),
         tree=m == n - 1,
-        block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e, _ in found),
-        cactus=all(e == len(blk) for blk, e, _ in found if len(blk) > 2),
+        block_graph=block_graph,
+        cactus=cactus,
     )
-    cycles = {blk: walk for blk, _, walk in found if walk is not None}
     return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial, cycles),
                         taxonomy, graph_class)
 

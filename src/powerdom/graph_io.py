@@ -3,6 +3,11 @@
 All readers drop self-loops and duplicate edges, so the returned graph is
 simple. Vertex indexing is deterministic: first appearance for edge lists,
 1..n declaration order for the indexed formats.
+
+Edge-list text without a ``#`` whose every line holds zero or two tokens
+is read with one ``str.split`` of the whole text: every line boundary is
+whitespace to ``str.split``, so the tokens are those of the lines. Any
+other text is read line by line, which names the line of an error.
 """
 
 from __future__ import annotations
@@ -21,28 +26,38 @@ def load_graph(source: str | IO[str], fmt: str = "edgelist") -> Graph:
         text = source.read()
     else:
         text = source
-    lines = text.splitlines()
     if fmt == "edgelist":
-        return _parse_edgelist(lines)
+        return _parse_edgelist(text)
     if fmt == "dimacs":
-        return _parse_dimacs(lines)
+        return _parse_dimacs(text.splitlines())
     if fmt == "matrixmarket":
-        return _parse_matrixmarket(lines)
+        return _parse_matrixmarket(text.splitlines())
     raise ParseError(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
 
 
-def _parse_edgelist(lines: Iterable[str]) -> Graph:
-    pairs: list[tuple[str, str]] = []
+def _parse_edgelist(text: str) -> Graph:
+    labels = _edgelist_labels(text)
+    if not labels:
+        raise ParseError("empty graph: no edges found")
+    ends = iter(labels)
+    return Graph.from_labeled_edges(zip(ends, ends))
+
+
+def _edgelist_labels(text: str) -> list[str]:
+    """Both labels of every edge line in order, comments and blank lines
+    skipped; a line with another number of tokens is refused by number."""
+    lines = text.splitlines()
+    if "#" not in text and {0, 2}.issuperset(map(len, map(str.split, lines))):
+        return text.split()
+    labels: list[str] = []
     for no, raw in enumerate(lines, start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if len(tokens) != 2:
             if not tokens:
                 continue
             raise ParseError(f"expected two labels, got {len(tokens)} tokens", line=no)
-        pairs.append((tokens[0], tokens[1]))
-    if not pairs:
-        raise ParseError("empty graph: no edges found")
-    return Graph.from_labeled_edges(pairs)
+        labels += tokens
+    return labels
 
 
 def _parse_dimacs(lines: Iterable[str]) -> Graph:
@@ -135,7 +150,8 @@ def _parse_matrixmarket(lines: Iterable[str]) -> Graph:
 def dump_edgelist(g: Graph) -> str:
     """Serialize ``g`` as edge list text (one 'u v' line per edge)."""
     for lab in g.labels:
-        if any(ch.isspace() for ch in lab) or lab.startswith("#"):
+        # the reader takes a whole whitespace-free token and cuts comments at any '#'
+        if lab.split() != [lab] or "#" in lab:
             raise GraphError(f"label {lab!r} cannot be written as edge list")
     lines = [f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"

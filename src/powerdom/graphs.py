@@ -7,13 +7,15 @@ here runs in O(n + m). Subset searches build their own neighbor bitmasks.
 Outside input (labels and an edge list) is validated once, by
 ``Graph.__init__``. Derived graphs (subgraphs, edge surgery, attached
 leaves) and ``from_labeled_edges`` build their sorted rows directly and
-hand them to the trusting ``Graph._from_rows``.
+hand them to the trusting ``Graph._from_rows``. Rows built from an edge
+list are per-vertex neighbor lists, sorted; a row is rebuilt through a
+set only when it holds a repeated edge or a loop.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress
+from itertools import chain, compress
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import GraphError
@@ -65,12 +67,17 @@ def fresh_label(taken: Container[str], stem: str) -> str:
 
 def _sorted_rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor rows of in-range edges; loops and repeats dropped."""
-    neighbor_sets: list[set[int]] = [set() for _ in range(n)]
+    rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if u != v:
-            neighbor_sets[u].add(v)
-            neighbor_sets[v].add(u)
-    return tuple(tuple(sorted(s)) for s in neighbor_sets)
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row.sort()
+    # a loop puts its vertex twice into its own row, so both show as a repeat
+    if sum(map(len, map(set, rows))) < sum(map(len, rows)):
+        rows = [sorted(set(row) - {u}) if len(set(row)) < len(row) else row
+                for u, row in enumerate(rows)]
+    return tuple(map(tuple, rows))
 
 
 class Graph:
@@ -116,13 +123,13 @@ class Graph:
     @classmethod
     def from_labeled_edges(cls, pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from label pairs; indices follow first appearance."""
-        index: dict[str, int] = {}
-        # left to right: the second setdefault sees the first one's label
-        edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index)))
-                 for a, b in pairs]
-        if not index:
+        tokens = list(chain.from_iterable(pairs))
+        labels = tuple(dict.fromkeys(tokens))  # first appearance, left end first
+        if not labels:
             raise GraphError("graph must have at least one vertex")
-        return cls._from_rows(tuple(index), _sorted_rows(len(index), edges), index)
+        index = dict(zip(labels, range(len(labels))))
+        ends = map(index.__getitem__, tokens)
+        return cls._from_rows(labels, _sorted_rows(len(labels), zip(ends, ends)), index)
 
     # -- basic accessors ------------------------------------------------
 

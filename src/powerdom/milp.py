@@ -90,9 +90,10 @@ _row = partial(tuple.__new__, Constraint)
 class MilpModel:
     """Solver-agnostic variable/constraint container.
 
-    ``meta`` carries the originating graph and horizon so the built-in
-    validator can reconstruct solutions; it is excluded from equality so
-    that a model re-read from disk compares equal to the original.
+    ``meta`` carries the originating graph, its name table and the horizon
+    so the built-in validator can reconstruct solutions; it is excluded
+    from equality so that a model re-read from disk compares equal to the
+    original.
     """
 
     name: str
@@ -143,7 +144,9 @@ def _names(g: Graph) -> tuple[list[str], list[tuple[int, int, str]]]:
     vertex, and every arc (each edge in both directions, tail-major) with
     its ``u__v`` suffix. Every variable and row name is a prefix followed
     by one of these. A label that cleans to the name of an earlier vertex
-    takes the first free name with underscores appended."""
+    takes the first free name with underscores appended. :func:`build_model1`
+    builds it once and keeps it in the model's ``meta``, where the
+    connectivity extension, the encoder and the decoder read it."""
     labs = [_SANITIZE.sub("_", lab) for lab in g.labels]
     taken, seen = set(labs), set()
     for v, lab in enumerate(labs):
@@ -202,7 +205,7 @@ def build_model1(g: Graph, t: int | None = None) -> MilpModel:
         variables=tuple(variables),
         objective=tuple(s_one),
         constraints=tuple(constraints),
-        meta={"graph": g, "horizon": horizon, "connected": False},
+        meta={"graph": g, "names": (labs, arcs), "horizon": horizon, "connected": False},
     )
 
 
@@ -217,7 +220,7 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
         raise ModelError("connectivity constraints already present")
     if model.meta.get("graph") is not g and model.meta.get("graph") != g:
         raise ModelError("model was not built from this graph")
-    labs, arcs = _names(g)
+    labs, arcs = model.meta["names"]
     root = ["zr_" + lab for lab in labs]
     z = ["z_" + uv for _, _, uv in arcs]
     rank = ["o_" + lab for lab in labs]
@@ -282,7 +285,7 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
     """Turn a propagation run into a full variable assignment."""
     g: Graph = model.meta["graph"]
     horizon: int = model.meta["horizon"]
-    labs, arcs = _names(g)
+    labs, arcs = model.meta["names"]
     chosen_set = set(chosen)
     assignment = {"s_" + lab: int(v in chosen_set) for v, lab in enumerate(labs)}
     colored_at = {v: 0 for v in chosen_set}
@@ -319,8 +322,7 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
         tuple[int, ...], propagation.PropagationTrace]:
     """Read the selected set and its force schedule back out of a feasible
     assignment produced by this module."""
-    g: Graph = model.meta["graph"]
-    labs, arcs = _names(g)
+    labs, arcs = model.meta["names"]
     chosen = tuple(v for v, lab in enumerate(labs) if assignment["s_" + lab] == 1)
     chosen_set = set(chosen)
     forces = []

@@ -7,6 +7,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerdom import propagation, structural
 from powerdom.errors import GraphError, ParseError
@@ -39,6 +41,31 @@ def seeded_graphs(seed: str, count: int):
               lambda rng, n: random_tree_with_chords(rng, n, n // 4))
     for i in range(count):
         yield rng, makers[i % len(makers)](rng, rng.randint(3, 40))
+
+
+# every line boundary of str.splitlines, and whitespace that is not one
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+SPACES = (" ", "  ", "\t", " \t ", "\xa0", "\u2003", "\u3000", "\x1f")
+
+
+def noisy_lines(rng: random.Random, pairs: list[tuple[str, str]], comments: bool) -> list[str]:
+    """One line per pair, with random separators and padding and blank
+    lines mixed in; with ``comments``, comment lines and trailing comments."""
+    blanks = ["", "   ", "\t\xa0"] + (["# comment", "\t# a b"] if comments else [])
+    lines = [rng.choice(["", " ", "\u3000"]) + a + rng.choice(SPACES) + b + rng.choice(["", "\t"])
+             for a, b in pairs]
+    for at in range(0, len(lines), 7):
+        lines.insert(at, rng.choice(blanks))
+    if comments:
+        lines = [line + "  # trailing" if rng.random() < 0.2 else line for line in lines]
+        lines.insert(rng.randint(0, len(lines)), "# edges")
+    return lines
+
+
+def joined(rng: random.Random, lines: list[str]) -> str:
+    """The lines, each ended by a random line boundary."""
+    return "".join(line + rng.choice(LINE_BREAKS) for line in lines)
 
 
 def assert_same_graph(got: Graph, expected: Graph) -> None:
@@ -130,23 +157,51 @@ class TestLoaders:
             load_graph(text, "matrixmarket")
 
     def test_edgelist_matches_the_validating_constructor(self):
-        """With repeated edges, loops, comments and blank lines mixed in,
-        the reader's graph equals Graph(labels by first appearance, edges)."""
-        for rng, g in seeded_graphs("loaders", 60):
+        """With repeated edges, loops, blank lines, every kind of line break
+        and tabs and non-ASCII spaces inside lines, and with comments in a
+        third of the texts, the reader's graph equals Graph(labels by first
+        appearance, edges)."""
+        read_whole = 0
+        for i, (rng, g) in enumerate(seeded_graphs("loaders", 90)):
             pairs = [(g.labels[u], g.labels[v]) for u, v in g.edges()]
             pairs += rng.sample(pairs, len(pairs) // 3) + [(lab, lab) for lab in g.labels[:3]]
             pairs = [pair[::-1] if rng.random() < 0.5 else pair for pair in pairs]
             rng.shuffle(pairs)
-            lines = [f"{a} {b}" for a, b in pairs]
-            for at in range(0, len(lines), 7):
-                lines.insert(at, rng.choice(["", "   ", "# comment", "\t# a b"]))
-            lines = [line + "  # trailing" if rng.random() < 0.2 else line for line in lines]
+            text = joined(rng, noisy_lines(rng, pairs, comments=i % 3 == 0))
+            read_whole += "#" not in text
             index: dict[str, int] = {}
             for pair in pairs:
                 for lab in pair:
                     index.setdefault(lab, len(index))
             expected = Graph(list(index), [(index[a], index[b]) for a, b in pairs])
-            assert_same_graph(load_graph("\n".join(lines)), expected)
+            assert_same_graph(load_graph(text), expected)
+        assert read_whole == 60
+
+    def test_every_line_break_is_whitespace_to_split(self):
+        """The reader takes the tokens of comment-free text from one split
+        of the whole text, which needs every line boundary to be whitespace."""
+        breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2]
+        assert set(breaks) == {brk for brk in LINE_BREAKS if len(brk) == 1}
+        for brk in LINE_BREAKS:
+            assert f"a{brk}b".split() == f"a{brk}b".splitlines() == ["a", "b"]
+
+    @pytest.mark.parametrize("bad", ["lonely", "x y z", "p\tq\u2003r", "a\xa0b c d"])
+    def test_edgelist_bad_line_is_named(self, bad):
+        """A line without exactly two tokens is refused with its number as
+        str.splitlines counts it, with or without comments in the text."""
+        rng = random.Random(bad)
+        for trial in range(40):
+            pairs = [(f"v{rng.randrange(20)}", f"v{rng.randrange(20)}")
+                     for _ in range(rng.randint(1, 30))]
+            lines = noisy_lines(rng, pairs, comments=trial % 2 == 0)
+            lines.insert(rng.randint(0, len(lines)), bad)
+            text = joined(rng, lines)
+            no = text.splitlines().index(bad) + 1
+            with pytest.raises(ParseError) as info:
+                load_graph(text)
+            assert str(info.value) == (
+                f"line {no}: expected two labels, got {len(bad.split())} tokens")
+            assert info.value.line == no
 
     def test_dump_roundtrip(self):
         g = random_connected_graph(random.Random(7), 9)
@@ -155,6 +210,32 @@ class TestLoaders:
         loaded = {frozenset((again.labels[u], again.labels[v])) for u, v in again.edges()}
         assert loaded == original
         assert set(again.labels) == set(g.labels)
+
+
+    @pytest.mark.parametrize("label", ["a#b", "a#", "#a", "", "a b", "a\tb", "a\u2028b",
+                                       "a\x1fb"])
+    def test_dump_refuses_labels_it_cannot_read_back(self, label):
+        g = Graph([label, "c", "d"], [(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="cannot be written as edge list"):
+            dump_edgelist(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text("ab#é- \t\n\r\x1c\x85\xa0\u2028", max_size=3),
+                min_size=2, max_size=6, unique=True))
+def test_dump_round_trip_or_refusal(labels):
+    """A path over any labels, so first appearance keeps the ids: dumped
+    text reads back as the same graph, and the writer refuses exactly the
+    labels the reader would split or cut (empty, with whitespace or '#')."""
+    g = Graph(labels, [(i, i + 1) for i in range(len(labels) - 1)])
+    unreadable = any(not lab or "#" in lab or any(ch.isspace() for ch in lab) for lab in labels)
+    try:
+        text = dump_edgelist(g)
+    except GraphError:
+        assert unreadable
+    else:
+        assert not unreadable
+        assert_same_graph(load_graph(text), g)
 
 
 class TestSurgery:

@@ -71,6 +71,19 @@ class TestMtz:
         extended = milp.add_mtz_connectivity(milp.build_model1(g), g)
         assert milp.solve_small(extended).objective_value == 1
 
+    def test_name_table_built_once_per_graph(self, monkeypatch):
+        """The builder's name table serves the connectivity extension, the
+        encoder and the decoder of the same model."""
+        calls = []
+        names = milp._names
+        monkeypatch.setattr(milp, "_names", lambda g: calls.append(g) or names(g))
+        g = two_triangles_bridge()
+        model = milp.add_mtz_connectivity(milp.build_model1(g), g)
+        solution = milp.solve_small(model)
+        chosen, _ = milp.decode_assignment(model, solution.assignment)
+        assert chosen == exact.min_cpds(g).witness
+        assert calls == [g]
+
     def test_bridge_graph_value_rises(self):
         g = two_triangles_bridge()
         plain = milp.solve_small(milp.build_model1(g))

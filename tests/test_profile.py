@@ -7,6 +7,8 @@ enumeration oracle on hypothesis-generated graphs with a cut vertex.
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import random
 import time
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powerdom import decomposition, exact, spread, structural
+from powerdom import cli, decomposition, exact, spread, structural
 from powerdom.decomposition import (
     blocks,
     classify_cut_vertices,
@@ -24,6 +26,7 @@ from powerdom.decomposition import (
     recognize,
 )
 from powerdom.errors import DisconnectedError
+from powerdom.graph_io import load_graph
 from powerdom.graphs import Graph, path_graph
 
 from conftest import (
@@ -194,9 +197,11 @@ class TestAnalyseOnce:
             naive.optimum, naive.witness, naive.method)
 
     def test_structural_solvers_share_the_analysis(self, monkeypatch):
+        """One profile build per graph, counted at ``_analyse`` because a
+        tree is profiled without the block DFS."""
         calls = []
-        original = decomposition._block_dfs
-        monkeypatch.setattr(decomposition, "_block_dfs",
+        original = decomposition._analyse
+        monkeypatch.setattr(decomposition, "_analyse",
                             lambda h: calls.append(h) or original(h))
         rng = random.Random(8)
         for make in (random_tree, random_cactus, random_block_graph):
@@ -204,6 +209,86 @@ class TestAnalyseOnce:
             structural.solve_cpds(g)
             structural.solve_cpds(g)
         assert len(calls) == 3
+
+
+def relabelled(rng: random.Random, g: Graph) -> Graph:
+    """``g`` with its vertex ids permuted at random; each vertex keeps its label."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    labels = [""] * g.n
+    for v, lab in enumerate(g.labels):
+        labels[perm[v]] = lab
+    return Graph(labels, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def star(n: int) -> Graph:
+    return Graph([str(i) for i in range(n)], [(0, i) for i in range(1, n)])
+
+
+def spider(rng: random.Random, legs: int) -> Graph:
+    """A center with ``legs`` paths of random lengths hanging from it."""
+    edges, n = [], 1
+    for _ in range(legs):
+        prev = 0
+        for _ in range(rng.randint(1, 5)):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return Graph([str(i) for i in range(n)], edges)
+
+
+def seeded_trees(rng: random.Random):
+    """Random trees, paths (one and two vertices included), stars and spiders."""
+    for n in range(1, 8):
+        yield path_graph(n)
+    for _ in range(40):
+        yield random_tree(rng, rng.randint(3, 80))
+        yield path_graph(rng.randint(3, 40))
+        yield star(rng.randint(3, 30))
+        yield spider(rng, rng.randint(1, 8))
+
+
+def assert_same_fields(got, expected) -> None:
+    """Every dataclass field equal, those left out of ``==`` included."""
+    for part in dataclasses.fields(got):
+        mine, theirs = getattr(got, part.name), getattr(expected, part.name)
+        if dataclasses.is_dataclass(mine):
+            assert_same_fields(mine, theirs)
+        else:
+            assert mine == theirs, part.name
+
+
+class TestTreeProfile:
+    """A graph with n - 1 edges is profiled by one search instead of the
+    block DFS: if it is connected, its blocks are its edges."""
+
+    def test_matches_the_block_dfs(self, monkeypatch):
+        rng = random.Random("tree profile")
+        dfs = decomposition._block_dfs
+        monkeypatch.setattr(decomposition, "_block_dfs", None)  # a tree must not call it
+        shapes = 0
+        for tree in seeded_trees(rng):
+            g = relabelled(rng, tree)
+            got = decomposition._analyse(g)
+            expected = decomposition._profile_from_blocks(g, dfs(g))
+            assert_same_fields(got, expected)
+            assert got.connected and got.graph_class.tree
+            assert got.decomposition.block_tree == expected.decomposition.block_tree
+            shapes += 1
+        assert shapes == 7 + 4 * 40
+
+    def test_disconnected_with_n_minus_one_edges(self, monkeypatch):
+        text = "a b\nb c\nc a\nd e\n"  # a triangle and a disjoint edge
+        g = load_graph(text)
+        assert (g.n, g.m) == (5, 4)
+        monkeypatch.setattr(decomposition, "_block_dfs", None)
+        info = profile(g)
+        assert not info.connected
+        assert info.decomposition is info.taxonomy is info.graph_class is None
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["solve", "-", "--problem", "cpd"], stdout=out, stderr=err,
+                        stdin=io.StringIO(text))
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().count("\n") == 1 and "connected" in err.getvalue()
 
 
 class TestScaling:
@@ -241,6 +326,20 @@ class TestScaling:
         result = structural.solve_cpds(g)
         assert time.perf_counter() - started < 2.0
         assert result.method == exact.METHOD_CACTUS and result.optimum == 1
+
+    def test_tree_from_edge_list_text(self):
+        """Read and profile a 64k-vertex tree with shuffled labels."""
+        rng = random.Random(64)
+        n = 64_000
+        names = [f"t{i}" for i in range(n)]
+        rng.shuffle(names)
+        text = "".join(f"{names[i]} {names[rng.randrange(i)]}\n" for i in range(1, n))
+        started = time.perf_counter()
+        g = load_graph(text)
+        info = profile(g)
+        assert time.perf_counter() - started < 4.0
+        assert (g.n, g.m) == (n, n - 1)
+        assert info.graph_class.tree and len(info.decomposition.blocks) == n - 1
 
     def test_long_path_profile(self):
         g = path_graph(self.N)
