@@ -362,6 +362,9 @@ def _cmd_check(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     labels = [part.strip() for part in args.vertex_set.split(",") if part.strip()]
     vertices = g.indices_of(labels)
+    if len(set(vertices)) < len(vertices):
+        repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
+        raise _UsageError(f"repeated vertex label {repeated!r}")
     ok, trace = propagation.is_power_dominating(g, vertices)
     connected = propagation.is_connected_set(g, vertices)
     valid = ok and (connected or args.problem == "pd")
@@ -406,8 +409,7 @@ def _cmd_batch(args, out, err, stdin) -> int:
                 # one search gives gamma_P and, with every optimum, the ppt
                 pd_result = exact.min_pds(g, budget, all_optima=not args.skip_ppt)
                 row["gamma_p"] = pd_result.optimum
-                if not args.skip_ppt:
-                    pd_ppt = exact.fastest_optimum(g, pd_result)
+                pd_ppt = pd_result.ppt
                 # kept alive through the cpd solve, it raised peak RSS by 0.3 MB
                 del pd_result
             if "cpd" in problems:

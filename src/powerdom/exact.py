@@ -4,10 +4,13 @@ These are the oracles everything else is validated against, the integer
 programming validator included. They search level by level in ascending
 cardinality and return every optimum of the first level that has one, with
 the lexicographically smallest as the witness. Power domination, with or
-without a round limit, and zero forcing run on one fort-driven search that
-prunes with the forts its failed closures leave behind. Exceeding the
-configured budget raises a typed error rather than degrading to a
-heuristic.
+without a round limit, and zero forcing run on one fort-driven search. It
+shrinks each fort a failed closure leaves behind to a minimal fort, prunes
+with the forts it has learned, cuts a node when a packing of disjoint
+missed forts needs more vertices than the level has left, and reads the
+propagation time of each optimum off the closure that accepts it.
+Exceeding the configured budget raises a typed error rather than degrading
+to a heuristic.
 
 The connected solvers, with or without a round limit, exploit one
 structural fact: every connected power dominating set of a non-path graph
@@ -84,7 +87,9 @@ class SolveResult:
 
     The witness always verifies through the propagation engine and, for the
     enumeration methods, is the lexicographically smallest optimum.
-    ``all_optima`` is populated only on request since it can be huge.
+    ``all_optima`` is populated only on request since it can be huge; the
+    exact (connected) power domination searches then also set ``ppt``, the
+    least propagation time over those optima.
     """
 
     optimum: int
@@ -92,13 +97,15 @@ class SolveResult:
     trace: propagation.PropagationTrace
     method: str
     all_optima: tuple[tuple[int, ...], ...] | None = None
+    ppt: int | None = None
 
     def witness_labels(self, g: Graph) -> tuple[str, ...]:
         return g.labels_of(self.witness)
 
 
 def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
-            all_optima: tuple[tuple[int, ...], ...] | None = None) -> SolveResult:
+            all_optima: tuple[tuple[int, ...], ...] | None = None,
+            ppt: int | None = None) -> SolveResult:
     """Wrap a witness in a SolveResult after re-verifying it."""
     wit = tuple(sorted(witness))
     ok, trace = propagation.is_power_dominating(g, wit)
@@ -106,11 +113,45 @@ def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
         raise SolverInternalError(f"method {method} produced a non power dominating set")
     if connected and not propagation.is_connected_set(g, wit):
         raise SolverInternalError(f"method {method} produced a disconnected set")
-    return SolveResult(len(wit), wit, trace, method, all_optima)
+    return SolveResult(len(wit), wit, trace, method, all_optima, ppt)
 
 
 def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
     return sorted(tuple(iter_bits(m)) for m in masks)
+
+
+def _minimal_fort(g: Graph, fort: int, deadline: float | None) -> int:
+    """A minimal fort inside the fort ``fort``.
+
+    The forcing closure of a set leaves uncolored the union of the forts it
+    misses. So for each vertex v of the fort in ascending order that is
+    still in it, the closure of the vertices outside it plus v leaves the
+    union of the forts inside it without v; when that is not empty it
+    becomes the fort. Afterwards no vertex can be left out, so the fort is
+    minimal. Each closure costs O(n + m).
+    """
+    everyone = g.full_mask
+    for v in iter_bits(fort):
+        low = 1 << v
+        if fort & low:
+            _check_deadline(deadline)
+            rest, _ = propagation._unforced(g, (everyone ^ fort) | low)
+            if rest:
+                fort = rest
+    return fort
+
+
+def _packs_more_than(free: list[int], room: int) -> bool:
+    """True when more than ``room`` of the hitter masks ``free`` are
+    pairwise disjoint, taking them greedily, fewest hitters first."""
+    taken = count = 0
+    for hit in sorted(free, key=int.bit_count):
+        if not hit & taken:
+            count += 1
+            if count > room:
+                return True
+            taken |= hit
+    return False
 
 
 def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
@@ -121,16 +162,22 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     A fort is a non-empty vertex set that no outside vertex has exactly one
     neighbor in. A set colors ``g`` only if its closed neighborhood meets
     every fort, and a failed closure leaves a fort uncolored. The search
-    keeps the forts it learns across levels, each as the mask of its
-    hitters (the vertices whose closed neighborhood meets it). A node is a
-    chosen set and a banned set. It branches on the unbanned hitters of
-    the missed fort with the fewest of them, in ascending order, banning
-    each hitter after its branch, so every k-set is reached at most once.
-    When every learned fort is hit, one closure either yields a new fort
-    to branch on, an optimum (k vertices that color ``g`` within
-    ``rounds``), or, for a smaller set that colors ``g`` too slowly,
-    branches on every unbanned vertex. Every optimum of the first level
-    that has one is found, and they are returned sorted.
+    shrinks that fort to a minimal one (:func:`_minimal_fort`) and keeps
+    the forts it learns across levels, each as the mask of its hitters
+    (the vertices whose closed neighborhood meets it). A node is a chosen
+    set and a banned set. When more forts are missed than the level has
+    vertices left, and a greedy packing of missed forts whose unbanned
+    hitters are pairwise disjoint needs more than that, the node is cut:
+    every completion needs a new vertex for each of them. Otherwise it
+    branches on the unbanned hitters of the missed fort with the fewest of
+    them, in ascending order, banning each hitter after its branch, so
+    every k-set is reached at most once. When every learned fort is hit,
+    one closure either yields a new fort to branch on, an optimum (k
+    vertices that color ``g`` within ``rounds``), or, for a smaller set
+    that colors ``g`` too slowly, branches on every unbanned vertex. Every
+    optimum of the first level that has one is found, and they are
+    returned sorted; with ``all_optima`` the result's ``ppt`` is the least
+    last round of the closures that accepted them.
 
     With ``forcing`` set the search finds zero forcing sets: the closure
     skips the domination step, and a set is zero forcing exactly when it
@@ -144,32 +191,29 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     hitters: list[int] = []
     for k in range(1, g.n + 1):
         found: list[int] = []
+        fastest = g.n
         stack = [(0, 0, 0)]  # chosen, banned, number chosen
         while stack:
             _check_deadline(deadline)
             chosen, banned, size = stack.pop()
-            branch = -1
-            fewest = g.n + 1
-            for hit in hitters:
-                if not hit & chosen:
-                    free = hit & ~banned
-                    count = free.bit_count()
-                    if count < fewest:
-                        branch, fewest = free, count
-                        if count <= 1:
-                            break
-            if branch < 0:
+            missed = [hit & ~banned for hit in hitters if not hit & chosen]
+            if missed:
+                if len(missed) > k - size and _packs_more_than(missed, k - size):
+                    continue
+                branch = min(missed, key=int.bit_count)
+            else:
                 gap, last = closure(g, chosen)
                 if gap:
-                    hit = gap
+                    hit = _minimal_fort(g, gap, deadline)
                     if not forcing:
-                        for v in iter_bits(gap):
+                        for v in iter_bits(hit):
                             hit |= closed[v]
                     hitters.append(hit)
                     branch = hit & ~banned
                 elif size == k:
                     if last <= rounds:
                         found.append(chosen)
+                        fastest = min(fastest, last)
                     continue
                 else:
                     branch = everyone & ~chosen & ~banned
@@ -182,7 +226,8 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
             optima = _sorted_sets(found)
             if not forcing:
                 return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                               all_optima=tuple(optima) if all_optima else None)
+                               all_optima=tuple(optima) if all_optima else None,
+                               ppt=fastest if all_optima else None)
             # every zero forcing set power dominates, so certify would not
             # catch a witness that is not zero forcing
             state, forces = propagation.forcing_closure(g, optima[0])
@@ -215,7 +260,9 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     exactly once. A k-set is tested where the search reaches it: a
     disconnected seed can grow into a disconnected set, so connectivity
     first, then coloring within ``rounds``. Every optimum of the first
-    level that has one is found, and they are returned sorted.
+    level that has one is found, and they are returned sorted; with
+    ``all_optima`` the result's ``ppt`` is the least propagation time over
+    them.
     """
     if rounds < 1:
         raise GraphError("round budget must be at least 1")
@@ -251,8 +298,13 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
                               size + 1))
         if found:
             optima = _sorted_sets(found)
+            if not all_optima:
+                return certify(g, optima[0], METHOD_BRUTE, connected=True)
+            # the fort search's private closure rather than ppt_of_set, so
+            # that the traced benchmark does not count them as feasible sets
+            fastest = min(propagation._uncolored(g, s)[1] for s in found)
             return certify(g, optima[0], METHOD_BRUTE, connected=True,
-                           all_optima=tuple(optima) if all_optima else None)
+                           all_optima=tuple(optima), ppt=fastest)
     raise SolverInternalError("no connected power dominating set found (unreachable)")
 
 
@@ -293,15 +345,8 @@ def l_round_cpd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
 def ppt(g: Graph, budget: Budget = DEFAULT_BUDGET, connected: bool = False) -> int:
     """Minimum propagation time over all minimum (connected) power
     dominating sets."""
-    base = min_cpds(g, budget, all_optima=True) if connected \
-        else min_pds(g, budget, all_optima=True)
-    return fastest_optimum(g, base)
-
-
-def fastest_optimum(g: Graph, base: SolveResult) -> int:
-    """Minimum propagation time over ``base.all_optima``."""
-    assert base.all_optima is not None
-    return min(propagation.ppt_of_set(g, s) for s in base.all_optima)
+    search = min_cpds if connected else min_pds
+    return search(g, budget, all_optima=True).ppt
 
 
 def min_zero_forcing(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:

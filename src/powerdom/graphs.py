@@ -233,9 +233,12 @@ class Graph:
             raise GraphError("cannot delete the only vertex")
         return self.induced_subgraph(u for u in range(self.n) if u != v)[0]
 
-    def delete_edge(self, u: int, v: int) -> "Graph":
+    def _require_edge(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
-            raise GraphError(f"no edge ({u}, {v})")
+            raise GraphError(f"no edge {self.labels[u]},{self.labels[v]}")
+
+    def delete_edge(self, u: int, v: int) -> "Graph":
+        self._require_edge(u, v)
         rows = list(self.adj)
         rows[u] = tuple(w for w in rows[u] if w != v)
         rows[v] = tuple(w for w in rows[v] if w != u)
@@ -247,8 +250,7 @@ class Graph:
         Parallel edges created by the merge collapse and the loop is dropped,
         so the result is again simple.
         """
-        if not self.has_edge(u, v):
-            raise GraphError(f"no edge ({u}, {v})")
+        self._require_edge(u, v)
         keep, drop = min(u, v), max(u, v)
         touched = set(self.adj[drop])
         rows = []
@@ -263,8 +265,7 @@ class Graph:
 
     def subdivide_edge(self, u: int, v: int) -> "Graph":
         """Replace edge uv by a path u-w-v through a new vertex w."""
-        if not self.has_edge(u, v):
-            raise GraphError(f"no edge ({u}, {v})")
+        self._require_edge(u, v)
         w = self.n
         rows = list(self.adj)
         rows[u] = tuple(x for x in rows[u] if x != v) + (w,)

@@ -64,8 +64,6 @@ def vertex_spread(g: Graph, v: int, solver: Solver | None = None,
 def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
                 budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
     """Spread under deletion of a non-cut edge."""
-    if not g.has_edge(u, v):
-        raise GraphError("no such edge")
     removed = g.delete_edge(u, v)
     if not profile(removed).connected:
         raise GraphError("edge is a cut edge; deletion disconnects")
@@ -80,8 +78,9 @@ def contract_edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
                          budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
     """Spread under contraction of an edge (result kept simple)."""
     solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
-    before = solve(g)
+    # after first, so that a non-edge is refused before any solve
     after = solve(g.contract_edge(u, v))
+    before = solve(g)
     return SpreadReport(CONTRACT_EDGE, (g.labels[u], g.labels[v]), before, after,
                         before.optimum - after.optimum)
 
@@ -94,8 +93,9 @@ def subdivide_edge_delta(g: Graph, u: int, v: int, solver: Solver | None = None,
     a negative delta therefore means a solver bug and raises.
     """
     solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
-    before = solve(g)
+    # after first, so that a non-edge is refused before any solve
     after = solve(g.subdivide_edge(u, v))
+    before = solve(g)
     delta = after.optimum - before.optimum
     if delta < 0:
         raise SolverInternalError(

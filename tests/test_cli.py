@@ -178,6 +178,10 @@ class TestCheck:
         code, _, _ = run("check", CACTUS, "--set", ",".join(witness))
         assert code == 0
 
+    def test_repeated_label_is_refused(self):
+        assert run("check", TREE, "--set", "c1,c2,c1") == (
+            1, "", "usage error: repeated vertex label 'c1'\n")
+
 
 class TestPpt:
     def test_brute(self):
@@ -200,6 +204,11 @@ class TestSpreadCommand:
         code, _, err = run("spread", CACTUS, "--op", "delete-vertex",
                            "--target", "v1,v2")
         assert code == 1
+
+    @pytest.mark.parametrize("op", ["delete-edge", "contract-edge", "subdivide-edge"])
+    def test_non_edge_is_named_by_its_labels(self, op):
+        assert run("spread", "-", "--op", op, "--target", "a,d",
+                   stdin="a b\nb c\nc a\nc d\n") == (1, "", "usage error: no edge a,d\n")
 
 
 class TestModelCommand:

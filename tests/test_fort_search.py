@@ -5,12 +5,16 @@ The search must return exactly what checking every k-subset returns: the
 same optimum, the same lexicographically smallest witness and the same
 sorted list of optima, for every round limit, and the same smallest zero
 forcing set. The reference here is the plain subset loop over the
-set-based ``naive_propagate``.
+set-based ``naive_propagate``. Every fort it stores must be minimal, and
+the propagation time it reports with every optimum must be the least one
+over those optima.
 """
 
 from __future__ import annotations
 
 import gc
+import io
+import json
 import random
 import time
 
@@ -18,16 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom import exact, propagation
+from powerdom import exact, graph_io, propagation
+from powerdom.cli import main
 from powerdom.graphs import Graph
 
 from conftest import (
     naive_is_fort,
     naive_min_coloring,
+    naive_propagate,
     naive_trace,
     random_cactus,
     random_connected_graph,
     random_tree,
+    random_tree_with_chords,
 )
 
 GENERATORS = {"tree": random_tree, "cactus": random_cactus, "general": random_connected_graph}
@@ -162,3 +169,95 @@ def test_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def stored_forts(search) -> list[int]:
+    """The forts the fort search stores while ``search()`` runs."""
+    stored = []
+    shrink = exact._minimal_fort
+
+    def recording(*args):
+        kept = shrink(*args)
+        stored.append(kept)
+        return kept
+
+    exact._minimal_fort = recording
+    try:
+        search()
+    finally:
+        exact._minimal_fort = shrink
+    return stored
+
+
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs(), st.sampled_from([1, 2, None]), st.booleans())
+def test_every_stored_fort_is_minimal(g, rounds, forcing):
+    if forcing:
+        stored = stored_forts(lambda: exact.min_zero_forcing(g))
+    else:
+        stored = stored_forts(
+            lambda: exact.l_round_pd(g, g.n if rounds is None else rounds, all_optima=True))
+    assert stored  # the empty set's closure always leaves a fort
+    for mask in stored:
+        fort = {v for v in range(g.n) if mask >> v & 1}
+        assert naive_is_fort(g, fort)
+        outside = set(range(g.n)) - fort
+        for v in fort:
+            # no fort lies inside the fort without v
+            assert fort <= naive_propagate(g, outside | {v}, dominate=False)
+
+
+def least_ppt(g: Graph, result: exact.SolveResult) -> int:
+    return min(propagation.ppt_of_set(g, s) for s in result.all_optima)
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_reported_ppt_is_the_least_over_the_optima(family):
+    rng = random.Random(f"fort/ppt/{family}")
+    for _ in range(20):
+        g = GENERATORS[family](rng, rng.randint(1, 12))
+        results = [exact.min_pds(g, all_optima=True), exact.min_cpds(g, all_optima=True)]
+        results += [exact.l_round_pd(g, rounds, all_optima=True)
+                    for rounds in sorted({1, 2, g.n})]
+        for result in results:
+            assert result.ppt == least_ppt(g, result)
+        assert exact.min_pds(g).ppt is None and exact.min_cpds(g).ppt is None
+
+
+def run_cli(*argv: str, stdin: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    assert main(list(argv), stdout=out, stderr=err, stdin=io.StringIO(stdin)) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("family", sorted(GENERATORS))
+def test_ppt_and_batch_print_the_least_ppt_over_the_optima(family):
+    rng = random.Random(f"fort/ppt-cli/{family}")
+    for _ in range(8):
+        g = GENERATORS[family](rng, rng.randint(2, 12))
+        text = graph_io.dump_edgelist(g)
+        plain = least_ppt(g, exact.min_pds(g, all_optima=True))
+        connected = least_ppt(g, exact.min_cpds(g, all_optima=True))
+        assert run_cli("ppt", "-", stdin=text) == f"ppt: {plain}\n"
+        assert run_cli("ppt", "-", "--connected", stdin=text) == f"ppt: {connected}\n"
+        for problems in ("pd,cpd", "cpd"):
+            row = json.loads(run_cli("batch", "-", "--json", "--problems", problems,
+                                     stdin=text))
+            assert row["ppt"] == plain
+
+
+WIDE = exact.Budget(max_vertices=200)
+
+
+@pytest.mark.parametrize("search,make,optimum,limit", [
+    (exact.min_pds, lambda: hubs(16), 16, 1.0),
+    (exact.min_pds, lambda: random_tree(random.Random(4), 40), 6, 1.0),
+    (exact.min_zero_forcing, lambda: random_tree(random.Random(30), 30), 10, 2.0),
+    (exact.min_zero_forcing, lambda: random_tree_with_chords(random.Random(2), 24, 6), 7, 1.0),
+], ids=["pd-hubs16", "pd-tree40", "zf-tree30", "zf-tree24-chords6"])
+def test_reach_within_a_wall_limit(search, make, optimum, limit):
+    g = make()
+    started = time.perf_counter()
+    result = search(g, WIDE)
+    assert time.perf_counter() - started < limit
+    assert result.optimum == optimum

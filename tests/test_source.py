@@ -1,0 +1,19 @@
+"""Guards over the package source itself."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "powerdom"
+
+
+def test_no_assert_statements():
+    """``python -O`` strips asserts, so a check in ``src/`` raises a typed
+    error instead."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

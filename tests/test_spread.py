@@ -142,3 +142,11 @@ class TestDefaults:
         g = cycle_graph(4)
         report = spread.edge_spread(g, 0, 1, brute)
         assert report.summary() == "delete_edge v1,v2: before=1 after=1 spread=0"
+
+    @pytest.mark.parametrize("operation", [spread.edge_spread, spread.contract_edge_spread,
+                                           spread.subdivide_edge_delta])
+    def test_non_edge_refused_before_any_solve(self, operation):
+        solved = []
+        with pytest.raises(GraphError, match="^no edge v1,v3$"):
+            operation(cycle_graph(4), 0, 2, solved.append)
+        assert solved == []
