@@ -120,7 +120,7 @@ def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
     return sorted(tuple(iter_bits(m)) for m in masks)
 
 
-def _minimal_fort(g: Graph, fort: int, deadline: float | None) -> int:
+def _minimal_fort(nbr: list[int], closed: list[int], fort: int, deadline: float | None) -> int:
     """A minimal fort inside the fort ``fort``.
 
     The forcing closure of a set leaves uncolored the union of the forts it
@@ -128,14 +128,15 @@ def _minimal_fort(g: Graph, fort: int, deadline: float | None) -> int:
     still in it, the closure of the vertices outside it plus v leaves the
     union of the forts inside it without v; when that is not empty it
     becomes the fort. Afterwards no vertex can be left out, so the fort is
-    minimal. Each closure costs O(n + m).
+    minimal. Each closure resumes from the stalled coloring outside the
+    fort and first checks only v's colored closed neighbors, not all of V.
     """
-    everyone = g.full_mask
+    everyone = (1 << len(nbr)) - 1
     for v in iter_bits(fort):
-        low = 1 << v
-        if fort & low:
+        if fort >> v & 1:
             _check_deadline(deadline)
-            rest, _ = propagation._unforced(g, (everyone ^ fort) | low)
+            colored = (everyone ^ fort) | 1 << v
+            rest, _ = propagation._resume(nbr, closed, colored, closed[v] & colored, 1)
             if rest:
                 fort = rest
     return fort
@@ -172,12 +173,12 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     branches on the unbanned hitters of the missed fort with the fewest of
     them, in ascending order, banning each hitter after its branch, so
     every k-set is reached at most once. When every learned fort is hit,
-    one closure either yields a new fort to branch on, an optimum (k
-    vertices that color ``g`` within ``rounds``), or, for a smaller set
-    that colors ``g`` too slowly, branches on every unbanned vertex. Every
-    optimum of the first level that has one is found, and they are
-    returned sorted; with ``all_optima`` the result's ``ppt`` is the least
-    last round of the closures that accepted them.
+    one closure on the neighbor masks either yields a new fort to branch
+    on, an optimum (k vertices that color ``g`` within ``rounds``), or, for
+    a smaller set that colors ``g`` too slowly, branches on every unbanned
+    vertex. Every optimum of the first level that has one is found, and
+    they are returned sorted; with ``all_optima`` the result's ``ppt`` is
+    the least last round of the closures that accepted them.
 
     With ``forcing`` set the search finds zero forcing sets: the closure
     skips the domination step, and a set is zero forcing exactly when it
@@ -186,12 +187,12 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     budget.check_size(g)
     deadline = budget.deadline()
     closure = propagation._unforced if forcing else propagation._uncolored
-    closed = [bits_of(row) | 1 << v for v, row in enumerate(g.adj)]
+    nbr = [bits_of(row) for row in g.adj]
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
     everyone = g.full_mask
     hitters: list[int] = []
     for k in range(1, g.n + 1):
-        found: list[int] = []
-        fastest = g.n
+        found: list[tuple[int, int]] = []  # last round, chosen
         stack = [(0, 0, 0)]  # chosen, banned, number chosen
         while stack:
             _check_deadline(deadline)
@@ -202,9 +203,9 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
                     continue
                 branch = min(missed, key=int.bit_count)
             else:
-                gap, last = closure(g, chosen)
+                gap, last = closure(nbr, closed, chosen)
                 if gap:
-                    hit = _minimal_fort(g, gap, deadline)
+                    hit = _minimal_fort(nbr, closed, gap, deadline)
                     if not forcing:
                         for v in iter_bits(hit):
                             hit |= closed[v]
@@ -212,8 +213,7 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
                     branch = hit & ~banned
                 elif size == k:
                     if last <= rounds:
-                        found.append(chosen)
-                        fastest = min(fastest, last)
+                        found.append((last, chosen))
                     continue
                 else:
                     branch = everyone & ~chosen & ~banned
@@ -223,11 +223,11 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
                 low = 1 << v
                 stack.append((chosen | low, banned | (branch & (low - 1)), size + 1))
         if found:
-            optima = _sorted_sets(found)
+            optima = _sorted_sets(s for _, s in found)
             if not forcing:
                 return certify(g, optima[0], METHOD_BRUTE, connected=False,
                                all_optima=tuple(optima) if all_optima else None,
-                               ppt=fastest if all_optima else None)
+                               ppt=min(found)[0] if all_optima else None)
             # every zero forcing set power dominates, so certify would not
             # catch a witness that is not zero forcing
             state, forces = propagation.forcing_closure(g, optima[0])
@@ -259,10 +259,10 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     each after its branch, so every k-set grown from the seed is reached
     exactly once. A k-set is tested where the search reaches it: a
     disconnected seed can grow into a disconnected set, so connectivity
-    first, then coloring within ``rounds``. Every optimum of the first
-    level that has one is found, and they are returned sorted; with
-    ``all_optima`` the result's ``ppt`` is the least propagation time over
-    them.
+    first, then one closure on neighbor masks that stops after round
+    ``rounds``. Every optimum of the first level that has one is found, and
+    they are returned sorted; with ``all_optima`` the result's ``ppt`` is
+    the least last round of the closures that accepted them.
     """
     if rounds < 1:
         raise GraphError("round budget must be at least 1")
@@ -276,20 +276,23 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     deadline = budget.deadline()
     seed = bits_of(x) | (bits_of(info.taxonomy.mandatory) if seeded else 0)
     nbr = [bits_of(row) for row in g.adj]
+    closed = [m | 1 << v for v, m in enumerate(nbr)]
     seed_reach = 0
     for v in iter_bits(seed):
         seed_reach |= nbr[v]
     everyone = g.full_mask
     start = seed.bit_count()
     for k in range(max(1, start), g.n + 1):
-        found: list[int] = []
+        found: list[tuple[int, int]] = []  # last round, chosen
         stack = [(seed, seed_reach, 0, start)]  # chosen, reach, banned, number chosen
         while stack:
             _check_deadline(deadline)
             chosen, reach, banned, size = stack.pop()
             if size == k:
-                if g.is_connected_mask(chosen) and propagation.colors_within(g, chosen, rounds):
-                    found.append(chosen)
+                if g.is_connected_mask(chosen):
+                    gap, last = propagation._uncolored(nbr, closed, chosen, rounds)
+                    if not gap:
+                        found.append((last, chosen))
                 continue
             branch = (reach if chosen else everyone) & ~chosen & ~banned
             for v in reversed(list(iter_bits(branch))):
@@ -297,14 +300,10 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
                 stack.append((chosen | low, reach | nbr[v], banned | (branch & (low - 1)),
                               size + 1))
         if found:
-            optima = _sorted_sets(found)
-            if not all_optima:
-                return certify(g, optima[0], METHOD_BRUTE, connected=True)
-            # the fort search's private closure rather than ppt_of_set, so
-            # that the traced benchmark does not count them as feasible sets
-            fastest = min(propagation._uncolored(g, s)[1] for s in found)
+            optima = _sorted_sets(s for _, s in found)
             return certify(g, optima[0], METHOD_BRUTE, connected=True,
-                           all_optima=tuple(optima), ppt=fastest)
+                           all_optima=tuple(optima) if all_optima else None,
+                           ppt=min(found)[0] if all_optima else None)
     raise SolverInternalError("no connected power dominating set found (unreachable)")
 
 

@@ -17,10 +17,9 @@ costs O(n + m) per run: it keeps, for each colored vertex, the number of
 its uncolored neighbors, and each round it looks only at the vertices
 whose number dropped to one in the round before. Recording the trace
 (one :class:`Force` per colored vertex) is opt-in for internal callers:
-the functions that return a trace record it, while the yes/no checks used
-inside the enumeration oracles (:func:`colors_within`,
-:func:`is_zero_forcing`, :func:`ppt_of_set`, and :func:`_uncolored` and
-:func:`_unforced`, the closures of the fort-driven search) skip it.
+the functions that return a trace record it, while the yes/no checks skip
+it. The closures of the exact searches (:func:`_uncolored`, :func:`_unforced`)
+run the same rounds on neighbor bitmasks instead (:func:`_resume`).
 """
 
 from __future__ import annotations
@@ -246,20 +245,52 @@ def colors_within(g: Graph, s: Iterable[int] | int, rounds: int) -> bool:
     return front.total == g.n
 
 
-def _uncolored(g: Graph, s: int) -> tuple[int, int]:
-    """Trace-free power domination closure of the vertex mask ``s``: the
-    mask of the vertices it leaves uncolored, and the last round that
-    colored a vertex. A non-empty uncolored set is a fort: no colored
-    vertex has exactly one neighbor in it."""
-    front, _, last = _propagate(g, _members(s), dominate=True, start=2)
-    return front.mask() ^ g.full_mask, last
+def _resume(nbr: list[int], closed: list[int], colored: int, active: int, t: int,
+            limit: int | None = None) -> tuple[int, int]:
+    """Synchronized forcing rounds ``t``, ``t + 1``, ... from the mask
+    ``colored``, on masks ``nbr[v]`` and ``closed[v] = nbr[v] | 1 << v``, until
+    no force fires or round ``limit`` is done. Round ``t`` checks only
+    ``active`` (no other colored vertex may have one uncolored neighbor),
+    each later round the colored closed neighbors of the round's targets.
+    Returns the uncolored mask and the last round that colored a vertex."""
+    uncolored = ((1 << len(nbr)) - 1) ^ colored
+    last = t - 1
+    while active and uncolored and (limit is None or t <= limit):
+        targets = 0
+        while active:
+            low = active & -active
+            left = nbr[low.bit_length() - 1] & uncolored
+            if left and not left & (left - 1):
+                targets |= left
+            active ^= low
+        if not targets:
+            break
+        uncolored ^= targets
+        while targets:
+            low = targets & -targets
+            active |= closed[low.bit_length() - 1]
+            targets ^= low
+        active &= ~uncolored
+        last, t = t, t + 1
+    return uncolored, last
 
 
-def _unforced(g: Graph, s: int) -> tuple[int, int]:
-    """:func:`_uncolored` for the forcing rule alone (no domination step):
-    the uncolored mask, a fort when non-empty, and the last round."""
-    front, _, last = _propagate(g, _members(s), dominate=False, start=1)
-    return front.mask() ^ g.full_mask, last
+def _uncolored(nbr: list[int], closed: list[int], s: int,
+               limit: int | None = None) -> tuple[int, int]:
+    """Power domination closure of the mask ``s`` (:func:`_resume`); without a
+    ``limit``, the uncolored mask it returns is a fort when not empty."""
+    colored = 0
+    while s:
+        low = s & -s
+        colored |= closed[low.bit_length() - 1]
+        s ^= low
+    return _resume(nbr, closed, colored, colored, 2, limit)
+
+
+def _unforced(nbr: list[int], closed: list[int], s: int,
+              limit: int | None = None) -> tuple[int, int]:
+    """:func:`_uncolored` for the forcing rule alone (no domination step)."""
+    return _resume(nbr, closed, s, s, 1, limit)
 
 
 def ppt_of_set(g: Graph, s: Iterable[int] | int) -> int:

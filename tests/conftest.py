@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Iterable
 
+from hypothesis import strategies as st
+
 from powerdom.graphs import Graph
 
 
@@ -31,6 +33,18 @@ def random_connected_graph(rng: random.Random, n: int, extra: int | None = None)
         if u != v:
             more.add((min(u, v), max(u, v)))
     return Graph([str(i) for i in range(n)], base + sorted(more))
+
+
+@st.composite
+def connected_graphs(draw) -> Graph:
+    """Hypothesis strategy: a connected graph on 1..9 vertices, a random
+    spanning tree plus up to n extra edges."""
+    n = draw(st.integers(1, 9))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
+    edges = {(p, v) for v, p in enumerate(parents, start=1)} | set(extra)
+    return Graph([str(v) for v in range(n)], sorted(edges))
 
 
 def random_connected_with_cut_vertex(rng: random.Random, n: int) -> Graph:

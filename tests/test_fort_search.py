@@ -27,6 +27,7 @@ from powerdom.cli import main
 from powerdom.graphs import Graph
 
 from conftest import (
+    connected_graphs,
     naive_is_fort,
     naive_min_coloring,
     naive_propagate,
@@ -87,16 +88,6 @@ def test_zero_forcing_matches_subset_reference(connected):
         assert set(result.trace.final_colored) == colored == set(range(g.n))
 
 
-@st.composite
-def connected_graphs(draw) -> Graph:
-    n = draw(st.integers(1, 9))
-    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
-    edges = {(p, v) for v, p in enumerate(parents, start=1)} | set(extra)
-    return Graph([str(v) for v in range(n)], sorted(edges))
-
-
 @settings(max_examples=150, deadline=None)
 @given(connected_graphs(), st.sampled_from([1, 2, 3, None]))
 def test_matches_subset_reference_property(g, rounds):
@@ -109,8 +100,8 @@ def test_every_learned_fort_is_a_fort(g, rounds):
     learned = []
     closure = propagation._uncolored
 
-    def recording(h, s):
-        gap, last = closure(h, s)
+    def recording(*args):
+        gap, last = closure(*args)
         if gap:
             learned.append(gap)
         return gap, last
@@ -131,8 +122,8 @@ def test_every_learned_zero_forcing_fort_is_a_fort(g):
     learned = []
     closure = propagation._unforced
 
-    def recording(h, s):
-        gap, last = closure(h, s)
+    def recording(*args):
+        gap, last = closure(*args)
         if gap:
             learned.append(gap)
         return gap, last
@@ -217,8 +208,9 @@ def test_reported_ppt_is_the_least_over_the_optima(family):
     for _ in range(20):
         g = GENERATORS[family](rng, rng.randint(1, 12))
         results = [exact.min_pds(g, all_optima=True), exact.min_cpds(g, all_optima=True)]
-        results += [exact.l_round_pd(g, rounds, all_optima=True)
-                    for rounds in sorted({1, 2, g.n})]
+        for rounds in sorted({1, 2, 3, g.n}):
+            results += [exact.l_round_pd(g, rounds, all_optima=True),
+                        exact.l_round_cpd(g, rounds, all_optima=True)]
         for result in results:
             assert result.ppt == least_ppt(g, result)
         assert exact.min_pds(g).ppt is None and exact.min_cpds(g).ppt is None

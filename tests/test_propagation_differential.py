@@ -2,7 +2,9 @@
 
 Every public entry point of the engine is compared on seeded random trees,
 cacti and general graphs (n <= 20), on long paths, spiders and cycles, and
-on hypothesis-generated graphs.
+on hypothesis-generated graphs. The bitmask closures of the exact searches
+(``_uncolored``, ``_unforced`` and the resumed ``_resume``) are compared
+with the engine itself.
 """
 
 from __future__ import annotations
@@ -12,11 +14,18 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerdom import exact
 from powerdom import propagation as prop
 from powerdom.errors import NotPowerDominatingError
-from powerdom.graphs import Graph, cycle_graph, path_graph
+from powerdom.graphs import Graph, bits_of, cycle_graph, iter_bits, path_graph
 
-from conftest import naive_trace, random_cactus, random_connected_graph, random_tree
+from conftest import (
+    connected_graphs,
+    naive_trace,
+    random_cactus,
+    random_connected_graph,
+    random_tree,
+)
 
 
 def spider(legs: tuple[int, ...]) -> Graph:
@@ -134,3 +143,49 @@ def test_engine_matches_reference(case):
     g, s = case
     assert_trace_matches(g, s)
     assert_checks_match(g, s, every_limit=True)
+
+
+def masks(g: Graph) -> tuple[list[int], list[int]]:
+    nbr = [bits_of(row) for row in g.adj]
+    return nbr, [m | 1 << v for v, m in enumerate(nbr)]
+
+
+def engine_closure(g: Graph, s: int, dominate: bool, limit: int | None) -> tuple[int, int]:
+    front, _, last = prop._propagate(g, list(iter_bits(s)), dominate, 2 if dominate else 1,
+                                     limit)
+    return front.mask() ^ g.full_mask, last
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1))
+def test_mask_closures_match_the_engine(g, seed):
+    rng = random.Random(seed)
+    nbr, closed = masks(g)
+    for _ in range(8):
+        s = rng.getrandbits(g.n)
+        for limit in (1, 2, 3, None):
+            assert prop._uncolored(nbr, closed, s, limit) == engine_closure(g, s, True, limit)
+            assert prop._unforced(nbr, closed, s, limit) == engine_closure(g, s, False, limit)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1))
+def test_resumed_closure_matches_a_fresh_one(g, seed):
+    """The vertices outside a fort are a stalled coloring, so a closure of
+    them plus v that checks only v's colored closed neighbors first is the
+    closure of the same set from scratch."""
+    rng = random.Random(seed)
+    nbr, closed = masks(g)
+    for _ in range(8):
+        fort, _ = prop._unforced(nbr, closed, rng.getrandbits(g.n))
+        for v in iter_bits(fort):
+            colored = (g.full_mask ^ fort) | 1 << v
+            resumed = prop._resume(nbr, closed, colored, closed[v] & colored, 1)
+            assert resumed == engine_closure(g, colored, False, None)
+
+
+def test_shrinking_the_path_fort_resumes_from_colored_vertices_only():
+    """On the path 0-1-2-3, V shrinks to {0, 2, 3}. A resumed trial that
+    let the uncolored neighbors of v fire would keep all of V."""
+    nbr, closed = masks(path_graph(4))
+    assert exact._minimal_fort(nbr, closed, 0b1111, None) == 0b1101
