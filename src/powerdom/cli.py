@@ -265,24 +265,22 @@ def _cmd_ppt(args, out, err, stdin) -> int:
 def _cmd_spread(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     budget = _budget(args)
-    solver = None
-    if args.method == "brute":
-        solver = lambda h: exact.min_cpds(h, budget)  # noqa: E731
+    solver = lambda h: structural.solve_cpds(h, args.method, budget)  # noqa: E731
     labels = [part.strip() for part in args.target.split(",") if part.strip()]
     if args.op == "delete-vertex":
         if len(labels) != 1:
             raise _UsageError("delete-vertex takes one vertex label")
-        report = spread.vertex_spread(g, g.index(labels[0]), solver, budget)
+        report = spread.vertex_spread(g, g.index(labels[0]), solver)
     else:
         if len(labels) != 2:
             raise _UsageError(f"{args.op} takes a target of the form u,v")
         u, v = g.index(labels[0]), g.index(labels[1])
         if args.op == "delete-edge":
-            report = spread.edge_spread(g, u, v, solver, budget)
+            report = spread.edge_spread(g, u, v, solver)
         elif args.op == "contract-edge":
-            report = spread.contract_edge_spread(g, u, v, solver, budget)
+            report = spread.contract_edge_spread(g, u, v, solver)
         else:
-            report = spread.subdivide_edge_delta(g, u, v, solver, budget)
+            report = spread.subdivide_edge_delta(g, u, v, solver)
     record = {
         "operation": report.operation,
         "target": list(report.target),
@@ -308,8 +306,12 @@ def _cmd_model(args, out, err, stdin) -> int:
         model = milp.add_mtz_connectivity(model, g)
     text = milp.export(model, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:  # main would name a missing path as an input
+            err.write(f"cannot write {args.out}: {exc.strerror}\n")
+            return 1
     else:
         out.write(text)
     return 0
@@ -342,6 +344,8 @@ def _cmd_decompose(args, out, err, stdin) -> int:
 
 
 def _cmd_gadget(args, out, err, stdin) -> int:
+    if args.input is not None and args.kind != "zf-reduction":
+        raise _UsageError(f"--input={args.input} applies to zf-reduction only")
     if args.kind == "path-spread":
         g = spread.make_path_gadget(args.c)
         out.write(graph_io.dump_edgelist(g))

@@ -247,22 +247,23 @@ def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False)
 
 
 def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
-                   all_optima: bool, seeded: bool = True) -> SolveResult:
+                   all_optima: bool) -> SolveResult:
     """Smallest connected sets that contain ``x`` and color ``g`` within
     ``rounds`` rounds, by a growth search over the levels k = |seed|,
     |seed| + 1, ... (from 1 when the seed is empty).
 
-    The seed is ``x`` plus, when ``seeded``, the mandatory set. A node is a
-    chosen set, the union of its members' neighborhoods, a banned set and
-    the number chosen. It branches on the unbanned neighbors of the chosen
-    set (on every vertex at the empty root) in ascending order, banning
-    each after its branch, so every k-set grown from the seed is reached
-    exactly once. A k-set is tested where the search reaches it: a
-    disconnected seed can grow into a disconnected set, so connectivity
-    first, then one closure on neighbor masks that stops after round
-    ``rounds``. Every optimum of the first level that has one is found, and
-    they are returned sorted; with ``all_optima`` the result's ``ppt`` is
-    the least last round of the closures that accepted them.
+    The seed is ``x`` plus the mandatory set, which every connected power
+    dominating set of a non-path graph contains. A node is a chosen set,
+    the union of its members' neighborhoods, a banned set and the number
+    chosen. It branches on the unbanned neighbors of the chosen set (on
+    every vertex at the empty root) in ascending order, banning each after
+    its branch, so every k-set grown from the seed is reached exactly once.
+    A k-set is tested where the search reaches it: a disconnected seed can
+    grow into a disconnected set, so connectivity first, then one closure
+    on neighbor masks that stops after round ``rounds``. Every optimum of
+    the first level that has one is found, and they are returned sorted;
+    with ``all_optima`` the result's ``ppt`` is the least last round of the
+    closures that accepted them.
     """
     if rounds < 1:
         raise GraphError("round budget must be at least 1")
@@ -274,7 +275,7 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
         raise GraphError("constraint set is not a subset of the vertices")
     budget.check_size(g)
     deadline = budget.deadline()
-    seed = bits_of(x) | (bits_of(info.taxonomy.mandatory) if seeded else 0)
+    seed = bits_of(x) | bits_of(info.taxonomy.mandatory)
     nbr = [bits_of(row) for row in g.adj]
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     seed_reach = 0
@@ -307,15 +308,10 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     raise SolverInternalError("no connected power dominating set found (unreachable)")
 
 
-def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False,
-             seeded: bool = True) -> SolveResult:
-    """Minimum connected power dominating set.
-
-    ``seeded=False`` disables the mandatory-set pruning and enumerates all
-    connected sets; that mode exists so tests can validate the pruning
-    itself.
-    """
-    return _min_connected(g, (), g.n, budget, all_optima, seeded)
+def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET,
+             all_optima: bool = False) -> SolveResult:
+    """Minimum connected power dominating set."""
+    return _min_connected(g, (), g.n, budget, all_optima)
 
 
 def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUDGET,

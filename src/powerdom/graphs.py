@@ -98,6 +98,8 @@ class Graph:
             index[lab] = i
         edges = list(edges)
         for u, v in edges:
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise GraphError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
         self._fill(labels, _sorted_rows(n, edges), index)

@@ -154,19 +154,19 @@ class _Frontier:
         return _mask_of(self.colored)
 
 
-def _propagate(g: Graph, seeds: list[int], dominate: bool, start: int,
+def _propagate(g: Graph, seeds: list[int], dominate: bool,
                limit: int | None = None, record: bool = False
                ) -> tuple[_Frontier, list[Force] | None, int]:
     """Color ``seeds``, apply the domination step if asked (round 1), then
-    run synchronized forcing rounds ``start``, ``start + 1``, ... until no
-    force fires or round ``limit`` is done.
+    run synchronized forcing rounds from round 2 (1 without that step)
+    until no force fires or round ``limit`` is done.
 
     Returns the final frontier, the entries when ``record`` is set, and
-    the last round that colored a vertex (``start - 1`` if none did). A
-    vertex can force only when its number of uncolored neighbors is 1,
-    and that number changes only when a neighbor gets colored, so each
-    round rechecks only the vertices whose number reached 1 in the round
-    before. Each edge is looked at a bounded number of times.
+    the last round that colored a vertex (the round before forcing began
+    if none did). A vertex can force only when its number of uncolored
+    neighbors is 1, and that number changes only when a neighbor gets
+    colored, so each round rechecks only the vertices whose number reached
+    1 in the round before. Each edge is looked at a bounded number of times.
     """
     forces: list[Force] | None = [] if record else None
     batch = list(seeds)
@@ -182,8 +182,8 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool, start: int,
     front = _Frontier(g)
     ready = front.color(batch)
     left, xor = front.left, front.xor
-    last = start - 1
-    t = start
+    t = 2 if dominate else 1
+    last = t - 1
     while ready and front.total < g.n and (limit is None or t <= limit):
         fired: dict[int, int] = {}  # target -> smallest source
         for v in ready:
@@ -204,14 +204,14 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool, start: int,
 
 def dominate_step(g: Graph, s: Iterable[int] | int) -> ColorState:
     """Apply the domination rule once: color the closed neighborhood of s."""
-    front, _, _ = _propagate(g, _seeds(g, s), dominate=True, start=2, limit=1)
+    front, _, _ = _propagate(g, _seeds(g, s), dominate=True, limit=1)
     return ColorState(front.mask(), 1)
 
 
 def forcing_closure(g: Graph,
                     colored: Iterable[int] | int) -> tuple[ColorState, tuple[Force, ...]]:
     """Close ``colored`` under the forcing rule; returns state and forces."""
-    front, forces, last = _propagate(g, _seeds(g, colored), dominate=False, start=1, record=True)
+    front, forces, last = _propagate(g, _seeds(g, colored), dominate=False, record=True)
     return ColorState(front.mask(), last), tuple(forces)
 
 
@@ -219,14 +219,14 @@ def is_power_dominating(g: Graph, s: Iterable[int] | int) -> tuple[bool, Propaga
     """Check rule 1 once plus rule 2 to exhaustion; the trace is always
     returned, on failure it records the partial run."""
     seeds = _seeds(g, s)
-    front, forces, _ = _propagate(g, seeds, dominate=True, start=2, record=True)
+    front, forces, _ = _propagate(g, seeds, dominate=True, record=True)
     trace = PropagationTrace(tuple(seeds), tuple(forces), front.vertices())
     return front.total == g.n, trace
 
 
 def is_zero_forcing(g: Graph, s: Iterable[int] | int) -> bool:
     """True iff forcing alone (no domination step) colors every vertex."""
-    front, _, _ = _propagate(g, _seeds(g, s), dominate=False, start=1)
+    front, _, _ = _propagate(g, _seeds(g, s), dominate=False)
     return front.total == g.n
 
 
@@ -241,7 +241,7 @@ def colors_within(g: Graph, s: Iterable[int] | int, rounds: int) -> bool:
     seeds = _seeds(g, s)
     if not seeds:
         return False
-    front, _, _ = _propagate(g, seeds, dominate=True, start=2, limit=rounds)
+    front, _, _ = _propagate(g, seeds, dominate=True, limit=rounds)
     return front.total == g.n
 
 
@@ -295,7 +295,7 @@ def _unforced(nbr: list[int], closed: list[int], s: int,
 
 def ppt_of_set(g: Graph, s: Iterable[int] | int) -> int:
     """Power propagation time of a power dominating set (rounds to color V)."""
-    front, _, last = _propagate(g, _seeds(g, s), dominate=True, start=2)
+    front, _, last = _propagate(g, _seeds(g, s), dominate=True)
     if front.total != g.n:
         raise NotPowerDominatingError("set does not power dominate the graph")
     return last

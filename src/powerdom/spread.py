@@ -13,7 +13,7 @@ from typing import Callable
 
 from .decomposition import blocks, profile
 from .errors import GraphError, SolverInternalError
-from .exact import Budget, DEFAULT_BUDGET, SolveResult
+from .exact import SolveResult
 from .graphs import Graph
 from . import structural
 
@@ -47,61 +47,54 @@ class SpreadReport:
         )
 
 
-def vertex_spread(g: Graph, v: int, solver: Solver | None = None,
-                  budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
+def _spread(operation: str, g: Graph, target: tuple[int, ...], changed: Graph,
+            solver: Solver | None) -> SpreadReport:
+    """Solve ``changed`` (the caller built it, so its refusals come before
+    any solve), then ``g``, and report how the optimum moved. Without a
+    ``solver``, :func:`structural.solve_cpds` solves both."""
+    solve = solver or structural.solve_cpds
+    after = solve(changed)
+    before = solve(g)
+    spread = before.optimum - after.optimum
+    if operation == SUBDIVIDE_EDGE:
+        spread = -spread
+        if spread < 0:
+            raise SolverInternalError(
+                f"subdivision lowered the optimum from {before.optimum} to {after.optimum}"
+            )
+    return SpreadReport(operation, g.labels_of(target), before, after, spread)
+
+
+def vertex_spread(g: Graph, v: int, solver: Solver | None = None) -> SpreadReport:
     """Spread under deletion of a non-cut vertex."""
-    if g.n < 2:
-        raise GraphError("cannot delete the only vertex")
+    removed = g.delete_vertex(v)
     if v in blocks(g).cut_vertices:
         raise GraphError(f"vertex {g.labels[v]} is a cut vertex; deletion disconnects")
-    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
-    before = solve(g)
-    after = solve(g.delete_vertex(v))
-    return SpreadReport(DELETE_VERTEX, (g.labels[v],), before, after,
-                        before.optimum - after.optimum)
+    return _spread(DELETE_VERTEX, g, (v,), removed, solver)
 
 
-def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
-                budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
+def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None) -> SpreadReport:
     """Spread under deletion of a non-cut edge."""
     removed = g.delete_edge(u, v)
     if not profile(removed).connected:
         raise GraphError("edge is a cut edge; deletion disconnects")
-    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
-    before = solve(g)
-    after = solve(removed)
-    return SpreadReport(DELETE_EDGE, (g.labels[u], g.labels[v]), before, after,
-                        before.optimum - after.optimum)
+    return _spread(DELETE_EDGE, g, (u, v), removed, solver)
 
 
-def contract_edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None,
-                         budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
+def contract_edge_spread(g: Graph, u: int, v: int,
+                         solver: Solver | None = None) -> SpreadReport:
     """Spread under contraction of an edge (result kept simple)."""
-    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
-    # after first, so that a non-edge is refused before any solve
-    after = solve(g.contract_edge(u, v))
-    before = solve(g)
-    return SpreadReport(CONTRACT_EDGE, (g.labels[u], g.labels[v]), before, after,
-                        before.optimum - after.optimum)
+    return _spread(CONTRACT_EDGE, g, (u, v), g.contract_edge(u, v), solver)
 
 
-def subdivide_edge_delta(g: Graph, u: int, v: int, solver: Solver | None = None,
-                         budget: Budget = DEFAULT_BUDGET) -> SpreadReport:
+def subdivide_edge_delta(g: Graph, u: int, v: int,
+                         solver: Solver | None = None) -> SpreadReport:
     """Increase of the optimum when one edge is subdivided.
 
     Subdividing can never decrease the connected power domination number;
     a negative delta therefore means a solver bug and raises.
     """
-    solve = solver or (lambda h: structural.solve_cpds(h, "auto", budget))
-    # after first, so that a non-edge is refused before any solve
-    after = solve(g.subdivide_edge(u, v))
-    before = solve(g)
-    delta = after.optimum - before.optimum
-    if delta < 0:
-        raise SolverInternalError(
-            f"subdivision lowered the optimum from {before.optimum} to {after.optimum}"
-        )
-    return SpreadReport(SUBDIVIDE_EDGE, (g.labels[u], g.labels[v]), before, after, delta)
+    return _spread(SUBDIVIDE_EDGE, g, (u, v), g.subdivide_edge(u, v), solver)
 
 
 def make_path_gadget(c: int) -> Graph:

@@ -29,6 +29,7 @@ from powerdom.exact import Budget
 from powerdom.graphs import Graph, bits_of
 
 from conftest import (
+    naive_min_cpds,
     random_block_graph,
     random_cactus,
     random_connected_graph,
@@ -113,13 +114,13 @@ def test_criterion_04_optimum_structure(tree_corpus, block_corpus, cactus_corpus
         mandatory = set(taxonomy.mandatory)
         connected_result = exact.min_cpds(g)
         plain_result = exact.min_pds(g, all_optima=True)
-        # containment and no-leaf checks need every optimum, which is only
-        # tractable without the mandatory-set pruning on the smaller graphs
+        # containment and no-leaf checks need every optimum from a search
+        # that does not assume the mandatory set, tractable on the smaller graphs
         if g.n <= 12:
-            unseeded = exact.min_cpds(g, seeded=False, all_optima=True)
-            assert unseeded.optimum == connected_result.optimum
+            size, every_optimum = naive_min_cpds(g, collect_all=True)
+            assert size == connected_result.optimum
             leaves = {v for v in range(g.n) if g.degree(v) == 1}
-            for optimum_set in unseeded.all_optima:
+            for optimum_set in every_optimum:
                 assert mandatory <= set(optimum_set)
                 if not info.path:
                     assert not leaves & set(optimum_set)

@@ -210,6 +210,15 @@ class TestSpreadCommand:
         assert run("spread", "-", "--op", op, "--target", "a,d",
                    stdin="a b\nb c\nc a\nc d\n") == (1, "", "usage error: no edge a,d\n")
 
+    def test_method_and_budget_reach_both_solves(self):
+        """brute enumerates even a tree, under the vertex budget; auto solves
+        the tree structurally, whatever the budget."""
+        args = ("spread", TREE, "--op", "subdivide-edge", "--target", "c1,c2")
+        assert run(*args, "--method", "brute", "--budget-n", "6") == (
+            2, "", "infeasible: graph has 7 vertices, budget allows 6\n")
+        code, out, _ = run(*args, "--method", "auto", "--budget-n", "3")
+        assert code == 0 and "spread: 1" in out
+
 
 class TestModelCommand:
     def test_lp_to_stdout(self):
@@ -377,7 +386,9 @@ class TestBadInputNeverTracesBack:
         for command in (("model", TREE), ("gadget", "--kind", "path-spread"))
         for flag in ("--json", "--budget-n=0", "--budget-seconds=1")
     ] + [(("check", TREE, "--set", "c1,c2"), flag)
-         for flag in ("--budget-n=0", "--budget-seconds=1")])
+         for flag in ("--budget-n=0", "--budget-seconds=1")
+    ] + [pytest.param(("gadget", "--kind", kind), f"--input={TREE}", id=f"{kind}---input")
+         for kind in ("path-spread", "cycle-spread")])
     def test_flag_the_command_does_not_read(self, command, flag):
         self.assert_one_line_usage_failure(run(*command, flag), flag)
 
@@ -393,6 +404,11 @@ class TestBadInputNeverTracesBack:
     def test_all_optima_outside_the_brute_method(self, argv):
         self.assert_one_line_usage_failure(run("solve", TREE, "--all-optima", *argv),
                                            "--all-optima applies to the brute method only")
+
+    def test_model_output_in_a_missing_directory(self, tmp_path):
+        target = tmp_path / "missing" / "x.lp"
+        self.assert_one_line_usage_failure(run("model", TREE, "--out", str(target)),
+                                           f"cannot write {target}: ")
 
     def test_closed_stdout_is_a_write_error(self):
         class ClosedPipe(io.StringIO):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 import tracemalloc
 
@@ -93,6 +94,12 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             Graph([], [])
+
+    @pytest.mark.parametrize("edge", [(0.5, 1), ("1", 0), (None, 0)])
+    def test_non_integer_endpoint_rejected(self, edge):
+        message = f"^edge {re.escape(repr(edge))} has a non-integer endpoint$"
+        with pytest.raises(GraphError, match=message):
+            Graph(["a", "b"], [edge])
 
     def test_label_lookup(self):
         g = path_graph(3)

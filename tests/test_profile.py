@@ -136,7 +136,8 @@ def test_decomposition_matches_the_oracle(g):
 @given(graph_with_cut_vertex(), st.data())
 def test_subdivision_never_lowers_the_optimum(g, data):
     u, v = data.draw(st.sampled_from(g.edges()))
-    report = spread.subdivide_edge_delta(g, u, v, budget=ROOMY)
+    report = spread.subdivide_edge_delta(g, u, v,
+                                         lambda h: structural.solve_cpds(h, "auto", ROOMY))
     assert report.spread >= 0
     assert report.before.optimum == exact.min_cpds(g).optimum
 

@@ -151,8 +151,7 @@ def masks(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def engine_closure(g: Graph, s: int, dominate: bool, limit: int | None) -> tuple[int, int]:
-    front, _, last = prop._propagate(g, list(iter_bits(s)), dominate, 2 if dominate else 1,
-                                     limit)
+    front, _, last = prop._propagate(g, list(iter_bits(s)), dominate, limit)
     return front.mask() ^ g.full_mask, last
 
 

@@ -143,10 +143,16 @@ class TestDefaults:
         report = spread.edge_spread(g, 0, 1, brute)
         assert report.summary() == "delete_edge v1,v2: before=1 after=1 spread=0"
 
-    @pytest.mark.parametrize("operation", [spread.edge_spread, spread.contract_edge_spread,
+    @pytest.mark.parametrize("operation", [spread.vertex_spread, spread.edge_spread,
+                                           spread.contract_edge_spread,
                                            spread.subdivide_edge_delta])
     def test_non_edge_refused_before_any_solve(self, operation):
+        if operation is spread.vertex_spread:
+            cases = [((4,), "^no vertex 4$"), ((-1,), "^no vertex -1$")]
+        else:
+            cases = [((0, 2), "^no edge v1,v3$")]
         solved = []
-        with pytest.raises(GraphError, match="^no edge v1,v3$"):
-            operation(cycle_graph(4), 0, 2, solved.append)
+        for target, message in cases:
+            with pytest.raises(GraphError, match=message):
+                operation(cycle_graph(4), *target, solved.append)
         assert solved == []
