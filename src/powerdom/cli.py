@@ -17,7 +17,7 @@ import time
 from typing import IO, Callable, Sequence
 
 from . import exact, graph_io, milp, propagation, spread, structural
-from .decomposition import classify_cut_vertices
+from .decomposition import blocks, classify_cut_vertices
 from .errors import (
     BudgetExceededError,
     DisconnectedError,
@@ -128,8 +128,8 @@ def build_parser() -> _Parser:
     p_gadget = sub.add_parser("gadget", help="emit a named construction as an edge list")
     p_gadget.add_argument("--kind", required=True,
                           choices=("path-spread", "cycle-spread", "zf-reduction"))
-    p_gadget.add_argument("--c", type=int, default=1, help="swing parameter")
-    p_gadget.add_argument("--k", type=int, default=1,
+    p_gadget.add_argument("--c", type=int, default=None, help="swing parameter")
+    p_gadget.add_argument("--k", type=int, default=None,
                           help="zero forcing bound (zf-reduction)")
     p_gadget.add_argument("--input", default=None,
                           help="input graph (zf-reduction only)")
@@ -321,18 +321,18 @@ def _cmd_decompose(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     budget = _budget(args)
     taxonomy = classify_cut_vertices(g)
-    pieces = structural.nontrivial_block_subgraphs(g)
+    dec = blocks(g)
     record = {
         "mandatory": list(g.labels_of(taxonomy.mandatory)),
         "blocks": [],
     }
     lines = [f"mandatory: {' '.join(g.labels_of(taxonomy.mandatory))}"]
-    result = structural.decompose_cpds(g, budget=budget, pieces=pieces)
-    mandatory = set(taxonomy.mandatory)
-    for i, (core, vertices, _) in enumerate(pieces, start=1):
+    result = structural.decompose_cpds(g, budget=budget)
+    mandatory, attached = set(taxonomy.mandatory), taxonomy.attached
+    for i, core in enumerate((c for c, t in zip(dec.blocks, dec.trivial) if not t), start=1):
         block = {"core": list(g.labels_of(core)),
                  "anchors": list(g.labels_of(v for v in core if v in mandatory)),
-                 "size": len(vertices)}
+                 "size": len(core) + sum(len(p) for v in core for p in attached.get(v, ()))}
         record["blocks"].append(block)
         lines.append(f"block {i}: core={','.join(block['core'])}"
                      f" anchors={','.join(block['anchors'])} size={block['size']}")
@@ -344,19 +344,19 @@ def _cmd_decompose(args, out, err, stdin) -> int:
 
 
 def _cmd_gadget(args, out, err, stdin) -> int:
-    if args.input is not None and args.kind != "zf-reduction":
-        raise _UsageError(f"--input={args.input} applies to zf-reduction only")
-    if args.kind == "path-spread":
-        g = spread.make_path_gadget(args.c)
-        out.write(graph_io.dump_edgelist(g))
-    elif args.kind == "cycle-spread":
-        g = spread.make_cycle_gadget(args.c)
-        out.write(graph_io.dump_edgelist(g))
+    spreads = args.kind != "zf-reduction"
+    kinds = "zf-reduction" if spreads else "path-spread and cycle-spread"
+    for flag, value in (("input", args.input), ("k", args.k)) if spreads else (("c", args.c),):
+        if value is not None:
+            raise _UsageError(f"--{flag}={value} applies to {kinds} only")
+    if spreads:
+        make = spread.make_path_gadget if args.kind == "path-spread" else spread.make_cycle_gadget
+        out.write(graph_io.dump_edgelist(make(1 if args.c is None else args.c)))
     else:
         if args.input is None:
             raise _UsageError("zf-reduction needs an input graph")
         base = _load(args, stdin)
-        expanded, bound = exact.zf_to_cpd_gadget(base, args.k)
+        expanded, bound = exact.zf_to_cpd_gadget(base, 1 if args.k is None else args.k)
         out.write(f"# connected power domination bound: {bound}\n")
         out.write(graph_io.dump_edgelist(expanded))
     return 0

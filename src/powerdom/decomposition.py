@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, groupby
+from operator import itemgetter
 
 from .errors import DisconnectedError, GraphError
 from .graphs import Graph
@@ -40,14 +41,15 @@ class BlockDecomposition:
     vertex, necessarily a cut vertex. ``block_tree`` is the bipartite
     incidence between block indices and cut vertices. ``trivial`` flags
     blocks that are single edges lying on a pendant path (including the
-    edge that joins the path to its attachment vertex). ``cycles`` maps
-    each block that is a cycle to its vertices in the order of a walk
-    around it.
+    edge that joins the path to its attachment vertex). ``edges`` holds
+    each block's edge count. ``cycles`` maps each block that is a cycle to
+    its vertices in the order of a walk around it.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     trivial: tuple[bool, ...]
+    edges: tuple[int, ...]
     cycles: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
 
     @cached_property
@@ -80,6 +82,12 @@ class CutVertexTaxonomy:
     @cached_property
     def r1_set(self) -> frozenset[int]:
         return frozenset(self.r1)
+
+    @cached_property
+    def attached(self) -> dict[int, list[tuple[int, ...]]]:
+        """The chains of the pendant paths hanging from each vertex."""
+        return {v: [chain for _, chain in paths]
+                for v, paths in groupby(self.pendant_paths, itemgetter(0))}
 
 
 @dataclass(frozen=True)
@@ -219,7 +227,8 @@ def _analyse(g: Graph) -> GraphProfile:
         if not g.is_connected():
             return GraphProfile(False, None, None, None)
         # a tree: each edge is a block, and a vertex lies in one block per edge
-        return _connected_profile(g, tuple(g.edges()), list(map(len, g.adj)), {}, True, True)
+        return _connected_profile(g, tuple(g.edges()), (1,) * g.m, list(map(len, g.adj)), {},
+                                  True, True)
     return _profile_from_blocks(g, _block_dfs(g))
 
 
@@ -235,17 +244,17 @@ def _profile_from_blocks(
         for v in blk:
             membership[v] += 1
     return _connected_profile(
-        g, block_sets, membership,
+        g, block_sets, tuple(e for _, e, _ in found), membership,
         {blk: walk for blk, _, walk in found if walk is not None},
         block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e, _ in found),
         cactus=all(e == len(blk) for blk, e, _ in found if len(blk) > 2))
 
 
-def _connected_profile(g: Graph, block_sets: tuple[tuple[int, ...], ...], membership: list[int],
-                       cycles: dict[tuple[int, ...], tuple[int, ...]],
+def _connected_profile(g: Graph, block_sets: tuple[tuple[int, ...], ...], edges: tuple[int, ...],
+                       membership: list[int], cycles: dict[tuple[int, ...], tuple[int, ...]],
                        block_graph: bool, cactus: bool) -> GraphProfile:
-    """Taxonomy and class of a connected graph from its sorted blocks and
-    the number of blocks holding each vertex."""
+    """Taxonomy and class of a connected graph from its sorted blocks,
+    their edge counts and the number of blocks holding each vertex."""
     n, m = g.n, g.m
     # in a connected graph the cut vertices are the vertices of two or more blocks
     cut_vertices = tuple(compress(range(n), map((2).__le__, membership)))
@@ -268,7 +277,7 @@ def _connected_profile(g: Graph, block_sets: tuple[tuple[int, ...], ...], member
         block_graph=block_graph,
         cactus=cactus,
     )
-    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial, cycles),
+    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial, edges, cycles),
                         taxonomy, graph_class)
 
 

@@ -85,7 +85,8 @@ def _check_deadline(deadline: float | None) -> None:
 class SolveResult:
     """Optimal set plus its certificate.
 
-    The witness always verifies through the propagation engine and, for the
+    The witness always verifies through the propagation engine, whose run
+    is the ``trace`` (entries built on first read), and, for the
     enumeration methods, is the lexicographically smallest optimum.
     ``all_optima`` is populated only on request since it can be huge; the
     exact (connected) power domination searches then also set ``ppt``, the

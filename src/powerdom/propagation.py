@@ -15,11 +15,12 @@ smallest-index source, so traces are deterministic.
 Every public check runs on one frontier engine, :func:`_propagate`, which
 costs O(n + m) per run: it keeps, for each colored vertex, the number of
 its uncolored neighbors, and each round it looks only at the vertices
-whose number dropped to one in the round before. Recording the trace
-(one :class:`Force` per colored vertex) is opt-in for internal callers:
-the functions that return a trace record it, while the yes/no checks skip
-it. The closures of the exact searches (:func:`_uncolored`, :func:`_unforced`)
-run the same rounds on neighbor bitmasks instead (:func:`_resume`).
+whose number dropped to one in the round before. Recording is opt-in: a
+returned trace keeps the round, source and target of each force as plain
+integers and builds its :class:`Force` entries on first read, while the
+yes/no checks record nothing. The closures of the exact searches
+(:func:`_uncolored`, :func:`_unforced`) run the same rounds on neighbor
+bitmasks instead (:func:`_resume`).
 """
 
 from __future__ import annotations
@@ -72,11 +73,21 @@ class PropagationTrace:
     all domination entries carry timestep 1 and forces come strictly later
     (or from 1 upward when there was no domination step). ``forces`` holds
     :class:`Force` tuples, one per vertex colored after the initial set.
+    A trace the engine records builds both from its run on first read.
     """
 
     initial: tuple[int, ...]
     forces: tuple[Force, ...]
     final_colored: tuple[int, ...]
+
+    def __getattr__(self, name: str):
+        """``forces`` and ``final_colored`` of a recorded trace, built once."""
+        if name not in ("forces", "final_colored") or "_run" not in self.__dict__:
+            raise AttributeError(name)
+        adj, forced, colored = self.__dict__.pop("_run")
+        self.__dict__.update(forces=tuple(_entries(adj, self.initial, forced)),
+                             final_colored=tuple(compress(range(len(colored)), colored)))
+        return self.__dict__[name]
 
     @property
     def final_mask(self) -> int:
@@ -89,6 +100,23 @@ class PropagationTrace:
         """Last round that colored a vertex (at least 1)."""
         last = max((f.timestep for f in self.forces), default=1)
         return max(last, 1)
+
+
+def _dominated(adj, seeds: list[int]):
+    """(v, w) per vertex w the domination step adds, v its least neighbor in ``seeds``."""
+    taken = set(seeds)
+    for v in seeds:
+        for w in adj[v]:
+            if w not in taken:
+                taken.add(w)
+                yield v, w
+
+
+def _entries(adj, seeds: list[int], forced: list[int]) -> list[Force]:
+    """A run's entries from its domination step's seeds and its forces."""
+    forces = [_force((1, v, w, DOMINATE)) for v, w in _dominated(adj, seeds)]
+    forces += [_force((t, v, w, FORCE)) for t, v, w in zip(*[iter(forced)] * 3)]
+    return forces
 
 
 def _seeds(g: Graph, s: Iterable[int] | int) -> list[int]:
@@ -147,38 +175,28 @@ class _Frontier:
         self.total += len(batch)
         return ready
 
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(compress(range(len(self.colored)), self.colored))
-
     def mask(self) -> int:
         return _mask_of(self.colored)
 
 
 def _propagate(g: Graph, seeds: list[int], dominate: bool,
                limit: int | None = None, record: bool = False
-               ) -> tuple[_Frontier, list[Force] | None, int]:
+               ) -> tuple[_Frontier, list | None, int]:
     """Color ``seeds``, apply the domination step if asked (round 1), then
     run synchronized forcing rounds from round 2 (1 without that step)
     until no force fires or round ``limit`` is done.
 
-    Returns the final frontier, the entries when ``record`` is set, and
-    the last round that colored a vertex (the round before forcing began
-    if none did). A vertex can force only when its number of uncolored
-    neighbors is 1, and that number changes only when a neighbor gets
-    colored, so each round rechecks only the vertices whose number reached
-    1 in the round before. Each edge is looked at a bounded number of times.
+    Returns the final frontier, with ``record`` each force as round,
+    source, target in one flat list, and the last round that colored a
+    vertex (the round before forcing began if none did). A vertex forces
+    only when its number of uncolored neighbors is 1, and that number drops
+    only when a neighbor gets colored, so each round rechecks only the
+    vertices whose number reached 1 in the round before.
     """
-    forces: list[Force] | None = [] if record else None
+    forced: list[int] | None = [] if record else None
     batch = list(seeds)
     if dominate:
-        taken = set(seeds)
-        for v in seeds:
-            for w in g.adj[v]:
-                if w not in taken:
-                    taken.add(w)
-                    batch.append(w)
-                    if forces is not None:
-                        forces.append(_force((1, v, w, DOMINATE)))
+        batch += [w for _, w in _dominated(g.adj, seeds)]
     front = _Frontier(g)
     ready = front.color(batch)
     left, xor = front.left, front.xor
@@ -194,12 +212,13 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool,
         if not fired:
             break
         targets = sorted(fired)
-        if forces is not None:
-            forces.extend([_force((t, fired[w], w, FORCE)) for w in targets])
+        if forced is not None:
+            for w in targets:
+                forced += (t, fired[w], w)
         ready = front.color(targets)
         last = t
         t += 1
-    return front, forces, last
+    return front, forced, last
 
 
 def dominate_step(g: Graph, s: Iterable[int] | int) -> ColorState:
@@ -211,16 +230,17 @@ def dominate_step(g: Graph, s: Iterable[int] | int) -> ColorState:
 def forcing_closure(g: Graph,
                     colored: Iterable[int] | int) -> tuple[ColorState, tuple[Force, ...]]:
     """Close ``colored`` under the forcing rule; returns state and forces."""
-    front, forces, last = _propagate(g, _seeds(g, colored), dominate=False, record=True)
-    return ColorState(front.mask(), last), tuple(forces)
+    front, forced, last = _propagate(g, _seeds(g, colored), dominate=False, record=True)
+    return ColorState(front.mask(), last), tuple(_entries(g.adj, [], forced))
 
 
 def is_power_dominating(g: Graph, s: Iterable[int] | int) -> tuple[bool, PropagationTrace]:
     """Check rule 1 once plus rule 2 to exhaustion; the trace is always
     returned, on failure it records the partial run."""
     seeds = _seeds(g, s)
-    front, forces, _ = _propagate(g, seeds, dominate=True, record=True)
-    trace = PropagationTrace(tuple(seeds), tuple(forces), front.vertices())
+    front, forced, _ = _propagate(g, seeds, dominate=True, record=True)
+    trace = PropagationTrace.__new__(PropagationTrace)
+    trace.__dict__.update(initial=tuple(seeds), _run=(g.adj, forced, front.colored))
     return front.total == g.n, trace
 
 
@@ -353,6 +373,6 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
                         f"source {f.source} cannot force {f.target} at t={t}"
                     )
         front.color([f.target for f in entries])
-    if set(trace.final_colored) != set(front.vertices()):
+    if set(trace.final_colored) != set(compress(range(g.n), front.colored)):
         raise PowerDomError("replay does not reproduce the recorded final set")
     return front.mask()

@@ -157,12 +157,20 @@ def feasible_segments(
     return FeasibleSegmentFamily(groups[0], groups[1], groups[2], max_size, best)
 
 
+def _largest_segment(cycle: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> tuple[int, ...]:
+    """A largest excludable segment, tie broken as in :func:`feasible_segments`."""
+    size = len(cycle)
+    spans = _spans(cycle, taxonomy)
+    most = max((b - a - 1) % size for _, a, b in spans)
+    return max((_arc(cycle, a, b) for _, a, b in spans if (b - a - 1) % size == most), key=sorted)
+
+
 def cactus_cpds(g: Graph) -> SolveResult:
     """Optimal connected power dominating set of a cactus graph.
 
     Keep every vertex except the pendant paths and, in each cycle, one
     largest excludable segment; pure paths and pure cycles need just one
-    vertex. Only the segments of the largest size are built.
+    vertex.
     """
     info = connected_profile(g)
     if not info.graph_class.cactus:
@@ -173,26 +181,21 @@ def cactus_cpds(g: Graph) -> SolveResult:
     excluded = {v for _, chain in taxonomy.pendant_paths for v in chain}
     for blk in info.decomposition.blocks:
         if len(blk) >= 3:
-            cycle = cycle_order(g, blk)
-            size = len(cycle)
-            spans = _spans(cycle, taxonomy)
-            most = max((b - a - 1) % size for _, a, b in spans)
-            # the largest segments, tie broken as in feasible_segments
-            excluded.update(max((_arc(cycle, a, b) for _, a, b in spans
-                                 if (b - a - 1) % size == most), key=sorted))
+            excluded.update(_largest_segment(cycle_order(g, blk), taxonomy))
     witness = [v for v in range(g.n) if v not in excluded]
     return certify(g, witness, exact.METHOD_CACTUS, connected=True)
 
 
 SubSolver = Callable[[Graph], SolveResult]
-"""Solver for one expanded block piece. It must read only the piece's
+"""Solver for one expanded block piece (never a clique, bridge or cycle
+that the decomposition solves in place). It must read only the piece's
 structure (its adjacency rows), never its labels: the decomposition solves
 each distinct piece once, on a graph built for its first occurrence, and
 reuses the witness for its repeats."""
 Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
 """One nontrivial block with its pendant paths, as (core, vertices, rows):
-the block's vertices, the piece's sorted global vertex ids, and the
-piece's adjacency rows over local ids (local id i is ``vertices[i]``)."""
+the block's vertices, the piece's sorted global vertex ids, and its rows
+over local ids (local id i is ``vertices[i]``); built per expanded block."""
 
 
 def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
@@ -212,75 +215,82 @@ def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
     return exact.min_cpds(g, budget)
 
 
+def _piece(g: Graph, blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> Piece:
+    """The :data:`Piece` of one block of ``g``."""
+    verts = set(blk)
+    for v in blk:
+        for chain in taxonomy.attached.get(v, ()):
+            verts.update(chain)
+    vertices = sorted(verts)
+    return blk, vertices, g._induced_rows(vertices)[0]
+
+
 def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
     """Each nontrivial block together with the pendant paths attached to its
     vertices, as a :data:`Piece`; no graph is built."""
     info = connected_profile(g)
-    attached: dict[int, list[tuple[int, ...]]] = {}
-    for attach, chain in info.taxonomy.pendant_paths:
-        attached.setdefault(attach, []).append(chain)
-    out = []
     dec = info.decomposition
-    for blk, trivial in zip(dec.blocks, dec.trivial):
-        if trivial:
-            continue
-        verts = set(blk)
-        for v in blk:
-            for chain in attached.get(v, ()):
-                verts.update(chain)
-        vertices = sorted(verts)
-        rows, _ = g._induced_rows(vertices)
-        out.append((blk, vertices, rows))
-    return out
+    return [_piece(g, blk, info.taxonomy) for blk, trivial in zip(dec.blocks, dec.trivial)
+            if not trivial]
 
 
 def decompose_cpds(
     g: Graph,
     subsolver: SubSolver | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    pieces: list[Piece] | None = None,
 ) -> SolveResult:
     """Split the problem over nontrivial blocks and recombine.
 
     Each nontrivial block (with its pendant paths) is solved subject to the
     mandatory vertices it contains, the witnesses are unioned, and the
-    double-counted mandatory vertices are discounted. Each distinct piece
-    (the same adjacency rows and anchors) is solved once, on the only
-    graphs built for it (the piece and its leaf expansion); its repeats
-    reuse that local witness. The recombined witness is re-certified; an
+    double-counted mandatory vertices are discounted. A clique or bridge
+    holding a mandatory vertex needs just those, and such a cycle of 4 or
+    more vertices all but one largest excludable segment. Any other block
+    is a :data:`Piece`: each distinct one (the same adjacency rows and
+    anchors) is solved once, on the only graphs built for it (the piece and
+    its leaf expansion). The recombined witness is re-certified; an
     inconsistent recombination raises instead of returning a wrong answer.
-    One time budget covers every piece. ``pieces`` passes in the result of
-    :func:`nontrivial_block_subgraphs` when the caller already built it.
+    One time budget covers every piece.
     """
     info = profile(g)
     if not info.connected:
         raise GraphClassError("decomposition requires a connected graph")
-    if not info.decomposition.cut_vertices:
+    dec, taxonomy = info.decomposition, info.taxonomy
+    if not dec.cut_vertices:
         raise GraphClassError("decomposition requires at least one cut vertex")
     if info.graph_class.path:
         raise GraphClassError("decomposition does not apply to paths")
     deadline = budget.deadline()
     solve = subsolver or (lambda sub: _dispatch(sub, budget.until(deadline), split=False))
-    mandatory = set(info.taxonomy.mandatory)
+    mandatory = set(taxonomy.mandatory)
     membership = {v: 0 for v in mandatory}
     total = 0
     union: set[int] = set()
     # (rows, anchors) fix the expanded piece, and no subsolver reads labels
     solved: dict[tuple, SolveResult] = {}
-    for blk, vertices, rows in pieces if pieces is not None else nontrivial_block_subgraphs(g):
-        anchors = tuple(bisect_left(vertices, v) for v in blk if v in mandatory)
-        for v in blk:
-            if v in mandatory:
-                membership[v] += 1
-        key = (rows, anchors)
-        result = solved.get(key)
-        if result is None:
-            sub = Graph._from_rows(g.labels_of(vertices), rows)
-            result = solved[key] = solve(attach_leaves(sub, anchors, 3))
-            if any(v >= sub.n for v in result.witness):
-                raise DecompositionError("block solution uses an added leaf")
-        union.update(vertices[v] for v in result.witness)
-        total += result.optimum
+    for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
+        if trivial:
+            continue
+        inside = [v for v in blk if v in mandatory]
+        for v in inside:
+            membership[v] += 1
+        if inside and edges == len(blk) * (len(blk) - 1) // 2:  # a clique or a bridge
+            witness = inside
+        elif inside and edges == len(blk) >= 4:  # a cycle
+            witness = set(blk).difference(_largest_segment(cycle_order(g, blk), taxonomy))
+        else:
+            _, vertices, rows = _piece(g, blk, taxonomy)
+            anchors = tuple(bisect_left(vertices, v) for v in inside)
+            key = (rows, anchors)
+            result = solved.get(key)
+            if result is None:
+                sub = Graph._from_rows(g.labels_of(vertices), rows)
+                result = solved[key] = solve(attach_leaves(sub, anchors, 3))
+                if any(v >= sub.n for v in result.witness):
+                    raise DecompositionError("block solution uses an added leaf")
+            witness = [vertices[v] for v in result.witness]
+        union.update(witness)
+        total += len(witness)
     overlap = sum(membership[v] - 1 for v in mandatory)
     optimum = total - overlap
     # vertices of the mandatory set lying in no nontrivial block occur only

@@ -392,6 +392,15 @@ class TestBadInputNeverTracesBack:
     def test_flag_the_command_does_not_read(self, command, flag):
         self.assert_one_line_usage_failure(run(*command, flag), flag)
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--kind", "path-spread", "--k", "3"), "--k=3 applies to zf-reduction only"),
+        (("--kind", "cycle-spread", "--k", "1"), "--k=1 applies to zf-reduction only"),
+        (("--kind", "zf-reduction", "--input", TREE, "--c", "9"),
+         "--c=9 applies to path-spread and cycle-spread only"),
+    ])
+    def test_gadget_parameter_of_the_other_kind(self, argv, message):
+        assert run("gadget", *argv) == (1, "", f"usage error: {message}\n")
+
     @pytest.mark.parametrize("argv", [
         ("--method", "milp"),
         ("--problem", "pd", "--method", "milp"),

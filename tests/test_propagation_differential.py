@@ -4,24 +4,31 @@ Every public entry point of the engine is compared on seeded random trees,
 cacti and general graphs (n <= 20), on long paths, spiders and cycles, and
 on hypothesis-generated graphs. The bitmask closures of the exact searches
 (``_uncolored``, ``_unforced`` and the resumed ``_resume``) are compared
-with the engine itself.
+with the engine itself. A recorded trace builds its entries on first read;
+it is compared with one built eagerly from the reference, and the CLI is
+checked to run the engine once per traced solve and to build no entry when
+no trace is printed.
 """
 
 from __future__ import annotations
 
+import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom import exact
+from powerdom import cli, exact, structural
 from powerdom import propagation as prop
 from powerdom.errors import NotPowerDominatingError
+from powerdom.graph_io import dump_edgelist
 from powerdom.graphs import Graph, bits_of, cycle_graph, iter_bits, path_graph
 
 from conftest import (
     connected_graphs,
     naive_trace,
+    random_block_graph,
     random_cactus,
     random_connected_graph,
     random_tree,
@@ -188,3 +195,97 @@ def test_shrinking_the_path_fort_resumes_from_colored_vertices_only():
     let the uncolored neighbors of v fire would keep all of V."""
     nbr, closed = masks(path_graph(4))
     assert exact._minimal_fort(nbr, closed, 0b1111, None) == 0b1101
+
+
+def flower(petals: tuple[int, ...]) -> Graph:
+    """Cycles of the given lengths sharing vertex 0."""
+    edges, count = [], 1
+    for length in petals:
+        ring = [0] + list(range(count, count + length - 1))
+        count += length - 1
+        edges += [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+    return Graph([str(i) for i in range(count)], edges)
+
+
+def eager_trace(g: Graph, s) -> prop.PropagationTrace:
+    """The reference's trace of ``s``, built with every field given."""
+    expected, colored = naive_trace(g, set(s))
+    return prop.PropagationTrace(tuple(sorted(set(s))), tuple(prop.Force(*e) for e in expected),
+                                 tuple(sorted(colored)))
+
+
+def structured_instances():
+    """Seeded trees, cacti and block graphs, and the chain families: paths,
+    spiders and flowers."""
+    rng = random.Random(113)
+    for make in (random_tree, random_cactus, random_block_graph):
+        for _ in range(12):
+            yield make(rng, rng.randint(3, 60))
+    for g in (path_graph(200), spider((60, 70, 80)), flower((40, 50, 60, 70))):
+        yield g
+
+
+class TestRecordedTraces:
+    def test_certified_trace_equals_the_eager_one(self):
+        for g in structured_instances():
+            result = structural.solve_cpds(g)
+            expected = eager_trace(g, result.witness)
+            assert result.trace.forces == expected.forces  # the first read builds it
+            assert result.trace.final_colored == expected.final_colored
+            assert result.trace == expected and hash(result.trace) == hash(expected)
+            assert prop.replay_trace(g, result.trace) == g.full_mask
+
+    def test_check_trace_equals_the_eager_one_also_when_it_fails(self):
+        rng = random.Random(127)
+        failed = 0
+        for g in structured_instances():
+            for _ in range(4):
+                s = rng.sample(range(g.n), rng.randint(1, 2))
+                ok, trace = prop.is_power_dominating(g, s)
+                # equality first: it has to build the fields itself
+                assert trace == eager_trace(g, s)
+                assert entries(trace.forces) == naive_trace(g, set(s))[0]
+                assert trace.rounds() == eager_trace(g, s).rounds()
+                assert prop.replay_trace(g, trace) == trace.final_mask
+                failed += not ok
+        assert failed >= 20
+
+    def test_a_recorded_trace_is_frozen(self):
+        _, trace = prop.is_power_dominating(path_graph(5), [2])
+        with pytest.raises(AttributeError):
+            trace.forces = ()
+        with pytest.raises(AttributeError):
+            trace.missing  # noqa: B018
+        assert trace.forces == (prop.Force(1, 2, 1, prop.DOMINATE),
+                                prop.Force(1, 2, 3, prop.DOMINATE),
+                                prop.Force(2, 1, 0, prop.FORCE),
+                                prop.Force(2, 3, 4, prop.FORCE))
+
+
+def run_cli(g: Graph, *argv: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main([argv[0], "-", *argv[1:]], out, err, io.StringIO(dump_edgelist(g))) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("g", [spider((3, 4, 5)), random_cactus(random.Random(3), 30),
+                               random_block_graph(random.Random(4), 30)],
+                         ids=["tree", "cactus", "block"])
+def test_traced_solve_runs_the_engine_once(g, monkeypatch):
+    calls = []
+    engine = prop._propagate
+    monkeypatch.setattr(prop, "_propagate", lambda *args, **kw: calls.append(1) or engine(*args, **kw))
+    printed = run_cli(g, "solve", "--trace")
+    assert len(calls) == 1
+    assert "trace:" in printed
+
+
+def test_untraced_solve_builds_no_trace_entry(monkeypatch):
+    g = spider((30, 40, 50, 1))
+    made = []
+    force = prop._force
+    monkeypatch.setattr(prop, "_force", lambda fields: made.append(fields) or force(fields))
+    run_cli(g, "solve", "--json")
+    assert made == []
+    run_cli(g, "solve", "--json", "--trace")
+    assert len(made) == g.n - 1  # every vertex but the one chosen

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from powerdom import exact, structural
 from powerdom import propagation as prop
 from powerdom.decomposition import blocks, classify_cut_vertices, cycle_order, recognize
 from powerdom.errors import BudgetExceededError, GraphClassError, PowerDomError
+from powerdom.graph_io import load_graph
 from powerdom.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 from conftest import (
@@ -284,21 +286,64 @@ def outcome(solve, g: Graph):
     return result.optimum, result.witness, result.method
 
 
+def chorded_cactus(rng: random.Random, n: int) -> Graph:
+    """A random cactus with one chord inside one of its cycles of 4 or more
+    vertices (when it has one), which makes that cycle a general block."""
+    g = random_cactus(rng, n)
+    rings = [cycle_order(g, blk) for blk in blocks(g).blocks if len(blk) >= 4]
+    if not rings:
+        return g
+    ring = rng.choice(rings)
+    i = rng.randrange(len(ring))
+    j = (i + rng.randint(2, len(ring) - 2)) % len(ring)
+    return Graph(g.labels, list(g.edges()) + [(ring[i], ring[j])])
+
+
+def block_kinds(g: Graph) -> set[str]:
+    """The kinds of g's nontrivial blocks: the decomposition solves a clique,
+    a bridge or a cycle of 4 or more vertices in place when it holds a
+    mandatory vertex, and expands every other block."""
+    dec, mandatory = blocks(g), set(classify_cut_vertices(g).mandatory)
+    kinds = set()
+    for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
+        if trivial:
+            continue
+        k = len(blk)
+        if mandatory.isdisjoint(blk):
+            kinds.add("no anchor")
+        elif edges == k * (k - 1) // 2:
+            kinds.add("bridge" if k == 2 else "clique")
+        else:
+            kinds.add("cycle" if edges == k >= 4 else "general")
+    return kinds
+
+
 class TestPieceTable:
     """The decomposition solves each distinct piece once and reuses its
-    witness; its answers are those of solving every piece on its own."""
+    witness; its answers are those of solving every piece on its own.
+    Cliques, bridges and cycles holding a mandatory vertex are solved in
+    place, and must give what expanding them gives."""
 
     FAMILIES = {
         "block_tree": random_block_tree,
         "block_graph": lambda rng, n: subdivide_block_edge(rng, random_block_graph(rng, n)),
         "tree_with_chords": lambda rng, n: subdivide_block_edge(
             rng, random_tree_with_chords(rng, n, n // 10)),
+        "chorded_cactus": lambda rng, n: subdivide_block_edge(rng, chorded_cactus(rng, n)),
+    }
+    # the kinds of block each family must show, summed over its graphs
+    KINDS = {
+        "block_tree": {"bridge", "general"},
+        "block_graph": {"bridge", "clique", "cycle"},
+        "tree_with_chords": {"bridge", "clique", "cycle", "general"},
+        "chorded_cactus": {"bridge", "clique", "cycle", "general"},
     }
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_matches_naive_decomposition(self, family):
         rng = random.Random(f"pieces/{family}")
         repeated = 0
+        kinds: set[str] = set()
         for _ in range(30):
             g = self.FAMILIES[family](rng, rng.randint(12, 120))
             if not blocks(g).cut_vertices or recognize(g).path:
@@ -310,7 +355,28 @@ class TestPieceTable:
             keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
                     for blk, vertices, rows in pieces}
             repeated += len(keys) < len(pieces)
+            kinds |= block_kinds(g)
         assert repeated >= 10
+        assert self.KINDS[family] <= kinds
+
+    def test_a_block_without_an_anchor_is_expanded(self):
+        """The cycle of the toy cactus holds no mandatory vertex, so it is
+        solved as a piece even though it is a cycle."""
+        path = os.path.join(os.path.dirname(__file__), "data", "toy_cactus.edges")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        g = load_graph(text)
+        assert block_kinds(g) == {"no anchor"}
+        solved = []
+
+        def counting(h):
+            solved.append(h.n)
+            return structural._dispatch(h, exact.DEFAULT_BUDGET, split=False)
+
+        result = structural.decompose_cpds(g, subsolver=counting)
+        assert solved == [g.n]
+        assert outcome(lambda h: result, g) == outcome(naive_decompose, load_graph(text))
+        assert g.labels_of(result.witness) == ("v1",)
 
     def test_time_budget_bounds_the_whole_decomposition(self, monkeypatch):
         """On a fake clock that moves one second per piece searched, each of
