@@ -365,6 +365,8 @@ def _cmd_gadget(args, out, err, stdin) -> int:
 def _cmd_check(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     labels = [part.strip() for part in args.vertex_set.split(",") if part.strip()]
+    if not labels:
+        raise _UsageError(f"--set {args.vertex_set!r} names no vertex")
     vertices = g.indices_of(labels)
     if len(set(vertices)) < len(vertices):
         repeated = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
@@ -395,6 +397,8 @@ def _cmd_check(args, out, err, stdin) -> int:
 
 def _cmd_batch(args, out, err, stdin) -> int:
     problems = [p.strip() for p in args.problems.split(",") if p.strip()]
+    if not problems:
+        raise _UsageError(f"--problems {args.problems!r} names no problem")
     for p in problems:
         if p not in ("pd", "cpd"):
             raise _UsageError(f"unknown problem {p!r}")

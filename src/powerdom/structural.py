@@ -4,21 +4,24 @@ For trees and block graphs the mandatory set (plus a single vertex in the
 degenerate cases) is already an optimal connected power dominating set.
 For cactus graphs the optimum is the whole vertex set minus all pendant
 paths and, per cycle, minus one largest excludable segment. For arbitrary
-graphs with a cut vertex, the problem splits over the nontrivial blocks.
+graphs with a cut vertex, the problem splits over the nontrivial blocks:
+cliques, bridges and cycles are solved in place by the rules above, and
+every other block, with its pendant paths, by the exact search for the
+smallest solution containing the block's mandatory vertices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import exact
 from .decomposition import (CutVertexTaxonomy, blocks, connected_profile, cycle_order,
                             profile, recognize)
 from .errors import DecompositionError, GraphClassError, GraphError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult, certify
-from .graphs import Graph, attach_leaves
+from .graphs import Graph
 
 
 def tree_cpds(g: Graph) -> SolveResult:
@@ -186,33 +189,11 @@ def cactus_cpds(g: Graph) -> SolveResult:
     return certify(g, witness, exact.METHOD_CACTUS, connected=True)
 
 
-SubSolver = Callable[[Graph], SolveResult]
-"""Solver for one expanded block piece (never a clique, bridge or cycle
-that the decomposition solves in place). It must read only the piece's
-structure (its adjacency rows), never its labels: the decomposition solves
-each distinct piece once, on a graph built for its first occurrence, and
-reuses the witness for its repeats."""
 Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
 """One nontrivial block with its pendant paths, as (core, vertices, rows):
 the block's vertices, the piece's sorted global vertex ids, and its rows
-over local ids (local id i is ``vertices[i]``); built per expanded block."""
-
-
-def _dispatch(g: Graph, budget: Budget, split: bool) -> SolveResult:
-    """The strongest solver for ``g``'s class; ``split`` allows the
-    cut-vertex decomposition before the enumeration fallback. Block
-    pieces are solved with ``split`` off: a piece's only nontrivial block
-    is the piece itself, so splitting it again would never end."""
-    graph_class = recognize(g)  # builds the profile the solvers below read
-    if graph_class.tree:
-        return tree_cpds(g)
-    if graph_class.block_graph:
-        return block_graph_cpds(g)
-    if graph_class.cactus:
-        return cactus_cpds(g)
-    if split and blocks(g).cut_vertices:
-        return decompose_cpds(g, budget=budget)
-    return exact.min_cpds(g, budget)
+over local ids (local id i is ``vertices[i]``); the decomposition builds
+one for each block that is not a clique, a bridge or a cycle."""
 
 
 def _piece(g: Graph, blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> Piece:
@@ -234,23 +215,20 @@ def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
             if not trivial]
 
 
-def decompose_cpds(
-    g: Graph,
-    subsolver: SubSolver | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> SolveResult:
+def decompose_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Split the problem over nontrivial blocks and recombine.
 
     Each nontrivial block (with its pendant paths) is solved subject to the
-    mandatory vertices it contains, the witnesses are unioned, and the
-    double-counted mandatory vertices are discounted. A clique or bridge
-    holding a mandatory vertex needs just those, and such a cycle of 4 or
-    more vertices all but one largest excludable segment. Any other block
-    is a :data:`Piece`: each distinct one (the same adjacency rows and
-    anchors) is solved once, on the only graphs built for it (the piece and
-    its leaf expansion). The recombined witness is re-certified; an
-    inconsistent recombination raises instead of returning a wrong answer.
-    One time budget covers every piece.
+    mandatory vertices it contains (its anchors), the witnesses are
+    unioned, and the double-counted anchors are discounted. A clique or
+    bridge needs its anchors (its least vertex when it has none), and a
+    cycle of 4 or more vertices all but one largest excludable segment;
+    only the graph's sole nontrivial block can lack an anchor. Any other
+    block is a :data:`Piece`, and each distinct one (the same rows and
+    anchors) gets one graph and one :func:`exact.min_cpds_subject_to`
+    search, which checks the vertex budget at the piece's own size. One
+    time budget covers every piece. The recombined witness is re-certified;
+    an inconsistent recombination raises instead of returning a wrong answer.
     """
     info = profile(g)
     if not info.connected:
@@ -261,34 +239,32 @@ def decompose_cpds(
     if info.graph_class.path:
         raise GraphClassError("decomposition does not apply to paths")
     deadline = budget.deadline()
-    solve = subsolver or (lambda sub: _dispatch(sub, budget.until(deadline), split=False))
     mandatory = set(taxonomy.mandatory)
     membership = {v: 0 for v in mandatory}
     total = 0
     union: set[int] = set()
-    # (rows, anchors) fix the expanded piece, and no subsolver reads labels
-    solved: dict[tuple, SolveResult] = {}
+    # (rows, anchors) fix a piece's search, which reads no labels
+    solved: dict[tuple, tuple[int, ...]] = {}
     for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
         if trivial:
             continue
         inside = [v for v in blk if v in mandatory]
         for v in inside:
             membership[v] += 1
-        if inside and edges == len(blk) * (len(blk) - 1) // 2:  # a clique or a bridge
-            witness = inside
-        elif inside and edges == len(blk) >= 4:  # a cycle
+        if edges == len(blk) * (len(blk) - 1) // 2:  # a clique or a bridge
+            witness = inside or blk[:1]
+        elif edges == len(blk):  # a cycle of 4 or more vertices
             witness = set(blk).difference(_largest_segment(cycle_order(g, blk), taxonomy))
         else:
             _, vertices, rows = _piece(g, blk, taxonomy)
             anchors = tuple(bisect_left(vertices, v) for v in inside)
             key = (rows, anchors)
-            result = solved.get(key)
-            if result is None:
+            local = solved.get(key)
+            if local is None:
                 sub = Graph._from_rows(g.labels_of(vertices), rows)
-                result = solved[key] = solve(attach_leaves(sub, anchors, 3))
-                if any(v >= sub.n for v in result.witness):
-                    raise DecompositionError("block solution uses an added leaf")
-            witness = [vertices[v] for v in result.witness]
+                local = solved[key] = exact.min_cpds_subject_to(
+                    sub, anchors, budget.until(deadline)).witness
+            witness = [vertices[v] for v in local]
         union.update(witness)
         total += len(witness)
     overlap = sum(membership[v] - 1 for v in mandatory)
@@ -307,10 +283,15 @@ def decompose_cpds(
 def solve_cpds(g: Graph, method: str = "auto", budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Dispatch to the strongest applicable solver.
 
-    ``auto`` tries tree, block graph, cactus, then the cut-vertex
+    ``auto`` picks tree, block graph, cactus, then the cut-vertex
     decomposition, and falls back to plain enumeration on biconnected
     general graphs.
     """
+    if method == "auto":
+        graph_class = recognize(g)  # builds the profile the solvers below read
+        method = ("tree" if graph_class.tree else "block" if graph_class.block_graph
+                  else "cactus" if graph_class.cactus
+                  else "decompose" if blocks(g).cut_vertices else "brute")
     if method == "tree":
         return tree_cpds(g)
     if method == "block":
@@ -321,6 +302,4 @@ def solve_cpds(g: Graph, method: str = "auto", budget: Budget = DEFAULT_BUDGET) 
         return decompose_cpds(g, budget=budget)
     if method == "brute":
         return exact.min_cpds(g, budget)
-    if method != "auto":
-        raise GraphError(f"unknown method {method!r}")
-    return _dispatch(g, budget, split=True)
+    raise GraphError(f"unknown method {method!r}")

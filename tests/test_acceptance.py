@@ -96,9 +96,8 @@ def test_criterion_02_block_and_cactus_oracle_agreement(block_corpus, cactus_cor
 
 def test_criterion_03_decomposition_agreement(cut_corpus):
     started = time.perf_counter()
-    solver = lambda h: exact.min_cpds(h)  # noqa: E731
     for g in cut_corpus:
-        fast = structural.decompose_cpds(g, subsolver=solver)
+        fast = structural.decompose_cpds(g)
         assert fast.optimum == exact.min_cpds(g).optimum
     assert time.perf_counter() - started < 300
     _report(3, "cut-vertex decomposition matches oracle on 200 graphs", started)

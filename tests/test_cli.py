@@ -363,6 +363,16 @@ class TestBadInputNeverTracesBack:
         self.assert_one_line_usage_failure(run("batch", TREE, str(tmp_path)),
                                            str(tmp_path))
 
+    @pytest.mark.parametrize("vertex_set", ["", ","])
+    def test_check_of_an_empty_set(self, vertex_set):
+        self.assert_one_line_usage_failure(run("check", TREE, "--set", vertex_set),
+                                           f"--set {vertex_set!r} names no vertex")
+
+    @pytest.mark.parametrize("problems", ["", ",,"])
+    def test_batch_without_a_problem(self, problems):
+        self.assert_one_line_usage_failure(run("batch", TREE, "--problems", problems),
+                                           f"--problems {problems!r} names no problem")
+
     def test_negative_budget_n(self):
         self.assert_one_line_usage_failure(
             run("solve", TREE, "--problem", "pd", "--budget-n", "-3"), "--budget-n")

@@ -144,8 +144,8 @@ def test_subdivision_never_lowers_the_optimum(g, data):
 
 class TestAnalyseOnce:
     def test_one_block_dfs_per_graph_and_per_expanded_block(self, monkeypatch):
-        """Only the general pieces are expanded: the triangle holds a
-        mandatory vertex and is solved in place."""
+        """Only the general pieces are built and searched: the triangle is
+        solved in place."""
         # count the pieces on a copy, so that g itself is not analysed yet
         g = general_with_cut_vertices()
         pieces = len(structural.nontrivial_block_subgraphs(Graph(g.labels, g.edges())))
@@ -167,8 +167,8 @@ class TestAnalyseOnce:
     def test_each_distinct_piece_solved_once(self, monkeypatch):
         """Twelve diamonds in a row, glued at their degree-2 vertices: the
         two end pieces and the ten middle ones give three distinct pieces.
-        Graphs are built only for a distinct piece: the piece itself and
-        its leaf expansion (one graph per piece would make 12 + 3)."""
+        One graph is built per distinct piece (one per piece would make
+        12), and the search runs on it directly."""
         g = chain_of_blocks([GENERAL_BLOCKS[0]] * 12)
         copy = Graph(g.labels, g.edges())
         mandatory = set(classify_cut_vertices(copy).mandatory)
@@ -187,14 +187,17 @@ class TestAnalyseOnce:
         monkeypatch.setattr(Graph, "_from_rows", classmethod(
             lambda cls, *args: built.append(cls) or from_rows(cls, *args)))
 
-        def counting(h):
-            solved.append(h)
-            return structural._dispatch(h, exact.DEFAULT_BUDGET, split=False)
+        search = exact.min_cpds_subject_to
 
-        result = structural.decompose_cpds(g, subsolver=counting)
+        def counting(h, x, budget):
+            solved.append(h)
+            return search(h, x, budget)
+
+        monkeypatch.setattr(exact, "min_cpds_subject_to", counting)
+        result = structural.decompose_cpds(g)
         monkeypatch.undo()
         assert len(solved) == len(keys)
-        assert len(built) == 2 * len(keys)
+        assert len(built) == len(keys)
         assert len(calls) == 1 + len(keys) and calls[0] == g.n
         naive = naive_decompose(copy)
         assert (result.optimum, result.witness, result.method) == (

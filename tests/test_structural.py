@@ -270,10 +270,9 @@ class TestDecomposition:
 
     def test_exact_subsolver_agreement(self):
         rng = random.Random(29)
-        solver = lambda h: exact.min_cpds(h)  # noqa: E731
         for _ in range(40):
             g = random_connected_with_cut_vertex(rng, rng.randint(4, 11))
-            fast = structural.decompose_cpds(g, subsolver=solver)
+            fast = structural.decompose_cpds(g)
             assert fast.optimum == exact.min_cpds(g).optimum
 
 
@@ -301,8 +300,9 @@ def chorded_cactus(rng: random.Random, n: int) -> Graph:
 
 def block_kinds(g: Graph) -> set[str]:
     """The kinds of g's nontrivial blocks: the decomposition solves a clique,
-    a bridge or a cycle of 4 or more vertices in place when it holds a
-    mandatory vertex, and expands every other block."""
+    a bridge or a cycle of 4 or more vertices in place, and searches every
+    other block. A block holding no mandatory vertex is the graph's only
+    nontrivial block."""
     dec, mandatory = blocks(g), set(classify_cut_vertices(g).mandatory)
     kinds = set()
     for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
@@ -320,9 +320,9 @@ def block_kinds(g: Graph) -> set[str]:
 
 class TestPieceTable:
     """The decomposition solves each distinct piece once and reuses its
-    witness; its answers are those of solving every piece on its own.
-    Cliques, bridges and cycles holding a mandatory vertex are solved in
-    place, and must give what expanding them gives."""
+    witness; its answers are those of expanding every piece and solving it
+    on its own. Cliques, bridges and cycles are solved in place, and must
+    give what expanding them gives."""
 
     FAMILIES = {
         "block_tree": random_block_tree,
@@ -359,22 +359,21 @@ class TestPieceTable:
         assert repeated >= 10
         assert self.KINDS[family] <= kinds
 
-    def test_a_block_without_an_anchor_is_expanded(self):
-        """The cycle of the toy cactus holds no mandatory vertex, so it is
-        solved as a piece even though it is a cycle."""
+    def test_a_block_without_an_anchor_is_solved_in_place(self, monkeypatch):
+        """The cycle of the toy cactus holds no mandatory vertex; it is the
+        graph's only nontrivial block and is solved in place, as a cycle."""
         path = os.path.join(os.path.dirname(__file__), "data", "toy_cactus.edges")
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         g = load_graph(text)
         assert block_kinds(g) == {"no anchor"}
         solved = []
-
-        def counting(h):
-            solved.append(h.n)
-            return structural._dispatch(h, exact.DEFAULT_BUDGET, split=False)
-
-        result = structural.decompose_cpds(g, subsolver=counting)
-        assert solved == [g.n]
+        search = exact.min_cpds_subject_to
+        monkeypatch.setattr(exact, "min_cpds_subject_to",
+                            lambda h, *args: solved.append(h.n) or search(h, *args))
+        result = structural.decompose_cpds(g)
+        monkeypatch.undo()
+        assert solved == []
         assert outcome(lambda h: result, g) == outcome(naive_decompose, load_graph(text))
         assert g.labels_of(result.witness) == ("v1",)
 
@@ -383,13 +382,13 @@ class TestPieceTable:
         the four pieces fits in the budget on its own but all four do not."""
         now = [0.0]
         monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        search = exact.min_cpds
+        search = exact.min_cpds_subject_to
 
-        def slow(h, budget=exact.DEFAULT_BUDGET):
+        def slow(h, x, budget=exact.DEFAULT_BUDGET):
             now[0] += 1
-            return search(h, budget)
+            return search(h, x, budget)
 
-        monkeypatch.setattr(exact, "min_cpds", slow)
+        monkeypatch.setattr(exact, "min_cpds_subject_to", slow)
         g = chain_of_blocks(GENERAL_BLOCKS)
         assert len(structural.nontrivial_block_subgraphs(g)) == 4
         with pytest.raises(BudgetExceededError):
@@ -397,6 +396,65 @@ class TestPieceTable:
         assert now[0] == 3
         result = structural.solve_cpds(g, budget=exact.Budget(max_seconds=4.5))
         assert result.method == exact.METHOD_DECOMPOSITION and now[0] == 7
+
+    @staticmethod
+    def with_pendant_pairs(g: Graph, at) -> Graph:
+        """``g`` with a two-vertex pendant path hung on each vertex of ``at``."""
+        labels, edges = list(g.labels), list(g.edges())
+        for v in at:
+            labels += [f"p{v}", f"q{v}"]
+            edges += [(v, len(labels) - 2), (len(labels) - 2, len(labels) - 1)]
+        return Graph(labels, edges)
+
+    @pytest.mark.parametrize("at", [(0, 1, 2, 3, 4, 5), (0, 2, 3), (1, 4)],
+                             ids=["every vertex", "three vertices", "two vertices"])
+    def test_a_lone_block_without_an_anchor(self, at):
+        """One clique, cycle or general block wearing single pendant paths
+        has no mandatory vertex; the decomposition gives the optimum and
+        witness of the solver for the whole graph's class."""
+        wheel = Graph([f"w{i}" for i in range(6)],
+                      [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
+        for block, solve in ((complete_graph(4), structural.block_graph_cpds),
+                             (cycle_graph(6), structural.cactus_cpds),
+                             (wheel, exact.min_cpds)):
+            g = self.with_pendant_pairs(block, [v for v in at if v < block.n])
+            assert block_kinds(g) == {"no anchor"}
+            expected = solve(g)
+            assert outcome(structural.decompose_cpds, g) == (
+                expected.optimum, expected.witness, exact.METHOD_DECOMPOSITION)
+
+    @staticmethod
+    def chorded_ring_with_triangles() -> Graph:
+        """A 20-cycle with chords v0-v10 and v5-v15 (a general block of 20
+        vertices), a triangle at v3 and at v13, and a leaf on each triangle
+        vertex off the ring: the block's piece holds two mandatory vertices,
+        so its leaf expansion would have 26 vertices."""
+        labels = [f"v{i}" for i in range(20)]
+        edges = [(i, (i + 1) % 20) for i in range(20)] + [(0, 10), (5, 15)]
+        for hub in (3, 13):
+            a, b, la, lb = range(len(labels), len(labels) + 4)
+            labels += [f"a{hub}", f"b{hub}", f"la{hub}", f"lb{hub}"]
+            edges += [(hub, a), (hub, b), (a, b), (a, la), (b, lb)]
+        return Graph(labels, edges)
+
+    def test_a_piece_is_checked_against_the_budget_at_its_own_size(self):
+        g = self.chorded_ring_with_triangles()
+        assert block_kinds(g) == {"clique", "general"}
+        assert max(len(vertices) for _, vertices, _ in
+                   structural.nontrivial_block_subgraphs(g)) == 20
+        result = structural.decompose_cpds(g)
+        assert result.optimum == 6
+        assert g.labels_of(result.witness) == ("v3", "v4", "v5", "v13", "v14", "v15")
+        naive = naive_decompose(Graph(g.labels, g.edges()))
+        assert (result.optimum, result.witness) == (naive.optimum, naive.witness)
+
+    def test_a_piece_over_the_budget_names_its_own_size(self):
+        """A 25-cycle with a chord and a triangle hung on one vertex: the
+        general piece has 25 vertices (28 with its leaf expansion)."""
+        labels = [f"v{i}" for i in range(25)] + ["a", "b"]
+        edges = [(i, (i + 1) % 25) for i in range(25)] + [(0, 12), (3, 25), (3, 26), (25, 26)]
+        with pytest.raises(BudgetExceededError, match="graph has 25 vertices, budget allows 24"):
+            structural.decompose_cpds(Graph(labels, edges))
 
 
 class TestAutoDispatch:
