@@ -148,10 +148,14 @@ def _parse_matrixmarket(lines: Iterable[str]) -> Graph:
 
 
 def dump_edgelist(g: Graph) -> str:
-    """Serialize ``g`` as edge list text (one 'u v' line per edge)."""
+    """Serialize ``g`` as edge list text: one 'u v' line per edge, and a
+    loop line 'v v', which the reader takes as a bare vertex, for each
+    vertex without an edge, in the order of the vertices."""
     for lab in g.labels:
         # the reader takes a whole whitespace-free token and cuts comments at any '#'
         if lab.split() != [lab] or "#" in lab:
             raise GraphError(f"label {lab!r} cannot be written as edge list")
-    lines = [f"{g.labels[u]} {g.labels[v]}" for u, v in g.edges()]
+    labels = g.labels
+    lines = [f"{labels[u]} {labels[v]}" for u, row in enumerate(g.adj)
+             for v in (row or (u,)) if u <= v]
     return "\n".join(lines) + "\n"

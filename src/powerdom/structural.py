@@ -1,13 +1,12 @@
 """Fast solvers for structured graph classes and the cut-vertex split.
 
-For trees and block graphs the mandatory set (plus a single vertex in the
-degenerate cases) is already an optimal connected power dominating set.
-For cactus graphs the optimum is the whole vertex set minus all pendant
-paths and, per cycle, minus one largest excludable segment. For arbitrary
-graphs with a cut vertex, the problem splits over the nontrivial blocks:
-cliques, bridges and cycles are solved in place by the rules above, and
-every other block, with its pendant paths, by the exact search for the
-smallest solution containing the block's mandatory vertices.
+The tree, block graph, cactus and decomposition solvers are class checks
+in front of one core, :func:`_by_blocks`. It solves each nontrivial block
+subject to the mandatory vertices it holds and recombines: a clique or a
+bridge needs those vertices, a longer cycle all but one largest
+excludable segment, and any other block, with its pendant paths, the exact search
+for the smallest solution containing them. So a tree or a block graph
+gets its mandatory set, and a path or a cycle one vertex.
 """
 
 from __future__ import annotations
@@ -17,25 +16,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import exact
-from .decomposition import (CutVertexTaxonomy, blocks, connected_profile, cycle_order,
-                            profile, recognize)
+from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
 from .errors import DecompositionError, GraphClassError, GraphError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult, certify
 from .graphs import Graph
 
 
 def tree_cpds(g: Graph) -> SolveResult:
-    """Optimal connected power dominating set of a tree.
-
-    Paths need a single vertex; any other tree has the mandatory set as its
-    unique optimum.
-    """
-    info = connected_profile(g)
-    if not info.graph_class.tree:
+    """Optimal connected power dominating set of a tree: one vertex of a
+    path, else the mandatory set, its unique optimum."""
+    if not connected_profile(g).graph_class.tree:
         raise GraphClassError("input is not a tree")
-    if info.graph_class.path:
-        return certify(g, (0,), exact.METHOD_TREE, connected=True)
-    return certify(g, info.taxonomy.mandatory, exact.METHOD_TREE, connected=True)
+    return _by_blocks(g, exact.METHOD_TREE)
 
 
 def tree_pd_equals_cpd(g: Graph) -> bool:
@@ -62,16 +54,12 @@ def tree_pd_equals_cpd(g: Graph) -> bool:
 
 
 def block_graph_cpds(g: Graph) -> SolveResult:
-    """Optimal connected power dominating set of a block graph."""
-    info = connected_profile(g)
-    if not info.graph_class.block_graph:
+    """Optimal connected power dominating set of a block graph: the
+    mandatory set, or the least vertex of the one clique that wears the
+    pendant paths when that set is empty."""
+    if not connected_profile(g).graph_class.block_graph:
         raise GraphClassError("input is not a block graph")
-    if info.taxonomy.mandatory:
-        return certify(g, info.taxonomy.mandatory, exact.METHOD_BLOCK, connected=True)
-    big = [blk for blk in info.decomposition.blocks if len(blk) >= 3]
-    # no mandatory vertices: either a path, or one clique wearing pendant paths
-    witness = (min(big[0]),) if big else (0,)
-    return certify(g, witness, exact.METHOD_BLOCK, connected=True)
+    return _by_blocks(g, exact.METHOD_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -169,24 +157,12 @@ def _largest_segment(cycle: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> tup
 
 
 def cactus_cpds(g: Graph) -> SolveResult:
-    """Optimal connected power dominating set of a cactus graph.
-
-    Keep every vertex except the pendant paths and, in each cycle, one
-    largest excludable segment; pure paths and pure cycles need just one
-    vertex.
-    """
-    info = connected_profile(g)
-    if not info.graph_class.cactus:
+    """Optimal connected power dominating set of a cactus graph: the
+    mandatory set plus, in each cycle of 4 or more vertices, every vertex
+    outside one largest excludable segment (see :func:`_by_blocks`)."""
+    if not connected_profile(g).graph_class.cactus:
         raise GraphClassError("input is not a cactus graph")
-    if info.graph_class.path or info.graph_class.cycle:
-        return certify(g, (0,), exact.METHOD_CACTUS, connected=True)
-    taxonomy = info.taxonomy
-    excluded = {v for _, chain in taxonomy.pendant_paths for v in chain}
-    for blk in info.decomposition.blocks:
-        if len(blk) >= 3:
-            excluded.update(_largest_segment(cycle_order(g, blk), taxonomy))
-    witness = [v for v in range(g.n) if v not in excluded]
-    return certify(g, witness, exact.METHOD_CACTUS, connected=True)
+    return _by_blocks(g, exact.METHOD_CACTUS)
 
 
 Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
@@ -215,45 +191,40 @@ def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
             if not trivial]
 
 
-def decompose_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
-    """Split the problem over nontrivial blocks and recombine.
+def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
+    """The witness of a connected graph from its nontrivial blocks,
+    certified under ``method``; a path or a cycle gets vertex 0.
 
-    Each nontrivial block (with its pendant paths) is solved subject to the
-    mandatory vertices it contains (its anchors), the witnesses are
-    unioned, and the double-counted anchors are discounted. A clique or
-    bridge needs its anchors (its least vertex when it has none), and a
-    cycle of 4 or more vertices all but one largest excludable segment;
-    only the graph's sole nontrivial block can lack an anchor. Any other
-    block is a :data:`Piece`, and each distinct one (the same rows and
+    A block's anchors are the mandatory vertices it holds; only the graph's
+    sole nontrivial block can have none, and a clique or a bridge then
+    gives its least vertex. Each distinct :data:`Piece` (the same rows and
     anchors) gets one graph and one :func:`exact.min_cpds_subject_to`
-    search, which checks the vertex budget at the piece's own size. One
-    time budget covers every piece. The recombined witness is re-certified;
-    an inconsistent recombination raises instead of returning a wrong answer.
+    search, which checks the vertex budget at the piece's own size, under
+    one deadline for every piece. A union whose size is not the mandatory
+    set's plus what the blocks add beyond their anchors raises.
     """
-    info = profile(g)
-    if not info.connected:
-        raise GraphClassError("decomposition requires a connected graph")
+    info = connected_profile(g)
+    if info.graph_class.path or info.graph_class.cycle:
+        return certify(g, (0,), method, connected=True)
     dec, taxonomy = info.decomposition, info.taxonomy
-    if not dec.cut_vertices:
-        raise GraphClassError("decomposition requires at least one cut vertex")
-    if info.graph_class.path:
-        raise GraphClassError("decomposition does not apply to paths")
     deadline = budget.deadline()
     mandatory = set(taxonomy.mandatory)
-    membership = {v: 0 for v in mandatory}
-    total = 0
-    union: set[int] = set()
+    # a mandatory vertex in no nontrivial block is the hub of a spider
+    union = set(mandatory)
+    added = 0  # vertices the blocks' witnesses hold beyond their anchors
     # (rows, anchors) fix a piece's search, which reads no labels
     solved: dict[tuple, tuple[int, ...]] = {}
     for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
         if trivial:
             continue
+        k = len(blk)
+        if edges == k * (k - 1) // 2:  # a clique or a bridge adds no vertex to its anchors
+            if mandatory.isdisjoint(blk):
+                union.add(blk[0])
+                added += 1
+            continue
         inside = [v for v in blk if v in mandatory]
-        for v in inside:
-            membership[v] += 1
-        if edges == len(blk) * (len(blk) - 1) // 2:  # a clique or a bridge
-            witness = inside or blk[:1]
-        elif edges == len(blk):  # a cycle of 4 or more vertices
+        if edges == k:  # a cycle of 4 or more vertices
             witness = set(blk).difference(_largest_segment(cycle_order(g, blk), taxonomy))
         else:
             _, vertices, rows = _piece(g, blk, taxonomy)
@@ -266,18 +237,24 @@ def decompose_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
                     sub, anchors, budget.until(deadline)).witness
             witness = [vertices[v] for v in local]
         union.update(witness)
-        total += len(witness)
-    overlap = sum(membership[v] - 1 for v in mandatory)
-    optimum = total - overlap
-    # vertices of the mandatory set lying in no nontrivial block occur only
-    # when the whole graph is one hub with pendant paths; the hub itself is
-    # then the solution piece the block sum cannot see
-    union.update(v for v in mandatory if membership[v] == 0)
+        added += len(witness) - len(inside)
+    optimum = len(mandatory) + added
     if len(union) != optimum:
-        raise DecompositionError(
-            f"recombined witness has {len(union)} vertices, formula says {optimum}"
-        )
-    return certify(g, union, exact.METHOD_DECOMPOSITION, connected=True)
+        raise DecompositionError(f"recombined witness has {len(union)} vertices, "
+                                 f"formula says {optimum}")
+    return certify(g, union, method, connected=True)
+
+
+def decompose_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
+    """Split the problem over the nontrivial blocks of a connected non-path
+    graph with a cut vertex and recombine (see :func:`_by_blocks`); a
+    disconnected graph raises :class:`DisconnectedError`."""
+    info = connected_profile(g)
+    if not info.decomposition.cut_vertices:
+        raise GraphClassError("decomposition requires at least one cut vertex")
+    if info.graph_class.path:
+        raise GraphClassError("decomposition does not apply to paths")
+    return _by_blocks(g, exact.METHOD_DECOMPOSITION, budget)
 
 
 def solve_cpds(g: Graph, method: str = "auto", budget: Budget = DEFAULT_BUDGET) -> SolveResult:

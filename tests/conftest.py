@@ -335,14 +335,14 @@ def naive_decompose(g: Graph, budget=None):
     """The cut-vertex decomposition without a table of solved pieces and
     without in-place rules: each nontrivial block piece gets three leaves on
     every mandatory vertex it holds (the L3 expansion) and is solved on its
-    own by its class's solver, or by the plain search when it is general.
-    The pieces' witnesses are unioned and certified on ``g``. It shares only
-    the piece list with the library. The default budget fits the expansion
-    of any piece of ``g``."""
+    own by the plain search, whatever its class, so no structural solver
+    checks another. The pieces' witnesses are unioned and certified on
+    ``g``. It shares only the piece list with the library. The default
+    budget fits the expansion of any piece of ``g``."""
     from collections import Counter
 
     from powerdom import exact, structural
-    from powerdom.decomposition import classify_cut_vertices, recognize
+    from powerdom.decomposition import classify_cut_vertices
     from powerdom.graphs import attach_leaves
 
     budget = exact.Budget(max_vertices=4 * g.n) if budget is None else budget
@@ -353,16 +353,7 @@ def naive_decompose(g: Graph, budget=None):
         sub = Graph(g.labels_of(vertices), [(u, w) for u, row in enumerate(rows) for w in row])
         anchors = [vertices.index(v) for v in blk if v in mandatory]
         shared.update(v for v in blk if v in mandatory)
-        expanded = attach_leaves(sub, anchors, 3)
-        graph_class = recognize(expanded)
-        if graph_class.tree:
-            piece = structural.tree_cpds(expanded)
-        elif graph_class.block_graph:
-            piece = structural.block_graph_cpds(expanded)
-        elif graph_class.cactus:
-            piece = structural.cactus_cpds(expanded)
-        else:
-            piece = exact.min_cpds(expanded, budget)
+        piece = exact.min_cpds(attach_leaves(sub, anchors, 3), budget)
         assert all(v < sub.n for v in piece.witness)
         union.update(vertices[v] for v in piece.witness)
         total += piece.optimum

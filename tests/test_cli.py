@@ -136,6 +136,15 @@ class TestSolve:
         code, _, err = run("solve", "-", "--problem", "cpd", stdin="a b\nc d\n")
         assert code == 2 and "infeasible" in err
 
+    @pytest.mark.parametrize("method", ["auto", "tree", "block", "cactus", "decompose",
+                                        "brute", "milp"])
+    def test_every_method_finds_a_disconnected_graph_infeasible(self, method):
+        """A path and a triangle apart: every method refuses the graph as
+        infeasible, with exit 2 and one line, before any class check."""
+        code, out, err = run("solve", "-", "--method", method, stdin="a b\nb c\nd e\ne f\nf d\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("infeasible: ") and err.count("\n") == 1 and err.endswith("\n")
+
     def test_budget_exit_code(self):
         big = "\n".join(f"v{i} v{i + 1}" for i in range(30))
         code, _, err = run("solve", "-", "--problem", "pd", "--method", "brute",

@@ -177,7 +177,9 @@ class TestSegments:
     def test_reversed_walk_finds_the_same_segments(self):
         """The families as vertex sets, the largest size and the best
         segment's vertex set do not depend on the walk's orientation, and
-        the best segment is what cactus_cpds leaves out of the cycle."""
+        the best segment is what cactus_cpds leaves out of the cycle,
+        unless the cycle is a triangle without an anchor: a clique then
+        gives its least vertex."""
         def vertex_sets(family):
             return [{frozenset(seg.interior) for seg in segs}
                     for segs in (family.zero_cut, family.one_cut, family.two_cut)]
@@ -199,7 +201,8 @@ class TestSegments:
                 assert vertex_sets(forward) == vertex_sets(backward)
                 assert forward.max_size == backward.max_size
                 assert set(forward.best.interior) == set(backward.best.interior)
-                assert set(blk) - witness == set(forward.best.interior)
+                if len(blk) >= 4 or set(taxonomy.mandatory).intersection(blk):
+                    assert set(blk) - witness == set(forward.best.interior)
                 cut_families[0] += bool(forward.one_cut)
                 cut_families[1] += bool(forward.two_cut)
                 cuts_per_cycle[min(cuts, 3)] += 1
@@ -238,6 +241,23 @@ class TestCactus:
             assert fast.optimum == slow.optimum
             ok, _ = prop.is_power_dominating(g, fast.witness)
             assert ok and prop.is_connected_set(g, fast.witness)
+
+
+def test_class_solvers_never_search(monkeypatch):
+    """Trees, block graphs and cacti have only cliques, bridges and cycles
+    as blocks, so their solvers answer by the block rules alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a class solver searched a piece")
+
+    monkeypatch.setattr(exact, "min_cpds_subject_to", refuse)
+    with pytest.raises(AssertionError, match="searched a piece"):
+        structural.decompose_cpds(chain_of_blocks(GENERAL_BLOCKS))
+    rng = random.Random(41)
+    for make, solve in ((random_tree, structural.tree_cpds),
+                        (random_block_graph, structural.block_graph_cpds),
+                        (random_cactus, structural.cactus_cpds)):
+        for _ in range(100):
+            solve(make(rng, rng.randint(3, 59)))
 
 
 class TestDecomposition:
@@ -411,17 +431,26 @@ class TestPieceTable:
     def test_a_lone_block_without_an_anchor(self, at):
         """One clique, cycle or general block wearing single pendant paths
         has no mandatory vertex; the decomposition gives the optimum and
-        witness of the solver for the whole graph's class."""
+        witness of the plain search."""
         wheel = Graph([f"w{i}" for i in range(6)],
                       [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)])
-        for block, solve in ((complete_graph(4), structural.block_graph_cpds),
-                             (cycle_graph(6), structural.cactus_cpds),
-                             (wheel, exact.min_cpds)):
+        for block in (complete_graph(4), cycle_graph(6), wheel):
             g = self.with_pendant_pairs(block, [v for v in at if v < block.n])
             assert block_kinds(g) == {"no anchor"}
-            expected = solve(g)
+            expected = exact.min_cpds(g)
             assert outcome(structural.decompose_cpds, g) == (
                 expected.optimum, expected.witness, exact.METHOD_DECOMPOSITION)
+
+    def test_a_lone_triangle_without_an_anchor_gives_its_least_vertex(self):
+        """The triangle a-b-c with the path c-d-e hung on c is a block graph
+        and a cactus; every solver gives the triangle's least vertex."""
+        g = Graph(["a", "b", "c", "d", "e"], [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        assert block_kinds(g) == {"no anchor"}
+        for solve in (structural.cactus_cpds, structural.block_graph_cpds,
+                      structural.solve_cpds, structural.decompose_cpds):
+            result = solve(g)
+            assert (result.optimum, g.labels_of(result.witness)) == (1, ("a",))
+        assert exact.min_cpds(g).witness == (0,)
 
     @staticmethod
     def chorded_ring_with_triangles() -> Graph:
