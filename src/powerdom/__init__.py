@@ -25,7 +25,6 @@ from .decomposition import (
     recognize,
 )
 from .propagation import (
-    ColorState,
     Force,
     PropagationTrace,
     dominate_step,

@@ -30,8 +30,6 @@ from .errors import (
 from .exact import Budget
 from .graphs import Graph
 
-BUDGET_ENV = "POWERDOM_BUDGET_N"
-
 
 class _UsageError(Exception):
     pass
@@ -71,7 +69,7 @@ def _add_common_arguments(parser: argparse.ArgumentParser, budget: bool = True) 
     parser.add_argument("--json", action="store_true", help="emit json-lines output")
     if not budget:
         return
-    parser.add_argument("--budget-n", type=_non_negative(int), default=None,
+    parser.add_argument("--budget-n", type=_non_negative(int), default=Budget.max_vertices,
                         help="vertex ceiling for the exact oracles and the milp method")
     parser.add_argument("--budget-seconds", type=_non_negative(float), default=None,
                         help="time ceiling for the exact oracles and the milp method")
@@ -159,14 +157,7 @@ def build_parser() -> _Parser:
 
 
 def _budget(args: argparse.Namespace) -> Budget:
-    n = args.budget_n
-    if n is None:
-        env = os.environ.get(BUDGET_ENV)
-        try:
-            n = _non_negative(int)(env) if env else Budget().max_vertices
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"{BUDGET_ENV}: {exc}") from None
-    return Budget(max_vertices=n, max_seconds=args.budget_seconds)
+    return Budget(max_vertices=args.budget_n, max_seconds=args.budget_seconds)
 
 
 def _read(path: str, stdin: IO[str]) -> str:

@@ -38,12 +38,11 @@ class BlockDecomposition:
 
     ``blocks`` holds each component as a sorted vertex tuple; every edge of
     the graph lies in exactly one block, and two blocks share at most one
-    vertex, necessarily a cut vertex. ``block_tree`` is the bipartite
-    incidence between block indices and cut vertices. ``trivial`` flags
-    blocks that are single edges lying on a pendant path (including the
-    edge that joins the path to its attachment vertex). ``edges`` holds
-    each block's edge count. ``cycles`` maps each block that is a cycle to
-    its vertices in the order of a walk around it.
+    vertex, necessarily a cut vertex. ``trivial`` flags blocks that are
+    single edges lying on a pendant path (including the edge that joins
+    the path to its attachment vertex). ``edges`` holds each block's edge
+    count. ``cycles`` maps each block that is a cycle to its vertices in
+    the order of a walk around it.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -51,11 +50,6 @@ class BlockDecomposition:
     trivial: tuple[bool, ...]
     edges: tuple[int, ...]
     cycles: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
-
-    @cached_property
-    def block_tree(self) -> tuple[tuple[int, int], ...]:
-        cuts = set(self.cut_vertices)
-        return tuple((i, v) for i, blk in enumerate(self.blocks) for v in blk if v in cuts)
 
 
 @dataclass(frozen=True)
@@ -100,10 +94,6 @@ class GraphClass:
     tree: bool
     block_graph: bool
     cactus: bool
-
-    @property
-    def general(self) -> bool:
-        return not (self.block_graph or self.cactus)
 
 
 @dataclass(frozen=True)

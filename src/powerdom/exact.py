@@ -231,11 +231,10 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
                                ppt=min(found)[0] if all_optima else None)
             # every zero forcing set power dominates, so certify would not
             # catch a witness that is not zero forcing
-            state, forces = propagation.forcing_closure(g, optima[0])
-            if state.colored != everyone:
+            trace = propagation.forcing_closure(g, optima[0])
+            if len(trace.final_colored) != g.n:
                 raise SolverInternalError(f"method {METHOD_BRUTE} produced a set that "
                                           "is not zero forcing")
-            trace = propagation.PropagationTrace(optima[0], forces, state.vertices())
             return SolveResult(k, optima[0], trace, METHOD_BRUTE)
     raise SolverInternalError("no set colors the graph (unreachable)")
 

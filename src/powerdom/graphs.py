@@ -98,7 +98,7 @@ class Graph:
             index[lab] = i
         edges = list(edges)
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (type(u) is int and type(v) is int):
                 raise GraphError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
@@ -141,9 +141,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -315,21 +312,21 @@ def attach_leaves(g: Graph, x: Iterable[int], r: int) -> Graph:
     return Graph._from_rows(labels, rows)
 
 
-def path_graph(n: int, prefix: str = "v") -> Graph:
+def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("path needs at least one vertex")
-    return Graph([f"{prefix}{i + 1}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    return Graph([f"v{i + 1}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
-def cycle_graph(n: int, prefix: str = "v") -> Graph:
+def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycle needs at least three vertices")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph([f"{prefix}{i + 1}" for i in range(n)], edges)
+    return Graph([f"v{i + 1}" for i in range(n)], edges)
 
 
-def complete_graph(n: int, prefix: str = "v") -> Graph:
+def complete_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graph needs at least one vertex")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph([f"{prefix}{i + 1}" for i in range(n)], edges)
+    return Graph([f"v{i + 1}" for i in range(n)], edges)

@@ -53,8 +53,6 @@ from .graphs import Graph, fresh_label
 BINARY = "binary"
 INTEGER = "integer"
 
-OPTIMAL = "optimal"
-
 
 class Variable(NamedTuple):
     """A column: ``kind`` is :data:`BINARY` or :data:`INTEGER`, bounded by
@@ -121,7 +119,6 @@ class MilpModel:
 class ModelSolution:
     assignment: dict[str, int]
     objective_value: float
-    status: str
 
 
 _SANITIZE = re.compile(r"[^A-Za-z0-9_]")
@@ -355,7 +352,7 @@ def solve_small(model: MilpModel,
     problems = check_assignment(model, assignment)
     if problems:
         raise ModelError("derived assignment violates the model: " + "; ".join(problems))
-    return ModelSolution(assignment, float(result.optimum), OPTIMAL)
+    return ModelSolution(assignment, float(result.optimum))
 
 
 def round_number(g: Graph, rounds: int, connected: bool = False,

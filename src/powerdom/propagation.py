@@ -15,12 +15,15 @@ smallest-index source, so traces are deterministic.
 Every public check runs on one frontier engine, :func:`_propagate`, which
 costs O(n + m) per run: it keeps, for each colored vertex, the number of
 its uncolored neighbors, and each round it looks only at the vertices
-whose number dropped to one in the round before. Recording is opt-in: a
-returned trace keeps the round, source and target of each force as plain
-integers and builds its :class:`Force` entries on first read, while the
-yes/no checks record nothing. The closures of the exact searches
-(:func:`_uncolored`, :func:`_unforced`) run the same rounds on neighbor
-bitmasks instead (:func:`_resume`).
+whose number dropped to one in the round before. Recording is opt-in.
+A run that returns its coloring (:func:`dominate_step`,
+:func:`forcing_closure`, :func:`is_power_dominating`) returns it as one
+:class:`PropagationTrace`, built by :func:`_traced`: the trace keeps the
+round, source and target of each force as plain integers and builds its
+:class:`Force` entries on first read. The yes/no checks record nothing.
+The closures of the exact searches (:func:`_uncolored`,
+:func:`_unforced`) run the same rounds on neighbor bitmasks instead
+(:func:`_resume`).
 """
 
 from __future__ import annotations
@@ -55,17 +58,6 @@ _force = partial(tuple.__new__, Force)
 
 
 @dataclass(frozen=True)
-class ColorState:
-    """Colored-vertex bitmask together with the round that produced it."""
-
-    colored: int
-    timestep: int
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(_members(self.colored))
-
-
-@dataclass(frozen=True)
 class PropagationTrace:
     """Chronological record of one propagation run.
 
@@ -84,17 +76,10 @@ class PropagationTrace:
         """``forces`` and ``final_colored`` of a recorded trace, built once."""
         if name not in ("forces", "final_colored") or "_run" not in self.__dict__:
             raise AttributeError(name)
-        adj, forced, colored = self.__dict__.pop("_run")
-        self.__dict__.update(forces=tuple(_entries(adj, self.initial, forced)),
+        adj, dominated, forced, colored = self.__dict__.pop("_run")
+        self.__dict__.update(forces=tuple(_entries(adj, dominated, forced)),
                              final_colored=tuple(compress(range(len(colored)), colored)))
         return self.__dict__[name]
-
-    @property
-    def final_mask(self) -> int:
-        flags = bytearray(max(self.final_colored, default=-1) + 1)
-        for v in self.final_colored:
-            flags[v] = 1
-        return _mask_of(flags)
 
     def rounds(self) -> int:
         """Last round that colored a vertex (at least 1)."""
@@ -221,27 +206,35 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool,
     return front, forced, last
 
 
-def dominate_step(g: Graph, s: Iterable[int] | int) -> ColorState:
-    """Apply the domination rule once: color the closed neighborhood of s."""
-    front, _, _ = _propagate(g, _seeds(g, s), dominate=True, limit=1)
-    return ColorState(front.mask(), 1)
+def _traced(g: Graph, s: Iterable[int] | int, dominate: bool,
+            limit: int | None = None) -> tuple[bool, PropagationTrace]:
+    """Run :func:`_propagate` recording forces; returns whether every vertex
+    got colored, and the run's trace, which builds its entries and final
+    set on first read."""
+    seeds = _seeds(g, s)
+    front, forced, _ = _propagate(g, seeds, dominate, limit, record=True)
+    trace = PropagationTrace.__new__(PropagationTrace)
+    trace.__dict__.update(initial=tuple(seeds),
+                          _run=(g.adj, seeds if dominate else (), forced, front.colored))
+    return front.total == g.n, trace
 
 
-def forcing_closure(g: Graph,
-                    colored: Iterable[int] | int) -> tuple[ColorState, tuple[Force, ...]]:
-    """Close ``colored`` under the forcing rule; returns state and forces."""
-    front, forced, last = _propagate(g, _seeds(g, colored), dominate=False, record=True)
-    return ColorState(front.mask(), last), tuple(_entries(g.adj, [], forced))
+def dominate_step(g: Graph, s: Iterable[int] | int) -> PropagationTrace:
+    """Apply the domination rule once: the trace colors the closed
+    neighborhood of s, all of it in round 1."""
+    return _traced(g, s, dominate=True, limit=1)[1]
+
+
+def forcing_closure(g: Graph, colored: Iterable[int] | int) -> PropagationTrace:
+    """Close ``colored`` under the forcing rule alone; the trace's forces
+    run from round 1 and it has no domination entry."""
+    return _traced(g, colored, dominate=False)[1]
 
 
 def is_power_dominating(g: Graph, s: Iterable[int] | int) -> tuple[bool, PropagationTrace]:
     """Check rule 1 once plus rule 2 to exhaustion; the trace is always
     returned, on failure it records the partial run."""
-    seeds = _seeds(g, s)
-    front, forced, _ = _propagate(g, seeds, dominate=True, record=True)
-    trace = PropagationTrace.__new__(PropagationTrace)
-    trace.__dict__.update(initial=tuple(seeds), _run=(g.adj, forced, front.colored))
-    return front.total == g.n, trace
+    return _traced(g, s, dominate=True)
 
 
 def is_zero_forcing(g: Graph, s: Iterable[int] | int) -> bool:

@@ -39,13 +39,6 @@ class SpreadReport:
     after: SolveResult
     spread: int
 
-    def summary(self) -> str:
-        tgt = ",".join(self.target)
-        return (
-            f"{self.operation} {tgt}: before={self.before.optimum} "
-            f"after={self.after.optimum} spread={self.spread}"
-        )
-
 
 def _spread(operation: str, g: Graph, target: tuple[int, ...], changed: Graph,
             solver: Solver | None) -> SpreadReport:

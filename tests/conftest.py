@@ -200,13 +200,13 @@ def naive_propagate(g: Graph, s: set[int], dominate: bool = True,
     colored = set(s)
     if dominate:
         for v in s:
-            colored.update(g.neighbors(v))
+            colored.update(g.adj[v])
     done = 1 if dominate else 0
     while rounds is None or done < rounds:
         done += 1
         additions = set()
         for v in sorted(colored, reverse=True):
-            uncolored = [w for w in g.neighbors(v) if w not in colored]
+            uncolored = [w for w in g.adj[v] if w not in colored]
             if len(uncolored) == 1:
                 additions.add(uncolored[0])
         if not additions:
@@ -230,7 +230,7 @@ def naive_trace(g: Graph, s: set[int], dominate: bool = True,
     entries: list[tuple[int, int, int, str]] = []
     if dominate:
         for v in sorted(s):
-            for w in sorted(g.neighbors(v)):
+            for w in sorted(g.adj[v]):
                 if w not in colored:
                     colored.add(w)
                     entries.append((1, v, w, "dominate"))
@@ -238,7 +238,7 @@ def naive_trace(g: Graph, s: set[int], dominate: bool = True,
     while rounds is None or t <= rounds:
         source_of: dict[int, int] = {}
         for v in colored:
-            uncolored = [w for w in g.neighbors(v) if w not in colored]
+            uncolored = [w for w in g.adj[v] if w not in colored]
             if len(uncolored) == 1:
                 w = uncolored[0]
                 source_of[w] = min(source_of.get(w, v), v)
@@ -263,12 +263,12 @@ def naive_is_zfs(g: Graph, s: set[int]) -> bool:
 def naive_ppt(g: Graph, s: set[int]) -> int:
     colored = set(s)
     for v in s:
-        colored.update(g.neighbors(v))
+        colored.update(g.adj[v])
     rounds = 1
     while len(colored) < g.n:
         additions = set()
         for v in sorted(colored, reverse=True):
-            uncolored = [w for w in g.neighbors(v) if w not in colored]
+            uncolored = [w for w in g.adj[v] if w not in colored]
             if len(uncolored) == 1:
                 additions.add(uncolored[0])
         if not additions:
@@ -306,7 +306,7 @@ def naive_min_coloring(g: Graph, rounds: int | None,
 def naive_is_fort(g: Graph, f: set[int]) -> bool:
     """A non-empty set that no outside vertex has exactly one neighbor in."""
     return bool(f) and all(
-        sum(w in f for w in g.neighbors(v)) != 1 for v in range(g.n) if v not in f)
+        sum(w in f for w in g.adj[v]) != 1 for v in range(g.n) if v not in f)
 
 
 def naive_min_cpds(g: Graph, collect_all: bool = False, rounds: int | None = None,

@@ -151,14 +151,17 @@ class TestSolve:
                            "--budget-n", "5", stdin=big)
         assert code == 2
 
-    def test_budget_env_override(self, monkeypatch):
+    def test_budget_n_override(self, monkeypatch):
         big = "\n".join(f"v{i} v{i + 1}" for i in range(26))
-        monkeypatch.setenv("POWERDOM_BUDGET_N", "10")
-        code, _, _ = run("solve", "-", "--problem", "pd", "--method", "brute", stdin=big)
+        solve = ("solve", "-", "--problem", "pd", "--method", "brute")
+        code, _, _ = run(*solve, "--budget-n", "10", stdin=big)
         assert code == 2
-        monkeypatch.setenv("POWERDOM_BUDGET_N", "40")
-        code, out, _ = run("solve", "-", "--problem", "pd", "--method", "brute", stdin=big)
+        code, out, _ = run(*solve, "--budget-n", "40", stdin=big)
         assert code == 0 and "optimum: 1" in out
+        # the environment sets no budget: the default cap still holds
+        monkeypatch.setenv("POWERDOM_BUDGET_N", "40")
+        code, _, err = run(*solve, stdin=big)
+        assert code == 2 and "budget allows 24" in err
 
     def test_all_optima_listing(self):
         code, out, _ = run("solve", "-", "--problem", "cpd", "--method", "brute",
@@ -354,11 +357,6 @@ class TestBadInputNeverTracesBack:
         code, out, err = result
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and needle in err
-
-    def test_non_integer_budget_env(self, monkeypatch):
-        monkeypatch.setenv("POWERDOM_BUDGET_N", "abc")
-        self.assert_one_line_usage_failure(
-            run("solve", TREE, "--method", "brute"), "POWERDOM_BUDGET_N")
 
     def test_input_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.edges"

@@ -53,7 +53,9 @@ class TestBlocks:
 
     def test_block_tree_incidence(self):
         dec = blocks(bowtie())
-        assert dec.block_tree == ((0, 0), (1, 0))
+        incidence = [(i, v) for i, blk in enumerate(dec.blocks)
+                     for v in blk if v in dec.cut_vertices]
+        assert incidence == [(0, 0), (1, 0)]
 
     def test_trivial_flags_cover_pendant_chain_and_attachment(self):
         # K4 with a pendant path of length 3 on vertex 0
@@ -198,7 +200,7 @@ class TestRecognize:
                 assert info.block_graph and info.cactus
                 assert g.m == g.n - 1
             if info.tree:
-                assert not info.general
+                assert info.block_graph or info.cactus
 
     def test_cycle_order_orientation(self):
         g = cycle_graph(5)

@@ -95,7 +95,7 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Graph([], [])
 
-    @pytest.mark.parametrize("edge", [(0.5, 1), ("1", 0), (None, 0)])
+    @pytest.mark.parametrize("edge", [(0.5, 1), ("1", 0), (None, 0), (True, False)])
     def test_non_integer_endpoint_rejected(self, edge):
         message = f"^edge {re.escape(repr(edge))} has a non-integer endpoint$"
         with pytest.raises(GraphError, match=message):
@@ -275,7 +275,7 @@ class TestSurgery:
         h = g.subdivide_edge(0, 1)
         assert h.n == 3 and h.m == 2
         assert h.labels[2] == "sub_v1_v2"
-        assert sorted(h.neighbors(2)) == [0, 1]
+        assert sorted(h.adj[2]) == [0, 1]
 
     @pytest.mark.parametrize("surgery", ["delete_edge", "contract_edge", "subdivide_edge"])
     @pytest.mark.parametrize("u, v", [(0, 2), (-1, 1), (1, -1), (1, 3)])

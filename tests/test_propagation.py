@@ -22,43 +22,43 @@ from conftest import (
 
 class TestDominateStep:
     def test_cycle_neighborhood(self):
-        state = prop.dominate_step(cycle_graph(4), [0])
-        assert state.vertices() == (0, 1, 3)
-        assert state.timestep == 1
+        trace = prop.dominate_step(cycle_graph(4), [0])
+        assert trace.final_colored == (0, 1, 3)
+        assert trace.forces[-1].timestep == 1
 
     def test_complete_graph_everything(self):
         g = complete_graph(5)
-        assert prop.dominate_step(g, [0]).colored == g.full_mask
+        assert bits_of(prop.dominate_step(g, [0]).final_colored) == g.full_mask
 
     def test_empty_set_dominates_nothing(self):
-        assert prop.dominate_step(path_graph(5), []).colored == 0
+        assert bits_of(prop.dominate_step(path_graph(5), []).final_colored) == 0
 
     def test_result_contains_the_set(self):
         rng = random.Random(19)
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(1, 10))
             s = rng.sample(range(g.n), rng.randint(1, g.n))
-            state = prop.dominate_step(g, s)
-            assert state.colored & bits_of(s) == bits_of(s)
+            trace = prop.dominate_step(g, s)
+            assert bits_of(trace.final_colored) & bits_of(s) == bits_of(s)
 
 
 class TestForcingClosure:
     def test_path_chain(self):
         g = path_graph(5)
-        state, forces = prop.forcing_closure(g, [0, 1])
-        assert state.colored == g.full_mask
-        assert [f.timestep for f in forces] == [1, 2, 3]
+        trace = prop.forcing_closure(g, [0, 1])
+        assert bits_of(trace.final_colored) == g.full_mask
+        assert [f.timestep for f in trace.forces] == [1, 2, 3]
 
     def test_cycle_single_vertex_stuck(self):
         g = cycle_graph(4)
-        state, forces = prop.forcing_closure(g, [0])
-        assert state.colored == 1 and forces == ()
+        trace = prop.forcing_closure(g, [0])
+        assert bits_of(trace.final_colored) == 1 and trace.forces == ()
 
     def test_star_leaves_force_center(self):
         g = Graph(["c", "l1", "l2", "l3"], [(0, 1), (0, 2), (0, 3)])
-        state, forces = prop.forcing_closure(g, [1, 2, 3])
-        assert state.colored == g.full_mask
-        assert forces == (prop.Force(1, 1, 0, "force"),)  # smallest source claims
+        trace = prop.forcing_closure(g, [1, 2, 3])
+        assert bits_of(trace.final_colored) == g.full_mask
+        assert trace.forces == (prop.Force(1, 1, 0, "force"),)  # smallest source claims
 
 
 class TestPowerDominating:
@@ -195,7 +195,7 @@ class TestTraces:
             g = random_connected_graph(rng, rng.randint(2, 14))
             s = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
             _, trace = prop.is_power_dominating(g, s)
-            assert prop.replay_trace(g, trace) == trace.final_mask
+            assert prop.replay_trace(g, trace) == bits_of(trace.final_colored)
 
     def test_serialization_format(self):
         g = path_graph(3)

@@ -85,10 +85,11 @@ def assert_checks_match(g: Graph, s: list[int], every_limit: bool) -> None:
             raise AssertionError("ppt_of_set accepted a set that does not dominate")
     expected, zero = naive_trace(g, set(s), dominate=False)
     assert prop.is_zero_forcing(g, s) is (len(zero) == g.n)
-    state, forces = prop.forcing_closure(g, s)
-    assert entries(forces) == expected
-    assert state.vertices() == tuple(sorted(zero))
-    assert state.timestep == (expected[-1][0] if expected else 0)
+    trace = prop.forcing_closure(g, s)
+    assert entries(trace.forces) == expected
+    assert trace.final_colored == tuple(sorted(zero))
+    timestep = trace.forces[-1].timestep if trace.forces else 0
+    assert timestep == (expected[-1][0] if expected else 0)
 
 
 def random_instances(seed: int, count: int):
@@ -246,7 +247,7 @@ class TestRecordedTraces:
                 assert trace == eager_trace(g, s)
                 assert entries(trace.forces) == naive_trace(g, set(s))[0]
                 assert trace.rounds() == eager_trace(g, s).rounds()
-                assert prop.replay_trace(g, trace) == trace.final_mask
+                assert prop.replay_trace(g, trace) == bits_of(trace.final_colored)
                 failed += not ok
         assert failed >= 20
 

@@ -35,3 +35,25 @@ def test_no_module_imports_gc():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name == "gc" or name.startswith("gc.")]
     assert found == []
+
+
+def test_no_module_reads_the_environment():
+    """Every setting arrives as an argument or a command-line flag, so the
+    same call gives the same result whatever the environment holds."""
+    readers = {"environ", "environb", "getenv"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "os"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                hit = any(alias.name in readers for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                hit = node.value.id in aliases and node.attr in readers
+            else:
+                continue
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

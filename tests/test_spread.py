@@ -138,11 +138,6 @@ class TestDefaults:
         assert report.before.method == "cactus"
         assert report.spread == 0
 
-    def test_summary_line(self):
-        g = cycle_graph(4)
-        report = spread.edge_spread(g, 0, 1, brute)
-        assert report.summary() == "delete_edge v1,v2: before=1 after=1 spread=0"
-
     @pytest.mark.parametrize("operation", [spread.vertex_spread, spread.edge_spread,
                                            spread.contract_edge_spread,
                                            spread.subdivide_edge_delta])
