@@ -25,7 +25,6 @@ from .errors import (
     GraphError,
     ParseError,
     PowerDomError,
-    SolverInternalError,
 )
 from .exact import Budget
 from .graphs import Graph
@@ -171,6 +170,11 @@ def _read(path: str, stdin: IO[str]) -> str:
         raise ParseError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 
 
+def _split(text: str) -> list[str]:
+    """The non-empty parts of a comma separated option value, stripped."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _load(args: argparse.Namespace, stdin: IO[str]) -> Graph:
     return graph_io.load_graph(_read(args.input, stdin), args.input_format)
 
@@ -209,11 +213,8 @@ def _cmd_solve(args, out, err, stdin) -> int:
         solution = milp.solve_small(model, budget)
         chosen, trace = milp.decode_assignment(model, solution.assignment)
         # the decoded trace is what gets printed, so it is the one replayed
-        if propagation.replay_trace(g, trace) != g.full_mask:
-            raise SolverInternalError("method milp produced a non power dominating set")
-        if args.problem == "cpd" and not propagation.is_connected_set(g, chosen):
-            raise SolverInternalError("method milp produced a disconnected set")
-        result = exact.SolveResult(len(chosen), chosen, trace, exact.METHOD_MILP)
+        result = exact.certify(g, chosen, exact.METHOD_MILP, args.problem == "cpd",
+                               trace=trace)
     elif args.problem == "pd":
         if args.method not in ("auto", "brute"):
             raise _UsageError(f"method {args.method} solves cpd only")
@@ -257,7 +258,7 @@ def _cmd_spread(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     budget = _budget(args)
     solver = lambda h: structural.solve_cpds(h, args.method, budget)  # noqa: E731
-    labels = [part.strip() for part in args.target.split(",") if part.strip()]
+    labels = _split(args.target)
     if args.op == "delete-vertex":
         if len(labels) != 1:
             raise _UsageError("delete-vertex takes one vertex label")
@@ -355,7 +356,7 @@ def _cmd_gadget(args, out, err, stdin) -> int:
 
 def _cmd_check(args, out, err, stdin) -> int:
     g = _load(args, stdin)
-    labels = [part.strip() for part in args.vertex_set.split(",") if part.strip()]
+    labels = _split(args.vertex_set)
     if not labels:
         raise _UsageError(f"--set {args.vertex_set!r} names no vertex")
     vertices = g.indices_of(labels)
@@ -387,7 +388,7 @@ def _cmd_check(args, out, err, stdin) -> int:
 
 
 def _cmd_batch(args, out, err, stdin) -> int:
-    problems = [p.strip() for p in args.problems.split(",") if p.strip()]
+    problems = _split(args.problems)
     if not problems:
         raise _UsageError(f"--problems {args.problems!r} names no problem")
     for p in problems:

@@ -119,7 +119,8 @@ def profile(g: Graph) -> GraphProfile:
 
 
 def connected_profile(g: Graph) -> GraphProfile:
-    """The profile of ``g``; raises unless ``g`` is connected."""
+    """The profile of ``g``; the one check of every operation that needs a
+    connected graph, and the only raiser of :class:`DisconnectedError`."""
     info = profile(g)
     if not info.connected:
         raise DisconnectedError("operation requires a connected graph")

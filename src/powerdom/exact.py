@@ -10,7 +10,8 @@ with the forts it has learned, cuts a node when a packing of disjoint
 missed forts needs more vertices than the level has left, and reads the
 propagation time of each optimum off the closure that accepts it.
 Exceeding the configured budget raises a typed error rather than degrading
-to a heuristic.
+to a heuristic. Every result of every solver is made by :func:`certify`,
+which re-verifies the witness, or replays the trace it is given, first.
 
 The connected solvers, with or without a round limit, exploit one
 structural fact: every connected power dominating set of a non-path graph
@@ -27,13 +28,8 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from . import propagation
-from .decomposition import profile
-from .errors import (
-    BudgetExceededError,
-    DisconnectedError,
-    GraphError,
-    SolverInternalError,
-)
+from .decomposition import connected_profile
+from .errors import BudgetExceededError, GraphError, SolverInternalError
 from .graphs import Graph, attach_leaves, bits_of, fresh_label, iter_bits
 
 METHOD_BRUTE = "brute"
@@ -106,10 +102,18 @@ class SolveResult:
 
 def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
             all_optima: tuple[tuple[int, ...], ...] | None = None,
-            ppt: int | None = None) -> SolveResult:
-    """Wrap a witness in a SolveResult after re-verifying it."""
+            ppt: int | None = None,
+            trace: propagation.PropagationTrace | None = None) -> SolveResult:
+    """Wrap a witness in a SolveResult after re-verifying it; the only
+    place a SolveResult is made. A given ``trace`` (a decoded schedule, a
+    forcing closure) must start from the witness and replay to every
+    vertex; without one the witness must power dominate, and its run
+    becomes the trace."""
     wit = tuple(sorted(witness))
-    ok, trace = propagation.is_power_dominating(g, wit)
+    if trace is None:
+        ok, trace = propagation.is_power_dominating(g, wit)
+    else:
+        ok = trace.initial == wit and propagation.replay_trace(g, trace) == g.full_mask
     if not ok:
         raise SolverInternalError(f"method {method} produced a non power dominating set")
     if connected and not propagation.is_connected_set(g, wit):
@@ -185,6 +189,10 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     skips the domination step, and a set is zero forcing exactly when it
     meets every fort, so each fort's hitters are the fort itself.
     """
+    if rounds < 1:
+        raise GraphError("round budget must be at least 1")
+    if not forcing:
+        connected_profile(g)
     budget.check_size(g)
     deadline = budget.deadline()
     closure = propagation._unforced if forcing else propagation._uncolored
@@ -225,24 +233,17 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
                 stack.append((chosen | low, banned | (branch & (low - 1)), size + 1))
         if found:
             optima = _sorted_sets(s for _, s in found)
-            if not forcing:
-                return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                               all_optima=tuple(optima) if all_optima else None,
-                               ppt=min(found)[0] if all_optima else None)
-            # every zero forcing set power dominates, so certify would not
-            # catch a witness that is not zero forcing
-            trace = propagation.forcing_closure(g, optima[0])
-            if len(trace.final_colored) != g.n:
-                raise SolverInternalError(f"method {METHOD_BRUTE} produced a set that "
-                                          "is not zero forcing")
-            return SolveResult(k, optima[0], trace, METHOD_BRUTE)
+            # every zero forcing set power dominates, so only its forcing
+            # closure certifies it
+            return certify(g, optima[0], METHOD_BRUTE, connected=False,
+                           all_optima=tuple(optima) if all_optima else None,
+                           ppt=min(found)[0] if all_optima else None,
+                           trace=propagation.forcing_closure(g, optima[0]) if forcing else None)
     raise SolverInternalError("no set colors the graph (unreachable)")
 
 
 def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False) -> SolveResult:
     """Minimum power dominating set by cardinality-ascending enumeration."""
-    if not profile(g).connected:
-        raise DisconnectedError("minimum power dominating set requires a connected graph")
     return _min_coloring(g, g.n, budget, all_optima)
 
 
@@ -267,12 +268,8 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     """
     if rounds < 1:
         raise GraphError("round budget must be at least 1")
-    info = profile(g)
-    if not info.connected:
-        raise DisconnectedError("a disconnected graph has no connected power dominating set")
-    x = tuple(x)
-    if not all(0 <= v < g.n for v in x):
-        raise GraphError("constraint set is not a subset of the vertices")
+    info = connected_profile(g)
+    x = g._vertex_ids(x)
     budget.check_size(g)
     deadline = budget.deadline()
     seed = bits_of(x) | bits_of(info.taxonomy.mandatory)
@@ -323,10 +320,6 @@ def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUD
 def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
                all_optima: bool = False) -> SolveResult:
     """Minimum set that power dominates within the given number of rounds."""
-    if rounds < 1:
-        raise GraphError("round budget must be at least 1")
-    if not profile(g).connected:
-        raise DisconnectedError("round-limited power domination requires a connected graph")
     return _min_coloring(g, rounds, budget, all_optima)
 
 

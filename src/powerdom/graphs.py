@@ -4,12 +4,15 @@ Vertices are indexed 0..n-1 and carry an external string label. Each
 vertex keeps one sorted neighbor row: O(n + m) memory, and every reader
 here runs in O(n + m). Subset searches build their own neighbor bitmasks.
 
-Outside input (labels and an edge list) is validated once, by
-``Graph.__init__``. Derived graphs (subgraphs, edge surgery, attached
-leaves) and ``from_labeled_edges`` build their sorted rows directly and
-hand them to the trusting ``Graph._from_rows``. Rows built from an edge
-list are per-vertex neighbor lists, sorted; a row is rebuilt through a
-set only when it holds a repeated edge or a loop.
+Outside input (string labels and an edge list) is validated once, by
+``Graph.__init__``. Every vertex id handed in later (a set to check, a
+vertex to delete, an edge to look up) goes through one validator,
+``Graph._vertex_ids``, which takes only an ``int`` in 0..n-1. Derived
+graphs (subgraphs, edge surgery, attached leaves) and
+``from_labeled_edges`` build their sorted rows directly and hand them to
+the trusting ``Graph._from_rows``. Rows built from an edge list are
+per-vertex neighbor lists, sorted; a row is rebuilt through a set only
+when it holds a repeated edge or a loop.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class Graph:
             raise GraphError("graph must have at least one vertex")
         index: dict[str, int] = {}
         for i, lab in enumerate(labels):
+            if type(lab) is not str:
+                raise GraphError(f"vertex label {lab!r} is not a string")
             if lab in index:
                 raise GraphError(f"duplicate vertex label {lab!r}")
             index[lab] = i
@@ -142,9 +147,17 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
+    def _vertex_ids(self, vertices: Iterable[int]) -> list[int]:
+        """The distinct ids of ``vertices``, ascending; refuses any value that
+        is not exactly an ``int`` in 0..n-1 (so no bool, float or string)."""
+        ids = list(vertices)
+        for v in ids:
+            if type(v) is not int or not 0 <= v < self.n:
+                raise GraphError(f"vertex {v!r} not in graph")
+        return sorted(set(ids))
+
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphError(f"vertex pair ({u}, {v}) out of range for n={self.n}")
+        self._vertex_ids((u, v))
         row = self.adj[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
@@ -219,15 +232,14 @@ class Graph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old-index -> new-index map."""
-        keep = sorted(set(vertices))
-        if not keep or keep[0] < 0 or keep[-1] >= self.n:
+        keep = self._vertex_ids(vertices)
+        if not keep:
             raise GraphError("an induced subgraph needs one or more vertices of the graph")
         rows, remap = self._induced_rows(keep)
         return Graph._from_rows([self.labels[v] for v in keep], rows), remap
 
     def delete_vertex(self, v: int) -> "Graph":
-        if not 0 <= v < self.n:
-            raise GraphError(f"no vertex {v}")
+        self._vertex_ids((v,))
         if self.n == 1:
             raise GraphError("cannot delete the only vertex")
         return self.induced_subgraph(u for u in range(self.n) if u != v)[0]
@@ -294,10 +306,7 @@ def attach_leaves(g: Graph, x: Iterable[int], r: int) -> Graph:
     """
     if r < 1:
         raise GraphError("r must be at least 1")
-    targets = sorted(set(x))
-    for v in targets:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} not in graph")
+    targets = g._vertex_ids(x)
     labels = list(g.labels)
     taken = set(labels)
     rows = list(g.adj)

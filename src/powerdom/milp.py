@@ -47,7 +47,8 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from . import exact, propagation
-from .errors import DisconnectedError, GraphError, ModelError
+from .decomposition import connected_profile
+from .errors import GraphError, ModelError
 from .graphs import Graph, fresh_label
 
 BINARY = "binary"
@@ -172,8 +173,7 @@ def _incoming(first: list[tuple[int, str]], arcs: list[tuple[int, int, str]],
 
 def build_model1(g: Graph, t: int | None = None) -> MilpModel:
     """Power domination model over ``g`` with horizon ``t`` (default n)."""
-    if not g.is_connected():
-        raise DisconnectedError("model requires a connected graph")
+    connected_profile(g)
     horizon = g.n if t is None else t
     if horizon < 1:
         raise GraphError("horizon must be at least 1")

@@ -16,6 +16,8 @@ Every public check runs on one frontier engine, :func:`_propagate`, which
 costs O(n + m) per run: it keeps, for each colored vertex, the number of
 its uncolored neighbors, and each round it looks only at the vertices
 whose number dropped to one in the round before. Recording is opt-in.
+Every check takes its set as an iterable of vertex ids, which
+``Graph._vertex_ids`` validates (a bitmask is not a set here).
 A run that returns its coloring (:func:`dominate_step`,
 :func:`forcing_closure`, :func:`is_power_dominating`) returns it as one
 :class:`PropagationTrace`, built by :func:`_traced`: the trace keeps the
@@ -34,7 +36,7 @@ from itertools import compress
 from typing import Iterable, NamedTuple
 
 from .errors import NotPowerDominatingError, PowerDomError
-from .graphs import Graph, _mask_of, _members
+from .graphs import Graph, _mask_of
 
 DOMINATE = "dominate"
 FORCE = "force"
@@ -102,19 +104,6 @@ def _entries(adj, seeds: list[int], forced: list[int]) -> list[Force]:
     forces = [_force((1, v, w, DOMINATE)) for v, w in _dominated(adj, seeds)]
     forces += [_force((t, v, w, FORCE)) for t, v, w in zip(*[iter(forced)] * 3)]
     return forces
-
-
-def _seeds(g: Graph, s: Iterable[int] | int) -> list[int]:
-    """The vertices of ``s`` (a bitmask or an iterable), sorted and unique."""
-    if isinstance(s, int):
-        if s < 0 or s >> g.n:
-            raise PowerDomError("vertex mask out of range")
-        return _members(s)
-    vertices = list(s)
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise PowerDomError(f"vertex {v} not in graph")
-    return sorted(set(vertices))
 
 
 class _Frontier:
@@ -206,12 +195,12 @@ def _propagate(g: Graph, seeds: list[int], dominate: bool,
     return front, forced, last
 
 
-def _traced(g: Graph, s: Iterable[int] | int, dominate: bool,
+def _traced(g: Graph, s: Iterable[int], dominate: bool,
             limit: int | None = None) -> tuple[bool, PropagationTrace]:
     """Run :func:`_propagate` recording forces; returns whether every vertex
     got colored, and the run's trace, which builds its entries and final
     set on first read."""
-    seeds = _seeds(g, s)
+    seeds = g._vertex_ids(s)
     front, forced, _ = _propagate(g, seeds, dominate, limit, record=True)
     trace = PropagationTrace.__new__(PropagationTrace)
     trace.__dict__.update(initial=tuple(seeds),
@@ -219,40 +208,38 @@ def _traced(g: Graph, s: Iterable[int] | int, dominate: bool,
     return front.total == g.n, trace
 
 
-def dominate_step(g: Graph, s: Iterable[int] | int) -> PropagationTrace:
+def dominate_step(g: Graph, s: Iterable[int]) -> PropagationTrace:
     """Apply the domination rule once: the trace colors the closed
     neighborhood of s, all of it in round 1."""
     return _traced(g, s, dominate=True, limit=1)[1]
 
 
-def forcing_closure(g: Graph, colored: Iterable[int] | int) -> PropagationTrace:
+def forcing_closure(g: Graph, colored: Iterable[int]) -> PropagationTrace:
     """Close ``colored`` under the forcing rule alone; the trace's forces
     run from round 1 and it has no domination entry."""
     return _traced(g, colored, dominate=False)[1]
 
 
-def is_power_dominating(g: Graph, s: Iterable[int] | int) -> tuple[bool, PropagationTrace]:
+def is_power_dominating(g: Graph, s: Iterable[int]) -> tuple[bool, PropagationTrace]:
     """Check rule 1 once plus rule 2 to exhaustion; the trace is always
     returned, on failure it records the partial run."""
     return _traced(g, s, dominate=True)
 
 
-def is_zero_forcing(g: Graph, s: Iterable[int] | int) -> bool:
+def is_zero_forcing(g: Graph, s: Iterable[int]) -> bool:
     """True iff forcing alone (no domination step) colors every vertex."""
-    front, _, _ = _propagate(g, _seeds(g, s), dominate=False)
+    front, _, _ = _propagate(g, g._vertex_ids(s), dominate=False)
     return front.total == g.n
 
 
-def colors_within(g: Graph, s: Iterable[int] | int, rounds: int) -> bool:
+def colors_within(g: Graph, s: Iterable[int], rounds: int) -> bool:
     """True iff s power dominates g in at most ``rounds`` rounds.
 
     With ``rounds = g.n`` this is the trace-free power domination check:
     n rounds always suffice for a non-empty set.
     """
-    if rounds < 1:
-        return False
-    seeds = _seeds(g, s)
-    if not seeds:
+    seeds = g._vertex_ids(s)
+    if rounds < 1 or not seeds:
         return False
     front, _, _ = _propagate(g, seeds, dominate=True, limit=rounds)
     return front.total == g.n
@@ -306,18 +293,18 @@ def _unforced(nbr: list[int], closed: list[int], s: int,
     return _resume(nbr, closed, s, s, 1, limit)
 
 
-def ppt_of_set(g: Graph, s: Iterable[int] | int) -> int:
+def ppt_of_set(g: Graph, s: Iterable[int]) -> int:
     """Power propagation time of a power dominating set (rounds to color V)."""
-    front, _, last = _propagate(g, _seeds(g, s), dominate=True)
+    front, _, last = _propagate(g, g._vertex_ids(s), dominate=True)
     if front.total != g.n:
         raise NotPowerDominatingError("set does not power dominate the graph")
     return last
 
 
-def is_connected_set(g: Graph, s: Iterable[int] | int) -> bool:
+def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is nonempty and induces a connected subgraph."""
     flags = bytearray(g.n)
-    for v in _seeds(g, s):
+    for v in g._vertex_ids(s):
         flags[v] = 1
     return g.is_connected_mask(_mask_of(flags))
 
@@ -338,14 +325,12 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
     O(n + m) on the engine's uncolored-neighbor counts.
     """
     front = _Frontier(g)
-    front.color(_seeds(g, trace.initial))
+    front.color(g._vertex_ids(trace.initial))
+    g._vertex_ids([v for f in trace.forces for v in (f.source, f.target)])
     initial = bytes(front.colored)
     claimed = bytearray(initial)
     by_time: dict[int, list[Force]] = {}
     for f in trace.forces:
-        for v in (f.source, f.target):
-            if not 0 <= v < g.n:
-                raise PowerDomError(f"vertex {v} not in graph")
         if claimed[f.target]:
             raise PowerDomError(f"target {f.target} colored twice")
         claimed[f.target] = 1

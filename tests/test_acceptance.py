@@ -26,7 +26,7 @@ from powerdom.decomposition import (
     recognize,
 )
 from powerdom.exact import Budget
-from powerdom.graphs import Graph, bits_of
+from powerdom.graphs import Graph, bits_of, iter_bits
 
 from conftest import (
     naive_min_cpds,
@@ -147,7 +147,7 @@ def _segment_excludable_brute(g: Graph, segment: set[int]) -> bool:
     itself a power dominating set (monotonicity makes this exact)."""
     allowed = g.full_mask & ~bits_of(segment)
     for component in g.component_masks(within=allowed):
-        ok, _ = prop.is_power_dominating(g, component)
+        ok, _ = prop.is_power_dominating(g, iter_bits(component))
         if ok:
             return True
     return False

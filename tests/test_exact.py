@@ -244,7 +244,7 @@ class TestZeroForcing:
         """A search whose closure runs the domination step finds power
         dominating sets; the forcing certificate must reject them."""
         monkeypatch.setattr(prop, "_unforced", prop._uncolored)
-        with pytest.raises(SolverInternalError, match="not zero forcing"):
+        with pytest.raises(SolverInternalError, match="non power dominating set"):
             exact.min_zero_forcing(cycle_graph(6))
 
 

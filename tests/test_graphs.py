@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom import propagation, structural
+from powerdom import exact, propagation, structural
 from powerdom.errors import GraphError, ParseError
 from powerdom.graph_io import dump_edgelist, load_graph
 from powerdom.graphs import (
@@ -100,6 +100,13 @@ class TestConstruction:
         message = f"^edge {re.escape(repr(edge))} has a non-integer endpoint$"
         with pytest.raises(GraphError, match=message):
             Graph(["a", "b"], [edge])
+
+    @pytest.mark.parametrize("labels", [[1, 2], ["a", None], ["a", b"b"], ["a", 1.5]])
+    def test_non_string_label_rejected(self, labels):
+        bad = next(lab for lab in labels if type(lab) is not str)
+        message = f"^vertex label {re.escape(repr(bad))} is not a string$"
+        with pytest.raises(GraphError, match=message):
+            Graph(labels, [(0, 1)])
 
     def test_label_lookup(self):
         g = path_graph(3)
@@ -412,6 +419,38 @@ class TestFreshLabels:
         h, bound = zf_to_cpd_gadget(path_graph(80), 1)
         assert time.perf_counter() - started < 5.0
         assert (h.n, bound) == (80 + 3 + 80 * (2 + 2 * 80), 2)
+
+
+# every entry point that takes vertex ids, called on g with the bad id v
+VERTEX_ID_ENTRY_POINTS = {
+    "has_edge (first end)": lambda g, v: g.has_edge(v, 0),
+    "has_edge (second end)": lambda g, v: g.has_edge(0, v),
+    "delete_vertex": lambda g, v: g.delete_vertex(v),
+    "induced_subgraph": lambda g, v: g.induced_subgraph([0, v]),
+    "attach_leaves": lambda g, v: attach_leaves(g, [0, v], 1),
+    "min_cpds_subject_to": lambda g, v: exact.min_cpds_subject_to(g, [v]),
+    "dominate_step": lambda g, v: propagation.dominate_step(g, [0, v]),
+    "forcing_closure": lambda g, v: propagation.forcing_closure(g, [0, v]),
+    "is_power_dominating": lambda g, v: propagation.is_power_dominating(g, [0, v]),
+    "is_zero_forcing": lambda g, v: propagation.is_zero_forcing(g, [0, v]),
+    "colors_within": lambda g, v: propagation.colors_within(g, [0, v], g.n),
+    "ppt_of_set": lambda g, v: propagation.ppt_of_set(g, [0, v]),
+    "is_connected_set": lambda g, v: propagation.is_connected_set(g, [0, v]),
+    "replay_trace (initial set)": lambda g, v: propagation.replay_trace(
+        g, propagation.PropagationTrace((0, v), (), (0,))),
+    "replay_trace (entry)": lambda g, v: propagation.replay_trace(
+        g, propagation.PropagationTrace((0,), (propagation.Force(1, 0, v, "dominate"),), (0,))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VERTEX_ID_ENTRY_POINTS))
+def test_every_vertex_id_goes_through_one_validator(entry):
+    """Only an ``int`` in 0..n-1 is a vertex id: a float, a bool, a string
+    or an id out of range gets the same GraphError everywhere."""
+    g = cycle_graph(4)
+    for bad in (1.0, True, -1, g.n, "a"):
+        with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(bad))} not in graph$"):
+            VERTEX_ID_ENTRY_POINTS[entry](g, bad)
 
 
 class TestConnectivityHelpers:

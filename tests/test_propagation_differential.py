@@ -119,12 +119,6 @@ class TestRandomGraphs:
         for g, s in random_instances(103, 150):
             assert_checks_match(g, s, every_limit=True)
 
-    def test_mask_and_vertex_inputs_agree(self):
-        for g, s in random_instances(107, 100):
-            mask = sum(1 << v for v in s)
-            assert prop.is_power_dominating(g, mask) == prop.is_power_dominating(g, s)
-            assert prop.colors_within(g, mask, g.n) == prop.colors_within(g, s, g.n)
-
 
 class TestLongGraphs:
     def test_traces(self):

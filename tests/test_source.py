@@ -57,3 +57,33 @@ def test_no_module_reads_the_environment():
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _calls_outside(name: str, home: tuple[str, str]) -> list[str]:
+    """Calls of ``name`` (bare or as an attribute) under ``src/`` that are
+    not inside the function ``home`` = (module file, function name)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == home:
+                allowed.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed:
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called == name:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_certify_makes_a_solve_result():
+    """Every result is re-verified, because only ``exact.certify`` builds one."""
+    assert _calls_outside("SolveResult", ("exact.py", "certify")) == []
+
+
+def test_only_connected_profile_refuses_a_disconnected_graph():
+    """Every operation that needs a connected graph asks one function, so
+    they all refuse the same inputs with the same message."""
+    assert _calls_outside("DisconnectedError", ("decomposition.py", "connected_profile")) == []

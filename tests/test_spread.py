@@ -143,7 +143,7 @@ class TestDefaults:
                                            spread.subdivide_edge_delta])
     def test_non_edge_refused_before_any_solve(self, operation):
         if operation is spread.vertex_spread:
-            cases = [((4,), "^no vertex 4$"), ((-1,), "^no vertex -1$")]
+            cases = [((4,), "^vertex 4 not in graph$"), ((-1,), "^vertex -1 not in graph$")]
         else:
             cases = [((0, 2), "^no edge v1,v3$")]
         solved = []
