@@ -247,33 +247,23 @@ def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False)
     return _min_coloring(g, g.n, budget, all_optima)
 
 
-def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
-                   all_optima: bool) -> SolveResult:
-    """Smallest connected sets that contain ``x`` and color ``g`` within
-    ``rounds`` rounds, by a growth search over the levels k = |seed|,
+def _grow(g: Graph, nbr: list[int], seed: int, rounds: int,
+          deadline: float | None) -> tuple[list[tuple[int, ...]], int]:
+    """The sorted smallest connected sets that contain the mask ``seed``
+    and color ``g`` (neighbor masks ``nbr``) within ``rounds`` rounds, and
+    their least last round, by a growth search over the levels k = |seed|,
     |seed| + 1, ... (from 1 when the seed is empty).
 
-    The seed is ``x`` plus the mandatory set, which every connected power
-    dominating set of a non-path graph contains. A node is a chosen set,
-    the union of its members' neighborhoods, a banned set and the number
-    chosen. It branches on the unbanned neighbors of the chosen set (on
-    every vertex at the empty root) in ascending order, banning each after
-    its branch, so every k-set grown from the seed is reached exactly once.
-    A k-set is tested where the search reaches it: a disconnected seed can
-    grow into a disconnected set, so connectivity first, then one closure
-    on neighbor masks that stops after round ``rounds``. Every optimum of
-    the first level that has one is found, and they are returned sorted;
-    with ``all_optima`` the result's ``ppt`` is the least last round of the
-    closures that accepted them.
+    A node is a chosen set, the union of its members' neighborhoods, a
+    banned set and the number chosen. It branches on the unbanned neighbors
+    of the chosen set (on every vertex at the empty root) in ascending
+    order, banning each after its branch, so every k-set grown from the
+    seed is reached exactly once. A k-set is tested where the search
+    reaches it: a disconnected seed can grow into a disconnected set, so
+    connectivity first, then one closure on neighbor masks that stops after
+    round ``rounds``. Every optimum of the first level that has one is
+    found.
     """
-    if rounds < 1:
-        raise GraphError("round budget must be at least 1")
-    info = connected_profile(g)
-    x = g._vertex_ids(x)
-    budget.check_size(g)
-    deadline = budget.deadline()
-    seed = bits_of(x) | bits_of(info.taxonomy.mandatory)
-    nbr = [bits_of(row) for row in g.adj]
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     seed_reach = 0
     for v in iter_bits(seed):
@@ -298,11 +288,29 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
                 stack.append((chosen | low, reach | nbr[v], banned | (branch & (low - 1)),
                               size + 1))
         if found:
-            optima = _sorted_sets(s for _, s in found)
-            return certify(g, optima[0], METHOD_BRUTE, connected=True,
-                           all_optima=tuple(optima) if all_optima else None,
-                           ppt=min(found)[0] if all_optima else None)
+            return _sorted_sets(s for _, s in found), min(found)[0]
     raise SolverInternalError("no connected power dominating set found (unreachable)")
+
+
+def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
+                   all_optima: bool) -> SolveResult:
+    """Smallest connected sets that contain ``x`` and color ``g`` within
+    ``rounds`` rounds, by :func:`_grow` from ``x`` plus the mandatory set,
+    which every connected power dominating set of a non-path graph
+    contains. They are returned sorted; with ``all_optima`` the result's
+    ``ppt`` is the least last round of the closures that accepted them.
+    """
+    if rounds < 1:
+        raise GraphError("round budget must be at least 1")
+    info = connected_profile(g)
+    x = g._vertex_ids(x)
+    budget.check_size(g)
+    deadline = budget.deadline()
+    seed = bits_of(x) | bits_of(info.taxonomy.mandatory)
+    optima, last = _grow(g, [bits_of(row) for row in g.adj], seed, rounds, deadline)
+    return certify(g, optima[0], METHOD_BRUTE, connected=True,
+                   all_optima=tuple(optima) if all_optima else None,
+                   ppt=last if all_optima else None)
 
 
 def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET,

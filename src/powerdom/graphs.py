@@ -145,6 +145,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
+        self._vertex_ids((v,))
         return len(self.adj[v])
 
     def _vertex_ids(self, vertices: Iterable[int]) -> list[int]:
@@ -173,7 +174,10 @@ class Graph:
             raise GraphError(f"unknown vertex label {label!r}") from None
 
     def labels_of(self, vertices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.labels[v] for v in vertices)
+        """The labels of ``vertices``, in their order and with their repeats."""
+        ids = list(vertices)
+        self._vertex_ids(ids)
+        return tuple([self.labels[v] for v in ids])
 
     def indices_of(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.index(lab) for lab in labels)
@@ -193,10 +197,12 @@ class Graph:
         return queue
 
     def reach_mask(self, start: int, within: int | None = None) -> int:
-        """Bitmask of vertices reachable from ``start`` inside ``within``."""
+        """Bitmask of vertices reachable from ``start`` inside ``within``
+        (0 when ``start`` is not in it)."""
+        self._vertex_ids((start,))
         allowed = self.full_mask if within is None else within & self.full_mask
         left = _flags_of(allowed, self.n)
-        if not (0 <= start < self.n and left[start]):
+        if not left[start]:
             return 0
         self._search(start, left)
         return allowed ^ _mask_of(left)

@@ -11,7 +11,6 @@ gets its mandatory set, and a path or a cycle one vertex.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +18,7 @@ from . import exact
 from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
 from .errors import DecompositionError, GraphClassError, GraphError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult, certify
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 
 
 def tree_cpds(g: Graph) -> SolveResult:
@@ -45,7 +44,7 @@ def tree_pd_equals_cpd(g: Graph) -> bool:
         return True
     taxonomy = info.taxonomy
     for v in range(g.n):
-        d = g.degree(v)
+        d = len(g.adj[v])
         if d == 2 and taxonomy.pendant_count[v] != 1:
             return False
         if d >= 3 and taxonomy.pendant_count[v] < 2:
@@ -168,17 +167,26 @@ def cactus_cpds(g: Graph) -> SolveResult:
 Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
 """One nontrivial block with its pendant paths, as (core, vertices, rows):
 the block's vertices, the piece's sorted global vertex ids, and its rows
-over local ids (local id i is ``vertices[i]``); the decomposition builds
-one for each block that is not a clique, a bridge or a cycle."""
+over local ids (local id i is ``vertices[i]``). The decomposition searches
+the piece of each block that is not a clique, a bridge or a cycle, from
+neighbor masks over the same local ids."""
+
+
+def _piece_vertices(blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[int]:
+    """The sorted vertices of one block and of the pendant paths it wears,
+    which meet neither the block nor each other."""
+    attached = taxonomy.attached
+    verts = list(blk)
+    for v in blk:
+        for chain in attached.get(v, ()):
+            verts += chain
+    verts.sort()
+    return verts
 
 
 def _piece(g: Graph, blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> Piece:
     """The :data:`Piece` of one block of ``g``."""
-    verts = set(blk)
-    for v in blk:
-        for chain in taxonomy.attached.get(v, ()):
-            verts.update(chain)
-    vertices = sorted(verts)
+    vertices = _piece_vertices(blk, taxonomy)
     return blk, vertices, g._induced_rows(vertices)[0]
 
 
@@ -191,29 +199,46 @@ def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
             if not trivial]
 
 
+def _solve_piece(g: Graph, vertices: list[int], masks: tuple[int, ...], anchors: int,
+                 budget: Budget) -> tuple[int, ...]:
+    """The local witness of one piece, given by its neighbor masks over
+    local ids and the mask of its anchors: the lexicographically smallest
+    connected power dominating set of the piece that holds the anchors,
+    certified on one graph of the piece. The piece's own mandatory set
+    needs no profile, as the anchors hold it: a block vertex wearing two or
+    more pendant paths is mandatory in ``g`` too."""
+    sub = Graph._from_rows(g.labels_of(vertices), [tuple(iter_bits(m)) for m in masks])
+    budget.check_size(sub)
+    optima, _ = exact._grow(sub, list(masks), anchors, sub.n, budget.deadline())
+    return certify(sub, optima[0], exact.METHOD_BRUTE, connected=True).witness
+
+
 def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """The witness of a connected graph from its nontrivial blocks,
     certified under ``method``; a path or a cycle gets vertex 0.
 
     A block's anchors are the mandatory vertices it holds; only the graph's
     sole nontrivial block can have none, and a clique or a bridge then
-    gives its least vertex. Each distinct :data:`Piece` (the same rows and
-    anchors) gets one graph and one :func:`exact.min_cpds_subject_to`
-    search, which checks the vertex budget at the piece's own size, under
-    one deadline for every piece. A union whose size is not the mandatory
-    set's plus what the blocks add beyond their anchors raises.
+    gives its least vertex. Each distinct piece (the same neighbor masks
+    over local ids and the same anchors) is solved once by
+    :func:`_solve_piece`, which checks the vertex budget at the piece's own
+    size, under one deadline for every piece. A union whose size is not the
+    mandatory set's plus what the blocks add beyond their anchors raises.
     """
     info = connected_profile(g)
     if info.graph_class.path or info.graph_class.cycle:
         return certify(g, (0,), method, connected=True)
     dec, taxonomy = info.decomposition, info.taxonomy
+    adj = g.adj
+    bit = [0] * g.n  # 1 << local id for each vertex of the piece at hand, else 0
+    bit_of = bit.__getitem__
     deadline = budget.deadline()
     mandatory = set(taxonomy.mandatory)
     # a mandatory vertex in no nontrivial block is the hub of a spider
     union = set(mandatory)
     added = 0  # vertices the blocks' witnesses hold beyond their anchors
-    # (rows, anchors) fix a piece's search, which reads no labels
-    solved: dict[tuple, tuple[int, ...]] = {}
+    # (masks, anchors) fix a piece's search, which reads no labels
+    solved: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
         if trivial:
             continue
@@ -227,14 +252,16 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
         if edges == k:  # a cycle of 4 or more vertices
             witness = set(blk).difference(_largest_segment(cycle_order(g, blk), taxonomy))
         else:
-            _, vertices, rows = _piece(g, blk, taxonomy)
-            anchors = tuple(bisect_left(vertices, v) for v in inside)
-            key = (rows, anchors)
+            vertices = _piece_vertices(blk, taxonomy)
+            for i, v in enumerate(vertices):
+                bit[v] = 1 << i
+            # the bits summed are distinct, so each sum is a neighbor mask
+            key = tuple([sum(map(bit_of, adj[v])) for v in vertices]), sum(map(bit_of, inside))
+            for v in vertices:
+                bit[v] = 0
             local = solved.get(key)
             if local is None:
-                sub = Graph._from_rows(g.labels_of(vertices), rows)
-                local = solved[key] = exact.min_cpds_subject_to(
-                    sub, anchors, budget.until(deadline)).witness
+                local = solved[key] = _solve_piece(g, vertices, *key, budget.until(deadline))
             witness = [vertices[v] for v in local]
         union.update(witness)
         added += len(witness) - len(inside)

@@ -112,6 +112,7 @@ class TestConstruction:
         g = path_graph(3)
         assert g.index("v2") == 1
         assert g.labels_of([0, 2]) == ("v1", "v3")
+        assert g.labels_of(iter([2, 0, 2])) == ("v3", "v1", "v3")
         with pytest.raises(GraphError):
             g.index("nope")
 
@@ -426,6 +427,10 @@ VERTEX_ID_ENTRY_POINTS = {
     "has_edge (first end)": lambda g, v: g.has_edge(v, 0),
     "has_edge (second end)": lambda g, v: g.has_edge(0, v),
     "delete_vertex": lambda g, v: g.delete_vertex(v),
+    "degree": lambda g, v: g.degree(v),
+    "labels_of": lambda g, v: g.labels_of([0, v]),
+    "reach_mask": lambda g, v: g.reach_mask(v),
+    "reach_mask (inside a set)": lambda g, v: g.reach_mask(v, within=0b11),
     "induced_subgraph": lambda g, v: g.induced_subgraph([0, v]),
     "attach_leaves": lambda g, v: attach_leaves(g, [0, v], 1),
     "min_cpds_subject_to": lambda g, v: exact.min_cpds_subject_to(g, [v]),

@@ -144,31 +144,32 @@ def test_subdivision_never_lowers_the_optimum(g, data):
 
 class TestAnalyseOnce:
     def test_one_block_dfs_per_graph_and_per_expanded_block(self, monkeypatch):
-        """Only the general pieces are built and searched: the triangle is
-        solved in place."""
+        """Only the general pieces are searched, and without a block DFS of
+        their own: the triangle is solved in place."""
         # count the pieces on a copy, so that g itself is not analysed yet
         g = general_with_cut_vertices()
         pieces = len(structural.nontrivial_block_subgraphs(Graph(g.labels, g.edges())))
         assert pieces == 3  # diamond, K_{2,3}, triangle
         general = 2
-        calls = []
-        original = decomposition._block_dfs
+        calls, searched = [], []
+        original, grow = decomposition._block_dfs, exact._grow
 
         def counted(h):
             calls.append(h.n)
             return original(h)
 
         monkeypatch.setattr(decomposition, "_block_dfs", counted)
+        monkeypatch.setattr(exact, "_grow", lambda h, *args: searched.append(h.n) or grow(h, *args))
         result = structural.solve_cpds(g)
         assert result.method == exact.METHOD_DECOMPOSITION
-        assert len(calls) == 1 + general
-        assert calls[0] == g.n
+        assert calls == [g.n]
+        assert len(searched) == general
 
     def test_each_distinct_piece_solved_once(self, monkeypatch):
         """Twelve diamonds in a row, glued at their degree-2 vertices: the
         two end pieces and the ten middle ones give three distinct pieces.
         One graph is built per distinct piece (one per piece would make
-        12), and the search runs on it directly."""
+        12), and the growth search runs on it directly, with no profile."""
         g = chain_of_blocks([GENERAL_BLOCKS[0]] * 12)
         copy = Graph(g.labels, g.edges())
         mandatory = set(classify_cut_vertices(copy).mandatory)
@@ -187,18 +188,18 @@ class TestAnalyseOnce:
         monkeypatch.setattr(Graph, "_from_rows", classmethod(
             lambda cls, *args: built.append(cls) or from_rows(cls, *args)))
 
-        search = exact.min_cpds_subject_to
+        grow = exact._grow
 
-        def counting(h, x, budget):
+        def counting(h, *args):
             solved.append(h)
-            return search(h, x, budget)
+            return grow(h, *args)
 
-        monkeypatch.setattr(exact, "min_cpds_subject_to", counting)
+        monkeypatch.setattr(exact, "_grow", counting)
         result = structural.decompose_cpds(g)
         monkeypatch.undo()
         assert len(solved) == len(keys)
         assert len(built) == len(keys)
-        assert len(calls) == 1 + len(keys) and calls[0] == g.n
+        assert calls == [g.n]
         naive = naive_decompose(copy)
         assert (result.optimum, result.witness, result.method) == (
             naive.optimum, naive.witness, naive.method)

@@ -87,3 +87,48 @@ def test_only_connected_profile_refuses_a_disconnected_graph():
     """Every operation that needs a connected graph asks one function, so
     they all refuse the same inputs with the same message."""
     assert _calls_outside("DisconnectedError", ("decomposition.py", "connected_profile")) == []
+
+
+def _public_searches() -> set[str]:
+    """The public functions of ``exact`` that run a search: those that name
+    one of its two search loops, or another public search, other than as a
+    parameter of their own."""
+    tree = ast.parse((SRC / "exact.py").read_text(encoding="utf-8"))
+    names = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+             - {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    searches = {"_min_coloring", "_min_connected"}
+    while True:
+        more = {name for name, used in names.items() if used & searches} - searches
+        if not more:
+            return {name for name in searches if not name.startswith("_")}
+        searches |= more
+
+
+def test_structural_searches_no_piece_through_a_public_search():
+    """The decomposition runs ``exact``'s growth search on each piece
+    directly, so no piece pays for a public search's profile and checks;
+    only ``solve_cpds``'s ``brute`` branch names a public search."""
+    searches = _public_searches()
+    assert {"min_cpds", "min_cpds_subject_to", "min_pds", "ppt"} <= searches
+    tree = ast.parse((SRC / "structural.py").read_text(encoding="utf-8"))
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "solve_cpds":
+            for branch in ast.walk(node):
+                if isinstance(branch, ast.If) and ast.unparse(branch.test) == "method == 'brute'":
+                    allowed.update(id(n) for stmt in branch.body for n in ast.walk(stmt))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            named = [node.attr]
+        elif isinstance(node, ast.Name):
+            named = [node.id]
+        else:
+            continue
+        if id(node) not in allowed and searches.intersection(named):
+            found.append(f"structural.py:{node.lineno}")
+    assert found == []
+    assert allowed, "solve_cpds has no brute branch"

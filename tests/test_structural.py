@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -249,7 +250,7 @@ def test_class_solvers_never_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a class solver searched a piece")
 
-    monkeypatch.setattr(exact, "min_cpds_subject_to", refuse)
+    monkeypatch.setattr(exact, "_grow", refuse)  # the one connected search
     with pytest.raises(AssertionError, match="searched a piece"):
         structural.decompose_cpds(chain_of_blocks(GENERAL_BLOCKS))
     rng = random.Random(41)
@@ -379,6 +380,39 @@ class TestPieceTable:
         assert repeated >= 10
         assert self.KINDS[family] <= kinds
 
+    def test_each_general_piece_gets_the_subject_to_witness(self):
+        """The decomposition runs the growth search on each general piece
+        directly; its local witness must be the one the checked front door,
+        :func:`exact.min_cpds_subject_to`, gives for the piece and its
+        anchors. A piece meets the rest of the union only at its anchors,
+        so the union's vertices inside the piece are its local witness."""
+        families = dict(self.FAMILIES, cut_vertex=lambda rng, n: random_connected_with_cut_vertex(
+            rng, n // 12 + 3))
+        apart = 0  # pieces with two anchors that are not adjacent
+        for family, make in sorted(families.items()):
+            rng = random.Random(f"piece witness/{family}")
+            searched = 0
+            for _ in range(30):
+                g = make(rng, rng.randint(12, 120))
+                if not blocks(g).cut_vertices or recognize(g).path:
+                    continue
+                union = set(structural.decompose_cpds(g).witness)
+                dec, mandatory = blocks(g), set(classify_cut_vertices(g).mandatory)
+                edges = dict(zip(dec.blocks, dec.edges))
+                for blk, vertices, rows in structural.nontrivial_block_subgraphs(g):
+                    k = len(blk)
+                    if edges[blk] in (k, k * (k - 1) // 2):  # a cycle, a clique or a bridge
+                        continue
+                    piece = Graph(g.labels_of(vertices),
+                                  [(u, w) for u, row in enumerate(rows) for w in row if u < w])
+                    anchors = [vertices.index(v) for v in blk if v in mandatory]
+                    local = exact.min_cpds_subject_to(piece, anchors).witness
+                    assert sorted(union.intersection(vertices)) == [vertices[v] for v in local]
+                    searched += 1
+                    apart += any(not piece.has_edge(a, b) for a, b in combinations(anchors, 2))
+            assert searched >= 10, family
+        assert apart >= 100
+
     def test_a_block_without_an_anchor_is_solved_in_place(self, monkeypatch):
         """The cycle of the toy cactus holds no mandatory vertex; it is the
         graph's only nontrivial block and is solved in place, as a cycle."""
@@ -388,9 +422,8 @@ class TestPieceTable:
         g = load_graph(text)
         assert block_kinds(g) == {"no anchor"}
         solved = []
-        search = exact.min_cpds_subject_to
-        monkeypatch.setattr(exact, "min_cpds_subject_to",
-                            lambda h, *args: solved.append(h.n) or search(h, *args))
+        grow = exact._grow
+        monkeypatch.setattr(exact, "_grow", lambda h, *args: solved.append(h.n) or grow(h, *args))
         result = structural.decompose_cpds(g)
         monkeypatch.undo()
         assert solved == []
@@ -402,13 +435,13 @@ class TestPieceTable:
         the four pieces fits in the budget on its own but all four do not."""
         now = [0.0]
         monkeypatch.setattr(exact, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        search = exact.min_cpds_subject_to
+        grow = exact._grow
 
-        def slow(h, x, budget=exact.DEFAULT_BUDGET):
+        def slow(h, *args):
             now[0] += 1
-            return search(h, x, budget)
+            return grow(h, *args)
 
-        monkeypatch.setattr(exact, "min_cpds_subject_to", slow)
+        monkeypatch.setattr(exact, "_grow", slow)
         g = chain_of_blocks(GENERAL_BLOCKS)
         assert len(structural.nontrivial_block_subgraphs(g)) == 4
         with pytest.raises(BudgetExceededError):
