@@ -179,12 +179,17 @@ def _load(args: argparse.Namespace, stdin: IO[str]) -> Graph:
     return graph_io.load_graph(_read(args.input, stdin), args.input_format)
 
 
-def _emit(out: IO[str], args: argparse.Namespace, record: dict, text_lines: list[str]) -> None:
+def _emit(out: IO[str], args: argparse.Namespace, record: dict, text_lines: list[str],
+          indented: Sequence[str] = ()) -> None:
+    """Write ``record`` as one json line, or the text lines followed by the
+    ``indented`` ones two spaces in, in one write."""
     if args.json:
         out.write(json.dumps(record, sort_keys=True) + "\n")
     else:
-        for line in text_lines:
-            out.write(line + "\n")
+        text = "\n".join(text_lines) + "\n"
+        if indented:
+            text += "  " + "\n  ".join(indented) + "\n"
+        out.write(text)
 
 
 def _result_payload(g: Graph, result: exact.SolveResult, problem: str) -> dict:
@@ -235,10 +240,9 @@ def _cmd_solve(args, out, err, stdin) -> int:
         for s in result.all_optima:
             lines.append("  " + " ".join(g.labels_of(s)))
     if args.trace:
-        payload["trace"] = steps = propagation.trace_lines(g, result.trace)
+        payload["trace"] = propagation.trace_lines(g, result.trace)
         lines.append("trace:")
-        lines.extend("  " + t for t in steps)
-    _emit(out, args, payload, lines)
+    _emit(out, args, payload, lines, payload.get("trace", ()))
     return 0
 
 
@@ -380,10 +384,9 @@ def _cmd_check(args, out, err, stdin) -> int:
         f"valid for {args.problem}: {'yes' if valid else 'no'}",
     ]
     if args.trace:
-        record["trace"] = steps = propagation.trace_lines(g, trace)
+        record["trace"] = propagation.trace_lines(g, trace)
         lines.append("trace:")
-        lines.extend("  " + t for t in steps)
-    _emit(out, args, record, lines)
+    _emit(out, args, record, lines, record.get("trace", ()))
     return 0 if valid else 2
 
 

@@ -21,8 +21,9 @@ Every check takes its set as an iterable of vertex ids, which
 A run that returns its coloring (:func:`dominate_step`,
 :func:`forcing_closure`, :func:`is_power_dominating`) returns it as one
 :class:`PropagationTrace`, built by :func:`_traced`: the trace keeps the
-round, source and target of each force as plain integers and builds its
-:class:`Force` entries on first read. The yes/no checks record nothing.
+round, source and target of each force as plain integers, which
+:func:`trace_lines` prints directly, and builds its :class:`Force`
+entries only when ``forces`` is read. The yes/no checks record nothing.
 The closures of the exact searches (:func:`_uncolored`,
 :func:`_unforced`) run the same rounds on neighbor bitmasks instead
 (:func:`_resume`).
@@ -67,7 +68,8 @@ class PropagationTrace:
     all domination entries carry timestep 1 and forces come strictly later
     (or from 1 upward when there was no domination step). ``forces`` holds
     :class:`Force` tuples, one per vertex colored after the initial set.
-    A trace the engine records builds both from its run on first read.
+    A trace the engine records builds both from its run on first read,
+    and keeps the run for :func:`trace_lines` and :meth:`rounds`.
     """
 
     initial: tuple[int, ...]
@@ -78,15 +80,17 @@ class PropagationTrace:
         """``forces`` and ``final_colored`` of a recorded trace, built once."""
         if name not in ("forces", "final_colored") or "_run" not in self.__dict__:
             raise AttributeError(name)
-        adj, dominated, forced, colored = self.__dict__.pop("_run")
+        adj, dominated, forced, colored = self.__dict__["_run"]
         self.__dict__.update(forces=tuple(_entries(adj, dominated, forced)),
                              final_colored=tuple(compress(range(len(colored)), colored)))
         return self.__dict__[name]
 
     def rounds(self) -> int:
         """Last round that colored a vertex (at least 1)."""
-        last = max((f.timestep for f in self.forces), default=1)
-        return max(last, 1)
+        run = self.__dict__.get("_run")
+        if run is not None:  # the run lists its forces by round
+            return run[2][-3] if run[2] else 1
+        return max(1, max((f.timestep for f in self.forces), default=1))
 
 
 def _dominated(adj, seeds: list[int]):
@@ -310,11 +314,21 @@ def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
 
 
 def trace_lines(g: Graph, trace: PropagationTrace) -> list[str]:
-    """Line-oriented serialization: ``t=<k> <src> -> <tgt> [kind]``."""
-    return [
-        f"t={f.timestep} {g.labels[f.source]} -> {g.labels[f.target]} [{f.kind}]"
-        for f in trace.forces
-    ]
+    """Line-oriented serialization: ``t=<k> <src> -> <tgt> [kind]``. A
+    recorded trace prints straight from its run, built entries or not;
+    given entries are printed after ``Graph._vertex_ids`` checks their ids."""
+    labels = g.labels
+    run = trace.__dict__.get("_run")
+    if run is None:
+        entries = trace.forces
+        g._vertex_ids([v for _, s, w, _ in entries for v in (s, w)])
+        return [f"t={t} {labels[s]} -> {labels[w]} [{kind}]" for t, s, w, kind in entries]
+    adj, seeds, forced, _ = run
+    lines = [f"t=1 {labels[s]} -> {labels[w]} [{DOMINATE}]" for s, w in _dominated(adj, seeds)]
+    triples = iter(forced)
+    lines += [f"t={t} {labels[s]} -> {labels[w]} [{FORCE}]"
+              for t, s, w in zip(triples, triples, triples)]
+    return lines
 
 
 def replay_trace(g: Graph, trace: PropagationTrace) -> int:
@@ -331,6 +345,8 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
     claimed = bytearray(initial)
     by_time: dict[int, list[Force]] = {}
     for f in trace.forces:
+        if f.kind not in (DOMINATE, FORCE):
+            raise PowerDomError(f"unknown entry kind {f.kind!r}")
         if claimed[f.target]:
             raise PowerDomError(f"target {f.target} colored twice")
         claimed[f.target] = 1

@@ -445,6 +445,10 @@ VERTEX_ID_ENTRY_POINTS = {
         g, propagation.PropagationTrace((0, v), (), (0,))),
     "replay_trace (entry)": lambda g, v: propagation.replay_trace(
         g, propagation.PropagationTrace((0,), (propagation.Force(1, 0, v, "dominate"),), (0,))),
+    "trace_lines (source)": lambda g, v: propagation.trace_lines(
+        g, propagation.PropagationTrace((0,), (propagation.Force(1, v, 0, "dominate"),), (0,))),
+    "trace_lines (target)": lambda g, v: propagation.trace_lines(
+        g, propagation.PropagationTrace((0,), (propagation.Force(1, 0, v, "dominate"),), (0,))),
 }
 
 

@@ -220,6 +220,7 @@ class TestTraces:
             ([dom2, f1, prop.Force(3, 4, 0, "force")], "source 4 not colored at t=3"),
             ([dom, dom2, prop.Force(2, 3, 4, "force"), f1], "source 3 not colored at t=2"),
             ([dom, dom2, f1, prop.Force(2, 2, 4, "force")], "source 2 cannot force 4 at t=2"),
+            ([dom, dom2, f1, prop.Force(3, 3, 4, "dom")], "unknown entry kind 'dom'"),
         ]
         for forces, message in cases:
             with pytest.raises(PowerDomError, match=message):

@@ -5,9 +5,9 @@ cacti and general graphs (n <= 20), on long paths, spiders and cycles, and
 on hypothesis-generated graphs. The bitmask closures of the exact searches
 (``_uncolored``, ``_unforced`` and the resumed ``_resume``) are compared
 with the engine itself. A recorded trace builds its entries on first read;
-it is compared with one built eagerly from the reference, and the CLI is
-checked to run the engine once per traced solve and to build no entry when
-no trace is printed.
+it is compared with one built eagerly from the reference, it prints the
+same lines as its entries, and the CLI is checked to run the engine once
+per traced solve and to build no entry, whether it prints a trace or not.
 """
 
 from __future__ import annotations
@@ -245,6 +245,32 @@ class TestRecordedTraces:
                 failed += not ok
         assert failed >= 20
 
+    def test_printing_a_run_equals_printing_its_entries(self):
+        """A recorded trace prints from its run; read first, or rebuilt as a
+        trace with explicit entries, it prints the same lines and gives the
+        same ``rounds()``, for solved witnesses and for failing sets."""
+        rng = random.Random(131)
+        runs = [(lambda g, s: prop.is_power_dominating(g, s)[1], {}),
+                (prop.forcing_closure, {"dominate": False}), (prop.dominate_step, {"rounds": 1})]
+        failed = 0
+        for g in structured_instances():
+            sets = [structural.solve_cpds(g).witness]
+            sets += [rng.sample(range(g.n), rng.randint(1, 2)) for _ in range(4)]
+            for s in sets:
+                failed += not prop.is_power_dominating(g, s)[0]
+                for run, reference in runs:
+                    fresh, read = run(g, s), run(g, s)
+                    lines, rounds = prop.trace_lines(g, fresh), fresh.rounds()
+                    assert "_run" in fresh.__dict__  # printing built no entry
+                    assert lines == [f"t={t} {g.labels[v]} -> {g.labels[w]} [{kind}]" for
+                                     t, v, w, kind in naive_trace(g, set(s), **reference)[0]]
+                    explicit = prop.PropagationTrace(read.initial, read.forces, read.final_colored)
+                    for trace in (read, explicit):
+                        assert prop.trace_lines(g, trace) == lines
+                        assert trace.rounds() == rounds
+                    assert fresh == read
+        assert failed >= 20
+
     def test_a_recorded_trace_is_frozen(self):
         _, trace = prop.is_power_dominating(path_graph(5), [2])
         with pytest.raises(AttributeError):
@@ -276,11 +302,16 @@ def test_traced_solve_runs_the_engine_once(g, monkeypatch):
 
 
 def test_untraced_solve_builds_no_trace_entry(monkeypatch):
+    """No command builds a trace entry or the final set: an untraced solve
+    prints no trace, and a traced one prints it straight from its run."""
     g = spider((30, 40, 50, 1))
     made = []
-    force = prop._force
+    force, lazy = prop._force, prop.PropagationTrace.__getattr__
     monkeypatch.setattr(prop, "_force", lambda fields: made.append(fields) or force(fields))
+    monkeypatch.setattr(prop.PropagationTrace, "__getattr__",
+                        lambda trace, name: made.append(name) or lazy(trace, name))
     run_cli(g, "solve", "--json")
+    for argv in (["solve", "--trace"], ["solve", "--json", "--trace"],
+                 ["check", "--trace", "--set", "c"]):
+        assert "t=1 c -> l0_0 [dominate]" in run_cli(g, *argv)
     assert made == []
-    run_cli(g, "solve", "--json", "--trace")
-    assert len(made) == g.n - 1  # every vertex but the one chosen

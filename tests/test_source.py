@@ -1,11 +1,14 @@
-"""Guards over the package source itself."""
+"""Guards over the package source itself, and over the benchmark records
+kept next to it."""
 
 from __future__ import annotations
 
 import ast
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "powerdom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "powerdom"
 
 
 def test_no_assert_statements():
@@ -132,3 +135,23 @@ def test_structural_searches_no_piece_through_a_public_search():
             found.append(f"structural.py:{node.lineno}")
     assert found == []
     assert allowed, "solve_cpds has no brute branch"
+
+
+def test_cli_prints_every_trace_through_trace_lines():
+    """The CLI reads no trace entry itself: ``propagation.trace_lines``
+    prints a recorded trace from its run, without building its entries."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "forces"]
+    assert found == []
+
+
+def test_every_benchmark_record_holds_the_shared_keys():
+    """Each ``BENCH_*.json`` at the repo root parses and names its change,
+    its claimed gain, its end-to-end runs, its host and its ``src/`` size."""
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    shared = {"change", "claimed_gain", "end_to_end", "host", "src_lines"}
+    missing = {path.name: sorted(shared - json.loads(path.read_text(encoding="utf-8")).keys())
+               for path in records}
+    assert {name: keys for name, keys in missing.items() if keys} == {}
