@@ -21,7 +21,6 @@ from .decomposition import blocks, classify_cut_vertices
 from .errors import (
     BudgetExceededError,
     DisconnectedError,
-    GraphClassError,
     GraphError,
     ParseError,
     PowerDomError,
@@ -34,19 +33,29 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """A parser's help text, raised in place of printing it to sys.stdout."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); we want exit 1
         raise _UsageError(message)
 
+    def print_help(self, file=None):  # main writes it to its own stdout
+        raise _Help(self.format_help())
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a subcommand's parser gets its arguments only once it is chosen
+        add_arguments = vars(self).pop("add_arguments", None)
+        if add_arguments is not None:
+            add_arguments(self)
+        return super().parse_known_args(args, namespace)
+
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="graph file, or - for stdin")
-    parser.add_argument(
-        "--input-format",
-        choices=graph_io.FORMATS,
-        default="edgelist",
-        help="graph file format (default edgelist)",
-    )
+    parser.add_argument("--input-format", choices=graph_io.FORMATS, default="edgelist",
+                        help="graph file format (default edgelist)")
 
 
 def _non_negative(kind: type) -> Callable[[str], int | float]:
@@ -74,84 +83,81 @@ def _add_common_arguments(parser: argparse.ArgumentParser, budget: bool = True) 
                         help="time ceiling for the exact oracles and the milp method")
 
 
+def _decompose_arguments(parser: argparse.ArgumentParser) -> None:
+    """The graph, --json and the budget; solve, ppt and spread start with them."""
+    _add_graph_arguments(parser)
+    _add_common_arguments(parser)
+
+
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    _decompose_arguments(parser)
+    parser.add_argument("--problem", choices=("pd", "cpd"), default="cpd")
+    parser.add_argument("--method", default="auto", choices=(
+        "auto", "tree", "block", "cactus", "decompose", "brute", "milp"))
+    parser.add_argument("--T", type=int, default=None,
+                        help="horizon for the milp method (default n)")
+    parser.add_argument("--trace", action="store_true", help="print the force trace")
+    parser.add_argument("--all-optima", action="store_true",
+                        help="list every optimal set (brute method only)")
+
+
+def _ppt_arguments(parser: argparse.ArgumentParser) -> None:
+    _decompose_arguments(parser)
+    parser.add_argument("--method", choices=("brute", "milp"), default="brute")
+    parser.add_argument("--connected", action="store_true",
+                        help="minimize over minimum connected sets instead")
+
+
+def _spread_arguments(parser: argparse.ArgumentParser) -> None:
+    _decompose_arguments(parser)
+    parser.add_argument("--op", required=True, choices=(
+        "delete-vertex", "delete-edge", "contract-edge", "subdivide-edge"))
+    parser.add_argument("--target", required=True, help="vertex label, or u,v for edge operations")
+    parser.add_argument("--method", choices=("auto", "brute"), default="auto")
+
+
+def _model_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_graph_arguments(parser)
+    parser.add_argument("--problem", choices=("pd", "cpd"), default="pd")
+    parser.add_argument("--T", type=int, default=None, help="horizon (default n)")
+    parser.add_argument("--format", choices=("lp", "mps"), default="lp")
+    parser.add_argument("--out", default=None, help="output path (default stdout)")
+
+
+def _gadget_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--kind", required=True,
+                        choices=("path-spread", "cycle-spread", "zf-reduction"))
+    parser.add_argument("--c", type=int, default=None, help="swing parameter")
+    parser.add_argument("--k", type=int, default=None, help="zero forcing bound (zf-reduction)")
+    parser.add_argument("--input", default=None, help="input graph (zf-reduction only)")
+    parser.add_argument("--input-format", choices=graph_io.FORMATS, default="edgelist")
+
+
+def _check_arguments(parser: argparse.ArgumentParser) -> None:
+    _add_graph_arguments(parser)
+    _add_common_arguments(parser, budget=False)
+    parser.add_argument("--set", required=True, dest="vertex_set",
+                        help="comma separated vertex labels")
+    parser.add_argument("--problem", choices=("pd", "cpd"), default="cpd")
+    parser.add_argument("--trace", action="store_true")
+
+
+def _batch_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("inputs", nargs="+", help="graph files")
+    parser.add_argument("--input-format", choices=graph_io.FORMATS, default="edgelist")
+    _add_common_arguments(parser)
+    parser.add_argument("--problems", default="pd,cpd", help="comma separated subset of pd,cpd")
+    parser.add_argument("--skip-ppt", action="store_true", help="drop the propagation time column")
+    parser.add_argument("--times", action="store_true",
+                        help="include wall-clock times (non-deterministic output)")
+
+
 def build_parser() -> _Parser:
+    """The top-level parser, with one empty parser per subcommand."""
     parser = _Parser(prog="powerdom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="optimal (connected) power dominating set")
-    _add_graph_arguments(p_solve)
-    _add_common_arguments(p_solve)
-    p_solve.add_argument("--problem", choices=("pd", "cpd"), default="cpd")
-    p_solve.add_argument(
-        "--method",
-        choices=("auto", "tree", "block", "cactus", "decompose", "brute", "milp"),
-        default="auto",
-    )
-    p_solve.add_argument("--T", type=int, default=None,
-                         help="horizon for the milp method (default n)")
-    p_solve.add_argument("--trace", action="store_true", help="print the force trace")
-    p_solve.add_argument("--all-optima", action="store_true",
-                         help="list every optimal set (brute method only)")
-
-    p_ppt = sub.add_parser("ppt", help="power propagation time")
-    _add_graph_arguments(p_ppt)
-    _add_common_arguments(p_ppt)
-    p_ppt.add_argument("--method", choices=("brute", "milp"), default="brute")
-    p_ppt.add_argument("--connected", action="store_true",
-                       help="minimize over minimum connected sets instead")
-
-    p_spread = sub.add_parser("spread", help="optimum change under one graph operation")
-    _add_graph_arguments(p_spread)
-    _add_common_arguments(p_spread)
-    p_spread.add_argument(
-        "--op", required=True,
-        choices=("delete-vertex", "delete-edge", "contract-edge", "subdivide-edge"),
-    )
-    p_spread.add_argument("--target", required=True,
-                          help="vertex label, or u,v for edge operations")
-    p_spread.add_argument("--method", choices=("auto", "brute"), default="auto")
-
-    p_model = sub.add_parser("model", help="write the integer programming model")
-    _add_graph_arguments(p_model)
-    p_model.add_argument("--problem", choices=("pd", "cpd"), default="pd")
-    p_model.add_argument("--T", type=int, default=None, help="horizon (default n)")
-    p_model.add_argument("--format", choices=("lp", "mps"), default="lp")
-    p_model.add_argument("--out", default=None, help="output path (default stdout)")
-
-    p_dec = sub.add_parser("decompose", help="cut-vertex decomposition report")
-    _add_graph_arguments(p_dec)
-    _add_common_arguments(p_dec)
-
-    p_gadget = sub.add_parser("gadget", help="emit a named construction as an edge list")
-    p_gadget.add_argument("--kind", required=True,
-                          choices=("path-spread", "cycle-spread", "zf-reduction"))
-    p_gadget.add_argument("--c", type=int, default=None, help="swing parameter")
-    p_gadget.add_argument("--k", type=int, default=None,
-                          help="zero forcing bound (zf-reduction)")
-    p_gadget.add_argument("--input", default=None,
-                          help="input graph (zf-reduction only)")
-    p_gadget.add_argument("--input-format", choices=graph_io.FORMATS,
-                          default="edgelist")
-
-    p_check = sub.add_parser("check", help="verify a candidate set")
-    _add_graph_arguments(p_check)
-    _add_common_arguments(p_check, budget=False)
-    p_check.add_argument("--set", required=True, dest="vertex_set",
-                         help="comma separated vertex labels")
-    p_check.add_argument("--problem", choices=("pd", "cpd"), default="cpd")
-    p_check.add_argument("--trace", action="store_true")
-
-    p_batch = sub.add_parser("batch", help="summary table over many graph files")
-    p_batch.add_argument("inputs", nargs="+", help="graph files")
-    p_batch.add_argument("--input-format", choices=graph_io.FORMATS,
-                         default="edgelist")
-    _add_common_arguments(p_batch)
-    p_batch.add_argument("--problems", default="pd,cpd",
-                         help="comma separated subset of pd,cpd")
-    p_batch.add_argument("--skip-ppt", action="store_true",
-                         help="drop the propagation time column")
-    p_batch.add_argument("--times", action="store_true",
-                         help="include wall-clock times (non-deterministic output)")
+    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text).add_arguments = add_arguments
     return parser
 
 
@@ -454,15 +460,15 @@ def _cmd_batch(args, out, err, stdin) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "ppt": _cmd_ppt,
-    "spread": _cmd_spread,
-    "model": _cmd_model,
-    "decompose": _cmd_decompose,
-    "gadget": _cmd_gadget,
-    "check": _cmd_check,
-    "batch": _cmd_batch,
+_SUBCOMMANDS = {  # name: (help, argument function, handler)
+    "solve": ("optimal (connected) power dominating set", _solve_arguments, _cmd_solve),
+    "ppt": ("power propagation time", _ppt_arguments, _cmd_ppt),
+    "spread": ("optimum change under one graph operation", _spread_arguments, _cmd_spread),
+    "model": ("write the integer programming model", _model_arguments, _cmd_model),
+    "decompose": ("cut-vertex decomposition report", _decompose_arguments, _cmd_decompose),
+    "gadget": ("emit a named construction as an edge list", _gadget_arguments, _cmd_gadget),
+    "check": ("verify a candidate set", _check_arguments, _cmd_check),
+    "batch": ("summary table over many graph files", _batch_arguments, _cmd_batch),
 }
 
 
@@ -473,9 +479,16 @@ def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None,
     source = stdin if stdin is not None else sys.stdin
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, out, err, source)
-    except _UsageError as exc:
+        try:
+            args = parser.parse_args(argv)
+        except _Help as shown:
+            out.write(str(shown))
+            return 0
+        return _SUBCOMMANDS[args.command][2](args, out, err, source)
+    except (BudgetExceededError, DisconnectedError) as exc:
+        err.write(f"infeasible: {exc}\n")
+        return 2
+    except (_UsageError, GraphError) as exc:  # GraphClassError is a GraphError
         err.write(f"usage error: {exc}\n")
         return 1
     except ParseError as exc:
@@ -489,12 +502,6 @@ def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None,
             err.write(f"cannot write output: {exc.strerror}\n")
         else:
             err.write(f"cannot open {exc.filename}: {exc.strerror}\n")
-        return 1
-    except (BudgetExceededError, DisconnectedError) as exc:
-        err.write(f"infeasible: {exc}\n")
-        return 2
-    except (GraphClassError, GraphError) as exc:
-        err.write(f"usage error: {exc}\n")
         return 1
     except PowerDomError as exc:
         err.write(f"error: {exc}\n")

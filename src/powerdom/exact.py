@@ -29,7 +29,7 @@ from typing import Iterable
 
 from . import propagation
 from .decomposition import connected_profile
-from .errors import BudgetExceededError, GraphError, SolverInternalError
+from .errors import BudgetExceededError, GraphError, PowerDomError, SolverInternalError
 from .graphs import Graph, attach_leaves, bits_of, fresh_label, iter_bits
 
 METHOD_BRUTE = "brute"
@@ -46,6 +46,14 @@ class Budget:
 
     max_vertices: int = 24
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        n, s = self.max_vertices, self.max_seconds
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise PowerDomError(f"Budget max_vertices must be an int >= 0, not {n!r}")
+        if s is not None and (isinstance(s, bool) or not isinstance(s, (int, float))
+                              or not s >= 0):  # nan >= 0 is False
+            raise PowerDomError(f"Budget max_seconds must be None or a number >= 0, not {s!r}")
 
     def check_size(self, g: Graph) -> None:
         if g.n > self.max_vertices:

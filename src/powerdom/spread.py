@@ -70,7 +70,7 @@ def edge_spread(g: Graph, u: int, v: int, solver: Solver | None = None) -> Sprea
     """Spread under deletion of a non-cut edge."""
     removed = g.delete_edge(u, v)
     if not profile(removed).connected:
-        raise GraphError("edge is a cut edge; deletion disconnects")
+        raise GraphError(f"edge {g.labels[u]},{g.labels[v]} is a cut edge; deletion disconnects")
     return _spread(DELETE_EDGE, g, (u, v), removed, solver)
 
 

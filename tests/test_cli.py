@@ -222,6 +222,11 @@ class TestSpreadCommand:
         assert run("spread", "-", "--op", op, "--target", "a,d",
                    stdin="a b\nb c\nc a\nc d\n") == (1, "", "usage error: no edge a,d\n")
 
+    def test_cut_edge_is_named_by_its_labels(self):
+        assert run("spread", "-", "--op", "delete-edge", "--target", "c,d",
+                   stdin="a b\nb c\nc a\nc d\n") == (
+            1, "", "usage error: edge c,d is a cut edge; deletion disconnects\n")
+
     def test_method_and_budget_reach_both_solves(self):
         """brute enumerates even a tree, under the vertex budget; auto solves
         the tree structurally, whatever the budget."""

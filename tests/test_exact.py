@@ -10,7 +10,7 @@ import pytest
 from powerdom import exact
 from powerdom import propagation as prop
 from powerdom.errors import (BudgetExceededError, DisconnectedError, GraphError,
-                             SolverInternalError)
+                             PowerDomError, SolverInternalError)
 from powerdom.exact import Budget
 from powerdom.decomposition import classify_cut_vertices
 from powerdom.graphs import (Graph, attach_leaves, bits_of, complete_graph, cycle_graph,
@@ -307,3 +307,20 @@ class TestBudget:
             exact.l_round_pd(g, 2, tight)
         with pytest.raises(BudgetExceededError):
             exact.min_zero_forcing(g, tight)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_vertices", None), ("max_vertices", -1), ("max_vertices", True),
+        ("max_vertices", 24.0), ("max_seconds", float("nan")), ("max_seconds", -0.5),
+        ("max_seconds", "1"), ("max_seconds", False),
+    ])
+    def test_invalid_field_is_refused_by_name(self, field, value):
+        """nan would silently disable the time ceiling, and a str or None
+        would fail with a TypeError at the first check."""
+        with pytest.raises(PowerDomError) as info:
+            Budget(**{field: value})
+        message = str(info.value)
+        assert field in message and repr(value) in message and "\n" not in message
+
+    @pytest.mark.parametrize("seconds", [None, 0, 0.0, 2.5, float("inf")])
+    def test_valid_time_ceilings_are_kept(self, seconds):
+        assert Budget(max_vertices=0, max_seconds=seconds).max_seconds == seconds
