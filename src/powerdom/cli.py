@@ -330,11 +330,11 @@ def _cmd_decompose(args, out, err, stdin) -> int:
     }
     lines = [f"mandatory: {' '.join(g.labels_of(taxonomy.mandatory))}"]
     result = structural.decompose_cpds(g, budget=budget)
-    mandatory, attached = set(taxonomy.mandatory), taxonomy.attached
+    mandatory = set(taxonomy.mandatory)
     for i, core in enumerate((c for c, t in zip(dec.blocks, dec.trivial) if not t), start=1):
         block = {"core": list(g.labels_of(core)),
                  "anchors": list(g.labels_of(v for v in core if v in mandatory)),
-                 "size": len(core) + sum(len(p) for v in core for p in attached.get(v, ()))}
+                 "size": len(structural._piece_vertices(core, taxonomy))}
         record["blocks"].append(block)
         lines.append(f"block {i}: core={','.join(block['core'])}"
                      f" anchors={','.join(block['anchors'])} size={block['size']}")

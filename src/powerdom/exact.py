@@ -30,7 +30,7 @@ from typing import Iterable
 from . import propagation
 from .decomposition import connected_profile
 from .errors import BudgetExceededError, GraphError, PowerDomError, SolverInternalError
-from .graphs import Graph, attach_leaves, bits_of, fresh_label, iter_bits
+from .graphs import Graph, _count, attach_leaves, bits_of, fresh_label, iter_bits
 
 METHOD_BRUTE = "brute"
 METHOD_TREE = "tree"
@@ -55,10 +55,10 @@ class Budget:
                               or not s >= 0):  # nan >= 0 is False
             raise PowerDomError(f"Budget max_seconds must be None or a number >= 0, not {s!r}")
 
-    def check_size(self, g: Graph) -> None:
-        if g.n > self.max_vertices:
+    def check_size(self, n: int) -> None:
+        if n > self.max_vertices:
             raise BudgetExceededError(
-                f"graph has {g.n} vertices, budget allows {self.max_vertices}"
+                f"graph has {n} vertices, budget allows {self.max_vertices}"
             )
 
     def deadline(self) -> float | None:
@@ -197,11 +197,11 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     skips the domination step, and a set is zero forcing exactly when it
     meets every fort, so each fort's hitters are the fort itself.
     """
-    if rounds < 1:
+    if _count("rounds", rounds) < 1:
         raise GraphError("round budget must be at least 1")
     if not forcing:
         connected_profile(g)
-    budget.check_size(g)
+    budget.check_size(g.n)
     deadline = budget.deadline()
     closure = propagation._unforced if forcing else propagation._uncolored
     nbr = [bits_of(row) for row in g.adj]
@@ -255,12 +255,23 @@ def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False)
     return _min_coloring(g, g.n, budget, all_optima)
 
 
-def _grow(g: Graph, nbr: list[int], seed: int, rounds: int,
+def _connected(nbr: list[int], mask: int) -> bool:
+    """Is ``mask`` non-empty and connected in the graph of neighbor masks ``nbr``?"""
+    reach = frontier = mask & -mask
+    while frontier:
+        for v in iter_bits(frontier):
+            frontier |= nbr[v]
+        frontier &= mask & ~reach
+        reach |= frontier
+    return mask != 0 and reach == mask
+
+
+def _grow(nbr: list[int], seed: int, rounds: int,
           deadline: float | None) -> tuple[list[tuple[int, ...]], int]:
     """The sorted smallest connected sets that contain the mask ``seed``
-    and color ``g`` (neighbor masks ``nbr``) within ``rounds`` rounds, and
-    their least last round, by a growth search over the levels k = |seed|,
-    |seed| + 1, ... (from 1 when the seed is empty).
+    and color the graph with neighbor masks ``nbr`` (all it reads) within
+    ``rounds`` rounds, and their least last round, by a growth search over
+    the levels k = |seed|, |seed| + 1, ... (from 1 when the seed is empty).
 
     A node is a chosen set, the union of its members' neighborhoods, a
     banned set and the number chosen. It branches on the unbanned neighbors
@@ -268,24 +279,24 @@ def _grow(g: Graph, nbr: list[int], seed: int, rounds: int,
     order, banning each after its branch, so every k-set grown from the
     seed is reached exactly once. A k-set is tested where the search
     reaches it: a disconnected seed can grow into a disconnected set, so
-    connectivity first, then one closure on neighbor masks that stops after
-    round ``rounds``. Every optimum of the first level that has one is
-    found.
+    connectivity first (:func:`_connected`), then one closure on neighbor
+    masks that stops after round ``rounds``. Every optimum of the first
+    level that has one is found.
     """
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     seed_reach = 0
     for v in iter_bits(seed):
         seed_reach |= nbr[v]
-    everyone = g.full_mask
+    everyone = (1 << len(nbr)) - 1
     start = seed.bit_count()
-    for k in range(max(1, start), g.n + 1):
+    for k in range(max(1, start), len(nbr) + 1):
         found: list[tuple[int, int]] = []  # last round, chosen
         stack = [(seed, seed_reach, 0, start)]  # chosen, reach, banned, number chosen
         while stack:
             _check_deadline(deadline)
             chosen, reach, banned, size = stack.pop()
             if size == k:
-                if g.is_connected_mask(chosen):
+                if _connected(nbr, chosen):
                     gap, last = propagation._uncolored(nbr, closed, chosen, rounds)
                     if not gap:
                         found.append((last, chosen))
@@ -308,14 +319,13 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     contains. They are returned sorted; with ``all_optima`` the result's
     ``ppt`` is the least last round of the closures that accepted them.
     """
-    if rounds < 1:
+    if _count("rounds", rounds) < 1:
         raise GraphError("round budget must be at least 1")
     info = connected_profile(g)
     x = g._vertex_ids(x)
-    budget.check_size(g)
-    deadline = budget.deadline()
+    budget.check_size(g.n)
     seed = bits_of(x) | bits_of(info.taxonomy.mandatory)
-    optima, last = _grow(g, [bits_of(row) for row in g.adj], seed, rounds, deadline)
+    optima, last = _grow([bits_of(row) for row in g.adj], seed, rounds, budget.deadline())
     return certify(g, optima[0], METHOD_BRUTE, connected=True,
                    all_optima=tuple(optima) if all_optima else None,
                    ppt=last if all_optima else None)
@@ -370,7 +380,7 @@ def zf_to_cpd_gadget(g: Graph, k: int) -> tuple[Graph, int]:
     its funnel ends are the only vertices a small connected solution can
     use, which is what ties the two problems together.
     """
-    if k < 0:
+    if _count("k", k) < 0:
         raise GraphError(f"zero forcing bound must be at least 0, got {k}")
     n = g.n
     labels = list(g.labels)

@@ -68,6 +68,13 @@ def fresh_label(taken: Container[str], stem: str) -> str:
     return label
 
 
+def _count(name: str, value: object) -> int:
+    """``value``, refused by ``name`` unless exactly an ``int`` (a bool is not one)."""
+    if type(value) is not int:
+        raise GraphError(f"{name} must be an int, not {value!r}")
+    return value
+
+
 def _sorted_rows(n: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbor rows of in-range edges; loops and repeats dropped."""
     rows: list[list[int]] = [[] for _ in range(n)]
@@ -310,7 +317,7 @@ def attach_leaves(g: Graph, x: Iterable[int], r: int) -> Graph:
 
     Leaf labels are generated deterministically from the host label.
     """
-    if r < 1:
+    if _count("r", r) < 1:
         raise GraphError("r must be at least 1")
     targets = g._vertex_ids(x)
     labels = list(g.labels)
@@ -328,20 +335,20 @@ def attach_leaves(g: Graph, x: Iterable[int], r: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
-    if n < 1:
+    if _count("n", n) < 1:
         raise GraphError("path needs at least one vertex")
     return Graph([f"v{i + 1}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if _count("n", n) < 3:
         raise GraphError("cycle needs at least three vertices")
     edges = [(i, (i + 1) % n) for i in range(n)]
     return Graph([f"v{i + 1}" for i in range(n)], edges)
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
+    if _count("n", n) < 1:
         raise GraphError("complete graph needs at least one vertex")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph([f"v{i + 1}" for i in range(n)], edges)

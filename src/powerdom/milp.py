@@ -49,7 +49,7 @@ from typing import NamedTuple
 from . import exact, propagation
 from .decomposition import connected_profile
 from .errors import GraphError, ModelError
-from .graphs import Graph, fresh_label
+from .graphs import Graph, _count, fresh_label
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -174,7 +174,7 @@ def _incoming(first: list[tuple[int, str]], arcs: list[tuple[int, int, str]],
 def build_model1(g: Graph, t: int | None = None) -> MilpModel:
     """Power domination model over ``g`` with horizon ``t`` (default n)."""
     connected_profile(g)
-    horizon = g.n if t is None else t
+    horizon = g.n if t is None else _count("horizon", t)
     if horizon < 1:
         raise GraphError("horizon must be at least 1")
     labs, arcs = _names(g)
@@ -318,7 +318,13 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
 def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
         tuple[int, ...], propagation.PropagationTrace]:
     """Read the selected set and its force schedule back out of a feasible
-    assignment produced by this module."""
+    assignment produced by this module; the first variable it lacks, or
+    the first binary it sets to neither 0 nor 1, raises :class:`ModelError`."""
+    for var in model.variables:
+        if var.name not in assignment:
+            raise ModelError(f"assignment has no value for {var.name}")
+        if var.kind == BINARY and assignment[var.name] not in (0, 1):
+            raise ModelError(f"binary {var.name} is {assignment[var.name]!r}, not 0 or 1")
     labs, arcs = model.meta["names"]
     chosen = tuple(v for v, lab in enumerate(labs) if assignment["s_" + lab] == 1)
     chosen_set = set(chosen)

@@ -14,7 +14,7 @@ from typing import Callable
 from .decomposition import blocks, profile
 from .errors import GraphError, SolverInternalError
 from .exact import SolveResult
-from .graphs import Graph
+from .graphs import Graph, _count
 from . import structural
 
 DELETE_VERTEX = "delete_vertex"
@@ -98,7 +98,7 @@ def make_path_gadget(c: int) -> Graph:
     vertex; deleting b2 (or either of its incident edges near b1) exposes a
     long chain of mandatory vertices, raising the optimum to c + 1.
     """
-    if c < 1:
+    if _count("c", c) < 1:
         raise GraphError("c must be positive")
     n = c + 3
     labels = [f"a{i + 1}" for i in range(n)] + ["b1", "b2", "b3"]
@@ -115,7 +115,7 @@ def make_cycle_gadget(c: int) -> Graph:
     the edge c1-c2, plus leaves t3 on c1 and t4 on c2. One vertex suffices,
     but subdividing or contracting c1-c2 moves the optimum to c + 1.
     """
-    if c < 1:
+    if _count("c", c) < 1:
         raise GraphError("c must be positive")
     size = 2 * c + 1
     far = c + 1  # index of the cycle vertex at maximum distance from c1-c2

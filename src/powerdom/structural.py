@@ -6,7 +6,9 @@ subject to the mandatory vertices it holds and recombines: a clique or a
 bridge needs those vertices, a longer cycle all but one largest
 excludable segment, and any other block, with its pendant paths, the exact search
 for the smallest solution containing them. So a tree or a block graph
-gets its mandatory set, and a path or a cycle one vertex.
+gets its mandatory set, and a path or a cycle one vertex. A piece is
+searched on its neighbor masks alone; only the recombined witness is
+certified, once, on the whole graph.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import exact
 from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
 from .errors import DecompositionError, GraphClassError, GraphError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult, certify
-from .graphs import Graph, iter_bits
+from .graphs import Graph
 
 
 def tree_cpds(g: Graph) -> SolveResult:
@@ -167,9 +169,8 @@ def cactus_cpds(g: Graph) -> SolveResult:
 Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
 """One nontrivial block with its pendant paths, as (core, vertices, rows):
 the block's vertices, the piece's sorted global vertex ids, and its rows
-over local ids (local id i is ``vertices[i]``). The decomposition searches
-the piece of each block that is not a clique, a bridge or a cycle, from
-neighbor masks over the same local ids."""
+over local ids (local id i is ``vertices[i]``). The decomposition builds
+no graph of a piece: it searches a general one on masks over the same ids."""
 
 
 def _piece_vertices(blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[int]:
@@ -184,33 +185,14 @@ def _piece_vertices(blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[i
     return verts
 
 
-def _piece(g: Graph, blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> Piece:
-    """The :data:`Piece` of one block of ``g``."""
-    vertices = _piece_vertices(blk, taxonomy)
-    return blk, vertices, g._induced_rows(vertices)[0]
-
-
 def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
     """Each nontrivial block together with the pendant paths attached to its
     vertices, as a :data:`Piece`; no graph is built."""
     info = connected_profile(g)
     dec = info.decomposition
-    return [_piece(g, blk, info.taxonomy) for blk, trivial in zip(dec.blocks, dec.trivial)
-            if not trivial]
-
-
-def _solve_piece(g: Graph, vertices: list[int], masks: tuple[int, ...], anchors: int,
-                 budget: Budget) -> tuple[int, ...]:
-    """The local witness of one piece, given by its neighbor masks over
-    local ids and the mask of its anchors: the lexicographically smallest
-    connected power dominating set of the piece that holds the anchors,
-    certified on one graph of the piece. The piece's own mandatory set
-    needs no profile, as the anchors hold it: a block vertex wearing two or
-    more pendant paths is mandatory in ``g`` too."""
-    sub = Graph._from_rows(g.labels_of(vertices), [tuple(iter_bits(m)) for m in masks])
-    budget.check_size(sub)
-    optima, _ = exact._grow(sub, list(masks), anchors, sub.n, budget.deadline())
-    return certify(sub, optima[0], exact.METHOD_BRUTE, connected=True).witness
+    pieces = [(blk, _piece_vertices(blk, info.taxonomy))
+              for blk, trivial in zip(dec.blocks, dec.trivial) if not trivial]
+    return [(blk, vertices, g._induced_rows(vertices)[0]) for blk, vertices in pieces]
 
 
 def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
@@ -220,10 +202,15 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
     A block's anchors are the mandatory vertices it holds; only the graph's
     sole nontrivial block can have none, and a clique or a bridge then
     gives its least vertex. Each distinct piece (the same neighbor masks
-    over local ids and the same anchors) is solved once by
-    :func:`_solve_piece`, which checks the vertex budget at the piece's own
-    size, under one deadline for every piece. A union whose size is not the
-    mandatory set's plus what the blocks add beyond their anchors raises.
+    over local ids and the same anchors, which hold its own mandatory set)
+    is searched once on those masks by :func:`exact._grow`, within the
+    vertex budget at its own size and one deadline for every piece. A union
+    whose size is not the mandatory set's plus what the blocks add beyond
+    their anchors raises. Only the union is certified: a piece meets the
+    rest of ``g`` at its anchors alone, which the witness holds, so they
+    never force and a piece's vertex is colored in ``g`` exactly when it is
+    in the piece; as the block-cut tree has no cycle, the union is
+    connected only if each piece's part is.
     """
     info = connected_profile(g)
     if info.graph_class.path or info.graph_class.cycle:
@@ -261,7 +248,10 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
                 bit[v] = 0
             local = solved.get(key)
             if local is None:
-                local = solved[key] = _solve_piece(g, vertices, *key, budget.until(deadline))
+                exact._check_deadline(deadline)  # a spent deadline outranks an oversized piece
+                budget.check_size(len(vertices))
+                optima, _ = exact._grow(list(key[0]), key[1], len(vertices), deadline)
+                local = solved[key] = optima[0]
             witness = [vertices[v] for v in local]
         union.update(witness)
         added += len(witness) - len(inside)

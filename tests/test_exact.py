@@ -289,6 +289,20 @@ class TestGadget:
             assert (z <= k) == (gamma <= k + 1)
 
 
+def test_mask_connectivity_matches_the_graph_check():
+    """``exact._connected`` reads only neighbor masks; on every mask of
+    seeded graphs with up to 10 vertices it agrees with
+    ``Graph.is_connected_mask``."""
+    rng = random.Random("mask connectivity")
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph([f"v{i}" for i in range(n)], rng.sample(pairs, rng.randint(0, len(pairs))))
+        nbr = [bits_of(row) for row in g.adj]
+        for mask in range(1 << n):
+            assert exact._connected(nbr, mask) == g.is_connected_mask(mask)
+
+
 class TestBudget:
     def test_time_ceiling(self):
         g = complete_bipartite(8, 8)

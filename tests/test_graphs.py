@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom import exact, propagation, structural
+from powerdom import exact, milp, propagation, spread, structural
 from powerdom.errors import GraphError, ParseError
 from powerdom.graph_io import dump_edgelist, load_graph
 from powerdom.graphs import (
@@ -460,6 +460,32 @@ def test_every_vertex_id_goes_through_one_validator(entry):
     for bad in (1.0, True, -1, g.n, "a"):
         with pytest.raises(GraphError, match=f"^vertex {re.escape(repr(bad))} not in graph$"):
             VERTEX_ID_ENTRY_POINTS[entry](g, bad)
+
+
+@pytest.mark.parametrize("make, name, value", [
+    (lambda t: milp.build_model1(path_graph(4), t), "horizon", 2.5),
+    (lambda t: milp.round_number(path_graph(4), t), "horizon", 2.5),
+    (lambda r: attach_leaves(path_graph(4), [0], r), "r", 1.5),
+    (cycle_graph, "n", 3.0),
+    (path_graph, "n", True),
+    (complete_graph, "n", "3"),
+    (lambda rounds: exact.l_round_pd(path_graph(4), rounds), "rounds", 1.5),
+    (lambda rounds: exact.l_round_cpd(path_graph(4), rounds), "rounds", True),
+    (lambda k: exact.zf_to_cpd_gadget(path_graph(4), k), "k", True),
+    (spread.make_path_gadget, "c", True),
+    (spread.make_cycle_gadget, "c", 2.0),
+], ids=["build_model1", "round_number", "attach_leaves", "cycle_graph", "path_graph",
+        "complete_graph", "l_round_pd", "l_round_cpd", "zf_to_cpd_gadget", "make_path_gadget",
+        "make_cycle_gadget"])
+def test_a_count_that_is_not_an_int_is_refused_by_name(make, name, value):
+    """A float, a bool or a string in place of a count raises one line
+    naming the parameter and the value, where it used to leak a
+    ``TypeError``, pass silently or build a model the LP reader refuses;
+    the same count as an int is accepted."""
+    with pytest.raises(GraphError) as info:
+        make(value)
+    assert str(info.value) == f"{name} must be an int, not {value!r}"
+    make(int(value))
 
 
 class TestConnectivityHelpers:

@@ -125,6 +125,28 @@ class TestSolveSmall:
             assert ok and len(chosen) == solution.objective_value
 
 
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_decode_refuses_a_missing_or_non_binary_value(self, connected):
+        g = path_graph(4)
+        model = milp.build_model1(g)
+        if connected:
+            model = milp.add_mtz_connectivity(model, g)
+        solved = milp.solve_small(model).assignment
+        with pytest.raises(ModelError, match="^assignment has no value for s_v1$"):
+            milp.decode_assignment(model, {})
+        last = model.variables[-1].name
+        with pytest.raises(ModelError, match=f"^assignment has no value for {last}$"):
+            milp.decode_assignment(model, {k: v for k, v in solved.items() if k != last})
+        for value in (2, -1, 0.5):
+            with pytest.raises(ModelError, match=f"^binary s_v1 is {value!r}, not 0 or 1$"):
+                milp.decode_assignment(model, dict(solved, s_v1=value))
+        with pytest.raises(ModelError, match="^binary y_v1__v2 is 3, not 0 or 1$"):
+            milp.decode_assignment(model, dict(solved, y_v1__v2=3))
+        # an integer variable is read as it is
+        chosen, _ = milp.decode_assignment(model, dict(solved, x_v1=3))
+        assert chosen == milp.decode_assignment(model, solved)[0]
+
+
 class TestRoundNumber:
     def test_p5_examples(self):
         g = path_graph(5)

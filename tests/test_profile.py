@@ -159,7 +159,7 @@ class TestAnalyseOnce:
             return original(h)
 
         monkeypatch.setattr(decomposition, "_block_dfs", counted)
-        monkeypatch.setattr(exact, "_grow", lambda h, *args: searched.append(h.n) or grow(h, *args))
+        monkeypatch.setattr(exact, "_grow", lambda h, *args: searched.append(len(h)) or grow(h, *args))
         result = structural.solve_cpds(g)
         assert result.method == exact.METHOD_DECOMPOSITION
         assert calls == [g.n]
@@ -168,8 +168,9 @@ class TestAnalyseOnce:
     def test_each_distinct_piece_solved_once(self, monkeypatch):
         """Twelve diamonds in a row, glued at their degree-2 vertices: the
         two end pieces and the ten middle ones give three distinct pieces.
-        One graph is built per distinct piece (one per piece would make
-        12), and the growth search runs on it directly, with no profile."""
+        The growth search runs once per distinct piece (once per piece
+        would make 12), straight on its neighbor masks: no graph is built
+        for a piece, and no profile."""
         g = chain_of_blocks([GENERAL_BLOCKS[0]] * 12)
         copy = Graph(g.labels, g.edges())
         mandatory = set(classify_cut_vertices(copy).mandatory)
@@ -198,7 +199,7 @@ class TestAnalyseOnce:
         result = structural.decompose_cpds(g)
         monkeypatch.undo()
         assert len(solved) == len(keys)
-        assert len(built) == len(keys)
+        assert built == []
         assert calls == [g.n]
         naive = naive_decompose(copy)
         assert (result.optimum, result.witness, result.method) == (

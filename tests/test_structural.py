@@ -12,9 +12,10 @@ import pytest
 from powerdom import exact, structural
 from powerdom import propagation as prop
 from powerdom.decomposition import blocks, classify_cut_vertices, cycle_order, recognize
-from powerdom.errors import BudgetExceededError, GraphClassError, PowerDomError
+from powerdom.errors import (BudgetExceededError, GraphClassError, PowerDomError,
+                             SolverInternalError)
 from powerdom.graph_io import load_graph
-from powerdom.graphs import Graph, complete_graph, cycle_graph, path_graph
+from powerdom.graphs import Graph, bits_of, complete_graph, cycle_graph, iter_bits, path_graph
 
 from conftest import (
     GENERAL_BLOCKS,
@@ -413,6 +414,101 @@ class TestPieceTable:
             assert searched >= 10, family
         assert apart >= 100
 
+    @staticmethod
+    def own(nbr: list[int], anchors: int) -> int:
+        """The local ids of a piece that no other piece holds: all but its
+        anchors and the pendant paths hung on them. Such a path meets the
+        anchors by one edge; each other part of the piece without its
+        anchors holds a vertex of a 2-connected block of 4 or more
+        vertices, so it meets them by two or more, or by none."""
+        own, rest = 0, ((1 << len(nbr)) - 1) & ~anchors
+        while rest:
+            part = grown = rest & -rest
+            while grown:
+                reach = 0
+                for v in iter_bits(grown):
+                    reach |= nbr[v]
+                grown = reach & rest & ~part
+                part |= grown
+            rest &= ~part
+            if sum((nbr[v] & anchors).bit_count() for v in iter_bits(part)) != 1:
+                own |= part
+        return own
+
+    def corrupted(self, kind: str, nbr: list[int], anchors: int,
+                  best: tuple[int, ...]) -> tuple[int, ...]:
+        """``best``, the optimum of the piece with neighbor masks ``nbr``,
+        changed by ``kind`` among the vertices only this piece holds, or as
+        it is when it cannot be."""
+        chosen, own = bits_of(best), self.own(nbr, anchors)
+        free, outside = chosen & own, own & ~chosen
+        top, low = 1 << free.bit_length() >> 1, outside & -outside
+        if kind == "anchors only":
+            chosen = anchors
+        elif kind == "one dropped" and free:
+            chosen ^= top
+        elif kind == "one swapped" and free and outside:
+            chosen ^= top | low
+        elif kind == "one added" and outside:
+            chosen |= low
+        return tuple(iter_bits(chosen))
+
+    @pytest.mark.parametrize("kind", ["anchors only", "one dropped", "one swapped", "one added"])
+    def test_the_union_check_catches_every_bad_local_witness(self, kind, monkeypatch):
+        """Each piece's search result is corrupted outside its anchors and
+        checked on a graph of the piece, as a per-piece certification
+        would. The one certification of the union must raise exactly when
+        one of those checks fails: a piece meets the rest of the graph
+        only at its anchors, which the witness holds."""
+        grow = exact._grow
+        checks: list[bool] = []
+
+        def corrupt(nbr, seed, rounds, deadline):
+            optima, last = grow(nbr, seed, rounds, deadline)
+            local = self.corrupted(kind, nbr, seed, optima[0])
+            piece = Graph([f"p{v}" for v in range(len(nbr))],
+                          [(u, w) for u, m in enumerate(nbr) for w in iter_bits(m)])
+            ok, _ = prop.is_power_dominating(piece, local)
+            checks.append(ok and prop.is_connected_set(piece, local))
+            return [local], last
+
+        monkeypatch.setattr(exact, "_grow", corrupt)
+        families = dict(self.FAMILIES, cut_vertex=random_connected_with_cut_vertex)
+        caught = passed = 0
+        for family, make in sorted(families.items()):
+            rng = random.Random(f"corrupt/{family}")
+            for _ in range(30):
+                g = make(rng, rng.randint(8, 14 if family == "cut_vertex" else 80))
+                if not blocks(g).cut_vertices or recognize(g).path:
+                    continue
+                checks.clear()
+                try:
+                    structural.decompose_cpds(g)
+                except SolverInternalError:
+                    assert not all(checks)
+                    caught += 1
+                else:
+                    assert all(checks)
+                    passed += checks != []
+        assert caught >= 20 and passed >= 20
+
+    def test_one_certification_per_solve(self, monkeypatch):
+        """Several distinct pieces, and only the recombined witness is
+        certified, on the whole graph."""
+        g = chain_of_blocks(GENERAL_BLOCKS * 2)
+        mandatory = set(classify_cut_vertices(g).mandatory)
+        keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
+                for blk, vertices, rows in structural.nontrivial_block_subgraphs(g)}
+        assert len(keys) >= 4
+        certified = []
+        certify = structural.certify
+        monkeypatch.setattr(structural, "certify",
+                            lambda h, *args, **kw: certified.append(h) or certify(h, *args, **kw))
+        result = structural.decompose_cpds(g)
+        assert certified == [g]
+        naive = naive_decompose(Graph(g.labels, g.edges()))
+        assert (result.optimum, result.witness) == (naive.optimum, naive.witness)
+
     def test_a_block_without_an_anchor_is_solved_in_place(self, monkeypatch):
         """The cycle of the toy cactus holds no mandatory vertex; it is the
         graph's only nontrivial block and is solved in place, as a cycle."""
@@ -423,7 +519,7 @@ class TestPieceTable:
         assert block_kinds(g) == {"no anchor"}
         solved = []
         grow = exact._grow
-        monkeypatch.setattr(exact, "_grow", lambda h, *args: solved.append(h.n) or grow(h, *args))
+        monkeypatch.setattr(exact, "_grow", lambda h, *args: solved.append(len(h)) or grow(h, *args))
         result = structural.decompose_cpds(g)
         monkeypatch.undo()
         assert solved == []
