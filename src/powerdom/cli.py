@@ -218,9 +218,7 @@ def _cmd_solve(args, out, err, stdin) -> int:
         raise _UsageError("--all-optima applies to the brute method only")
     budget = _budget(args)
     if args.method == "milp":
-        model = milp.build_model1(g, args.T)
-        if args.problem == "cpd":
-            model = milp.add_mtz_connectivity(model, g)
+        model = milp._budgeted_model(g, args.T, args.problem == "cpd", budget)
         solution = milp.solve_small(model, budget)
         chosen, trace = milp.decode_assignment(model, solution.assignment)
         # the decoded trace is what gets printed, so it is the one replayed

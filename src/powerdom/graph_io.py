@@ -2,7 +2,8 @@
 
 All readers drop self-loops and duplicate edges, so the returned graph is
 simple. Vertex indexing is deterministic: first appearance for edge lists,
-1..n declaration order for the indexed formats.
+1..n declaration order for the indexed formats, whose every number must be
+an ASCII integer (``[+-]?[0-9]+``).
 
 Edge-list text without a ``#`` whose every line holds zero or two tokens
 is read with one ``str.split`` of the whole text: every line boundary is
@@ -12,12 +13,16 @@ other text is read line by line, which names the line of an error.
 
 from __future__ import annotations
 
+import re
 from typing import IO, Iterable
 
 from .errors import GraphError, ParseError
 from .graphs import Graph
 
 FORMATS = ("edgelist", "dimacs", "matrixmarket")
+# the only numbers read from outside text (these readers and the model
+# readers): int() alone would also read "1_0" and non-ASCII digits
+_INTEGER = r"[+-]?[0-9]+"
 
 
 def load_graph(source: str | IO[str], fmt: str = "edgelist") -> Graph:
@@ -60,6 +65,15 @@ def _edgelist_labels(text: str) -> list[str]:
     return labels
 
 
+def _integers(tokens: list[str], problem: str, no: int) -> list[int]:
+    """``tokens`` read as ASCII integers; any other token raises
+    :class:`ParseError` ``problem`` naming line ``no``."""
+    for token in tokens:
+        if re.fullmatch(_INTEGER, token) is None:
+            raise ParseError(problem, line=no)
+    return list(map(int, tokens))
+
+
 def _parse_dimacs(lines: Iterable[str]) -> Graph:
     n = None
     edges: list[tuple[int, int]] = []
@@ -73,11 +87,7 @@ def _parse_dimacs(lines: Iterable[str]) -> Graph:
                 raise ParseError("duplicate problem line", line=no)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError("expected 'p edge <n> <m>'", line=no)
-            try:
-                n = int(tokens[2])
-                int(tokens[3])
-            except ValueError:
-                raise ParseError("non-integer size in problem line", line=no) from None
+            n, _ = _integers(tokens[2:], "non-integer size in problem line", no)
             if n < 1:
                 raise ParseError("empty graph: vertex count must be positive", line=no)
         elif tokens[0] == "e":
@@ -85,10 +95,7 @@ def _parse_dimacs(lines: Iterable[str]) -> Graph:
                 raise ParseError("edge before problem line", line=no)
             if len(tokens) != 3:
                 raise ParseError("expected 'e <u> <v>'", line=no)
-            try:
-                u, v = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError("non-integer endpoint", line=no) from None
+            u, v = _integers(tokens[1:], "non-integer endpoint", no)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"endpoint out of range 1..{n}", line=no)
             edges.append((u - 1, v - 1))
@@ -121,10 +128,7 @@ def _parse_matrixmarket(lines: Iterable[str]) -> Graph:
         if size is None:
             if len(tokens) != 3:
                 raise ParseError("expected '<rows> <cols> <entries>'", line=no)
-            try:
-                rows, cols, expected = (int(t) for t in tokens)
-            except ValueError:
-                raise ParseError("non-integer size line", line=no) from None
+            rows, cols, expected = _integers(tokens, "non-integer size line", no)
             if rows != cols:
                 raise ParseError("adjacency matrix must be square", line=no)
             if rows < 1:
@@ -133,10 +137,7 @@ def _parse_matrixmarket(lines: Iterable[str]) -> Graph:
         else:
             if len(tokens) != 2:
                 raise ParseError("expected '<row> <col>'", line=no)
-            try:
-                i, j = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError("non-integer entry", line=no) from None
+            i, j = _integers(tokens, "non-integer entry", no)
             if not (1 <= i <= size and 1 <= j <= size):
                 raise ParseError(f"entry out of range 1..{size}", line=no)
             edges.append((i - 1, j - 1))

@@ -18,7 +18,7 @@ when it holds a repeated edge or a loop.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress
+from itertools import chain
 from typing import Container, Iterable, Iterator, Sequence
 
 from .errors import GraphError
@@ -36,11 +36,6 @@ def _flags_of(mask: int, n: int = 0) -> bytearray:
     """Inverse of :func:`_mask_of` for a non-negative mask, in linear time:
     byte v is 1 iff bit v is set, zero-padded to at least ``n`` bytes."""
     return bytearray(bin(mask)[:1:-1].encode().translate(_TO_FLAGS).ljust(n, b"\x00"))
-
-
-def _members(mask: int) -> list[int]:
-    """Set bit positions of a non-negative mask, ascending, in linear time."""
-    return list(compress(range(mask.bit_length()), _flags_of(mask)))
 
 
 def bits_of(vertices: Iterable[int]) -> int:
@@ -215,7 +210,7 @@ class Graph:
         return allowed ^ _mask_of(left)
 
     def is_connected(self) -> bool:
-        return self.reach_mask(0) == self.full_mask
+        return len(self._search(0, bytearray(b"\x01") * self.n)) == self.n
 
     def is_connected_mask(self, mask: int) -> bool:
         """True iff ``mask`` is nonempty and induces a connected subgraph."""
@@ -228,10 +223,12 @@ class Graph:
         """Connected components of the subgraph induced by ``within``."""
         allowed = self.full_mask if within is None else within & self.full_mask
         left = _flags_of(allowed, self.n)
-        return [bits_of(self._search(v, left)) for v in _members(allowed) if left[v]]
+        return [bits_of(self._search(v, left)) for v in range(self.n) if left[v]]
 
     def components(self) -> list[list[int]]:
-        return [_members(mask) for mask in self.component_masks()]
+        """Connected components as ascending id lists, by least member."""
+        left = bytearray(b"\x01") * self.n
+        return [sorted(self._search(v, left)) for v in range(self.n) if left[v]]
 
     # -- derived graphs ---------------------------------------------------
 

@@ -49,6 +49,7 @@ from typing import NamedTuple
 from . import exact, propagation
 from .decomposition import connected_profile
 from .errors import GraphError, ModelError
+from .graph_io import _INTEGER
 from .graphs import Graph, _count, fresh_label
 
 BINARY = "binary"
@@ -171,12 +172,19 @@ def _incoming(first: list[tuple[int, str]], arcs: list[tuple[int, int, str]],
     return rows
 
 
-def build_model1(g: Graph, t: int | None = None) -> MilpModel:
-    """Power domination model over ``g`` with horizon ``t`` (default n)."""
+def _horizon(g: Graph, t: int | None) -> int:
+    """The horizon ``t`` (default n) of a model of ``g``; a disconnected
+    ``g`` is refused first, then a horizon that is not an int of at least 1."""
     connected_profile(g)
     horizon = g.n if t is None else _count("horizon", t)
     if horizon < 1:
         raise GraphError("horizon must be at least 1")
+    return horizon
+
+
+def build_model1(g: Graph, t: int | None = None) -> MilpModel:
+    """Power domination model over ``g`` with horizon ``t`` (default n)."""
+    horizon = _horizon(g, t)
     labs, arcs = _names(g)
     s = ["s_" + lab for lab in labs]
     x = ["x_" + lab for lab in labs]
@@ -255,15 +263,22 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
 # -- solution checking and the validator -----------------------------------
 
 
+def _integral(value: object) -> bool:
+    """True for an int, or a float without a fractional part (a solver's 2.0)."""
+    return isinstance(value, int) or isinstance(value, float) and value.is_integer()
+
+
 def check_assignment(model: MilpModel, assignment: dict[str, int]) -> list[str]:
-    """All bound and constraint violations of a full assignment."""
+    """All integrality, bound and constraint violations of a full assignment."""
     problems = []
     for var in model.variables:
         if var.name not in assignment:
             problems.append(f"missing value for {var.name}")
             continue
         val = assignment[var.name]
-        if not var.lower <= val <= var.upper:
+        if not _integral(val):
+            problems.append(f"{var.name}={val} is not integral")
+        elif not var.lower <= val <= var.upper:
             problems.append(f"{var.name}={val} outside [{var.lower}, {var.upper}]")
     for con in model.constraints:
         lhs = sum(coef * assignment.get(name, 0) for coef, name in con.terms)
@@ -296,35 +311,38 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
         assignment["y_" + uv] = int((u, v) in parent_arc)
     if model.meta.get("connected"):
         root = min(chosen_set)
-        order: dict[int, int] = {}
-        tree_parent: dict[int, int] = {}
-        queue = [root]
-        order[root] = 1
-        while queue:
-            u = queue.pop(0)
-            for w in g.adj[u]:
-                if w in chosen_set and w not in order:
-                    order[w] = len(order) + 1
-                    tree_parent[w] = u
-                    queue.append(w)
+        left = bytearray(g.n)
+        for v in chosen_set:
+            left[v] = 1
+        # ranks follow the breadth-first order from the root, and a vertex's
+        # parent is the one that discovered it: its least-ranked neighbor
+        rank = dict(zip(g._search(root, left), range(1, g.n + 1)))
+        parent = {v: min([w for w in g.adj[v] if w in rank], key=rank.__getitem__)
+                  for v in rank if v != root}
         for v, lab in enumerate(labs):
             assignment["zr_" + lab] = int(v == root)
-            assignment["o_" + lab] = order.get(v, g.n)
+            assignment["o_" + lab] = rank.get(v, g.n)
         for u, v, uv in arcs:
-            assignment["z_" + uv] = int(tree_parent.get(v) == u)
+            assignment["z_" + uv] = int(parent.get(v) == u)
     return assignment
 
 
 def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
         tuple[int, ...], propagation.PropagationTrace]:
     """Read the selected set and its force schedule back out of a feasible
-    assignment produced by this module; the first variable it lacks, or
-    the first binary it sets to neither 0 nor 1, raises :class:`ModelError`."""
+    assignment produced by this module; the first variable it lacks, the
+    first binary it sets to neither 0 nor 1, or the first integer variable
+    it sets to a value that is not integral or lies outside the variable's
+    bounds, raises :class:`ModelError`."""
     for var in model.variables:
         if var.name not in assignment:
             raise ModelError(f"assignment has no value for {var.name}")
-        if var.kind == BINARY and assignment[var.name] not in (0, 1):
-            raise ModelError(f"binary {var.name} is {assignment[var.name]!r}, not 0 or 1")
+        value = assignment[var.name]
+        if var.kind == BINARY and value not in (0, 1):
+            raise ModelError(f"binary {var.name} is {value!r}, not 0 or 1")
+        if not (_integral(value) and var.lower <= value <= var.upper):
+            raise ModelError(f"integer {var.name} is {value!r}, "
+                             f"not an integer in [{var.lower}, {var.upper}]")
     labs, arcs = model.meta["names"]
     chosen = tuple(v for v, lab in enumerate(labs) if assignment["s_" + lab] == 1)
     chosen_set = set(chosen)
@@ -332,7 +350,7 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
     for u, v, uv in arcs:
         if assignment["y_" + uv] == 1:
             kind = propagation.DOMINATE if u in chosen_set else propagation.FORCE
-            forces.append(propagation.Force(assignment["x_" + labs[v]], u, v, kind))
+            forces.append(propagation.Force(int(assignment["x_" + labs[v]]), u, v, kind))
     forces.sort(key=lambda f: (f.timestep, f.target))
     final = tuple(sorted(chosen_set | {f.target for f in forces}))
     return chosen, propagation.PropagationTrace(chosen, tuple(forces), final)
@@ -361,13 +379,23 @@ def solve_small(model: MilpModel,
     return ModelSolution(assignment, float(result.optimum))
 
 
+def _budgeted_model(g: Graph, t: int | None, connected: bool,
+                    budget: exact.Budget) -> MilpModel:
+    """The model of ``g`` with horizon ``t``, with the arborescence part if
+    ``connected``, for :func:`solve_small` within ``budget``. A graph over
+    the vertex budget is refused after the checks of the graph and the
+    horizon but before any row is built: the watch rows grow with the
+    squared degrees."""
+    _horizon(g, t)
+    budget.check_size(g.n)
+    model = build_model1(g, t)
+    return add_mtz_connectivity(model, g) if connected else model
+
+
 def round_number(g: Graph, rounds: int, connected: bool = False,
                  budget: exact.Budget = exact.DEFAULT_BUDGET) -> int:
     """Optimum of the model with horizon ``rounds``."""
-    model = build_model1(g, rounds)
-    if connected:
-        model = add_mtz_connectivity(model, g)
-    return int(solve_small(model, budget).objective_value)
+    return int(solve_small(_budgeted_model(g, rounds, connected, budget), budget).objective_value)
 
 
 def ppt_by_search(g: Graph, connected: bool = False,
@@ -481,9 +509,6 @@ def _export_mps(model: MilpModel) -> str:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-# the only numbers either reader takes: int() alone would also read "1_0"
-# and non-ASCII digits
-_INTEGER = r"[+-]?[0-9]+"
 _TERM_BODY = rf"(?:[0-9]+\s*)?{_NAME}"
 # a sum of terms, each but the first joined by its sign; validated whole so
 # that nothing between the terms is skipped

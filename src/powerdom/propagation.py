@@ -153,9 +153,6 @@ class _Frontier:
         self.total += len(batch)
         return ready
 
-    def mask(self) -> int:
-        return _mask_of(self.colored)
-
 
 def _propagate(g: Graph, seeds: list[int], dominate: bool,
                limit: int | None = None, record: bool = False
@@ -307,10 +304,11 @@ def ppt_of_set(g: Graph, s: Iterable[int]) -> int:
 
 def is_connected_set(g: Graph, s: Iterable[int]) -> bool:
     """True iff s is nonempty and induces a connected subgraph."""
-    flags = bytearray(g.n)
-    for v in g._vertex_ids(s):
-        flags[v] = 1
-    return g.is_connected_mask(_mask_of(flags))
+    ids = g._vertex_ids(s)
+    left = bytearray(g.n)
+    for v in ids:
+        left[v] = 1
+    return bool(ids) and len(g._search(ids[0], left)) == len(ids)
 
 
 def trace_lines(g: Graph, trace: PropagationTrace) -> list[str]:
@@ -347,6 +345,9 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
     for f in trace.forces:
         if f.kind not in (DOMINATE, FORCE):
             raise PowerDomError(f"unknown entry kind {f.kind!r}")
+        if type(f.timestep) is not int or f.timestep < 1:
+            raise PowerDomError(f"timestep {f.timestep!r} of target {f.target} "
+                                f"is not an int of at least 1")
         if claimed[f.target]:
             raise PowerDomError(f"target {f.target} colored twice")
         claimed[f.target] = 1
@@ -369,4 +370,4 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
         front.color([f.target for f in entries])
     if set(trace.final_colored) != set(compress(range(g.n), front.colored)):
         raise PowerDomError("replay does not reproduce the recorded final set")
-    return front.mask()
+    return _mask_of(front.colored)

@@ -240,6 +240,9 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
             witness = set(blk).difference(_largest_segment(cycle_order(g, blk), taxonomy))
         else:
             vertices = _piece_vertices(blk, taxonomy)
+            if len(vertices) > budget.max_vertices:  # refused before its masks are built
+                exact._check_deadline(deadline)  # a spent deadline outranks an oversized piece
+                budget.check_size(len(vertices))
             for i, v in enumerate(vertices):
                 bit[v] = 1 << i
             # the bits summed are distinct, so each sum is a neighbor mask
@@ -248,8 +251,6 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
                 bit[v] = 0
             local = solved.get(key)
             if local is None:
-                exact._check_deadline(deadline)  # a spent deadline outranks an oversized piece
-                budget.check_size(len(vertices))
                 optima, _ = exact._grow(list(key[0]), key[1], len(vertices), deadline)
                 local = solved[key] = optima[0]
             witness = [vertices[v] for v in local]

@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,35 @@ class TestSolve:
             code, out, err = run(*argv, "--budget-n", "3")
             assert (code, out) == (2, "")
             assert err == "infeasible: graph has 6 vertices, budget allows 3\n"
+
+    @staticmethod
+    def _run_traced(*argv: str, stdin: str) -> tuple[tuple[int, str, str], int]:
+        """``run``'s result and the peak of memory traced while it ran."""
+        tracemalloc.start()
+        try:
+            return run(*argv, stdin=stdin), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_milp_method_refuses_a_graph_over_budget_before_any_row(self):
+        """A star's model has a watch row per path through its center, so it
+        grows with the squared degree; the vertex budget refuses the graph
+        before any row is built (this star's rows took over 200 MB)."""
+        star = "".join(f"c l{i}\n" for i in range(800))
+        for argv in (("solve", "-", "--method", "milp"), ("ppt", "-", "--method", "milp")):
+            result, peak = self._run_traced(*argv, stdin=star)
+            assert result == (2, "", "infeasible: graph has 801 vertices, budget allows 24\n")
+            assert peak < 8 * 2**20
+
+    def test_decomposition_refuses_an_oversized_piece_before_its_masks(self):
+        """A wheel with a leaf on its hub is one general piece of n + 2
+        vertices; it is refused before any of them gets a bit of the piece's
+        neighbor masks, which grow with the square of the piece."""
+        rim = 20000
+        wheel = "".join(f"h r{i}\nr{i} r{(i + 1) % rim}\n" for i in range(rim)) + "h x\n"
+        result, peak = self._run_traced("solve", "-", "--problem", "cpd", stdin=wheel)
+        assert result == (2, "", f"infeasible: graph has {rim + 2} vertices, budget allows 24\n")
+        assert peak < 30 * 2**20
 
     def test_stdin_input(self):
         code, out, _ = run("solve", "-", "--problem", "pd", stdin="a b\nb c\n")

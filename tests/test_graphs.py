@@ -162,6 +162,28 @@ class TestLoaders:
         g = load_graph(text, "matrixmarket")
         assert (g.n, g.m) == (3, 3)
 
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("p edge 1_0 1\ne 1_0 2\n", "dimacs", "line 1: non-integer size in problem line"),
+        ("p edge \u0663 1\ne 1 2\n", "dimacs", "line 1: non-integer size in problem line"),
+        ("p edge 3 1_0\n", "dimacs", "line 1: non-integer size in problem line"),
+        ("p edge 10 1\ne 1_0 2\n", "dimacs", "line 2: non-integer endpoint"),
+        ("p edge 3 1\ne 1 \u0662\n", "dimacs", "line 2: non-integer endpoint"),
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n1_0 10 1\n2 1\n",
+         "matrixmarket", "line 2: non-integer size line"),
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 \u0661\n2 1\n",
+         "matrixmarket", "line 2: non-integer size line"),
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n10 10 1\n1_0 1\n",
+         "matrixmarket", "line 3: non-integer entry"),
+        ("%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n\u0663 1\n",
+         "matrixmarket", "line 3: non-integer entry"),
+    ])
+    def test_indexed_formats_read_ascii_integers_only(self, text, fmt, message):
+        """An underscore or a non-ASCII digit, which int() alone reads, is
+        refused as the model readers refuse it, naming the line."""
+        with pytest.raises(ParseError) as info:
+            load_graph(text, fmt)
+        assert str(info.value) == message
+
     def test_matrixmarket_rejects_other_fields(self):
         with pytest.raises(ParseError):
             load_graph("%%MatrixMarket matrix coordinate real general\n1 1 0\n", "matrixmarket")
@@ -529,6 +551,48 @@ class TestConnectivityHelpers:
                 connected = naive_is_connected_set(g, vertices)
                 assert g.is_connected_mask(within) == connected
                 assert propagation.is_connected_set(g, vertices) == connected
+
+    def test_searches_agree_with_the_naive_helpers(self):
+        """``is_connected``, ``components`` and ``is_connected_set`` search
+        the neighbor rows directly; on seeded graphs of up to 60 vertices,
+        unions of several connected parts included, they agree with the
+        set-based helpers."""
+        rng = random.Random(29)
+        for _ in range(60):
+            labels: list[str] = []
+            edges: list[tuple[int, int]] = []
+            for _ in range(rng.choice([1, 1, 2, 3, 5])):
+                part = random_connected_graph(rng, rng.randint(1, 12))
+                edges += [(len(labels) + u, len(labels) + v) for u, v in part.edges()]
+                labels += [f"v{len(labels) + i}" for i in range(part.n)]
+            order = list(range(len(labels)))
+            rng.shuffle(order)  # so a part's ids are not one run
+            edges = [(order[u], order[v]) for u, v in edges]
+            g = Graph(labels, edges)
+            whole = set(range(g.n))
+            comps = g.components()
+            assert len(comps) == naive_components(edges, whole)
+            assert g.is_connected() == (len(comps) == 1)
+            assert sorted(v for c in comps for v in c) == sorted(whole)
+            assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+            for c in comps:
+                assert c == sorted(c) and naive_is_connected_set(g, set(c))
+                assert propagation.is_connected_set(g, c)
+            for _ in range(6):
+                vertices = set(rng.sample(sorted(whole), rng.randint(0, g.n)))
+                assert (propagation.is_connected_set(g, vertices)
+                        == naive_is_connected_set(g, vertices))
+
+    def test_components_of_isolated_vertices_take_linear_time(self):
+        """40000 vertices without an edge: one search per vertex, no n-bit
+        mask per component (which took 23.9 s)."""
+        n = 40000
+        g = Graph([str(v) for v in range(n)], [])
+        started = time.perf_counter()
+        comps = g.components()
+        assert time.perf_counter() - started < 2.0
+        assert comps == [[v] for v in range(n)]
+        assert not g.is_connected()
 
 
 class TestMemory:

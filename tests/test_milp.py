@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 import time
 from types import SimpleNamespace
 
@@ -92,7 +93,59 @@ class TestMtz:
         assert extended.objective_value == exact.min_cpds(g).optimum == 2
 
 
+def reference_encode(model: milp.MilpModel, chosen: tuple[int, ...],
+                     trace: prop.PropagationTrace) -> dict[str, int]:
+    """Every variable of a model from a selection and its propagation run;
+    the arborescence by its own queue-based breadth-first search from the
+    least selected vertex, each vertex's parent the one that discovered it."""
+    g = model.meta["graph"]
+    labs, arcs = model.meta["names"]
+    assignment = {"s_" + lab: int(v in chosen) for v, lab in enumerate(labs)}
+    colored_at = {v: 0 for v in chosen}
+    arc_used = set()
+    for f in trace.forces:
+        colored_at[f.target] = f.timestep
+        arc_used.add((f.source, f.target))
+    for v, lab in enumerate(labs):
+        assignment["x_" + lab] = min(colored_at[v], model.meta["horizon"])
+    for u, v, uv in arcs:
+        assignment["y_" + uv] = int((u, v) in arc_used)
+    if model.meta["connected"]:
+        root = min(chosen)
+        order, parent, queue = {root: 1}, {}, [root]
+        while queue:
+            u = queue.pop(0)
+            for w in g.adj[u]:
+                if w in chosen and w not in order:
+                    order[w] = len(order) + 1
+                    parent[w] = u
+                    queue.append(w)
+        for v, lab in enumerate(labs):
+            assignment["zr_" + lab] = int(v == root)
+            assignment["o_" + lab] = order.get(v, g.n)
+        for u, v, uv in arcs:
+            assignment["z_" + uv] = int(parent.get(v) == u)
+    return assignment
+
+
 class TestSolveSmall:
+    @pytest.mark.parametrize("connected", [False, True])
+    def test_assignment_matches_the_reference_encoder(self, connected):
+        """On seeded graphs and horizons, the validator's assignment equals
+        the reference encoding of the oracle's optimum and its run."""
+        rng = random.Random(2029)
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randint(1, 9))
+            horizon = rng.randint(1, g.n)
+            model = milp.build_model1(g, horizon)
+            oracle = exact.l_round_pd
+            if connected:
+                model = milp.add_mtz_connectivity(model, g)
+                oracle = exact.l_round_cpd
+            result = oracle(g, horizon)
+            expected = reference_encode(model, result.witness, result.trace)
+            assert milp.solve_small(model).assignment == expected
+
     def test_p5(self):
         assert milp.solve_small(milp.build_model1(path_graph(5), 5)).objective_value == 1
 
@@ -142,9 +195,31 @@ class TestSolveSmall:
                 milp.decode_assignment(model, dict(solved, s_v1=value))
         with pytest.raises(ModelError, match="^binary y_v1__v2 is 3, not 0 or 1$"):
             milp.decode_assignment(model, dict(solved, y_v1__v2=3))
-        # an integer variable is read as it is
+        for name, value in (("x_v3", 2.5), ("x_v4", 10**6), ("x_v2", -1), ("x_v1", "3")):
+            with pytest.raises(ModelError, match=re.escape(
+                    f"integer {name} is {value!r}, not an integer in [0, 4]")):
+                milp.decode_assignment(model, dict(solved, **{name: value}))
+        if connected:
+            with pytest.raises(ModelError, match=re.escape(
+                    "integer o_v2 is 0, not an integer in [1, 4]")):
+                milp.decode_assignment(model, dict(solved, o_v2=0))
+        # an integer variable within its bounds is read as it is, and a
+        # whole float (as a solver returns) as the int it equals
         chosen, _ = milp.decode_assignment(model, dict(solved, x_v1=3))
         assert chosen == milp.decode_assignment(model, solved)[0]
+        _, trace = milp.decode_assignment(model, {k: float(v) for k, v in solved.items()})
+        assert trace.forces == milp.decode_assignment(model, solved)[1].forces
+        assert all(type(f.timestep) is int for f in trace.forces)
+
+    def test_check_reports_a_value_that_is_not_integral(self):
+        """Two halves of an arc into v3 satisfy every row of the model, but
+        no integer solution has them."""
+        model = milp.build_model1(cycle_graph(4))
+        solved = milp.solve_small(model).assignment
+        halves = dict(solved, y_v2__v3=0.5, y_v4__v3=0.5)
+        assert milp.check_assignment(model, halves) == [
+            "y_v2__v3=0.5 is not integral", "y_v4__v3=0.5 is not integral"]
+        assert milp.check_assignment(model, {k: float(v) for k, v in solved.items()}) == []
 
 
 class TestRoundNumber:

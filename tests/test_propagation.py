@@ -221,6 +221,12 @@ class TestTraces:
             ([dom, dom2, prop.Force(2, 3, 4, "force"), f1], "source 3 not colored at t=2"),
             ([dom, dom2, f1, prop.Force(2, 2, 4, "force")], "source 2 cannot force 4 at t=2"),
             ([dom, dom2, f1, prop.Force(3, 3, 4, "dom")], "unknown entry kind 'dom'"),
+            ([dom, dom2, prop.Force(2.5, 2, 3, "force"), f2],
+             "timestep 2.5 of target 3 is not an int of at least 1"),
+            ([dom, dom2, prop.Force(0, 2, 3, "force"), f2],
+             "timestep 0 of target 3 is not an int of at least 1"),
+            ([prop.Force(True, 1, 0, "dominate"), dom2, f1, f2],
+             "timestep True of target 0 is not an int of at least 1"),
         ]
         for forces, message in cases:
             with pytest.raises(PowerDomError, match=message):

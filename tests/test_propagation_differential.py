@@ -154,7 +154,7 @@ def masks(g: Graph) -> tuple[list[int], list[int]]:
 
 def engine_closure(g: Graph, s: int, dominate: bool, limit: int | None) -> tuple[int, int]:
     front, _, last = prop._propagate(g, list(iter_bits(s)), dominate, limit)
-    return front.mask() ^ g.full_mask, last
+    return bits_of(v for v in range(g.n) if not front.colored[v]), last
 
 
 @settings(max_examples=200, deadline=None)
