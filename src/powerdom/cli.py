@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from typing import IO, Callable, Sequence
@@ -58,16 +59,20 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
                         help="graph file format (default edgelist)")
 
 
-def _non_negative(kind: type) -> Callable[[str], int | float]:
-    """argparse type: a number of ``kind`` that is at least 0."""
+def _number(kind: type, least: int | None = None) -> Callable[[str], int | float]:
+    """argparse type: a number of ``kind``, at least ``least`` if given. An
+    int is read by the graph readers' ASCII rule; int() alone would also
+    read "1_0" and non-ASCII digits."""
 
     def parse(text: str) -> int | float:
         try:
+            if kind is int and re.fullmatch(graph_io._INTEGER, text) is None:
+                raise ValueError(text)
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
-        if not value >= 0:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be at least 0: {text!r}")
+        if least is not None and not value >= least:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be at least {least}: {text!r}")
         return value
 
     return parse
@@ -77,9 +82,9 @@ def _add_common_arguments(parser: argparse.ArgumentParser, budget: bool = True) 
     parser.add_argument("--json", action="store_true", help="emit json-lines output")
     if not budget:
         return
-    parser.add_argument("--budget-n", type=_non_negative(int), default=Budget.max_vertices,
+    parser.add_argument("--budget-n", type=_number(int, 0), default=Budget.max_vertices,
                         help="vertex ceiling for the exact oracles and the milp method")
-    parser.add_argument("--budget-seconds", type=_non_negative(float), default=None,
+    parser.add_argument("--budget-seconds", type=_number(float, 0), default=None,
                         help="time ceiling for the exact oracles and the milp method")
 
 
@@ -94,7 +99,7 @@ def _solve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--problem", choices=("pd", "cpd"), default="cpd")
     parser.add_argument("--method", default="auto", choices=(
         "auto", "tree", "block", "cactus", "decompose", "brute", "milp"))
-    parser.add_argument("--T", type=int, default=None,
+    parser.add_argument("--T", type=_number(int), default=None,
                         help="horizon for the milp method (default n)")
     parser.add_argument("--trace", action="store_true", help="print the force trace")
     parser.add_argument("--all-optima", action="store_true",
@@ -119,7 +124,7 @@ def _spread_arguments(parser: argparse.ArgumentParser) -> None:
 def _model_arguments(parser: argparse.ArgumentParser) -> None:
     _add_graph_arguments(parser)
     parser.add_argument("--problem", choices=("pd", "cpd"), default="pd")
-    parser.add_argument("--T", type=int, default=None, help="horizon (default n)")
+    parser.add_argument("--T", type=_number(int), default=None, help="horizon (default n)")
     parser.add_argument("--format", choices=("lp", "mps"), default="lp")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
 
@@ -127,8 +132,9 @@ def _model_arguments(parser: argparse.ArgumentParser) -> None:
 def _gadget_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True,
                         choices=("path-spread", "cycle-spread", "zf-reduction"))
-    parser.add_argument("--c", type=int, default=None, help="swing parameter")
-    parser.add_argument("--k", type=int, default=None, help="zero forcing bound (zf-reduction)")
+    parser.add_argument("--c", type=_number(int), default=None, help="swing parameter")
+    parser.add_argument("--k", type=_number(int), default=None,
+                        help="zero forcing bound (zf-reduction)")
     parser.add_argument("--input", default=None, help="input graph (zf-reduction only)")
     parser.add_argument("--input-format", choices=graph_io.FORMATS, default="edgelist")
 
@@ -227,9 +233,7 @@ def _cmd_solve(args, out, err, stdin) -> int:
     elif args.problem == "pd":
         if args.method not in ("auto", "brute"):
             raise _UsageError(f"method {args.method} solves cpd only")
-        result = exact.min_pds(g, budget, all_optima=args.all_optima)
-    elif args.method == "brute":
-        result = exact.min_cpds(g, budget, all_optima=args.all_optima)
+        result = exact.min_pds(g, budget)
     else:
         result = structural.solve_cpds(g, args.method, budget)
     payload = _result_payload(g, result, args.problem)
@@ -241,8 +245,7 @@ def _cmd_solve(args, out, err, stdin) -> int:
     if args.all_optima:
         payload["all_optima"] = [list(g.labels_of(s)) for s in result.all_optima]
         lines.append(f"optima: {len(result.all_optima)}")
-        for s in result.all_optima:
-            lines.append("  " + " ".join(g.labels_of(s)))
+        lines += ["  " + " ".join(labels) for labels in payload["all_optima"]]
     if args.trace:
         payload["trace"] = propagation.trace_lines(g, result.trace)
         lines.append("trace:")
@@ -411,12 +414,10 @@ def _cmd_batch(args, out, err, stdin) -> int:
             g = graph_io.load_graph(_read(path, stdin), args.input_format)
             row["n"], row["m"] = g.n, g.m
             method = "-"
-            pd_ppt = None
             if "pd" in problems:
-                # one search gives gamma_P and, with every optimum, the ppt
-                pd_result = exact.min_pds(g, budget, all_optima=not args.skip_ppt)
-                row["gamma_p"] = pd_result.optimum
-                pd_ppt = pd_result.ppt
+                # one search gives gamma_P and the ppt
+                pd_result = exact.min_pds(g, budget)
+                row["gamma_p"], pd_ppt = pd_result.optimum, pd_result.ppt
                 # kept alive through the cpd solve, it raised peak RSS by 0.3 MB
                 del pd_result
             if "cpd" in problems:
@@ -425,7 +426,7 @@ def _cmd_batch(args, out, err, stdin) -> int:
                 method = result.method
             if not args.skip_ppt:
                 try:
-                    row["ppt"] = exact.ppt(g, budget) if pd_ppt is None else pd_ppt
+                    row["ppt"] = pd_ppt if "pd" in problems else exact.ppt(g, budget)
                 except BudgetExceededError:
                     row["ppt"] = None
             row["method"] = method

@@ -2,9 +2,10 @@
 
 These are the oracles everything else is validated against, the integer
 programming validator included. They search level by level in ascending
-cardinality and return every optimum of the first level that has one, with
-the lexicographically smallest as the witness. Power domination, with or
-without a round limit, and zero forcing run on one fort-driven search. It
+cardinality and return every optimum of the first level that has one, the
+least propagation time over them, and the lexicographically smallest as
+the witness. Power domination, with or without a round limit, and zero
+forcing run on one fort-driven search. It
 shrinks each fort a failed closure leaves behind to a minimal fort, prunes
 with the forts it has learned, cuts a node when a packing of disjoint
 missed forts needs more vertices than the level has left, and reads the
@@ -91,10 +92,11 @@ class SolveResult:
 
     The witness always verifies through the propagation engine, whose run
     is the ``trace`` (entries built on first read), and, for the
-    enumeration methods, is the lexicographically smallest optimum.
-    ``all_optima`` is populated only on request since it can be huge; the
-    exact (connected) power domination searches then also set ``ppt``, the
-    least propagation time over those optima.
+    enumeration methods, is the lexicographically smallest optimum. The
+    exact searches also set ``all_optima``, every optimum in sorted order,
+    and ``ppt``, the least propagation time over them (for zero forcing,
+    the least last round of their forcing closures); the structural and
+    milp methods leave both ``None``.
     """
 
     optimum: int
@@ -109,8 +111,7 @@ class SolveResult:
 
 
 def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
-            all_optima: tuple[tuple[int, ...], ...] | None = None,
-            ppt: int | None = None,
+            optima: tuple[tuple[int, ...], ...] | None = None, ppt: int | None = None,
             trace: propagation.PropagationTrace | None = None) -> SolveResult:
     """Wrap a witness in a SolveResult after re-verifying it; the only
     place a SolveResult is made. A given ``trace`` (a decoded schedule, a
@@ -126,7 +127,7 @@ def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
         raise SolverInternalError(f"method {method} produced a non power dominating set")
     if connected and not propagation.is_connected_set(g, wit):
         raise SolverInternalError(f"method {method} produced a disconnected set")
-    return SolveResult(len(wit), wit, trace, method, all_optima, ppt)
+    return SolveResult(len(wit), wit, trace, method, optima, ppt)
 
 
 def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
@@ -168,8 +169,7 @@ def _packs_more_than(free: list[int], room: int) -> bool:
     return False
 
 
-def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
-                  forcing: bool = False) -> SolveResult:
+def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) -> SolveResult:
     """Smallest sets that color ``g`` within ``rounds`` rounds, by a
     fort-driven search over the levels k = 1, 2, ...
 
@@ -190,8 +190,8 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
     on, an optimum (k vertices that color ``g`` within ``rounds``), or, for
     a smaller set that colors ``g`` too slowly, branches on every unbanned
     vertex. Every optimum of the first level that has one is found, and
-    they are returned sorted; with ``all_optima`` the result's ``ppt`` is
-    the least last round of the closures that accepted them.
+    they are returned sorted, with the least last round of the closures
+    that accepted them as the result's ``ppt``.
 
     With ``forcing`` set the search finds zero forcing sets: the closure
     skips the domination step, and a set is zero forcing exactly when it
@@ -242,17 +242,17 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, all_optima: bool,
         if found:
             optima = _sorted_sets(s for _, s in found)
             # every zero forcing set power dominates, so only its forcing
-            # closure certifies it
+            # closure certifies it; a closure that forces nothing still
+            # counts round 1, as its trace does
             return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                           all_optima=tuple(optima) if all_optima else None,
-                           ppt=min(found)[0] if all_optima else None,
+                           optima=tuple(optima), ppt=max(1, min(found)[0]),
                            trace=propagation.forcing_closure(g, optima[0]) if forcing else None)
     raise SolverInternalError("no set colors the graph (unreachable)")
 
 
-def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET, all_optima: bool = False) -> SolveResult:
+def min_pds(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum power dominating set by cardinality-ascending enumeration."""
-    return _min_coloring(g, g.n, budget, all_optima)
+    return _min_coloring(g, g.n, budget)
 
 
 def _connected(nbr: list[int], mask: int) -> bool:
@@ -311,13 +311,12 @@ def _grow(nbr: list[int], seed: int, rounds: int,
     raise SolverInternalError("no connected power dominating set found (unreachable)")
 
 
-def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
-                   all_optima: bool) -> SolveResult:
+def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget) -> SolveResult:
     """Smallest connected sets that contain ``x`` and color ``g`` within
     ``rounds`` rounds, by :func:`_grow` from ``x`` plus the mandatory set,
     which every connected power dominating set of a non-path graph
-    contains. They are returned sorted; with ``all_optima`` the result's
-    ``ppt`` is the least last round of the closures that accepted them.
+    contains. They are returned sorted, with the least last round of the
+    closures that accepted them as the result's ``ppt``.
     """
     if _count("rounds", rounds) < 1:
         raise GraphError("round budget must be at least 1")
@@ -326,48 +325,42 @@ def _min_connected(g: Graph, x: Iterable[int], rounds: int, budget: Budget,
     budget.check_size(g.n)
     seed = bits_of(x) | bits_of(info.taxonomy.mandatory)
     optima, last = _grow([bits_of(row) for row in g.adj], seed, rounds, budget.deadline())
-    return certify(g, optima[0], METHOD_BRUTE, connected=True,
-                   all_optima=tuple(optima) if all_optima else None,
-                   ppt=last if all_optima else None)
+    return certify(g, optima[0], METHOD_BRUTE, connected=True, optima=tuple(optima), ppt=last)
 
 
-def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET,
-             all_optima: bool = False) -> SolveResult:
+def min_cpds(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum connected power dominating set."""
-    return _min_connected(g, (), g.n, budget, all_optima)
+    return _min_connected(g, (), g.n, budget)
 
 
-def min_cpds_subject_to(g: Graph, x: Iterable[int], budget: Budget = DEFAULT_BUDGET,
-                        all_optima: bool = False) -> SolveResult:
+def min_cpds_subject_to(g: Graph, x: Iterable[int],
+                        budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum connected power dominating set containing all of ``x``."""
-    return _min_connected(g, x, g.n, budget, all_optima)
+    return _min_connected(g, x, g.n, budget)
 
 
-def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
-               all_optima: bool = False) -> SolveResult:
+def l_round_pd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum set that power dominates within the given number of rounds."""
-    return _min_coloring(g, rounds, budget, all_optima)
+    return _min_coloring(g, rounds, budget)
 
 
-def l_round_cpd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET,
-                all_optima: bool = False) -> SolveResult:
+def l_round_cpd(g: Graph, rounds: int, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum connected set that power dominates within the given number
     of rounds."""
-    return _min_connected(g, (), rounds, budget, all_optima)
+    return _min_connected(g, (), rounds, budget)
 
 
 def ppt(g: Graph, budget: Budget = DEFAULT_BUDGET, connected: bool = False) -> int:
     """Minimum propagation time over all minimum (connected) power
     dominating sets."""
-    search = min_cpds if connected else min_pds
-    return search(g, budget, all_optima=True).ppt
+    return (min_cpds if connected else min_pds)(g, budget).ppt
 
 
 def min_zero_forcing(g: Graph, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
     """Minimum zero forcing set (forcing rule only, works on disconnected
     graphs too): the lexicographically smallest optimum of the fort search,
     with the trace of its forcing closure."""
-    return _min_coloring(g, g.n, budget, False, forcing=True)
+    return _min_coloring(g, g.n, budget, forcing=True)
 
 
 def zf_to_cpd_gadget(g: Graph, k: int) -> tuple[Graph, int]:

@@ -330,44 +330,49 @@ def trace_lines(g: Graph, trace: PropagationTrace) -> list[str]:
 
 
 def replay_trace(g: Graph, trace: PropagationTrace) -> int:
-    """Re-run a trace step by step, validating every entry.
-
-    Returns the final colored mask; raises PowerDomError on any entry that
-    is not legal at its recorded timestep (synchronized semantics). Runs in
-    O(n + m) on the engine's uncolored-neighbor counts.
+    """Check a trace against the engine's synchronized run from its initial
+    set (with the domination step if the trace has a domination entry) and
+    return the final colored mask. Raises PowerDomError on an entry that is
+    not legal at its recorded timestep, and when a round before the trace's
+    last one does not color exactly what the run colors in it: so a prefix
+    of a run replays, its last round possibly cut short, a run with a gap
+    does not, and any legal source is accepted. Runs in O(n + m).
     """
-    front = _Frontier(g)
-    front.color(g._vertex_ids(trace.initial))
+    seeds = g._vertex_ids(trace.initial)
     g._vertex_ids([v for f in trace.forces for v in (f.source, f.target)])
-    initial = bytes(front.colored)
-    claimed = bytearray(initial)
-    by_time: dict[int, list[Force]] = {}
-    for f in trace.forces:
-        if f.kind not in (DOMINATE, FORCE):
-            raise PowerDomError(f"unknown entry kind {f.kind!r}")
-        if type(f.timestep) is not int or f.timestep < 1:
-            raise PowerDomError(f"timestep {f.timestep!r} of target {f.target} "
-                                f"is not an int of at least 1")
-        if claimed[f.target]:
-            raise PowerDomError(f"target {f.target} colored twice")
-        claimed[f.target] = 1
-        by_time.setdefault(f.timestep, []).append(f)
-    for t in sorted(by_time):
-        entries = by_time[t]
-        for f in entries:
-            if f.kind == DOMINATE:
-                if t != 1 or not initial[f.source]:
-                    raise PowerDomError("domination entry outside round 1")
-                if not g.has_edge(f.source, f.target):
-                    raise PowerDomError("domination along a non-edge")
-            else:
-                if not front.colored[f.source]:
-                    raise PowerDomError(f"source {f.source} not colored at t={t}")
-                if front.left[f.source] != 1 or front.xor[f.source] != f.target:
-                    raise PowerDomError(
-                        f"source {f.source} cannot force {f.target} at t={t}"
-                    )
-        front.color([f.target for f in entries])
-    if set(trace.final_colored) != set(compress(range(g.n), front.colored)):
+    when = [-1] * g.n  # the round the trace colors each vertex in, 0 for the initial set
+    for v in seeds:
+        when[v] = 0
+    for t, _, w, kind in trace.forces:
+        if kind not in (DOMINATE, FORCE):
+            raise PowerDomError(f"unknown entry kind {kind!r}")
+        if type(t) is not int or t < 1:
+            raise PowerDomError(f"timestep {t!r} of target {w} is not an int of at least 1")
+        if when[w] >= 0:
+            raise PowerDomError(f"target {w} colored twice")
+        when[w] = t
+    last = max([f.timestep for f in trace.forces], default=0)
+    dominate = any(f.kind == DOMINATE for f in trace.forces)
+    _, forced, _ = _propagate(g, seeds, dominate, last, record=True)
+    at = [0 if t == 0 else last + 1 for t in when]  # the round the run colors each vertex in
+    for t, _, w, _ in _entries(g.adj, seeds if dominate else [], forced):
+        at[w] = t
+    for t, v, w, kind in trace.forces:
+        if kind == DOMINATE:
+            if t != 1 or when[v] != 0:
+                raise PowerDomError("domination entry outside round 1")
+            if not g.has_edge(v, w):
+                raise PowerDomError("domination along a non-edge")
+        elif at[v] >= t:
+            raise PowerDomError(f"source {v} not colored at t={t}")
+        # a target the run colors before t leaves a gap, refused below
+        elif at[w] > t or at[w] == t and any(at[x] >= t for x in g.adj[v] if x != w):
+            raise PowerDomError(f"source {v} cannot force {w} at t={t}")
+    missed = [(at[w], w) for w in range(g.n) if 0 < at[w] < last and when[w] != at[w]]
+    if missed:
+        raise PowerDomError("round %d leaves %d uncolored, which synchronized propagation "
+                            "colors in it" % min(missed))
+    colored = bytes([t >= 0 for t in when])
+    if set(trace.final_colored) != set(compress(range(g.n), colored)):
         raise PowerDomError("replay does not reproduce the recorded final set")
-    return _mask_of(front.colored)
+    return _mask_of(colored)

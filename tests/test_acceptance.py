@@ -112,7 +112,7 @@ def test_criterion_04_optimum_structure(tree_corpus, block_corpus, cactus_corpus
         taxonomy = classify_cut_vertices(g)
         mandatory = set(taxonomy.mandatory)
         connected_result = exact.min_cpds(g)
-        plain_result = exact.min_pds(g, all_optima=True)
+        plain_result = exact.min_pds(g)
         # containment and no-leaf checks need every optimum from a search
         # that does not assume the mandatory set, tractable on the smaller graphs
         if g.n <= 12:

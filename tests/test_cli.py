@@ -335,17 +335,20 @@ class TestBatch:
         code, out, _ = run("batch", TREE, "--times")
         assert code == 0 and "time_s" in out.splitlines()[0]
 
-    @pytest.mark.parametrize("extra,want", [((), [True]), (("--skip-ppt",), [False]),
-                                            (("--problems", "cpd"), [True])])
-    def test_one_pd_search_per_graph(self, monkeypatch, extra, want):
-        from powerdom import exact
+    ONE = [exact.DEFAULT_BUDGET]
 
+    @pytest.mark.parametrize("extra,want", [((), ONE), (("--skip-ppt",), ONE),
+                                            (("--problems", "cpd"), ONE),
+                                            (("--problems", "cpd", "--skip-ppt"), [])])
+    def test_one_pd_search_per_graph(self, monkeypatch, extra, want):
+        """The budget of each min_pds call: one call per graph that needs
+        gamma_P or the ppt, none for --problems cpd --skip-ppt."""
         searches = []
         search = exact.min_pds
 
-        def counting(g, budget=exact.DEFAULT_BUDGET, all_optima=False):
-            searches.append(all_optima)
-            return search(g, budget, all_optima)
+        def counting(g, budget=exact.DEFAULT_BUDGET):
+            searches.append(budget)
+            return search(g, budget)
 
         monkeypatch.setattr(exact, "min_pds", counting)
         code, out, _ = run("batch", TREE, "--json", *extra)

@@ -5,10 +5,12 @@ The table below holds, for each argv, the exit code and the sha256 sums of
 stdout and stderr, recorded with ``COLUMNS=80`` (argparse wraps help text
 to the terminal width). It covers the top-level help, each subcommand's
 help, and usage errors: no command, an unknown command, an unknown option
-on four subcommands, bad choices, missing required arguments and refused
-budget values. A change to any help string, option or parse message
-changes a digest; when that is intended, record the new digests and say
-in CHANGES.md why the text moved.
+on four subcommands, bad choices, missing required arguments, refused
+budget values and integer flags (--budget-n, --T, --c, --k) given digits
+that are not ASCII or an underscore, which int() alone would read. A
+change to any help string, option or parse message changes a digest;
+when that is intended, record the new digests and say in CHANGES.md why
+the text moved.
 """
 
 from __future__ import annotations
@@ -78,6 +80,18 @@ DIGESTS = {
         (1, EMPTY, "b1a4a05ea171c435bff7570a5984a722df404adc272e0168ff7348747165dc7a"),
     ("decompose", "g.edges", "--budget-seconds", "nan"):
         (1, EMPTY, "579803c55d4f87bb5b3b9e5bbf822b66cb362588d7e67852885af143d28aacce"),
+    # usage error: argument --budget-n: invalid int value: '\u0662'
+    ("ppt", "g.edges", "--budget-n", "\u0662"):
+        (1, EMPTY, "37ba0ebff6a2eef7fdf29d29b727d334813d43f8dff8c6577b8f284d49c1fb55"),
+    # usage error: argument --T: invalid int value: '1_0'
+    ("solve", "g.edges", "--T", "1_0"):
+        (1, EMPTY, "e2e4b732f4f01aa347abacc715e22a613bf5d182d8e9193733010ffc15087fd1"),
+    ("model", "g.edges", "--T", "\u0661\u0660"):
+        (1, EMPTY, "28063e46c8f6b6a416f59172dad080fd6b9f46c90d431bce9b57a5c8ebefbb65"),
+    ("gadget", "--kind", "path-spread", "--c", "1_0"):
+        (1, EMPTY, "33862d3da8bdf5e661c0082c9cbe6881dde9e1b6fb32df3c497b23ca38754607"),
+    ("gadget", "--kind", "zf-reduction", "--k", "\u0663"):
+        (1, EMPTY, "079568f329ba4360328b61657e5a71642e53f8ddd012396113a53f7fefe62ac3"),
 }
 
 

@@ -134,12 +134,12 @@ class TestMinCpds:
 
         for g in graphs:
             want = naive(g)
-            assert answer(exact.min_cpds(g, all_optima=True)) == want
+            assert answer(exact.min_cpds(g)) == want
             for rounds in sorted({1, 2, g.n}):
-                limited = exact.l_round_cpd(g, rounds, all_optima=True)
+                limited = exact.l_round_cpd(g, rounds)
                 assert answer(limited) == naive(g, rounds=rounds)
             x = sorted(rng.sample(range(g.n), rng.randint(1, min(3, g.n))))
-            constrained = exact.min_cpds_subject_to(g, x, all_optima=True)
+            constrained = exact.min_cpds_subject_to(g, x)
             assert answer(constrained) == naive(g, required=x)
 
     def test_grid_two_rounds_within_wall(self):
@@ -150,7 +150,7 @@ class TestMinCpds:
         assert prop.colors_within(g, result.witness, 2)
 
     def test_all_optima_sorted(self):
-        result = exact.min_cpds(cycle_graph(5), all_optima=True)
+        result = exact.min_cpds(cycle_graph(5))
         assert result.all_optima == ((0,), (1,), (2,), (3,), (4,))
 
     def test_witness_certified(self):

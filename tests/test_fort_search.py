@@ -4,8 +4,9 @@ min_zero_forcing.
 The search must return exactly what checking every k-subset returns: the
 same optimum, the same lexicographically smallest witness and the same
 sorted list of optima, for every round limit, and the same smallest zero
-forcing set. The reference here is the plain subset loop over the
-set-based ``naive_propagate``. Every fort it stores must be minimal, and
+forcing set, with every optimum and the least forcing time over them.
+The reference here is the plain subset loop over the set-based
+``naive_propagate``. Every fort it stores must be minimal, and
 the propagation time it reports with every optimum must be the least one
 over those optima.
 """
@@ -50,13 +51,12 @@ def hubs(k: int) -> Graph:
 
 def assert_matches_reference(g: Graph, rounds: int) -> None:
     want = naive_min_coloring(g, rounds)
-    result = exact.l_round_pd(g, rounds, all_optima=True)
+    result = exact.l_round_pd(g, rounds)
     assert result.optimum == len(want[0])
     assert result.witness == want[0]
     assert list(result.all_optima) == want
-    assert exact.l_round_pd(g, rounds).witness == want[0]
     if rounds == g.n:
-        plain = exact.min_pds(g, all_optima=True)
+        plain = exact.min_pds(g)
         assert (plain.witness, plain.all_optima) == (result.witness, result.all_optima)
 
 
@@ -80,9 +80,12 @@ def test_zero_forcing_matches_subset_reference(connected):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             edges = rng.sample(pairs, rng.randint(0, min(n, len(pairs))))
             g = Graph([str(v) for v in range(n)], edges)
-        want = naive_min_coloring(g, None, dominate=False)[0]
+        optima = naive_min_coloring(g, None, dominate=False)
+        want = optima[0]
         result = exact.min_zero_forcing(g)
         assert (result.optimum, result.witness) == (len(want), want)
+        assert list(result.all_optima) == optima
+        assert result.ppt == min(propagation.forcing_closure(g, s).rounds() for s in optima)
         entries, colored = naive_trace(g, set(want), dominate=False)
         assert [(f.timestep, f.source, f.target, f.kind) for f in result.trace.forces] == entries
         assert set(result.trace.final_colored) == colored == set(range(g.n))
@@ -108,7 +111,7 @@ def test_every_learned_fort_is_a_fort(g, rounds):
 
     propagation._uncolored = recording
     try:
-        exact.l_round_pd(g, g.n if rounds is None else rounds, all_optima=True)
+        exact.l_round_pd(g, g.n if rounds is None else rounds)
     finally:
         propagation._uncolored = closure
     assert learned  # the empty set's closure always leaves a fort
@@ -154,9 +157,9 @@ def test_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        exact.min_cpds(g, all_optima=True)
-        exact.min_pds(g, all_optima=True)
-        exact.l_round_pd(g, 2, all_optima=True)
+        exact.min_cpds(g)
+        exact.min_pds(g)
+        exact.l_round_pd(g, 2)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -187,7 +190,7 @@ def test_every_stored_fort_is_minimal(g, rounds, forcing):
         stored = stored_forts(lambda: exact.min_zero_forcing(g))
     else:
         stored = stored_forts(
-            lambda: exact.l_round_pd(g, g.n if rounds is None else rounds, all_optima=True))
+            lambda: exact.l_round_pd(g, g.n if rounds is None else rounds))
     assert stored  # the empty set's closure always leaves a fort
     for mask in stored:
         fort = {v for v in range(g.n) if mask >> v & 1}
@@ -207,13 +210,13 @@ def test_reported_ppt_is_the_least_over_the_optima(family):
     rng = random.Random(f"fort/ppt/{family}")
     for _ in range(20):
         g = GENERATORS[family](rng, rng.randint(1, 12))
-        results = [exact.min_pds(g, all_optima=True), exact.min_cpds(g, all_optima=True)]
+        results = [exact.min_pds(g), exact.min_cpds(g)]
         for rounds in sorted({1, 2, 3, g.n}):
-            results += [exact.l_round_pd(g, rounds, all_optima=True),
-                        exact.l_round_cpd(g, rounds, all_optima=True)]
+            results += [exact.l_round_pd(g, rounds),
+                        exact.l_round_cpd(g, rounds)]
         for result in results:
+            assert result.all_optima[0] == result.witness
             assert result.ppt == least_ppt(g, result)
-        assert exact.min_pds(g).ppt is None and exact.min_cpds(g).ppt is None
 
 
 def run_cli(*argv: str, stdin: str) -> str:
@@ -228,8 +231,8 @@ def test_ppt_and_batch_print_the_least_ppt_over_the_optima(family):
     for _ in range(8):
         g = GENERATORS[family](rng, rng.randint(2, 12))
         text = graph_io.dump_edgelist(g)
-        plain = least_ppt(g, exact.min_pds(g, all_optima=True))
-        connected = least_ppt(g, exact.min_cpds(g, all_optima=True))
+        plain = least_ppt(g, exact.min_pds(g))
+        connected = least_ppt(g, exact.min_cpds(g))
         assert run_cli("ppt", "-", stdin=text) == f"ppt: {plain}\n"
         assert run_cli("ppt", "-", "--connected", stdin=text) == f"ppt: {connected}\n"
         for problems in ("pd,cpd", "cpd"):

@@ -11,7 +11,9 @@ random graph; and for the enumeration oracles on three graphs of 18 to
 20 vertices (hubs(5), a seeded tree, and two seeded sparse graphs sharing
 a cut vertex): ``batch --json`` (also with ``--problems cpd`` and with
 ``--skip-ppt``), ``solve --problem pd --method brute --all-optima --json``,
-``ppt --json`` and ``ppt --connected --json``; and for the milp method on
+``ppt --json`` and ``ppt --connected --json``; and for
+``solve --problem cpd --method brute --all-optima``, as text and with
+``--json``, on those three graphs and the 8-cycle; and for the milp method on
 the three toy fixtures under ``tests/data`` and on the 8-cycle:
 ``solve --method milp --problem pd|cpd --json --trace`` and
 ``ppt --method milp [--connected] --json``. Any change to a witness,
@@ -176,6 +178,22 @@ DIGESTS = {
         (0, "98d31aa52b6472ba318c0972eebce6b7f8f2b4fdaa06563c48a07898ce3194fd"),
     ("solve-pd-all", "smallcut"):
         (0, "b8fafbd823fc1a1e7feef5f3cfeb8bd6508c503e713dd3e0648def838e1c5241"),
+    ("solve-cpd-all", "hubs"):
+        (0, "618567be2de5bfd4374744bb9ff8f72ef961de63d61e8da048c052fe1d954393"),
+    ("solve-cpd-all", "smalltree"):
+        (0, "0f86277f30db869a0e721733590cd648442d80372456bbc38ea62ad3072d3ebb"),
+    ("solve-cpd-all", "smallcut"):
+        (0, "266832c70ddb18a5a017ca98e5de68ae89f35b9c3ae36c24b0c1b05ad0216c51"),
+    ("solve-cpd-all", "c8"):
+        (0, "7154acdf5bba4b7abab3ff4056078cb4f196169b0b0ac36ee9bd3ef907733dae"),
+    ("solve-cpd-all-json", "hubs"):
+        (0, "abfd3c7685f39d62cbbd70ba8f1d779a435ab565de05326067b0eb5e14aa869c"),
+    ("solve-cpd-all-json", "smalltree"):
+        (0, "c418b0cbe9656092fa358570461d03c54cb8c04ad87b0f1501f55997d26bd64c"),
+    ("solve-cpd-all-json", "smallcut"):
+        (0, "11fa07215188ada7ac0c993d1800f65bf882a5511f81f4e0caa24ca5ff9703d4"),
+    ("solve-cpd-all-json", "c8"):
+        (0, "9b4da2a50fc57c79c35128abe0f8d69636b6b60905af86d7e88f5cd67ecb876c"),
     ("ppt", "hubs"): (0, "677e71b76454faf9f8383ed8483f084011495d4c430dd032f1f419650910de29"),
     ("ppt", "smalltree"): (0, "a3069c161882db1529ab139a245147d8e22ede01f258f88eadf8ac73f720c32d"),
     ("ppt", "smallcut"): (0, "58abcceeacb8600f3b694779b327b15f6b3b13e4b316b5a933e3de65fad28d67"),
@@ -252,6 +270,9 @@ def argv_for(command: str, graph: str, files: dict[str, str]) -> list[str]:
     if command == "solve-pd-all":
         return ["solve", files[graph], "--problem", "pd", "--method", "brute",
                 "--all-optima", "--json"]
+    if command.startswith("solve-cpd-all"):
+        return (["solve", files[graph], "--problem", "cpd", "--method", "brute", "--all-optima"]
+                + ["--json"] * command.endswith("-json"))
     if command == "ppt":
         return ["ppt", files[graph], "--json"]
     if command == "ppt-connected":

@@ -227,6 +227,9 @@ class TestTraces:
              "timestep 0 of target 3 is not an int of at least 1"),
             ([prop.Force(True, 1, 0, "dominate"), dom2, f1, f2],
              "timestep True of target 0 is not an int of at least 1"),
+            # every entry is legal, but rounds 3 to 8 color nothing
+            ([dom, dom2, f1, prop.Force(9, 3, 4, "force")],
+             "round 3 leaves 4 uncolored, which synchronized propagation colors in it"),
         ]
         for forces, message in cases:
             with pytest.raises(PowerDomError, match=message):

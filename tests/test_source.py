@@ -137,6 +137,30 @@ def test_structural_searches_no_piece_through_a_public_search():
     assert allowed, "solve_cpds has no brute branch"
 
 
+def test_no_function_takes_an_all_optima_parameter():
+    """The exact searches find every optimum of the optimal level anyway,
+    so each result carries them and their least propagation time; no
+    caller chooses to drop them."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.Lambda))
+                  for arg in ast.walk(node.args)
+                  if isinstance(arg, ast.arg) and arg.arg == "all_optima"]
+    assert found == []
+
+
+def test_cli_solves_cpd_through_solve_cpds_only():
+    """``structural.solve_cpds`` is the one dispatch point of the cpd
+    methods other than milp, ``brute`` included."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}" for node in ast.walk(tree)
+             if "min_cpds" in (getattr(node, "attr", None), getattr(node, "id", None))
+             or isinstance(node, ast.ImportFrom) and "min_cpds" in [a.name for a in node.names]]
+    assert found == []
+
+
 def test_cli_prints_every_trace_through_trace_lines():
     """The CLI reads no trace entry itself: ``propagation.trace_lines``
     prints a recorded trace from its run, without building its entries."""
