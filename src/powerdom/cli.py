@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     PowerDomError,
 )
-from .exact import Budget
+from .exact import DEFAULT_BUDGET, Budget
 from .graphs import Graph
 
 
@@ -60,18 +60,19 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _number(kind: type, least: int | None = None) -> Callable[[str], int | float]:
-    """argparse type: a number of ``kind``, at least ``least`` if given. An
-    int is read by the graph readers' ASCII rule; int() alone would also
-    read "1_0" and non-ASCII digits."""
+    """argparse type: a number of ``kind``, at least ``least`` if given,
+    read by the graph readers' ASCII rules (:data:`graph_io._INTEGER` for
+    an int, :data:`graph_io._DECIMAL` for a float)."""
+    pattern = graph_io._INTEGER if kind is int else graph_io._DECIMAL
 
     def parse(text: str) -> int | float:
         try:
-            if kind is int and re.fullmatch(graph_io._INTEGER, text) is None:
+            if re.fullmatch(pattern, text) is None:
                 raise ValueError(text)
-            value = kind(text)
+            value = kind(text)  # a huge int is a ValueError too
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
-        if least is not None and not value >= least:  # also rejects nan
+        if least is not None and value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}: {text!r}")
         return value
 
@@ -82,7 +83,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser, budget: bool = True) 
     parser.add_argument("--json", action="store_true", help="emit json-lines output")
     if not budget:
         return
-    parser.add_argument("--budget-n", type=_number(int, 0), default=Budget.max_vertices,
+    parser.add_argument("--budget-n", type=_number(int, 0),
+                        default=DEFAULT_BUDGET.max_vertices,
                         help="vertex ceiling for the exact oracles and the milp method")
     parser.add_argument("--budget-seconds", type=_number(float, 0), default=None,
                         help="time ceiling for the exact oracles and the milp method")
@@ -284,20 +286,10 @@ def _cmd_spread(args, out, err, stdin) -> int:
             report = spread.contract_edge_spread(g, u, v, solver)
         else:
             report = spread.subdivide_edge_delta(g, u, v, solver)
-    record = {
-        "operation": report.operation,
-        "target": list(report.target),
-        "before": report.before.optimum,
-        "after": report.after.optimum,
-        "spread": report.spread,
-    }
-    lines = [
-        f"operation: {report.operation}",
-        f"target: {','.join(report.target)}",
-        f"before: {report.before.optimum}",
-        f"after: {report.after.optimum}",
-        f"spread: {report.spread}",
-    ]
+    record = {**report._asdict(), "target": list(report.target),
+              "before": report.before.optimum, "after": report.after.optimum}
+    lines = [f"{key}: {','.join(value) if key == 'target' else value}"
+             for key, value in record.items()]
     _emit(out, args, record, lines)
     return 0
 

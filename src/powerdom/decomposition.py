@@ -23,17 +23,28 @@ power dominating set, which is what makes the fast solvers work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress, groupby
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DisconnectedError, GraphError
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+def _side_data(cls: type) -> type:
+    """Leave the last field of named tuple ``cls``, a dict of side data, out
+    of ``==``, hash and repr: the other fields stand for the record."""
+    cls.__eq__ = lambda self, other: (self[:-1] == other[:-1] if other.__class__ is cls
+                                      else NotImplemented)
+    cls.__ne__, cls.__hash__ = object.__ne__, lambda self: hash(self[:-1])
+    cls.__repr__ = lambda self: "{}({})".format(
+        cls.__name__, ", ".join(map("{}={!r}".format, cls._fields, self[:-1])))
+    return cls
+
+
+@_side_data
+class BlockDecomposition(NamedTuple):
     """Biconnected components of a connected graph.
 
     ``blocks`` holds each component as a sorted vertex tuple; every edge of
@@ -49,25 +60,27 @@ class BlockDecomposition:
     cut_vertices: tuple[int, ...]
     trivial: tuple[bool, ...]
     edges: tuple[int, ...]
-    cycles: dict[tuple[int, ...], tuple[int, ...]] = field(compare=False, repr=False)
+    cycles: dict[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class CutVertexTaxonomy:
-    """Cut-vertex classes plus the pendant-path inventory.
-
-    ``pendant_paths`` lists (attachment vertex, chain) pairs with the chain
-    ordered base first, leaf last. ``pendant_count`` follows the usual
-    convention: for an attachment vertex it counts attached pendant paths,
-    and a cut vertex lying inside a pendant path gets count 1.
-    """
-
+class _Taxonomy(NamedTuple):
     r1: tuple[int, ...]
     r2: tuple[int, ...]
     r3: tuple[int, ...]
     mandatory: tuple[int, ...]
     pendant_paths: tuple[tuple[int, tuple[int, ...]], ...]
     pendant_count: tuple[int, ...]
+
+
+class CutVertexTaxonomy(_Taxonomy):
+    """Cut-vertex classes plus the pendant-path inventory.
+
+    ``pendant_paths`` lists (attachment vertex, chain) pairs with the chain
+    ordered base first, leaf last. ``pendant_count`` follows the usual
+    convention: for an attachment vertex it counts attached pendant paths,
+    and a cut vertex lying inside a pendant path gets count 1. Each set
+    below is built on first read and kept in the ``__dict__``.
+    """
 
     @cached_property
     def cut_set(self) -> frozenset[int]:
@@ -84,8 +97,7 @@ class CutVertexTaxonomy:
                 for v, paths in groupby(self.pendant_paths, itemgetter(0))}
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(NamedTuple):
     """Multi-flag recognition result; path implies tree, tree implies both
     block_graph and cactus."""
 
@@ -96,8 +108,7 @@ class GraphClass:
     cactus: bool
 
 
-@dataclass(frozen=True)
-class GraphProfile:
+class GraphProfile(NamedTuple):
     """Everything the structural solvers read about one graph.
 
     For a disconnected graph only ``connected`` is set; the other fields

@@ -25,8 +25,7 @@ where the search reaches it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import propagation
 from .decomposition import connected_profile
@@ -41,20 +40,28 @@ METHOD_DECOMPOSITION = "decomposition"
 METHOD_MILP = "milp"
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Hard ceilings for the enumeration oracles."""
-
+class _Ceilings(NamedTuple):
     max_vertices: int = 24
     max_seconds: float | None = None
 
-    def __post_init__(self) -> None:
-        n, s = self.max_vertices, self.max_seconds
+
+class Budget(_Ceilings):
+    """Hard ceilings for the enumeration oracles: a named tuple that refuses
+    bad fields when it is made, by a call or by ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields, **named) -> "Budget":
+        self = super().__new__(cls, *fields, **named)
+        n, s = self
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise PowerDomError(f"Budget max_vertices must be an int >= 0, not {n!r}")
         if s is not None and (isinstance(s, bool) or not isinstance(s, (int, float))
                               or not s >= 0):  # nan >= 0 is False
             raise PowerDomError(f"Budget max_seconds must be None or a number >= 0, not {s!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace refuses too
 
     def check_size(self, n: int) -> None:
         if n > self.max_vertices:
@@ -75,7 +82,7 @@ class Budget:
         left = deadline - time.perf_counter()
         if left < 0:
             raise BudgetExceededError("time budget exhausted")
-        return replace(self, max_seconds=left)
+        return self._replace(max_seconds=left)
 
 
 DEFAULT_BUDGET = Budget()
@@ -86,8 +93,7 @@ def _check_deadline(deadline: float | None) -> None:
         raise BudgetExceededError("time budget exhausted")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Optimal set plus its certificate.
 
     The witness always verifies through the propagation engine, whose run

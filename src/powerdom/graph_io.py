@@ -20,9 +20,10 @@ from .errors import GraphError, ParseError
 from .graphs import Graph
 
 FORMATS = ("edgelist", "dimacs", "matrixmarket")
-# the only numbers read from outside text (these readers and the model
-# readers): int() alone would also read "1_0" and non-ASCII digits
+# the only numbers read from outside text (these readers, the model readers and
+# the command line): int() and float() alone would also read "1_0" and non-ASCII digits
 _INTEGER = r"[+-]?[0-9]+"
+_DECIMAL = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
 
 
 def load_graph(source: str | IO[str], fmt: str = "edgelist") -> Graph:

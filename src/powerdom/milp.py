@@ -42,12 +42,12 @@ the assignment against every constraint row literally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import exact, propagation
-from .decomposition import connected_profile
+from .decomposition import _side_data, connected_profile
 from .errors import GraphError, ModelError
 from .graph_io import _INTEGER
 from .graphs import Graph, _count, fresh_label
@@ -86,21 +86,21 @@ _variable = partial(tuple.__new__, Variable)
 _row = partial(tuple.__new__, Constraint)
 
 
-@dataclass(frozen=True)
-class MilpModel:
+@_side_data
+class MilpModel(NamedTuple):
     """Solver-agnostic variable/constraint container.
 
     ``meta`` carries the originating graph, its name table and the horizon
     so the built-in validator can reconstruct solutions; it is excluded
     from equality so that a model re-read from disk compares equal to the
-    original.
+    original. A model read from disk has an empty, read-only ``meta``.
     """
 
     name: str
     variables: tuple[Variable, ...]
     objective: tuple[tuple[int, str], ...]
     constraints: tuple[Constraint, ...]
-    meta: dict = field(default_factory=dict, compare=False, repr=False)
+    meta: Mapping = MappingProxyType({})
 
     def canonical(self) -> tuple:
         """Order-insensitive structural form (for round-trip comparisons;
@@ -117,8 +117,7 @@ class MilpModel:
         )
 
 
-@dataclass(frozen=True)
-class ModelSolution:
+class ModelSolution(NamedTuple):
     assignment: dict[str, int]
     objective_value: float
 
@@ -249,15 +248,10 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
     _check_unique([v.name for v in variables], "variable", {v.name for v in model.variables})
     _check_unique([c.name for c in constraints], "constraint",
                   {c.name for c in model.constraints})
-    meta = dict(model.meta)
-    meta["connected"] = True
-    return MilpModel(
-        name="connected_power_domination",
-        variables=model.variables + tuple(variables),
-        objective=model.objective,
-        constraints=model.constraints + tuple(constraints),
-        meta=meta,
-    )
+    return model._replace(name="connected_power_domination",
+                          variables=model.variables + tuple(variables),
+                          constraints=model.constraints + tuple(constraints),
+                          meta={**model.meta, "connected": True})
 
 
 # -- solution checking and the validator -----------------------------------

@@ -31,9 +31,9 @@ The closures of the exact searches (:func:`_uncolored`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import NotPowerDominatingError, PowerDomError
@@ -60,7 +60,6 @@ class Force(NamedTuple):
 _force = partial(tuple.__new__, Force)
 
 
-@dataclass(frozen=True)
 class PropagationTrace:
     """Chronological record of one propagation run.
 
@@ -69,25 +68,47 @@ class PropagationTrace:
     (or from 1 upward when there was no domination step). ``forces`` holds
     :class:`Force` tuples, one per vertex colored after the initial set.
     A trace the engine records builds both from its run on first read,
-    and keeps the run for :func:`trace_lines` and :meth:`rounds`.
+    and keeps the run for :func:`trace_lines` and :meth:`rounds`. Frozen:
+    its fields refuse assignment, and ``==`` and hash compare them.
     """
 
-    initial: tuple[int, ...]
-    forces: tuple[Force, ...]
-    final_colored: tuple[int, ...]
+    _fields = ("initial", "forces", "final_colored")
+    __slots__ = _fields + ("_run",)
+
+    def __init__(self, initial: tuple[int, ...], forces: tuple[Force, ...],
+                 final_colored: tuple[int, ...]) -> None:
+        for name, value in zip(self.__slots__, (initial, forces, final_colored, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a PropagationTrace is frozen: cannot assign {name!r}")
 
     def __getattr__(self, name: str):
         """``forces`` and ``final_colored`` of a recorded trace, built once."""
-        if name not in ("forces", "final_colored") or "_run" not in self.__dict__:
+        if name not in ("forces", "final_colored") or self._run is None:
             raise AttributeError(name)
-        adj, dominated, forced, colored = self.__dict__["_run"]
-        self.__dict__.update(forces=tuple(_entries(adj, dominated, forced)),
-                             final_colored=tuple(compress(range(len(colored)), colored)))
-        return self.__dict__[name]
+        adj, dominated, forced, colored = self._run
+        object.__setattr__(self, "forces", tuple(_entries(adj, dominated, forced)))
+        object.__setattr__(self, "final_colored", tuple(compress(range(len(colored)), colored)))
+        return getattr(self, name)
+
+    _key = property(attrgetter(*_fields))
+
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return "PropagationTrace(initial={!r}, forces={!r}, final_colored={!r})".format(*self._key)
+
+    def __reduce__(self):  # copy and pickle remake it from its fields
+        return PropagationTrace, self._key
 
     def rounds(self) -> int:
         """Last round that colored a vertex (at least 1)."""
-        run = self.__dict__.get("_run")
+        run = self._run
         if run is not None:  # the run lists its forces by round
             return run[2][-3] if run[2] else 1
         return max(1, max((f.timestep for f in self.forces), default=1))
@@ -204,8 +225,8 @@ def _traced(g: Graph, s: Iterable[int], dominate: bool,
     seeds = g._vertex_ids(s)
     front, forced, _ = _propagate(g, seeds, dominate, limit, record=True)
     trace = PropagationTrace.__new__(PropagationTrace)
-    trace.__dict__.update(initial=tuple(seeds),
-                          _run=(g.adj, seeds if dominate else (), forced, front.colored))
+    object.__setattr__(trace, "initial", tuple(seeds))
+    object.__setattr__(trace, "_run", (g.adj, seeds if dominate else (), forced, front.colored))
     return front.total == g.n, trace
 
 
@@ -316,7 +337,7 @@ def trace_lines(g: Graph, trace: PropagationTrace) -> list[str]:
     recorded trace prints straight from its run, built entries or not;
     given entries are printed after ``Graph._vertex_ids`` checks their ids."""
     labels = g.labels
-    run = trace.__dict__.get("_run")
+    run = trace._run
     if run is None:
         entries = trace.forces
         g._vertex_ids([v for _, s, w, _ in entries for v in (s, w)])

@@ -8,8 +8,7 @@ subdivision shifts the optimum by any requested amount.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .decomposition import blocks, profile
 from .errors import GraphError, SolverInternalError
@@ -25,8 +24,7 @@ SUBDIVIDE_EDGE = "subdivide_edge"
 Solver = Callable[[Graph], SolveResult]
 
 
-@dataclass(frozen=True)
-class SpreadReport:
+class SpreadReport(NamedTuple):
     """Certified before/after optima for one surgical operation.
 
     ``spread`` is before minus after except for subdivision, where it is

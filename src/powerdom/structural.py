@@ -13,8 +13,7 @@ certified, once, on the whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import exact
 from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
@@ -63,8 +62,7 @@ def block_graph_cpds(g: Graph) -> SolveResult:
     return _by_blocks(g, exact.METHOD_BLOCK)
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     """Open run of consecutive cycle vertices between two anchor positions.
 
     ``interior`` lists the vertices strictly between ``start`` and ``end``
@@ -82,8 +80,7 @@ class Segment:
         return len(self.interior)
 
 
-@dataclass(frozen=True)
-class FeasibleSegmentFamily:
+class FeasibleSegmentFamily(NamedTuple):
     """Maximal excludable segments of one cycle block, grouped by how many
     cut vertices they swallow (zero, one in class r1, or two adjacent in
     class r1)."""

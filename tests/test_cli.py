@@ -434,7 +434,12 @@ class TestBadInputNeverTracesBack:
     def test_negative_budget_seconds(self):
         self.assert_one_line_usage_failure(
             run("solve", TREE, "--problem", "pd", "--budget-seconds", "-0.5"),
-            "--budget-seconds")
+            "argument --budget-seconds: must be at least 0: '-0.5'")
+
+    @pytest.mark.parametrize("value", ["0.5", "2", "1e3"])
+    def test_budget_seconds_reads_a_decimal(self, value):
+        code, out, err = run("solve", TREE, "--problem", "pd", "--budget-seconds", value)
+        assert (code, err) == (0, "") and out.startswith("optimum: ")
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag)

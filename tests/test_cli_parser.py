@@ -6,8 +6,9 @@ stdout and stderr, recorded with ``COLUMNS=80`` (argparse wraps help text
 to the terminal width). It covers the top-level help, each subcommand's
 help, and usage errors: no command, an unknown command, an unknown option
 on four subcommands, bad choices, missing required arguments, refused
-budget values and integer flags (--budget-n, --T, --c, --k) given digits
-that are not ASCII or an underscore, which int() alone would read. A
+budget values, and number flags (--budget-n, --T, --c, --k and
+--budget-seconds) given digits that are not ASCII, an underscore,
+padding or ``inf``, which int() and float() alone would read. A
 change to any help string, option or parse message changes a digest;
 when that is intended, record the new digests and say in CHANGES.md why
 the text moved.
@@ -78,8 +79,17 @@ DIGESTS = {
         (1, EMPTY, "aeef2ede4256d4c14309e355ca639a41f406f915dc71abb3f7f93a23043fec45"),
     ("ppt", "g.edges", "--budget-n", "-1"):
         (1, EMPTY, "b1a4a05ea171c435bff7570a5984a722df404adc272e0168ff7348747165dc7a"),
+    # usage error: argument --budget-seconds: invalid float value: 'nan'
     ("decompose", "g.edges", "--budget-seconds", "nan"):
-        (1, EMPTY, "579803c55d4f87bb5b3b9e5bbf822b66cb362588d7e67852885af143d28aacce"),
+        (1, EMPTY, "39d6f071aba135708f99339ff2779e39f4b9aa3a70f2e0c4f98101de5cdcffe1"),
+    ("decompose", "g.edges", "--budget-seconds", "1_0"):
+        (1, EMPTY, "bae3285f9008b447b80e10342999b9cce514a1abadbd4dd8869d1c693a5c6a45"),
+    ("solve", "g.edges", "--budget-seconds", "\u0661"):
+        (1, EMPTY, "b3337e36218e463737bca1a2151bddd8802cd87a532d49b801fc4b2eec7fe70c"),
+    ("ppt", "g.edges", "--budget-seconds", " 2 "):
+        (1, EMPTY, "f0abb4a7dcbe95b953428a95309519ff9f0b38fdb145510ffec2f6c98ac6ca1b"),
+    ("ppt", "g.edges", "--budget-seconds", "inf"):
+        (1, EMPTY, "251af0d8e7a0feb7f6be57b9f7596d210273d7c978283bf304fe01c7964184c5"),
     # usage error: argument --budget-n: invalid int value: '\u0662'
     ("ppt", "g.edges", "--budget-n", "\u0662"):
         (1, EMPTY, "37ba0ebff6a2eef7fdf29d29b727d334813d43f8dff8c6577b8f284d49c1fb55"),

@@ -329,11 +329,13 @@ class TestBudget:
     ])
     def test_invalid_field_is_refused_by_name(self, field, value):
         """nan would silently disable the time ceiling, and a str or None
-        would fail with a TypeError at the first check."""
-        with pytest.raises(PowerDomError) as info:
-            Budget(**{field: value})
-        message = str(info.value)
-        assert field in message and repr(value) in message and "\n" not in message
+        would fail with a TypeError at the first check; ``_replace`` checks
+        its fields as the constructor does."""
+        for make in (Budget, exact.DEFAULT_BUDGET._replace):
+            with pytest.raises(PowerDomError) as info:
+                make(**{field: value})
+            message = str(info.value)
+            assert field in message and repr(value) in message and "\n" not in message
 
     @pytest.mark.parametrize("seconds", [None, 0, 0.0, 2.5, float("inf")])
     def test_valid_time_ceilings_are_kept(self, seconds):

@@ -261,7 +261,8 @@ class TestRecordedTraces:
                 for run, reference in runs:
                     fresh, read = run(g, s), run(g, s)
                     lines, rounds = prop.trace_lines(g, fresh), fresh.rounds()
-                    assert "_run" in fresh.__dict__  # printing built no entry
+                    with pytest.raises(AttributeError):  # printing built no entry
+                        prop.PropagationTrace.forces.__get__(fresh)
                     assert lines == [f"t={t} {g.labels[v]} -> {g.labels[w]} [{kind}]" for
                                      t, v, w, kind in naive_trace(g, set(s), **reference)[0]]
                     explicit = prop.PropagationTrace(read.initial, read.forces, read.final_colored)

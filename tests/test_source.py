@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import ast
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -22,9 +24,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_no_module_imports_gc():
-    """A saving in ``src/`` comes from allocating fewer containers, not from
-    tuning or pausing the garbage collector."""
+def _imports_of(module: str) -> list[str]:
+    """``file:line`` of each import of ``module`` or a submodule of it."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -36,8 +37,35 @@ def test_no_module_imports_gc():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for name in names
-                      if name == "gc" or name.startswith("gc.")]
-    assert found == []
+                      if name == module or name.startswith(module + ".")]
+    return found
+
+
+def test_no_module_imports_gc():
+    """A saving in ``src/`` comes from allocating fewer containers, not from
+    tuning or pausing the garbage collector."""
+    assert _imports_of("gc") == []
+
+
+def test_no_module_imports_dataclasses():
+    """Every record is a named tuple, or a slotted class for the lazy
+    trace: ``dataclasses`` would pull ``inspect``, ``ast`` and ``dis`` into
+    every import and generate each record's methods while importing."""
+    assert _imports_of("dataclasses") == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Compared with a bare interpreter, so the site's own imports do not count."""
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); {}print(*sys.modules)"
+
+    def loaded(imports: str) -> set[str]:
+        done = subprocess.run([sys.executable, "-c", probe.format(imports), str(SRC.parent)],
+                              capture_output=True, text=True, check=True)
+        return set(done.stdout.split())
+
+    added = loaded("import powerdom.cli; ") - loaded("")
+    assert "powerdom.cli" in added and "argparse" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 def test_no_module_reads_the_environment():
