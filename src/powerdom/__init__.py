@@ -77,6 +77,7 @@ from .milp import (
     parse_mps,
     ppt_by_search,
     round_number,
+    solve_graph,
     solve_small,
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -18,7 +19,7 @@ import time
 from typing import IO, Callable, Sequence
 
 from . import exact, graph_io, milp, propagation, spread, structural
-from .decomposition import blocks, classify_cut_vertices
+from .decomposition import classify_cut_vertices
 from .errors import (
     BudgetExceededError,
     DisconnectedError,
@@ -62,7 +63,7 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
 def _number(kind: type, least: int | None = None) -> Callable[[str], int | float]:
     """argparse type: a number of ``kind``, at least ``least`` if given,
     read by the graph readers' ASCII rules (:data:`graph_io._INTEGER` for
-    an int, :data:`graph_io._DECIMAL` for a float)."""
+    an int, :data:`graph_io._DECIMAL` for a finite float)."""
     pattern = graph_io._INTEGER if kind is int else graph_io._DECIMAL
 
     def parse(text: str) -> int | float:
@@ -70,6 +71,8 @@ def _number(kind: type, least: int | None = None) -> Callable[[str], int | float
             if re.fullmatch(pattern, text) is None:
                 raise ValueError(text)
             value = kind(text)  # a huge int is a ValueError too
+            if kind is float and not math.isfinite(value):  # "1e999" overflows to inf
+                raise ValueError(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
         if least is not None and value < least:
@@ -226,12 +229,7 @@ def _cmd_solve(args, out, err, stdin) -> int:
         raise _UsageError("--all-optima applies to the brute method only")
     budget = _budget(args)
     if args.method == "milp":
-        model = milp._budgeted_model(g, args.T, args.problem == "cpd", budget)
-        solution = milp.solve_small(model, budget)
-        chosen, trace = milp.decode_assignment(model, solution.assignment)
-        # the decoded trace is what gets printed, so it is the one replayed
-        result = exact.certify(g, chosen, exact.METHOD_MILP, args.problem == "cpd",
-                               trace=trace)
+        result = milp.solve_graph(g, args.T, args.problem == "cpd", budget)
     elif args.problem == "pd":
         if args.method not in ("auto", "brute"):
             raise _UsageError(f"method {args.method} solves cpd only")
@@ -315,19 +313,15 @@ def _cmd_model(args, out, err, stdin) -> int:
 def _cmd_decompose(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     budget = _budget(args)
-    taxonomy = classify_cut_vertices(g)
-    dec = blocks(g)
-    record = {
-        "mandatory": list(g.labels_of(taxonomy.mandatory)),
-        "blocks": [],
-    }
-    lines = [f"mandatory: {' '.join(g.labels_of(taxonomy.mandatory))}"]
+    mandatory = classify_cut_vertices(g).mandatory
+    record = {"mandatory": list(g.labels_of(mandatory)), "blocks": []}
+    lines = [f"mandatory: {' '.join(record['mandatory'])}"]
     result = structural.decompose_cpds(g, budget=budget)
-    mandatory = set(taxonomy.mandatory)
-    for i, core in enumerate((c for c, t in zip(dec.blocks, dec.trivial) if not t), start=1):
+    anchors = set(mandatory)
+    for i, (core, vertices, _) in enumerate(structural.nontrivial_block_subgraphs(g), start=1):
         block = {"core": list(g.labels_of(core)),
-                 "anchors": list(g.labels_of(v for v in core if v in mandatory)),
-                 "size": len(structural._piece_vertices(core, taxonomy))}
+                 "anchors": list(g.labels_of(v for v in core if v in anchors)),
+                 "size": len(vertices)}
         record["blocks"].append(block)
         lines.append(f"block {i}: core={','.join(block['core'])}"
                      f" anchors={','.join(block['anchors'])} size={block['size']}")

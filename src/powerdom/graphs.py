@@ -9,8 +9,9 @@ Outside input (string labels and an edge list) is validated once, by
 vertex to delete, an edge to look up) goes through one validator,
 ``Graph._vertex_ids``, which takes only an ``int`` in 0..n-1. Derived
 graphs (subgraphs, edge surgery, attached leaves) and
-``from_labeled_edges`` build their sorted rows directly and hand them to
-the trusting ``Graph._from_rows``. Rows built from an edge list are
+``from_labeled_edges``, which refuses a label that is not a ``str``,
+build their sorted rows directly and hand them to the trusting
+``Graph._from_rows``. Rows built from an edge list are
 per-vertex neighbor lists, sorted; a row is rebuilt through a set only
 when it holds a repeated edge or a loop.
 """
@@ -104,7 +105,11 @@ class Graph:
                 raise GraphError(f"duplicate vertex label {lab!r}")
             index[lab] = i
         edges = list(edges)
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {edge!r} is not a pair of vertex ids") from None
             if not (type(u) is int and type(v) is int):
                 raise GraphError(f"edge ({u!r}, {v!r}) has a non-integer endpoint")
             if not (0 <= u < n and 0 <= v < n):
@@ -136,6 +141,9 @@ class Graph:
         labels = tuple(dict.fromkeys(tokens))  # first appearance, left end first
         if not labels:
             raise GraphError("graph must have at least one vertex")
+        if set(map(type, labels)) != {str}:  # one pass in C over the distinct labels
+            label = next(lab for lab in labels if type(lab) is not str)
+            raise GraphError(f"vertex label {label!r} is not a string")
         index = dict(zip(labels, range(len(labels))))
         ends = map(index.__getitem__, tokens)
         return cls._from_rows(labels, _sorted_rows(len(labels), zip(ends, ends)), index)

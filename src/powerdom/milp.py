@@ -36,7 +36,10 @@ with its declarations, or no variable at all.
 ``solve_small`` is a validator, not a general solver: it takes the
 selection from the exact oracle for the model's problem and horizon,
 derives the remaining variables from a propagation run, and then checks
-the assignment against every constraint row literally.
+the assignment against every constraint row literally. ``solve_graph``
+decodes that assignment and replays its schedule through ``exact.certify``;
+``round_number``, ``ppt_by_search`` and ``solve --method milp`` answer
+through it.
 """
 
 from __future__ import annotations
@@ -263,18 +266,24 @@ def _integral(value: object) -> bool:
 
 
 def check_assignment(model: MilpModel, assignment: dict[str, int]) -> list[str]:
-    """All integrality, bound and constraint violations of a full assignment."""
+    """All integrality, bound and constraint violations of a full assignment;
+    a row that names a value other than an int or a float is skipped."""
     problems = []
+    unread = set()
     for var in model.variables:
         if var.name not in assignment:
             problems.append(f"missing value for {var.name}")
             continue
         val = assignment[var.name]
         if not _integral(val):
-            problems.append(f"{var.name}={val} is not integral")
+            problems.append(f"{var.name}={val!r} is not integral")
+            if not isinstance(val, (int, float)):
+                unread.add(var.name)
         elif not var.lower <= val <= var.upper:
             problems.append(f"{var.name}={val} outside [{var.lower}, {var.upper}]")
     for con in model.constraints:
+        if unread and not unread.isdisjoint(name for _, name in con.terms):
+            continue
         lhs = sum(coef * assignment.get(name, 0) for coef, name in con.terms)
         ok = (
             lhs <= con.rhs if con.relation == "<=" else
@@ -373,23 +382,26 @@ def solve_small(model: MilpModel,
     return ModelSolution(assignment, float(result.optimum))
 
 
-def _budgeted_model(g: Graph, t: int | None, connected: bool,
-                    budget: exact.Budget) -> MilpModel:
-    """The model of ``g`` with horizon ``t``, with the arborescence part if
-    ``connected``, for :func:`solve_small` within ``budget``. A graph over
-    the vertex budget is refused after the checks of the graph and the
-    horizon but before any row is built: the watch rows grow with the
-    squared degrees."""
+def solve_graph(g: Graph, t: int | None = None, connected: bool = False,
+                budget: exact.Budget = exact.DEFAULT_BUDGET) -> exact.SolveResult:
+    """The model of ``g`` (horizon ``t``, the arborescence if ``connected``)
+    solved by :func:`solve_small` within ``budget``, decoded, and certified
+    by replaying the decoded schedule. A graph over the vertex budget is
+    refused after the checks of the graph and the horizon but before any
+    row is built: the watch rows grow with the squared degrees."""
     _horizon(g, t)
     budget.check_size(g.n)
     model = build_model1(g, t)
-    return add_mtz_connectivity(model, g) if connected else model
+    if connected:
+        model = add_mtz_connectivity(model, g)
+    chosen, trace = decode_assignment(model, solve_small(model, budget).assignment)
+    return exact.certify(g, chosen, exact.METHOD_MILP, connected, trace=trace)
 
 
 def round_number(g: Graph, rounds: int, connected: bool = False,
                  budget: exact.Budget = exact.DEFAULT_BUDGET) -> int:
-    """Optimum of the model with horizon ``rounds``."""
-    return int(solve_small(_budgeted_model(g, rounds, connected, budget), budget).objective_value)
+    """Optimum of the model with horizon ``rounds``, from a certified schedule."""
+    return solve_graph(g, rounds, connected, budget).optimum
 
 
 def ppt_by_search(g: Graph, connected: bool = False,

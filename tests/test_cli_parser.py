@@ -8,7 +8,8 @@ help, and usage errors: no command, an unknown command, an unknown option
 on four subcommands, bad choices, missing required arguments, refused
 budget values, and number flags (--budget-n, --T, --c, --k and
 --budget-seconds) given digits that are not ASCII, an underscore,
-padding or ``inf``, which int() and float() alone would read. A
+padding, ``inf`` or a decimal that overflows to it (``1e999``), which
+int() and float() alone would read. A
 change to any help string, option or parse message changes a digest;
 when that is intended, record the new digests and say in CHANGES.md why
 the text moved.
@@ -90,6 +91,9 @@ DIGESTS = {
         (1, EMPTY, "f0abb4a7dcbe95b953428a95309519ff9f0b38fdb145510ffec2f6c98ac6ca1b"),
     ("ppt", "g.edges", "--budget-seconds", "inf"):
         (1, EMPTY, "251af0d8e7a0feb7f6be57b9f7596d210273d7c978283bf304fe01c7964184c5"),
+    # usage error: argument --budget-seconds: invalid float value: '1e999'
+    ("solve", "g.edges", "--budget-seconds", "1e999"):
+        (1, EMPTY, "df1e8a670f75c0ac36af216be6ea6c2dd7f91d2abeb004fbef9f9032214fd4cd"),
     # usage error: argument --budget-n: invalid int value: '\u0662'
     ("ppt", "g.edges", "--budget-n", "\u0662"):
         (1, EMPTY, "37ba0ebff6a2eef7fdf29d29b727d334813d43f8dff8c6577b8f284d49c1fb55"),

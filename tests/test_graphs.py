@@ -101,12 +101,20 @@ class TestConstruction:
         with pytest.raises(GraphError, match=message):
             Graph(["a", "b"], [edge])
 
+    @pytest.mark.parametrize("edge", [(0, 1, 1), (0,), 5])
+    def test_edge_that_is_not_a_pair_rejected(self, edge):
+        message = f"^edge {re.escape(repr(edge))} is not a pair of vertex ids$"
+        with pytest.raises(GraphError, match=message):
+            Graph(["a", "b"], [edge])
+
     @pytest.mark.parametrize("labels", [[1, 2], ["a", None], ["a", b"b"], ["a", 1.5]])
     def test_non_string_label_rejected(self, labels):
         bad = next(lab for lab in labels if type(lab) is not str)
         message = f"^vertex label {re.escape(repr(bad))} is not a string$"
         with pytest.raises(GraphError, match=message):
             Graph(labels, [(0, 1)])
+        with pytest.raises(GraphError, match=message):
+            Graph.from_labeled_edges([tuple(labels)])
 
     def test_label_lookup(self):
         g = path_graph(3)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from powerdom import exact, milp
 from powerdom import propagation as prop
-from powerdom.errors import BudgetExceededError, ModelError
+from powerdom.errors import BudgetExceededError, ModelError, SolverInternalError
 from powerdom.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 from conftest import complete_bipartite, random_connected_graph, two_triangles_bridge
@@ -221,6 +221,15 @@ class TestSolveSmall:
             "y_v2__v3=0.5 is not integral", "y_v4__v3=0.5 is not integral"]
         assert milp.check_assignment(model, {k: float(v) for k, v in solved.items()}) == []
 
+    @pytest.mark.parametrize("value", ["1", None])
+    def test_check_reports_a_value_that_is_not_a_number(self, value):
+        """The value is reported as not integral, and the rows that name it
+        are skipped rather than summed."""
+        model = milp.build_model1(path_graph(3))
+        solved = milp.solve_small(model).assignment
+        assert milp.check_assignment(model, dict(solved, s_v1=value)) == [
+            f"s_v1={value!r} is not integral"]
+
 
 class TestRoundNumber:
     def test_p5_examples(self):
@@ -273,6 +282,26 @@ class TestPptSearch:
         with pytest.raises(BudgetExceededError):
             milp.ppt_by_search(g, budget=budget)
         assert milp.ppt_by_search(g, budget=exact.Budget(max_seconds=1000)) == 2
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_round_number_and_ppt_by_search_replay_the_decoded_schedule(monkeypatch, connected):
+    """Both answer from the decoded schedule, certified by replaying it: a
+    decoder that drops the last force is refused, as on the command line."""
+    decode = milp.decode_assignment
+
+    def drop_last_force(model, assignment):
+        chosen, trace = decode(model, assignment)
+        forces = trace.forces[:-1]
+        final = tuple(sorted(set(chosen) | {f.target for f in forces}))
+        return chosen, prop.PropagationTrace(chosen, forces, final)
+
+    monkeypatch.setattr(milp, "decode_assignment", drop_last_force)
+    message = "^method milp produced a non power dominating set$"
+    with pytest.raises(SolverInternalError, match=message):
+        milp.round_number(path_graph(5), 4, connected)
+    with pytest.raises(SolverInternalError, match=message):
+        milp.ppt_by_search(path_graph(5), connected)
 
 
 class TestExport:

@@ -189,6 +189,31 @@ def test_cli_solves_cpd_through_solve_cpds_only():
     assert found == []
 
 
+def test_cli_calls_no_private_function_of_another_module():
+    """The command line is a client of the library's public functions: it
+    calls no ``_``-prefixed name of another ``powerdom`` module. Reading a
+    private constant (``graph_io._INTEGER``) is not a call."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    modules, private = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = {alias.asname or alias.name for alias in node.names}
+            if node.module is None:
+                modules |= names
+            else:
+                private |= {name for name in names if name.startswith("_")}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in modules and func.attr.startswith("_")
+                    or isinstance(func, ast.Name) and func.id in private):
+                found.append(f"cli.py:{node.lineno}: {ast.unparse(func)}")
+    assert {"milp", "structural", "graph_io"} <= modules
+    assert found == []
+
+
 def test_cli_prints_every_trace_through_trace_lines():
     """The CLI reads no trace entry itself: ``propagation.trace_lines``
     prints a recorded trace from its run, without building its entries."""
