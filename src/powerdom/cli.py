@@ -163,11 +163,14 @@ def _batch_arguments(parser: argparse.ArgumentParser) -> None:
                         help="include wall-clock times (non-deterministic output)")
 
 
-def build_parser() -> _Parser:
-    """The top-level parser, with one empty parser per subcommand."""
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The top-level parser, with an empty parser for the subcommand that
+    ``argv[0]`` names (the only one argparse would dispatch to), or for all
+    eight when it names none, so that help and usage errors list them all."""
     parser = _Parser(prog="powerdom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
+    for name in argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS:
+        text, add_arguments, _ = _SUBCOMMANDS[name]
         sub.add_parser(name, help=text).add_arguments = add_arguments
     return parser
 
@@ -462,7 +465,8 @@ def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None,
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     source = stdin if stdin is not None else sys.stdin
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         try:
             args = parser.parse_args(argv)

@@ -25,10 +25,11 @@ where the search reaches it.
 from __future__ import annotations
 
 import time
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from . import propagation
-from .decomposition import connected_profile
+from .decomposition import CutVertexTaxonomy, connected_profile
 from .errors import BudgetExceededError, GraphError, PowerDomError, SolverInternalError
 from .graphs import Graph, _count, attach_leaves, bits_of, fresh_label, iter_bits
 
@@ -162,6 +163,25 @@ def _minimal_fort(nbr: list[int], closed: list[int], fort: int, deadline: float 
     return fort
 
 
+def _pendant_forts(taxonomy: CutVertexTaxonomy) -> list[int]:
+    """Minimal forts: the union of each pair of pendant paths of at most two
+    vertices hanging from one vertex, which sees both bases; a smaller fort
+    would keep all of each chain or none. Longer chains' unions are not minimal."""
+    forts = []
+    for chains in taxonomy.attached.values():
+        short = [bits_of(chain) for chain in chains if len(chain) <= 2]
+        forts += [a | b for a, b in combinations(short, 2)]
+    return forts
+
+
+def _hitters(closed: list[int], fort: int) -> int:
+    """The vertices whose closed neighborhood, ``closed``, meets ``fort``."""
+    hit = fort
+    for v in iter_bits(fort):
+        hit |= closed[v]
+    return hit
+
+
 def _packs_more_than(free: list[int], room: int) -> bool:
     """True when more than ``room`` of the hitter masks ``free`` are
     pairwise disjoint, taking them greedily, fewest hitters first."""
@@ -184,7 +204,9 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     every fort, and a failed closure leaves a fort uncolored. The search
     shrinks that fort to a minimal one (:func:`_minimal_fort`) and keeps
     the forts it learns across levels, each as the mask of its hitters
-    (the vertices whose closed neighborhood meets it). A node is a chosen
+    (the vertices whose closed neighborhood meets it). For power domination
+    the store starts with the short pendant-path forts of
+    :func:`_pendant_forts`, found without a closure. A node is a chosen
     set and a banned set. When more forts are missed than the level has
     vertices left, and a greedy packing of missed forts whose unbanned
     hitters are pairwise disjoint needs more than that, the node is cut:
@@ -205,15 +227,14 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     """
     if _count("rounds", rounds) < 1:
         raise GraphError("round budget must be at least 1")
-    if not forcing:
-        connected_profile(g)
+    seeded = [] if forcing else _pendant_forts(connected_profile(g).taxonomy)
     budget.check_size(g.n)
     deadline = budget.deadline()
     closure = propagation._unforced if forcing else propagation._uncolored
     nbr = [bits_of(row) for row in g.adj]
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     everyone = g.full_mask
-    hitters: list[int] = []
+    hitters = [_hitters(closed, fort) for fort in seeded]
     for k in range(1, g.n + 1):
         found: list[tuple[int, int]] = []  # last round, chosen
         stack = [(0, 0, 0)]  # chosen, banned, number chosen
@@ -230,8 +251,7 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
                 if gap:
                     hit = _minimal_fort(nbr, closed, gap, deadline)
                     if not forcing:
-                        for v in iter_bits(hit):
-                            hit |= closed[v]
+                        hit = _hitters(closed, hit)
                     hitters.append(hit)
                     branch = hit & ~banned
                 elif size == k:

@@ -138,7 +138,15 @@ class Graph:
     def from_labeled_edges(cls, pairs: Iterable[tuple[str, str]]) -> "Graph":
         """Build a graph from label pairs; indices follow first appearance."""
         tokens = list(chain.from_iterable(pairs))
-        labels = tuple(dict.fromkeys(tokens))  # first appearance, left end first
+        try:
+            labels = tuple(dict.fromkeys(tokens))  # first appearance, left end first
+        except TypeError:  # an unhashable token, which no str is
+            for label in tokens:
+                try:
+                    hash(label)
+                except TypeError:
+                    raise GraphError(f"vertex label {label!r} is not a string") from None
+            raise
         if not labels:
             raise GraphError("graph must have at least one vertex")
         if set(map(type, labels)) != {str}:  # one pass in C over the distinct labels

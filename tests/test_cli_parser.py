@@ -1,12 +1,13 @@
 """The command line's parser: help and usage bytes, help written to the
-caller's stream, and arguments added only to the subcommand that runs.
+caller's stream, and only the parser and arguments of the subcommand that
+runs built.
 
 The table below holds, for each argv, the exit code and the sha256 sums of
 stdout and stderr, recorded with ``COLUMNS=80`` (argparse wraps help text
 to the terminal width). It covers the top-level help, each subcommand's
-help, and usage errors: no command, an unknown command, an unknown option
-on four subcommands, bad choices, missing required arguments, refused
-budget values, and number flags (--budget-n, --T, --c, --k and
+help, and usage errors: no command, an unknown command, an option before
+the command, an unknown option on four subcommands, bad choices, missing
+required arguments, refused budget values, and number flags (--budget-n, --T, --c, --k and
 --budget-seconds) given digits that are not ASCII, an underscore,
 padding, ``inf`` or a decimal that overflows to it (``1e999``), which
 int() and float() alone would read. A
@@ -27,6 +28,7 @@ from collections import Counter
 
 import pytest
 
+from powerdom import cli
 from powerdom.cli import main
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -106,6 +108,9 @@ DIGESTS = {
         (1, EMPTY, "33862d3da8bdf5e661c0082c9cbe6881dde9e1b6fb32df3c497b23ca38754607"),
     ("gadget", "--kind", "zf-reduction", "--k", "\u0663"):
         (1, EMPTY, "079568f329ba4360328b61657e5a71642e53f8ddd012396113a53f7fefe62ac3"),
+    # usage error: unrecognized arguments: --json
+    ("--json", "solve", "g.edges"):
+        (1, EMPTY, "910aad34e95ccc58d7ddc9e42c14a4cf788e46f7b8f589ac7bcddc51145f4616"),
 }
 
 
@@ -174,3 +179,26 @@ def test_one_call_adds_arguments_to_the_chosen_subcommand_only(argv, chosen, mon
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
     run(argv)
     assert set(added) == (set() if chosen is None else {f"powerdom {chosen}"})
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    (("ppt", TREE), 2), (("check", TREE, "--set", "c1,c2"), 2),
+] + [((name, "-h"), 2) for name in SUBCOMMANDS] + [
+    (("-h",), 9), (("frobnicate",), 9), ((), 9), (("--json", "solve", TREE), 9),
+], ids=["ppt run", "check run"] + [f"{name} -h" for name in SUBCOMMANDS] + [
+    "-h", "frobnicate", "(none)", "--json solve"])
+def test_one_call_builds_the_parser_of_the_subcommand_it_names(argv, parsers, monkeypatch):
+    """A call that names a subcommand first builds the top-level parser
+    and that subcommand's only, the one argparse dispatches to; any other
+    argv builds all eight, so that help, usage and "invalid choice" list
+    every subcommand."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    run(argv)
+    assert len(built) == parsers

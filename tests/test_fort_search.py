@@ -18,6 +18,7 @@ import io
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from powerdom import exact, graph_io, propagation
 from powerdom.cli import main
+from powerdom.decomposition import connected_profile
 from powerdom.graphs import Graph
 
 from conftest import (
@@ -97,6 +99,24 @@ def test_matches_subset_reference_property(g, rounds):
     assert_matches_reference(g, g.n if rounds is None else rounds)
 
 
+def seeded_forts(search) -> list[int]:
+    """The forts the fort search starts its store with while ``search()`` runs."""
+    seeded = []
+    pendant_forts = exact._pendant_forts
+
+    def recording(*args):
+        forts = pendant_forts(*args)
+        seeded.extend(forts)
+        return forts
+
+    exact._pendant_forts = recording
+    try:
+        search()
+    finally:
+        exact._pendant_forts = pendant_forts
+    return seeded
+
+
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(), st.sampled_from([1, 2, None]))
 def test_every_learned_fort_is_a_fort(g, rounds):
@@ -111,11 +131,12 @@ def test_every_learned_fort_is_a_fort(g, rounds):
 
     propagation._uncolored = recording
     try:
-        exact.l_round_pd(g, g.n if rounds is None else rounds)
+        seeded = seeded_forts(lambda: exact.l_round_pd(g, g.n if rounds is None else rounds))
     finally:
         propagation._uncolored = closure
-    assert learned  # the empty set's closure always leaves a fort
-    for gap in learned:
+    # the empty set misses a seeded fort or its closure leaves one
+    assert seeded or learned
+    for gap in seeded + learned:
         assert naive_is_fort(g, {v for v in range(g.n) if gap >> v & 1})
 
 
@@ -183,22 +204,73 @@ def stored_forts(search) -> list[int]:
     return stored
 
 
+def assert_minimal_fort(g: Graph, mask: int) -> None:
+    fort = {v for v in range(g.n) if mask >> v & 1}
+    assert naive_is_fort(g, fort)
+    outside = set(range(g.n)) - fort
+    for v in fort:
+        # no fort lies inside the fort without v
+        assert fort <= naive_propagate(g, outside | {v}, dominate=False)
+
+
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(), st.sampled_from([1, 2, None]), st.booleans())
 def test_every_stored_fort_is_minimal(g, rounds, forcing):
+    seeded = []
     if forcing:
         stored = stored_forts(lambda: exact.min_zero_forcing(g))
     else:
-        stored = stored_forts(
-            lambda: exact.l_round_pd(g, g.n if rounds is None else rounds))
-    assert stored  # the empty set's closure always leaves a fort
-    for mask in stored:
-        fort = {v for v in range(g.n) if mask >> v & 1}
-        assert naive_is_fort(g, fort)
-        outside = set(range(g.n)) - fort
-        for v in fort:
-            # no fort lies inside the fort without v
-            assert fort <= naive_propagate(g, outside | {v}, dominate=False)
+        stored = stored_forts(lambda: seeded.extend(seeded_forts(
+            lambda: exact.l_round_pd(g, g.n if rounds is None else rounds))))
+    # the empty set misses a seeded fort or its closure leaves one
+    assert seeded or stored
+    for mask in seeded + stored:
+        assert_minimal_fort(g, mask)
+
+
+@st.composite
+def graphs_with_pendant_paths(draw) -> Graph:
+    """A connected graph with pendant paths of one to three vertices hung
+    from some of its vertices, several from one vertex."""
+    base = draw(connected_graphs())
+    labels, edges = list(base.labels), list(base.edges())
+    for _ in range(draw(st.integers(1, 8))):
+        previous = draw(st.integers(0, base.n - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            labels.append(str(len(labels)))
+            edges.append((previous, len(labels) - 1))
+            previous = len(labels) - 1
+    return Graph(labels, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_pendant_paths())
+def test_every_pendant_fort_is_a_minimal_fort(g):
+    for mask in exact._pendant_forts(connected_profile(g).taxonomy):
+        assert_minimal_fort(g, mask)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_hubs_need_one_closure_and_learn_no_fort(k):
+    """The forts of hubs(k) are its leaf pairs, so the search starts with
+    all it needs: one closure accepts the spine, and nothing is learned."""
+    calls = Counter()
+    closure, shrink = propagation._uncolored, exact._minimal_fort
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    propagation._uncolored = counting("closure", closure)
+    exact._minimal_fort = counting("shrink", shrink)
+    try:
+        result = exact.min_pds(hubs(k))
+    finally:
+        propagation._uncolored, exact._minimal_fort = closure, shrink
+    assert result.witness == tuple(range(k))
+    assert calls == {"closure": 1}
 
 
 def least_ppt(g: Graph, result: exact.SolveResult) -> int:

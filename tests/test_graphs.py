@@ -116,6 +116,16 @@ class TestConstruction:
         with pytest.raises(GraphError, match=message):
             Graph.from_labeled_edges([tuple(labels)])
 
+    @pytest.mark.parametrize("pairs,bad", [
+        ([([1], "a")], [1]),
+        ([("a", {"x": 1})], {"x": 1}),
+        ([("a", "b"), ("c", [2]), ({3}, "d")], [2]),
+    ])
+    def test_unhashable_label_rejected(self, pairs, bad):
+        message = f"^vertex label {re.escape(repr(bad))} is not a string$"
+        with pytest.raises(GraphError, match=message):
+            Graph.from_labeled_edges(pairs)
+
     def test_label_lookup(self):
         g = path_graph(3)
         assert g.index("v2") == 1
