@@ -164,12 +164,13 @@ def _minimal_fort(nbr: list[int], closed: list[int], fort: int, deadline: float 
 
 
 def _pendant_forts(taxonomy: CutVertexTaxonomy) -> list[int]:
-    """Minimal forts: the union of each pair of pendant paths of at most two
-    vertices hanging from one vertex, which sees both bases; a smaller fort
-    would keep all of each chain or none. Longer chains' unions are not minimal."""
+    """Minimal forts: each union of two of the first three pendant paths of at
+    most two vertices at one vertex, which sees both bases; a smaller fort keeps
+    all of a path or none. Longer paths give no minimal fort, and pairing all d
+    paths would grow the store that every search node scans as d squared."""
     forts = []
     for chains in taxonomy.attached.values():
-        short = [bits_of(chain) for chain in chains if len(chain) <= 2]
+        short = [bits_of(chain) for chain in chains if len(chain) <= 2][:3]
         forts += [a | b for a, b in combinations(short, 2)]
     return forts
 
@@ -227,14 +228,14 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     """
     if _count("rounds", rounds) < 1:
         raise GraphError("round budget must be at least 1")
-    seeded = [] if forcing else _pendant_forts(connected_profile(g).taxonomy)
+    taxonomy = None if forcing else connected_profile(g).taxonomy
     budget.check_size(g.n)
     deadline = budget.deadline()
     closure = propagation._unforced if forcing else propagation._uncolored
     nbr = [bits_of(row) for row in g.adj]
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     everyone = g.full_mask
-    hitters = [_hitters(closed, fort) for fort in seeded]
+    hitters = [] if forcing else [_hitters(closed, fort) for fort in _pendant_forts(taxonomy)]
     for k in range(1, g.n + 1):
         found: list[tuple[int, int]] = []  # last round, chosen
         stack = [(0, 0, 0)]  # chosen, banned, number chosen

@@ -322,6 +322,19 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             exact.min_zero_forcing(g, tight)
 
+    def test_size_is_refused_before_the_pendant_forts_are_built(self, monkeypatch):
+        """A star's leaf pairs are quadratic in its leaves, so a star over
+        the vertex budget is refused before any of them is built."""
+        def refuse(taxonomy):
+            raise AssertionError("pendant forts built for a graph over the budget")
+
+        monkeypatch.setattr(exact, "_pendant_forts", refuse)
+        star = complete_bipartite(1, 3000)
+        with pytest.raises(BudgetExceededError):
+            exact.min_pds(star)
+        with pytest.raises(BudgetExceededError):
+            exact.l_round_pd(star, 2)
+
     @pytest.mark.parametrize("field,value", [
         ("max_vertices", None), ("max_vertices", -1), ("max_vertices", True),
         ("max_vertices", 24.0), ("max_seconds", float("nan")), ("max_seconds", -0.5),

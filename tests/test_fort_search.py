@@ -250,6 +250,18 @@ def test_every_pendant_fort_is_a_minimal_fort(g):
         assert_minimal_fort(g, mask)
 
 
+def test_a_vertex_seeds_at_most_three_forts():
+    """Every two of a star's d leaves make a fort, but a store of all
+    d(d-1)/2, which every search node scans, made min_pds on a 400-leaf
+    star 60 times slower than learning them; the seed pairs three leaves."""
+    star = Graph([str(i) for i in range(41)], [(0, i) for i in range(1, 41)])
+    forts = exact._pendant_forts(connected_profile(star).taxonomy)
+    assert len(forts) == 3
+    for mask in forts:
+        assert_minimal_fort(star, mask)
+    assert exact.min_pds(star, exact.Budget(max_vertices=41)).all_optima == ((0,),)
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_hubs_need_one_closure_and_learn_no_fort(k):
     """The forts of hubs(k) are its leaf pairs, so the search starts with
