@@ -46,13 +46,6 @@ class _Parser(argparse.ArgumentParser):
     def print_help(self, file=None):  # main writes it to its own stdout
         raise _Help(self.format_help())
 
-    def parse_known_args(self, args=None, namespace=None):
-        # a subcommand's parser gets its arguments only once it is chosen
-        add_arguments = vars(self).pop("add_arguments", None)
-        if add_arguments is not None:
-            add_arguments(self)
-        return super().parse_known_args(args, namespace)
-
 
 def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="graph file, or - for stdin")
@@ -164,14 +157,18 @@ def _batch_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser(argv: Sequence[str] = ()) -> _Parser:
-    """The top-level parser, with an empty parser for the subcommand that
-    ``argv[0]`` names (the only one argparse would dispatch to), or for all
-    eight when it names none, so that help and usage errors list them all."""
+    """The parser of the subcommand that ``argv[0]`` names, which parses
+    ``argv[1:]``; for any other argv the top-level parser, with all eight
+    subcommands and their arguments, so that help and usage errors list
+    them all."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = _Parser(prog=f"powerdom {argv[0]}")
+        _SUBCOMMANDS[argv[0]][1](parser)
+        return parser
     parser = _Parser(prog="powerdom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in argv[:1] if argv and argv[0] in _SUBCOMMANDS else _SUBCOMMANDS:
-        text, add_arguments, _ = _SUBCOMMANDS[name]
-        sub.add_parser(name, help=text).add_arguments = add_arguments
+    for name, (text, add_arguments, _) in _SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
@@ -466,14 +463,15 @@ def main(argv: Sequence[str] | None = None, stdout: IO[str] | None = None,
     err = stderr if stderr is not None else sys.stderr
     source = stdin if stdin is not None else sys.stdin
     argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     parser = build_parser(argv)
     try:
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(argv if command is None else argv[1:])
         except _Help as shown:
             out.write(str(shown))
             return 0
-        return _SUBCOMMANDS[args.command][2](args, out, err, source)
+        return _SUBCOMMANDS[command or args.command][2](args, out, err, source)
     except (BudgetExceededError, DisconnectedError) as exc:
         err.write(f"infeasible: {exc}\n")
         return 2

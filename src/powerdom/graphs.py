@@ -248,12 +248,13 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def _induced_rows(self, keep: Sequence[int]
+    def _induced_rows(self, keep: Sequence[int], adj: Sequence[Sequence[int]] | None = None
                       ) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
         """Rows of the subgraph induced by the sorted, distinct ids ``keep``,
-        plus the old-index -> new-index map."""
+        plus the old-index -> new-index map; ``adj[v]`` (``self.adj`` by
+        default) must hold v's neighbors in ``keep``."""
         remap = dict(zip(keep, range(len(keep))))
-        adj = self.adj
+        adj = self.adj if adj is None else adj
         return tuple([tuple([remap[w] for w in adj[u] if w in remap]) for u in keep]), remap
 
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:

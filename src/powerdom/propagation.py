@@ -37,7 +37,7 @@ from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .errors import NotPowerDominatingError, PowerDomError
-from .graphs import Graph, _mask_of
+from .graphs import Graph, _count, _mask_of
 
 DOMINATE = "dominate"
 FORCE = "force"
@@ -261,7 +261,7 @@ def colors_within(g: Graph, s: Iterable[int], rounds: int) -> bool:
     n rounds always suffice for a non-empty set.
     """
     seeds = g._vertex_ids(s)
-    if rounds < 1 or not seeds:
+    if _count("rounds", rounds) < 1 or not seeds:
         return False
     front, _, _ = _propagate(g, seeds, dominate=True, limit=rounds)
     return front.total == g.n

@@ -13,7 +13,7 @@ certified, once, on the whole graph.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import exact
 from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
@@ -182,14 +182,48 @@ def _piece_vertices(blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[i
     return verts
 
 
+def _hub_rows(g: Graph, mandatory: Iterable[int]
+              ) -> tuple[list[Sequence[int]], dict[int, frozenset[int] | None]]:
+    """A copy of the rows of ``g`` for :func:`_cut_rows` to cut, and the
+    hubs, the mandatory vertices with rows of over 32 entries."""
+    adj = g.adj
+    return list(adj), {a: None for a in mandatory if len(adj[a]) > 32}
+
+
+def _cut_rows(g: Graph, rows: list[Sequence[int]], hubs: dict[int, frozenset[int] | None],
+              vertices: list[int], blk: Sequence[int]) -> None:
+    """Point ``rows[a]`` of each hub ``a`` of the block ``blk`` at its
+    neighbors among the piece's ``vertices`` when its row is over eight
+    times longer than the piece, looked up in the set of the row that
+    ``hubs`` keeps once built; else at its row. Only a mandatory vertex's
+    row leaves its piece, and one that is no hub's is at most 32 long, so
+    reading the pieces' rows costs O(m) plus a constant per piece vertex,
+    where reading a hub's whole row for each of its pieces took quadratic
+    time."""
+    for a in hubs.keys() & blk:
+        row = g.adj[a]
+        if len(row) > 8 * len(vertices):
+            near = hubs[a]
+            if near is None:
+                near = hubs[a] = frozenset(row)
+            row = [v for v in vertices if v in near]
+        rows[a] = row
+
+
 def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
     """Each nontrivial block together with the pendant paths attached to its
     vertices, as a :data:`Piece`; no graph is built."""
     info = connected_profile(g)
-    dec = info.decomposition
-    pieces = [(blk, _piece_vertices(blk, info.taxonomy))
-              for blk, trivial in zip(dec.blocks, dec.trivial) if not trivial]
-    return [(blk, vertices, g._induced_rows(vertices)[0]) for blk, vertices in pieces]
+    dec, taxonomy = info.decomposition, info.taxonomy
+    rows, hubs = _hub_rows(g, taxonomy.mandatory)
+    pieces = []
+    for blk, trivial in zip(dec.blocks, dec.trivial):
+        if not trivial:
+            vertices = _piece_vertices(blk, taxonomy)
+            if hubs:
+                _cut_rows(g, rows, hubs, vertices, blk)
+            pieces.append((blk, vertices, g._induced_rows(vertices, rows)[0]))
+    return pieces
 
 
 def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
@@ -213,11 +247,11 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
     if info.graph_class.path or info.graph_class.cycle:
         return certify(g, (0,), method, connected=True)
     dec, taxonomy = info.decomposition, info.taxonomy
-    adj = g.adj
     bit = [0] * g.n  # 1 << local id for each vertex of the piece at hand, else 0
     bit_of = bit.__getitem__
     deadline = budget.deadline()
     mandatory = set(taxonomy.mandatory)
+    rows, hubs = _hub_rows(g, mandatory)
     # a mandatory vertex in no nontrivial block is the hub of a spider
     union = set(mandatory)
     added = 0  # vertices the blocks' witnesses hold beyond their anchors
@@ -240,10 +274,12 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
             if len(vertices) > budget.max_vertices:  # refused before its masks are built
                 exact._check_deadline(deadline)  # a spent deadline outranks an oversized piece
                 budget.check_size(len(vertices))
+            if hubs:
+                _cut_rows(g, rows, hubs, vertices, blk)
             for i, v in enumerate(vertices):
                 bit[v] = 1 << i
             # the bits summed are distinct, so each sum is a neighbor mask
-            key = tuple([sum(map(bit_of, adj[v])) for v in vertices]), sum(map(bit_of, inside))
+            key = tuple([sum(map(bit_of, rows[v])) for v in vertices]), sum(map(bit_of, inside))
             for v in vertices:
                 bit[v] = 0
             local = solved.get(key)

@@ -6,8 +6,9 @@ The table below holds, for each argv, the exit code and the sha256 sums of
 stdout and stderr, recorded with ``COLUMNS=80`` (argparse wraps help text
 to the terminal width). It covers the top-level help, each subcommand's
 help, and usage errors: no command, an unknown command, an option before
-the command, an unknown option on four subcommands, bad choices, missing
-required arguments, refused budget values, and number flags (--budget-n, --T, --c, --k and
+the command (with a subcommand's -h after it, its help), an unknown
+option on four subcommands, bad choices, missing required arguments,
+refused budget values, and number flags (--budget-n, --T, --c, --k and
 --budget-seconds) given digits that are not ASCII, an underscore,
 padding, ``inf`` or a decimal that overflows to it (``1e999``), which
 int() and float() alone would read. A
@@ -111,6 +112,12 @@ DIGESTS = {
     # usage error: unrecognized arguments: --json
     ("--json", "solve", "g.edges"):
         (1, EMPTY, "910aad34e95ccc58d7ddc9e42c14a4cf788e46f7b8f589ac7bcddc51145f4616"),
+    # an option first, then a subcommand's -h: that subcommand's help, as for "solve -h"
+    ("--json", "solve", "-h"):
+        (0, "4880f9b2c26425c5623bdb6926695630305706bf56f29722964e7c8cfec912e7", EMPTY),
+    # usage error: unrecognized arguments: -x
+    ("-x", "check", "g", "--set", "a"):
+        (1, EMPTY, "f2c03e6d909f0381f7768990fd98ab37a8a65776d0fdaa17e845e84f8ed0e0c0"),
 }
 
 
@@ -160,14 +167,16 @@ def test_help_of_the_module_entry_point(columns80):
 
 
 @pytest.mark.parametrize("argv,chosen", [
-    (("-h",), None), (("frobnicate",), None), ((), None),
+    (("-h",), None), (("frobnicate",), None), ((), None), (("--json", "solve", TREE), None),
     (("ppt", TREE), "ppt"), (("check", TREE, "--set", "c1,c2"), "check"),
 ] + [((name, "-h"), name) for name in SUBCOMMANDS], ids=[
-    "-h", "frobnicate", "(none)", "ppt run", "check run"] + [f"{name} -h" for name in SUBCOMMANDS])
+    "-h", "frobnicate", "(none)", "--json solve", "ppt run", "check run"] + [
+    f"{name} -h" for name in SUBCOMMANDS])
 def test_one_call_adds_arguments_to_the_chosen_subcommand_only(argv, chosen, monkeypatch):
     """Building every subcommand's arguments on every call cost more than
-    an oracle op's search; only the parser argparse dispatches to gets
-    arguments beyond -h, and with no valid command none does."""
+    an oracle op's search; a call that names a subcommand first adds that
+    subcommand's arguments only, and any other argv adds all eight's, so
+    that help and usage errors show every subcommand."""
     added = Counter()
     add_argument = argparse._ActionsContainer.add_argument
 
@@ -178,20 +187,21 @@ def test_one_call_adds_arguments_to_the_chosen_subcommand_only(argv, chosen, mon
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
     run(argv)
-    assert set(added) == (set() if chosen is None else {f"powerdom {chosen}"})
+    names = SUBCOMMANDS if chosen is None else (chosen,)
+    assert set(added) == {f"powerdom {name}" for name in names}
 
 
 @pytest.mark.parametrize("argv,parsers", [
-    (("ppt", TREE), 2), (("check", TREE, "--set", "c1,c2"), 2),
-] + [((name, "-h"), 2) for name in SUBCOMMANDS] + [
+    (("ppt", TREE), 1), (("check", TREE, "--set", "c1,c2"), 1),
+] + [((name, "-h"), 1) for name in SUBCOMMANDS] + [
     (("-h",), 9), (("frobnicate",), 9), ((), 9), (("--json", "solve", TREE), 9),
 ], ids=["ppt run", "check run"] + [f"{name} -h" for name in SUBCOMMANDS] + [
     "-h", "frobnicate", "(none)", "--json solve"])
 def test_one_call_builds_the_parser_of_the_subcommand_it_names(argv, parsers, monkeypatch):
-    """A call that names a subcommand first builds the top-level parser
-    and that subcommand's only, the one argparse dispatches to; any other
-    argv builds all eight, so that help, usage and "invalid choice" list
-    every subcommand."""
+    """A call that names a subcommand first builds that subcommand's
+    parser alone and parses the rest of argv with it; any other argv
+    builds the top-level parser and all eight, so that help, usage and
+    "invalid choice" list every subcommand."""
     built = []
     init = cli._Parser.__init__
 
@@ -202,3 +212,5 @@ def test_one_call_builds_the_parser_of_the_subcommand_it_names(argv, parsers, mo
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     run(argv)
     assert len(built) == parsers
+    if parsers == 1:
+        assert built == [f"powerdom {argv[0]}"]

@@ -511,11 +511,15 @@ def test_every_vertex_id_goes_through_one_validator(entry):
     (complete_graph, "n", "3"),
     (lambda rounds: exact.l_round_pd(path_graph(4), rounds), "rounds", 1.5),
     (lambda rounds: exact.l_round_cpd(path_graph(4), rounds), "rounds", True),
+    (lambda rounds: propagation.colors_within(path_graph(4), [1], rounds), "rounds", True),
+    (lambda rounds: propagation.colors_within(path_graph(4), [1], rounds), "rounds", 2.5),
+    (lambda rounds: propagation.colors_within(path_graph(4), [1], rounds), "rounds", "3"),
     (lambda k: exact.zf_to_cpd_gadget(path_graph(4), k), "k", True),
     (spread.make_path_gadget, "c", True),
     (spread.make_cycle_gadget, "c", 2.0),
 ], ids=["build_model1", "round_number", "attach_leaves", "cycle_graph", "path_graph",
-        "complete_graph", "l_round_pd", "l_round_cpd", "zf_to_cpd_gadget", "make_path_gadget",
+        "complete_graph", "l_round_pd", "l_round_cpd", "colors_within-bool",
+        "colors_within-float", "colors_within-str", "zf_to_cpd_gadget", "make_path_gadget",
         "make_cycle_gadget"])
 def test_a_count_that_is_not_an_int_is_refused_by_name(make, name, value):
     """A float, a bool or a string in place of a count raises one line
@@ -526,6 +530,11 @@ def test_a_count_that_is_not_an_int_is_refused_by_name(make, name, value):
         make(value)
     assert str(info.value) == f"{name} must be an int, not {value!r}"
     make(int(value))
+
+
+def test_colors_within_refuses_rounds_of_none_by_name():
+    with pytest.raises(GraphError, match=r"^rounds must be an int, not None$"):
+        propagation.colors_within(path_graph(4), [1], None)
 
 
 class TestConnectivityHelpers:

@@ -232,3 +232,17 @@ def test_every_benchmark_record_holds_the_shared_keys():
     missing = {path.name: sorted(shared - json.loads(path.read_text(encoding="utf-8")).keys())
                for path in records}
     assert {name: keys for name, keys in missing.items() if keys} == {}
+
+
+def test_the_cli_parser_overrides_only_error_and_print_help():
+    """``cli._Parser`` turns argparse's exits into exceptions for ``main``
+    and nothing more: a call that names a subcommand parses with that
+    subcommand's own parser, so no hook in ``parse_known_args`` or
+    elsewhere adds arguments at parse time."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    parsers = [node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "_Parser"]
+    assert len(parsers) == 1
+    defined = {node.name for node in parsers[0].body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert defined == {"error", "print_help"}

@@ -320,6 +320,23 @@ def chorded_cactus(rng: random.Random, n: int) -> Graph:
     return Graph(g.labels, list(g.edges()) + [(ring[i], ring[j])])
 
 
+def hub_block_tree(rng: random.Random, n: int) -> Graph:
+    """General blocks, triangles and single edges, three in four hung on
+    vertex 0 or 1, so that those two are hubs of many pieces with rows far
+    longer than any piece."""
+    edges: list[tuple[int, int]] = []
+    count = 1
+    while count < n:
+        size, block = rng.choice(GENERAL_BLOCKS + ((3, ((0, 1), (1, 2), (0, 2))), (2, ((0, 1),))))
+        if count + size - 1 > n:
+            size, block = 2, ((0, 1),)
+        attach = rng.randrange(min(count, 2)) if rng.random() < 0.75 else rng.randrange(count)
+        members = [attach] + list(range(count, count + size - 1))
+        count += size - 1
+        edges += [(members[a], members[b]) for a, b in block]
+    return Graph([str(i) for i in range(n)], edges)
+
+
 def block_kinds(g: Graph) -> set[str]:
     """The kinds of g's nontrivial blocks: the decomposition solves a clique,
     a bridge or a cycle of 4 or more vertices in place, and searches every
@@ -352,6 +369,7 @@ class TestPieceTable:
         "tree_with_chords": lambda rng, n: subdivide_block_edge(
             rng, random_tree_with_chords(rng, n, n // 10)),
         "chorded_cactus": lambda rng, n: subdivide_block_edge(rng, chorded_cactus(rng, n)),
+        "hub_block_tree": hub_block_tree,
     }
     # the kinds of block each family must show, summed over its graphs
     KINDS = {
@@ -359,6 +377,7 @@ class TestPieceTable:
         "block_graph": {"bridge", "clique", "cycle"},
         "tree_with_chords": {"bridge", "clique", "cycle", "general"},
         "chorded_cactus": {"bridge", "clique", "cycle", "general"},
+        "hub_block_tree": {"bridge", "clique", "general"},
     }
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -380,6 +399,19 @@ class TestPieceTable:
             kinds |= block_kinds(g)
         assert repeated >= 10
         assert self.KINDS[family] <= kinds
+
+    def test_a_hubs_row_cut_to_its_piece_is_its_induced_row(self):
+        """A hub's row is read through each piece far shorter than it; the
+        rows of every piece are those of the piece's induced subgraph."""
+        rng = random.Random("pieces/hubs")
+        cut = 0
+        for _ in range(20):
+            g = hub_block_tree(rng, rng.randint(60, 200))
+            longest = max(map(len, g.adj))
+            for blk, vertices, rows in structural.nontrivial_block_subgraphs(g):
+                assert rows == g.induced_subgraph(vertices)[0].adj
+                cut += longest > max(32, 8 * len(vertices))
+        assert cut >= 100
 
     def test_each_general_piece_gets_the_subject_to_witness(self):
         """The decomposition runs the growth search on each general piece
@@ -613,6 +645,48 @@ class TestPieceTable:
         edges = [(i, (i + 1) % 25) for i in range(25)] + [(0, 12), (3, 25), (3, 26), (25, 26)]
         with pytest.raises(BudgetExceededError, match="graph has 25 vertices, budget allows 24"):
             structural.decompose_cpds(Graph(labels, edges))
+
+
+def flower(k: int, petal: str) -> Graph:
+    """k petals on one hub, vertex 0: diamonds (K4 less the edge from the
+    hub to the petal's far vertex), general blocks, or triangles with a
+    leaf, cliques."""
+    edges = []
+    for i in range(k):
+        x, y, z = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(0, x), (0, y), (x, y), (y, z)] + ([(x, z)] if petal == "diamond" else [])
+    return Graph([f"v{i}" for i in range(3 * k + 1)], edges)
+
+
+@pytest.mark.parametrize("petal,solve", [
+    ("diamond", structural.solve_cpds),
+    ("diamond", structural.nontrivial_block_subgraphs),
+    ("triangle", structural.nontrivial_block_subgraphs),
+], ids=["diamond-solve_cpds", "diamond-pieces", "triangle-pieces"])
+def test_a_hub_of_many_pieces_is_read_in_linear_time(petal, solve):
+    """Every row entry read, the analysis and the certification included,
+    is counted: a flower of 200 petals reads at most 8 (n + m) of them. A
+    piece used to read its hub's whole row, 400 entries, so the flower
+    read about 50 (n + m) entries, and k petals took O(k^2) time."""
+    reads = [0]
+
+    class Row(tuple):
+        def __iter__(self):
+            reads[0] += len(self)
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            reads[0] += len(range(len(self))[i]) if isinstance(i, slice) else 1
+            return super().__getitem__(i)
+
+        def __contains__(self, v):
+            reads[0] += len(self)
+            return super().__contains__(v)
+
+    g = flower(200, petal)
+    g.adj = tuple(map(Row, g.adj))
+    solve(g)
+    assert 0 < reads[0] <= 8 * (g.n + g.m)
 
 
 class TestAutoDispatch:
