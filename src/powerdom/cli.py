@@ -313,12 +313,12 @@ def _cmd_model(args, out, err, stdin) -> int:
 def _cmd_decompose(args, out, err, stdin) -> int:
     g = _load(args, stdin)
     budget = _budget(args)
-    mandatory = classify_cut_vertices(g).mandatory
-    record = {"mandatory": list(g.labels_of(mandatory)), "blocks": []}
+    taxonomy = classify_cut_vertices(g)
+    record = {"mandatory": list(g.labels_of(taxonomy.mandatory)), "blocks": []}
     lines = [f"mandatory: {' '.join(record['mandatory'])}"]
     result = structural.decompose_cpds(g, budget=budget)
-    anchors = set(mandatory)
-    for i, (core, vertices, _) in enumerate(structural.nontrivial_block_subgraphs(g), start=1):
+    anchors = taxonomy.mandatory_set
+    for i, (core, vertices) in enumerate(structural.nontrivial_block_subgraphs(g), start=1):
         block = {"core": list(g.labels_of(core)),
                  "anchors": list(g.labels_of(v for v in core if v in anchors)),
                  "size": len(vertices)}

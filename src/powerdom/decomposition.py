@@ -91,6 +91,10 @@ class CutVertexTaxonomy(_Taxonomy):
         return frozenset(self.r1)
 
     @cached_property
+    def mandatory_set(self) -> frozenset[int]:
+        return frozenset(self.mandatory)
+
+    @cached_property
     def attached(self) -> dict[int, list[tuple[int, ...]]]:
         """The chains of the pendant paths hanging from each vertex."""
         return {v: [chain for _, chain in paths]

@@ -248,21 +248,14 @@ class Graph:
 
     # -- derived graphs ---------------------------------------------------
 
-    def _induced_rows(self, keep: Sequence[int], adj: Sequence[Sequence[int]] | None = None
-                      ) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-        """Rows of the subgraph induced by the sorted, distinct ids ``keep``,
-        plus the old-index -> new-index map; ``adj[v]`` (``self.adj`` by
-        default) must hold v's neighbors in ``keep``."""
-        remap = dict(zip(keep, range(len(keep))))
-        adj = self.adj if adj is None else adj
-        return tuple([tuple([remap[w] for w in adj[u] if w in remap]) for u in keep]), remap
-
     def induced_subgraph(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph plus the old-index -> new-index map."""
         keep = self._vertex_ids(vertices)
         if not keep:
             raise GraphError("an induced subgraph needs one or more vertices of the graph")
-        rows, remap = self._induced_rows(keep)
+        remap = dict(zip(keep, range(len(keep))))
+        adj = self.adj
+        rows = [tuple([remap[w] for w in adj[u] if w in remap]) for u in keep]
         return Graph._from_rows([self.labels[v] for v in keep], rows), remap
 
     def delete_vertex(self, v: int) -> "Graph":

@@ -4,16 +4,16 @@ The tree, block graph, cactus and decomposition solvers are class checks
 in front of one core, :func:`_by_blocks`. It solves each nontrivial block
 subject to the mandatory vertices it holds and recombines: a clique or a
 bridge needs those vertices, a longer cycle all but one largest
-excludable segment, and any other block, with its pendant paths, the exact search
-for the smallest solution containing them. So a tree or a block graph
-gets its mandatory set, and a path or a cycle one vertex. A piece is
-searched on its neighbor masks alone; only the recombined witness is
-certified, once, on the whole graph.
+excludable segment, and any other block, with the pendant paths of its
+other vertices, the exact search for the smallest solution containing
+them. So a tree or a block graph gets its mandatory set, and a path or a
+cycle one vertex. A piece is searched on its neighbor masks alone; only
+the recombined witness is certified, once, on the whole graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import exact
 from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
@@ -163,31 +163,25 @@ def cactus_cpds(g: Graph) -> SolveResult:
     return _by_blocks(g, exact.METHOD_CACTUS)
 
 
-Piece = tuple[tuple[int, ...], list[int], tuple[tuple[int, ...], ...]]
-"""One nontrivial block with its pendant paths, as (core, vertices, rows):
-the block's vertices, the piece's sorted global vertex ids, and its rows
-over local ids (local id i is ``vertices[i]``). The decomposition builds
-no graph of a piece: it searches a general one on masks over the same ids."""
-
-
 def _piece_vertices(blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[int]:
-    """The sorted vertices of one block and of the pendant paths it wears,
-    which meet neither the block nor each other."""
-    attached = taxonomy.attached
+    """The sorted vertices of one block and of the pendant paths hung on its
+    vertices that are not mandatory, which meet neither the block nor each
+    other: the piece the decomposition searches.
+
+    An anchor's paths stay out. The anchor is in every witness and
+    dominates a path's base, the path then forces down to its leaf, and
+    only the anchor touches the path. So no smallest connected set holds a
+    path vertex, as dropping the deepest one keeps it connected and power
+    dominating, and the piece's optima are those of the block with every
+    path it wears."""
+    attached, mandatory = taxonomy.attached, taxonomy.mandatory_set
     verts = list(blk)
     for v in blk:
-        for chain in attached.get(v, ()):
-            verts += chain
+        if v not in mandatory:
+            for chain in attached.get(v, ()):
+                verts += chain
     verts.sort()
     return verts
-
-
-def _hub_rows(g: Graph, mandatory: Iterable[int]
-              ) -> tuple[list[Sequence[int]], dict[int, frozenset[int] | None]]:
-    """A copy of the rows of ``g`` for :func:`_cut_rows` to cut, and the
-    hubs, the mandatory vertices with rows of over 32 entries."""
-    adj = g.adj
-    return list(adj), {a: None for a in mandatory if len(adj[a]) > 32}
 
 
 def _cut_rows(g: Graph, rows: list[Sequence[int]], hubs: dict[int, frozenset[int] | None],
@@ -210,20 +204,14 @@ def _cut_rows(g: Graph, rows: list[Sequence[int]], hubs: dict[int, frozenset[int
         rows[a] = row
 
 
-def nontrivial_block_subgraphs(g: Graph) -> list[Piece]:
-    """Each nontrivial block together with the pendant paths attached to its
-    vertices, as a :data:`Piece`; no graph is built."""
+def nontrivial_block_subgraphs(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Each nontrivial block with its piece, as (core, vertices): the
+    block's vertices and the sorted vertices the decomposition searches for
+    it (see :func:`_piece_vertices`). No graph or row of a piece is built."""
     info = connected_profile(g)
     dec, taxonomy = info.decomposition, info.taxonomy
-    rows, hubs = _hub_rows(g, taxonomy.mandatory)
-    pieces = []
-    for blk, trivial in zip(dec.blocks, dec.trivial):
-        if not trivial:
-            vertices = _piece_vertices(blk, taxonomy)
-            if hubs:
-                _cut_rows(g, rows, hubs, vertices, blk)
-            pieces.append((blk, vertices, g._induced_rows(vertices, rows)[0]))
-    return pieces
+    return [(blk, _piece_vertices(blk, taxonomy))
+            for blk, trivial in zip(dec.blocks, dec.trivial) if not trivial]
 
 
 def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveResult:
@@ -250,8 +238,10 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
     bit = [0] * g.n  # 1 << local id for each vertex of the piece at hand, else 0
     bit_of = bit.__getitem__
     deadline = budget.deadline()
-    mandatory = set(taxonomy.mandatory)
-    rows, hubs = _hub_rows(g, mandatory)
+    mandatory = taxonomy.mandatory_set
+    rows: list[Sequence[int]] = list(g.adj)  # a copy for _cut_rows to cut
+    # the hubs, the mandatory vertices with rows of over 32 entries
+    hubs: dict[int, frozenset[int] | None] = {a: None for a in mandatory if len(rows[a]) > 32}
     # a mandatory vertex in no nontrivial block is the hub of a spider
     union = set(mandatory)
     added = 0  # vertices the blocks' witnesses hold beyond their anchors

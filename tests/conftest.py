@@ -333,25 +333,34 @@ def naive_min_cpds(g: Graph, collect_all: bool = False, rounds: int | None = Non
 
 def naive_decompose(g: Graph, budget=None):
     """The cut-vertex decomposition without a table of solved pieces and
-    without in-place rules: each nontrivial block piece gets three leaves on
-    every mandatory vertex it holds (the L3 expansion) and is solved on its
-    own by the plain search, whatever its class, so no structural solver
-    checks another. The pieces' witnesses are unioned and certified on
-    ``g``. It shares only the piece list with the library. The default
-    budget fits the expansion of any piece of ``g``."""
+    without in-place rules: each nontrivial block, with every pendant path
+    hung on its vertices (the paper's piece), gets three leaves on every
+    mandatory vertex it holds (the L3 expansion) and is solved on its own by
+    the plain search, whatever its class, so no structural solver checks
+    another. The pieces' witnesses are unioned and certified on ``g``. It
+    builds its own pieces from the blocks and the pendant paths, so it does
+    not share the library's. The default budget fits the expansion of any
+    piece of ``g``."""
     from collections import Counter
 
-    from powerdom import exact, structural
-    from powerdom.decomposition import classify_cut_vertices
+    from powerdom import exact
+    from powerdom.decomposition import blocks, classify_cut_vertices, pendant_path_inventory
     from powerdom.graphs import attach_leaves
 
     budget = exact.Budget(max_vertices=4 * g.n) if budget is None else budget
     mandatory = set(classify_cut_vertices(g).mandatory)
+    hung: dict[int, list[int]] = {}
+    for v, chain in pendant_path_inventory(g)[0]:
+        hung.setdefault(v, []).extend(chain)
+    dec = blocks(g)
     shared: Counter[int] = Counter()
     total, union = 0, set(mandatory)
-    for blk, vertices, rows in structural.nontrivial_block_subgraphs(g):
-        sub = Graph(g.labels_of(vertices), [(u, w) for u, row in enumerate(rows) for w in row])
-        anchors = [vertices.index(v) for v in blk if v in mandatory]
+    for blk, trivial in zip(dec.blocks, dec.trivial):
+        if trivial:
+            continue
+        sub, remap = g.induced_subgraph([*blk, *(w for v in blk for w in hung.get(v, ()))])
+        vertices = sorted(remap)
+        anchors = [remap[v] for v in blk if v in mandatory]
         shared.update(v for v in blk if v in mandatory)
         piece = exact.min_cpds(attach_leaves(sub, anchors, 3), budget)
         assert all(v < sub.n for v in piece.witness)

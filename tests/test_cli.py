@@ -307,6 +307,18 @@ class TestDecomposeCommand:
         assert "mandatory: u w" in out
         assert "optimum: 2" in out
 
+    def test_a_hubs_leaves_stay_out_of_its_pieces(self):
+        """Three diamonds and 21 leaves on one hub: each piece is a diamond
+        of 4 vertices, the size the default budget of 24 is checked at."""
+        edges = [f"h l{j}" for j in range(21)]
+        for i in range(3):
+            edges += [f"h a{i}", f"h b{i}", f"a{i} b{i}", f"a{i} c{i}", f"b{i} c{i}"]
+        code, out, err = run("decompose", "-", "--json", stdin="\n".join(edges) + "\n")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert [block["size"] for block in record["blocks"]] == [4] * 3
+        assert (record["optimum"], record["witness"]) == (1, ["h"])
+
 
 class TestBatch:
     def test_table_shape(self):

@@ -160,7 +160,7 @@ DIGESTS = {
     ("solve-json", "blockgraph"):
         (0, "65c86d6bcaef5d3cde61b0bc9b8eac960e86b9df68ec28d3df07dbe66d12f8fc"),
     ("solve-json", "general"): (0, "af9f4d10e65613eaf4e4c97aa24c900ef837c78fa232b6feaee217b912361973"),
-    ("decompose", "general"): (0, "ee2e7d749c8fff9dd0383382a2ea113282037c60b06a62eca4625b3a40b88ac4"),
+    ("decompose", "general"): (0, "2b559c3813bf4a78c26e358bae0eefc7fd4f5a12b24daf22a6ec36433cce7f05"),
     ("spread", "general"): (0, "55adc9a725ebcde3981fa9a2439bde9a6699cc7ce6891aa6bde089e82383b8a5"),
     ("model-pd-lp", "model"): (0, "a4ed44be6662dc27a7dfd505904c20ea9930a93e4360aba72bf1f2fef4587e5e"),
     ("model-pd-mps", "model"): (0, "060a85a9b1886b248a2dad7818bfd2c68fce4f71decf40b79d437bdcb6b83863"),

@@ -177,8 +177,9 @@ class TestAnalyseOnce:
         copy = Graph(g.labels, g.edges())
         mandatory = set(classify_cut_vertices(copy).mandatory)
         pieces = structural.nontrivial_block_subgraphs(copy)
-        keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
-                for blk, vertices, rows in pieces}
+        keys = {(copy.induced_subgraph(vertices)[0].adj,
+                 tuple(vertices.index(v) for v in blk if v in mandatory))
+                for blk, vertices in pieces}
         assert (len(pieces), len(keys)) == (12, 3)
         calls, solved, built = [], [], []
         original = decomposition._block_dfs

@@ -165,6 +165,17 @@ def test_structural_searches_no_piece_through_a_public_search():
     assert allowed, "solve_cpds has no brute branch"
 
 
+def test_structural_builds_no_graph_or_row_of_a_piece():
+    """The decomposition searches a piece on neighbor masks read from the
+    whole graph's rows and lists a piece as its vertices, so ``structural``
+    calls neither ``induced_subgraph`` nor ``_induced_rows``."""
+    tree = ast.parse((SRC / "structural.py").read_text(encoding="utf-8"))
+    found = [f"structural.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+                 node.func, "id", None)) in {"induced_subgraph", "_induced_rows"}]
+    assert found == []
+
+
 def test_no_function_takes_an_all_optima_parameter():
     """The exact searches find every optimum of the optimal level anyway,
     so each result carries them and their least propagation time; no

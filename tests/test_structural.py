@@ -15,7 +15,8 @@ from powerdom.decomposition import blocks, classify_cut_vertices, cycle_order, r
 from powerdom.errors import (BudgetExceededError, GraphClassError, PowerDomError,
                              SolverInternalError)
 from powerdom.graph_io import load_graph
-from powerdom.graphs import Graph, bits_of, complete_graph, cycle_graph, iter_bits, path_graph
+from powerdom.graphs import (Graph, attach_leaves, bits_of, complete_graph, cycle_graph, iter_bits,
+                             path_graph)
 
 from conftest import (
     GENERAL_BLOCKS,
@@ -393,25 +394,39 @@ class TestPieceTable:
             assert outcome(structural.decompose_cpds, g) == outcome(naive_decompose, copy)
             mandatory = set(classify_cut_vertices(g).mandatory)
             pieces = structural.nontrivial_block_subgraphs(g)
-            keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
-                    for blk, vertices, rows in pieces}
+            keys = {(g.induced_subgraph(vertices)[0].adj,
+                     tuple(vertices.index(v) for v in blk if v in mandatory))
+                    for blk, vertices in pieces}
             repeated += len(keys) < len(pieces)
             kinds |= block_kinds(g)
         assert repeated >= 10
         assert self.KINDS[family] <= kinds
 
-    def test_a_hubs_row_cut_to_its_piece_is_its_induced_row(self):
+    def test_a_hubs_row_cut_to_its_piece_is_its_induced_row(self, monkeypatch):
         """A hub's row is read through each piece far shorter than it; the
-        rows of every piece are those of the piece's induced subgraph."""
+        masks each search gets are those of a general piece's induced
+        subgraph."""
+        grow, searched = exact._grow, []
+        monkeypatch.setattr(exact, "_grow",
+                            lambda nbr, *args: searched.append(tuple(nbr)) or grow(nbr, *args))
         rng = random.Random("pieces/hubs")
-        cut = 0
+        cut = checked = 0
         for _ in range(20):
             g = hub_block_tree(rng, rng.randint(60, 200))
             longest = max(map(len, g.adj))
-            for blk, vertices, rows in structural.nontrivial_block_subgraphs(g):
-                assert rows == g.induced_subgraph(vertices)[0].adj
+            dec = blocks(g)
+            edges = dict(zip(dec.blocks, dec.edges))
+            general = set()
+            for blk, vertices in structural.nontrivial_block_subgraphs(g):
+                k = len(blk)
+                if edges[blk] not in (k, k * (k - 1) // 2):  # not a cycle, a clique or a bridge
+                    general.add(tuple(map(bits_of, g.induced_subgraph(vertices)[0].adj)))
                 cut += longest > max(32, 8 * len(vertices))
-        assert cut >= 100
+            searched.clear()
+            structural.decompose_cpds(g)
+            assert set(searched) <= general
+            checked += len(searched)
+        assert cut >= 100 and checked >= 20
 
     def test_each_general_piece_gets_the_subject_to_witness(self):
         """The decomposition runs the growth search on each general piece
@@ -432,12 +447,11 @@ class TestPieceTable:
                 union = set(structural.decompose_cpds(g).witness)
                 dec, mandatory = blocks(g), set(classify_cut_vertices(g).mandatory)
                 edges = dict(zip(dec.blocks, dec.edges))
-                for blk, vertices, rows in structural.nontrivial_block_subgraphs(g):
+                for blk, vertices in structural.nontrivial_block_subgraphs(g):
                     k = len(blk)
                     if edges[blk] in (k, k * (k - 1) // 2):  # a cycle, a clique or a bridge
                         continue
-                    piece = Graph(g.labels_of(vertices),
-                                  [(u, w) for u, row in enumerate(rows) for w in row if u < w])
+                    piece = g.induced_subgraph(vertices)[0]
                     anchors = [vertices.index(v) for v in blk if v in mandatory]
                     local = exact.min_cpds_subject_to(piece, anchors).witness
                     assert sorted(union.intersection(vertices)) == [vertices[v] for v in local]
@@ -447,32 +461,13 @@ class TestPieceTable:
         assert apart >= 100
 
     @staticmethod
-    def own(nbr: list[int], anchors: int) -> int:
-        """The local ids of a piece that no other piece holds: all but its
-        anchors and the pendant paths hung on them. Such a path meets the
-        anchors by one edge; each other part of the piece without its
-        anchors holds a vertex of a 2-connected block of 4 or more
-        vertices, so it meets them by two or more, or by none."""
-        own, rest = 0, ((1 << len(nbr)) - 1) & ~anchors
-        while rest:
-            part = grown = rest & -rest
-            while grown:
-                reach = 0
-                for v in iter_bits(grown):
-                    reach |= nbr[v]
-                grown = reach & rest & ~part
-                part |= grown
-            rest &= ~part
-            if sum((nbr[v] & anchors).bit_count() for v in iter_bits(part)) != 1:
-                own |= part
-        return own
-
-    def corrupted(self, kind: str, nbr: list[int], anchors: int,
+    def corrupted(kind: str, nbr: list[int], anchors: int,
                   best: tuple[int, ...]) -> tuple[int, ...]:
         """``best``, the optimum of the piece with neighbor masks ``nbr``,
-        changed by ``kind`` among the vertices only this piece holds, or as
+        changed by ``kind`` among the vertices only this piece holds (all
+        but its anchors, as no piece holds an anchor's pendant path), or as
         it is when it cannot be."""
-        chosen, own = bits_of(best), self.own(nbr, anchors)
+        chosen, own = bits_of(best), ((1 << len(nbr)) - 1) & ~anchors
         free, outside = chosen & own, own & ~chosen
         top, low = 1 << free.bit_length() >> 1, outside & -outside
         if kind == "anchors only":
@@ -529,8 +524,9 @@ class TestPieceTable:
         certified, on the whole graph."""
         g = chain_of_blocks(GENERAL_BLOCKS * 2)
         mandatory = set(classify_cut_vertices(g).mandatory)
-        keys = {(rows, tuple(vertices.index(v) for v in blk if v in mandatory))
-                for blk, vertices, rows in structural.nontrivial_block_subgraphs(g)}
+        keys = {(g.induced_subgraph(vertices)[0].adj,
+                 tuple(vertices.index(v) for v in blk if v in mandatory))
+                for blk, vertices in structural.nontrivial_block_subgraphs(g)}
         assert len(keys) >= 4
         certified = []
         certify = structural.certify
@@ -630,7 +626,7 @@ class TestPieceTable:
     def test_a_piece_is_checked_against_the_budget_at_its_own_size(self):
         g = self.chorded_ring_with_triangles()
         assert block_kinds(g) == {"clique", "general"}
-        assert max(len(vertices) for _, vertices, _ in
+        assert max(len(vertices) for _, vertices in
                    structural.nontrivial_block_subgraphs(g)) == 20
         result = structural.decompose_cpds(g)
         assert result.optimum == 6
@@ -646,6 +642,18 @@ class TestPieceTable:
         with pytest.raises(BudgetExceededError, match="graph has 25 vertices, budget allows 24"):
             structural.decompose_cpds(Graph(labels, edges))
 
+    @pytest.mark.parametrize("petals,leaves", [(3, 21), (200, 200)])
+    def test_a_hubs_leaves_stay_out_of_its_pieces(self, petals, leaves):
+        """Diamonds and leaves on one hub, which every witness holds: each
+        piece is a diamond of 4 vertices, within the default budget of 24,
+        and the hub alone colors the graph."""
+        g = attach_leaves(flower(petals, "diamond"), [0], leaves)
+        pieces = structural.nontrivial_block_subgraphs(g)
+        assert [len(vertices) for _, vertices in pieces] == [4] * petals
+        result = structural.solve_cpds(g)
+        assert (result.optimum, result.method) == (1, exact.METHOD_DECOMPOSITION)
+        assert g.labels_of(result.witness) == ("v0",)
+
 
 def flower(k: int, petal: str) -> Graph:
     """k petals on one hub, vertex 0: diamonds (K4 less the edge from the
@@ -658,16 +666,18 @@ def flower(k: int, petal: str) -> Graph:
     return Graph([f"v{i}" for i in range(3 * k + 1)], edges)
 
 
-@pytest.mark.parametrize("petal,solve", [
-    ("diamond", structural.solve_cpds),
-    ("diamond", structural.nontrivial_block_subgraphs),
-    ("triangle", structural.nontrivial_block_subgraphs),
-], ids=["diamond-solve_cpds", "diamond-pieces", "triangle-pieces"])
-def test_a_hub_of_many_pieces_is_read_in_linear_time(petal, solve):
+@pytest.mark.parametrize("petal,leaves,solve", [
+    ("diamond", 0, structural.solve_cpds),
+    ("diamond", 200, structural.solve_cpds),
+    ("diamond", 0, structural.nontrivial_block_subgraphs),
+    ("triangle", 0, structural.nontrivial_block_subgraphs),
+], ids=["diamond-solve_cpds", "diamond-leaves-solve_cpds", "diamond-pieces", "triangle-pieces"])
+def test_a_hub_of_many_pieces_is_read_in_linear_time(petal, leaves, solve):
     """Every row entry read, the analysis and the certification included,
-    is counted: a flower of 200 petals reads at most 8 (n + m) of them. A
-    piece used to read its hub's whole row, 400 entries, so the flower
-    read about 50 (n + m) entries, and k petals took O(k^2) time."""
+    is counted: a flower of 200 petals, with or without 200 leaves on its
+    hub, reads at most 8 (n + m) of them. A piece used to read its hub's
+    whole row, 400 entries, so the flower read about 50 (n + m) entries,
+    and k petals took O(k^2) time."""
     reads = [0]
 
     class Row(tuple):
@@ -684,6 +694,8 @@ def test_a_hub_of_many_pieces_is_read_in_linear_time(petal, solve):
             return super().__contains__(v)
 
     g = flower(200, petal)
+    if leaves:
+        g = attach_leaves(g, [0], leaves)
     g.adj = tuple(map(Row, g.adj))
     solve(g)
     assert 0 < reads[0] <= 8 * (g.n + g.m)
