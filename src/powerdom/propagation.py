@@ -21,9 +21,10 @@ Every check takes its set as an iterable of vertex ids, which
 A run that returns its coloring (:func:`dominate_step`,
 :func:`forcing_closure`, :func:`is_power_dominating`) returns it as one
 :class:`PropagationTrace`, built by :func:`_traced`: the trace keeps the
-round, source and target of each force as plain integers, which
-:func:`trace_lines` prints directly, and builds its :class:`Force`
-entries only when ``forces`` is read. The yes/no checks record nothing.
+round, source and target of every coloring, the domination step's
+included, as plain integers in one flat list, which :func:`trace_lines`
+prints directly, and builds its :class:`Force` entries only when
+``forces`` is read. The yes/no checks record nothing.
 The closures of the exact searches (:func:`_uncolored`,
 :func:`_unforced`) run the same rounds on neighbor bitmasks instead
 (:func:`_resume`).
@@ -67,8 +68,10 @@ class PropagationTrace:
     all domination entries carry timestep 1 and forces come strictly later
     (or from 1 upward when there was no domination step). ``forces`` holds
     :class:`Force` tuples, one per vertex colored after the initial set.
-    A trace the engine records builds both from its run on first read,
-    and keeps the run for :func:`trace_lines` and :meth:`rounds`. Frozen:
+    A trace the engine records builds both from its run (its colorings as
+    flat round, source, target triples, whether round 1 was the domination
+    step, and the colored flags) on first read, and keeps the run for
+    :func:`trace_lines` and :meth:`rounds`. Frozen:
     its fields refuse assignment, and ``==`` and hash compare them.
     """
 
@@ -87,8 +90,11 @@ class PropagationTrace:
         """``forces`` and ``final_colored`` of a recorded trace, built once."""
         if name not in ("forces", "final_colored") or self._run is None:
             raise AttributeError(name)
-        adj, dominated, forced, colored = self._run
-        object.__setattr__(self, "forces", tuple(_entries(adj, dominated, forced)))
+        steps, dominate, colored = self._run
+        kinds = (FORCE, DOMINATE if dominate else FORCE)  # by whether the round is 1
+        triples = iter(steps)
+        object.__setattr__(self, "forces", tuple(
+            _force((t, v, w, kinds[t == 1])) for t, v, w in zip(triples, triples, triples)))
         object.__setattr__(self, "final_colored", tuple(compress(range(len(colored)), colored)))
         return getattr(self, name)
 
@@ -109,46 +115,49 @@ class PropagationTrace:
     def rounds(self) -> int:
         """Last round that colored a vertex (at least 1)."""
         run = self._run
-        if run is not None:  # the run lists its forces by round
-            return run[2][-3] if run[2] else 1
+        if run is not None:  # the run lists its colorings by round
+            return run[0][-3] if run[0] else 1
         return max(1, max((f.timestep for f in self.forces), default=1))
 
 
-def _dominated(adj, seeds: list[int]):
-    """(v, w) per vertex w the domination step adds, v its least neighbor in ``seeds``."""
-    taken = set(seeds)
-    for v in seeds:
-        for w in adj[v]:
-            if w not in taken:
-                taken.add(w)
-                yield v, w
+def _propagate(g: Graph, seeds: list[int], dominate: bool,
+               limit: int | None = None, record: bool = False
+               ) -> tuple[bytearray, int, list[int] | None, int]:
+    """Color ``seeds``, apply the domination step if asked (round 1), then
+    run synchronized forcing rounds from round 2 (1 without that step)
+    until no force fires or round ``limit`` is done.
 
-
-def _entries(adj, seeds: list[int], forced: list[int]) -> list[Force]:
-    """A run's entries from its domination step's seeds and its forces."""
-    forces = [_force((1, v, w, DOMINATE)) for v, w in _dominated(adj, seeds)]
-    forces += [_force((t, v, w, FORCE)) for t, v, w in zip(*[iter(forced)] * 3)]
-    return forces
-
-
-class _Frontier:
-    """Colored vertices, and for each colored vertex the number and the XOR
-    of its uncolored neighbors; the XOR names the only uncolored neighbor
-    once the number is 1."""
-
-    def __init__(self, g: Graph) -> None:
-        self.adj = g.adj
-        self.colored = bytearray(g.n)
-        self.left = [0] * g.n
-        self.xor = [0] * g.n
-        self.total = 0
-
-    def color(self, batch: list[int]) -> list[int]:
-        """Color the distinct, uncolored vertices of ``batch`` as one step;
-        returns the colored vertices now left with one uncolored neighbor."""
-        adj, colored, left, xor = self.adj, self.colored, self.left, self.xor
+    Returns the colored flags, their number, with ``record`` each coloring
+    after the seeds as round, source, target in one flat list (a target of
+    the domination step credited to its least neighbor in ``seeds``), and
+    the last round that colored a vertex (the round before forcing began if
+    none did). Each colored vertex keeps the number and the XOR of its
+    uncolored neighbors; the XOR names the only one once the number is 1.
+    That number drops only when a neighbor gets colored, so each round
+    rechecks only the vertices whose number reached 1 in the round before.
+    """
+    adj, n = g.adj, g.n
+    colored = bytearray(n)
+    left = [0] * n
+    xor = [0] * n
+    steps: list[int] | None = [] if record else None
+    batch = list(seeds)
+    if dominate:
+        for v in seeds:
+            colored[v] = 1
+        for v in seeds:
+            for w in adj[v]:
+                if not colored[w]:
+                    colored[w] = 1
+                    batch.append(w)
+                    if steps is not None:
+                        steps += (1, v, w)
+    total = 0
+    t = 2 if dominate else 1
+    last = t - 1
+    while True:
         ready = []
-        if self.total:
+        if total:
             # Old neighbors first, while the batch still reads as uncolored,
             # so that two adjacent vertices of the batch never count each other.
             for w in batch:
@@ -171,63 +180,36 @@ class _Frontier:
             xor[v] = x
             if k == 1:
                 ready.append(v)
-        self.total += len(batch)
-        return ready
-
-
-def _propagate(g: Graph, seeds: list[int], dominate: bool,
-               limit: int | None = None, record: bool = False
-               ) -> tuple[_Frontier, list | None, int]:
-    """Color ``seeds``, apply the domination step if asked (round 1), then
-    run synchronized forcing rounds from round 2 (1 without that step)
-    until no force fires or round ``limit`` is done.
-
-    Returns the final frontier, with ``record`` each force as round,
-    source, target in one flat list, and the last round that colored a
-    vertex (the round before forcing began if none did). A vertex forces
-    only when its number of uncolored neighbors is 1, and that number drops
-    only when a neighbor gets colored, so each round rechecks only the
-    vertices whose number reached 1 in the round before.
-    """
-    forced: list[int] | None = [] if record else None
-    batch = list(seeds)
-    if dominate:
-        batch += [w for _, w in _dominated(g.adj, seeds)]
-    front = _Frontier(g)
-    ready = front.color(batch)
-    left, xor = front.left, front.xor
-    t = 2 if dominate else 1
-    last = t - 1
-    while ready and front.total < g.n and (limit is None or t <= limit):
+        total += len(batch)
+        if not ready or total == n or limit is not None and t > limit:
+            return colored, total, steps, last
         fired: dict[int, int] = {}  # target -> smallest source
         for v in ready:
             if left[v] == 1:
                 w = xor[v]
-                if fired.get(w, g.n) > v:
+                if fired.get(w, n) > v:
                     fired[w] = v
         if not fired:
-            break
-        targets = sorted(fired)
-        if forced is not None:
-            for w in targets:
-                forced += (t, fired[w], w)
-        ready = front.color(targets)
+            return colored, total, steps, last
+        batch = sorted(fired)
+        if steps is not None:
+            for w in batch:
+                steps += (t, fired[w], w)
         last = t
         t += 1
-    return front, forced, last
 
 
 def _traced(g: Graph, s: Iterable[int], dominate: bool,
             limit: int | None = None) -> tuple[bool, PropagationTrace]:
-    """Run :func:`_propagate` recording forces; returns whether every vertex
-    got colored, and the run's trace, which builds its entries and final
-    set on first read."""
+    """Run :func:`_propagate` recording its colorings; returns whether every
+    vertex got colored, and the run's trace, which builds its entries and
+    final set on first read."""
     seeds = g._vertex_ids(s)
-    front, forced, _ = _propagate(g, seeds, dominate, limit, record=True)
+    colored, total, steps, _ = _propagate(g, seeds, dominate, limit, record=True)
     trace = PropagationTrace.__new__(PropagationTrace)
     object.__setattr__(trace, "initial", tuple(seeds))
-    object.__setattr__(trace, "_run", (g.adj, seeds if dominate else (), forced, front.colored))
-    return front.total == g.n, trace
+    object.__setattr__(trace, "_run", (steps, dominate, colored))
+    return total == g.n, trace
 
 
 def dominate_step(g: Graph, s: Iterable[int]) -> PropagationTrace:
@@ -250,8 +232,7 @@ def is_power_dominating(g: Graph, s: Iterable[int]) -> tuple[bool, PropagationTr
 
 def is_zero_forcing(g: Graph, s: Iterable[int]) -> bool:
     """True iff forcing alone (no domination step) colors every vertex."""
-    front, _, _ = _propagate(g, g._vertex_ids(s), dominate=False)
-    return front.total == g.n
+    return _propagate(g, g._vertex_ids(s), dominate=False)[1] == g.n
 
 
 def colors_within(g: Graph, s: Iterable[int], rounds: int) -> bool:
@@ -263,8 +244,7 @@ def colors_within(g: Graph, s: Iterable[int], rounds: int) -> bool:
     seeds = g._vertex_ids(s)
     if _count("rounds", rounds) < 1 or not seeds:
         return False
-    front, _, _ = _propagate(g, seeds, dominate=True, limit=rounds)
-    return front.total == g.n
+    return _propagate(g, seeds, dominate=True, limit=rounds)[1] == g.n
 
 
 def _resume(nbr: list[int], closed: list[int], colored: int, active: int, t: int,
@@ -317,8 +297,8 @@ def _unforced(nbr: list[int], closed: list[int], s: int,
 
 def ppt_of_set(g: Graph, s: Iterable[int]) -> int:
     """Power propagation time of a power dominating set (rounds to color V)."""
-    front, _, last = _propagate(g, g._vertex_ids(s), dominate=True)
-    if front.total != g.n:
+    _, total, _, last = _propagate(g, g._vertex_ids(s), dominate=True)
+    if total != g.n:
         raise NotPowerDominatingError("set does not power dominate the graph")
     return last
 
@@ -342,12 +322,11 @@ def trace_lines(g: Graph, trace: PropagationTrace) -> list[str]:
         entries = trace.forces
         g._vertex_ids([v for _, s, w, _ in entries for v in (s, w)])
         return [f"t={t} {labels[s]} -> {labels[w]} [{kind}]" for t, s, w, kind in entries]
-    adj, seeds, forced, _ = run
-    lines = [f"t=1 {labels[s]} -> {labels[w]} [{DOMINATE}]" for s, w in _dominated(adj, seeds)]
-    triples = iter(forced)
-    lines += [f"t={t} {labels[s]} -> {labels[w]} [{FORCE}]"
-              for t, s, w in zip(triples, triples, triples)]
-    return lines
+    steps, dominate, _ = run
+    kinds = (FORCE, DOMINATE if dominate else FORCE)  # by whether the round is 1
+    triples = iter(steps)
+    return [f"t={t} {labels[s]} -> {labels[w]} [{kinds[t == 1]}]"
+            for t, s, w in zip(triples, triples, triples)]
 
 
 def replay_trace(g: Graph, trace: PropagationTrace) -> int:
@@ -374,9 +353,10 @@ def replay_trace(g: Graph, trace: PropagationTrace) -> int:
         when[w] = t
     last = max([f.timestep for f in trace.forces], default=0)
     dominate = any(f.kind == DOMINATE for f in trace.forces)
-    _, forced, _ = _propagate(g, seeds, dominate, last, record=True)
+    steps = _propagate(g, seeds, dominate, last, record=True)[2]
     at = [0 if t == 0 else last + 1 for t in when]  # the round the run colors each vertex in
-    for t, _, w, _ in _entries(g.adj, seeds if dominate else [], forced):
+    triples = iter(steps)
+    for t, _, w in zip(triples, triples, triples):
         at[w] = t
     for t, v, w, kind in trace.forces:
         if kind == DOMINATE:

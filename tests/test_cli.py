@@ -247,6 +247,24 @@ class TestSpreadCommand:
                            "--target", "v1,v2")
         assert code == 1
 
+    TRIANGLES = "a b\nb c\nc a\nc d\nd e\ne f\nf d\n"  # two triangles joined by c-d
+
+    def test_delete_vertex(self):
+        code, out, err = run("spread", "-", "--op", "delete-vertex", "--target", "a",
+                             stdin=self.TRIANGLES)
+        assert code == 0 and err == ""
+        assert "before: 2\nafter: 1\nspread: 1\n" in out
+
+    def test_cut_vertex_is_named_by_its_label(self):
+        assert run("spread", "-", "--op", "delete-vertex", "--target", "c",
+                   stdin=self.TRIANGLES) == (
+            1, "", "usage error: vertex c is a cut vertex; deletion disconnects\n")
+
+    def test_delete_edge_of_one_label(self):
+        assert run("spread", "-", "--op", "delete-edge", "--target", "a",
+                   stdin=self.TRIANGLES) == (
+            1, "", "usage error: delete-edge takes a target of the form u,v\n")
+
     @pytest.mark.parametrize("op", ["delete-edge", "contract-edge", "subdivide-edge"])
     def test_non_edge_is_named_by_its_labels(self, op):
         assert run("spread", "-", "--op", op, "--target", "a,d",
@@ -366,6 +384,18 @@ class TestBatch:
         code, out, _ = run("batch", TREE, "--json", *extra)
         assert code == 0 and searches == want
 
+    def test_unknown_problem(self):
+        assert run("batch", TREE, "--problems", "pd,xyz") == (
+            1, "", "usage error: unknown problem 'xyz'\n")
+
+    def test_ppt_over_the_budget_is_null(self):
+        """The cpd column solves the 6-vertex tree structurally; the ppt
+        search refuses it over --budget-n, and the row says null."""
+        code, out, err = run("batch", TREE, "--problems", "cpd", "--json", "--budget-n", "3")
+        assert (code, err) == (0, "")
+        row = json.loads(out)
+        assert row["ppt"] is None and row["gamma_pc"] == 2 and row["n"] == 6
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -397,6 +427,10 @@ class TestErrorMapping:
     def test_wrong_method_class_is_usage_error(self):
         code, _, err = run("solve", CACTUS, "--method", "tree")
         assert code == 1 and "usage error" in err
+
+    def test_a_structural_method_solves_cpd_only(self):
+        assert run("solve", TREE, "--problem", "pd", "--method", "tree") == (
+            1, "", "usage error: method tree solves cpd only\n")
 
 
 class TestBadInputNeverTracesBack:

@@ -353,3 +353,15 @@ class TestBudget:
     @pytest.mark.parametrize("seconds", [None, 0, 0.0, 2.5, float("inf")])
     def test_valid_time_ceilings_are_kept(self, seconds):
         assert Budget(max_vertices=0, max_seconds=seconds).max_seconds == seconds
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: exact.l_round_pd(path_graph(4), 0), GraphError, "round budget must be at least 1"),
+    (lambda: exact.l_round_cpd(path_graph(4), 0), GraphError, "round budget must be at least 1"),
+    (lambda: exact.DEFAULT_BUDGET.until(time.perf_counter() - 1), BudgetExceededError,
+     "time budget exhausted"),
+], ids=["l_round_pd", "l_round_cpd", "until"])
+def test_each_refusal_is_one_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

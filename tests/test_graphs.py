@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import random
 import re
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerdom import exact, milp, propagation, spread, structural
+from powerdom import cli, exact, milp, propagation, spread, structural
 from powerdom.errors import GraphError, ParseError
 from powerdom.graph_io import dump_edgelist, load_graph
 from powerdom.graphs import (
@@ -94,6 +95,15 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             Graph([], [])
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Graph(["a", "b"], [(0, 2)]), "edge (0, 2) out of range for n=2"),
+        (lambda: Graph.from_labeled_edges([]), "graph must have at least one vertex"),
+    ], ids=["endpoint out of range", "no pair"])
+    def test_refusal_names_its_cause(self, make, message):
+        with pytest.raises(GraphError) as info:
+            make()
+        assert (type(info.value), str(info.value)) == (GraphError, message)
 
     @pytest.mark.parametrize("edge", [(0.5, 1), ("1", 0), (None, 0), (True, False)])
     def test_non_integer_endpoint_rejected(self, edge):
@@ -201,6 +211,40 @@ class TestLoaders:
         with pytest.raises(ParseError) as info:
             load_graph(text, fmt)
         assert str(info.value) == message
+
+    MM = "%%MatrixMarket matrix coordinate pattern symmetric\n"
+
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("p edge 2 1\np edge 2 1\n", "dimacs", "line 2: duplicate problem line"),
+        ("p col 2 1\n", "dimacs", "line 1: expected 'p edge <n> <m>'"),
+        ("p edge 0 0\n", "dimacs", "line 1: empty graph: vertex count must be positive"),
+        ("e 1 2\np edge 2 1\n", "dimacs", "line 1: edge before problem line"),
+        ("p edge 2 1\ne 1\n", "dimacs", "line 2: expected 'e <u> <v>'"),
+        ("p edge 2 1\nx 1 2\n", "dimacs", "line 2: unknown line type 'x'"),
+        ("c a comment only\n", "dimacs", "missing problem line"),
+        ("", "matrixmarket", "empty file"),
+        ("%%MatrixMarket matrix coordinate\n3 3 0\n", "matrixmarket",
+         "line 1: expected '%%MatrixMarket matrix coordinate pattern symmetric'"),
+        (MM + "3 3\n", "matrixmarket", "line 2: expected '<rows> <cols> <entries>'"),
+        (MM + "2 3 0\n", "matrixmarket", "line 2: adjacency matrix must be square"),
+        (MM + "0 0 0\n", "matrixmarket", "line 2: empty graph: matrix has no rows"),
+        (MM + "2 2 1\n1\n", "matrixmarket", "line 3: expected '<row> <col>'"),
+        (MM + "2 2 1\n3 1\n", "matrixmarket", "line 3: entry out of range 1..2"),
+        (MM + "% a comment only\n", "matrixmarket", "missing size line"),
+    ])
+    def test_indexed_formats_refuse_each_malformed_line(self, text, fmt, message):
+        with pytest.raises(ParseError) as info:
+            load_graph(text, fmt)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("p edge 2 1\ne 1\n", "dimacs", "line 2: expected 'e <u> <v>'"),
+        (MM + "2 3 0\n", "matrixmarket", "line 2: adjacency matrix must be square"),
+    ])
+    def test_the_cli_reports_an_indexed_refusal_in_one_line(self, text, fmt, message):
+        out, err = io.StringIO(), io.StringIO()
+        code = cli.main(["solve", "-", "--input-format", fmt], out, err, io.StringIO(text))
+        assert (code, out.getvalue(), err.getvalue()) == (1, "", f"parse error: {message}\n")
 
     def test_matrixmarket_rejects_other_fields(self):
         with pytest.raises(ParseError):

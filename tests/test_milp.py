@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from powerdom import exact, milp
 from powerdom import propagation as prop
-from powerdom.errors import BudgetExceededError, ModelError, SolverInternalError
+from powerdom.errors import BudgetExceededError, GraphError, ModelError, SolverInternalError
 from powerdom.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 from conftest import complete_bipartite, random_connected_graph, two_triangles_bridge
@@ -229,6 +229,25 @@ class TestSolveSmall:
         solved = milp.solve_small(model).assignment
         assert milp.check_assignment(model, dict(solved, s_v1=value)) == [
             f"s_v1={value!r} is not integral"]
+
+    def test_check_reports_a_missing_value_a_bound_and_a_row(self):
+        model = milp.build_model1(path_graph(3))
+        solved = milp.solve_small(model).assignment
+        missing = {k: v for k, v in solved.items() if k != "x_v1"}
+        assert milp.check_assignment(model, missing) == ["missing value for x_v1"]
+        assert milp.check_assignment(model, dict(solved, x_v3=7)) == [
+            "x_v3=7 outside [0, 3]", "order_v3__v2: 6 <= 3 violated",
+            "watch_v2__v1__v3: 7 <= 3 violated"]
+        assert milp.check_assignment(model, dict(solved, x_v3=1)) == [
+            "order_v2__v3: 4 <= 3 violated"]
+
+    def test_a_derived_assignment_that_violates_the_model_is_refused(self, monkeypatch):
+        encode = milp._encode
+        monkeypatch.setattr(milp, "_encode", lambda *args: {
+            k: v for k, v in encode(*args).items() if k != "x_v1"})
+        with pytest.raises(ModelError) as info:
+            milp.solve_small(milp.build_model1(path_graph(3)))
+        assert str(info.value) == "derived assignment violates the model: missing value for x_v1"
 
 
 class TestRoundNumber:
@@ -621,3 +640,18 @@ def test_signed_integers_read_back():
 def test_mps_row_without_rhs_entry_has_rhs_zero():
     parsed = milp.parse_mps(edited(P2_MPS, "    rhs    cover_v1    1\n", ""))
     assert [c.rhs for c in parsed.constraints] == [0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: milp.build_model1(path_graph(4), 0), GraphError, "horizon must be at least 1"),
+    (lambda: milp.add_mtz_connectivity(milp.build_model1(path_graph(4)), path_graph(5)),
+     ModelError, "model was not built from this graph"),
+    (lambda: milp.solve_small(milp.parse_lp(milp.export(milp.build_model1(path_graph(4))))),
+     ModelError, "solve_small only handles models built by this module"),
+    (lambda: milp.export(milp.build_model1(path_graph(4)), "xml"), ModelError,
+     "unknown export format 'xml'"),
+], ids=["horizon", "other graph", "parsed model", "format"])
+def test_each_refusal_is_one_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

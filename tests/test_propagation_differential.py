@@ -153,8 +153,8 @@ def masks(g: Graph) -> tuple[list[int], list[int]]:
 
 
 def engine_closure(g: Graph, s: int, dominate: bool, limit: int | None) -> tuple[int, int]:
-    front, _, last = prop._propagate(g, list(iter_bits(s)), dominate, limit)
-    return bits_of(v for v in range(g.n) if not front.colored[v]), last
+    colored, _, _, last = prop._propagate(g, list(iter_bits(s)), dominate, limit)
+    return bits_of(v for v in range(g.n) if not colored[v]), last
 
 
 @settings(max_examples=200, deadline=None)

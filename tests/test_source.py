@@ -234,6 +234,15 @@ def test_cli_prints_every_trace_through_trace_lines():
     assert found == []
 
 
+def test_propagation_defines_no_engine_class():
+    """``_propagate`` is the whole frontier engine, its counters locals of
+    the one function: ``propagation`` defines no class but the trace and
+    its entries."""
+    tree = ast.parse((SRC / "propagation.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    assert classes == {"Force", "PropagationTrace"}
+
+
 def test_every_benchmark_record_holds_the_shared_keys():
     """Each ``BENCH_*.json`` at the repo root parses and names its change,
     its claimed gain, its end-to-end runs, its host and its ``src/`` size."""

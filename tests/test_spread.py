@@ -7,8 +7,8 @@ import random
 import pytest
 
 from powerdom import exact, spread
-from powerdom.errors import GraphError
-from powerdom.graphs import cycle_graph, path_graph
+from powerdom.errors import GraphError, SolverInternalError
+from powerdom.graphs import Graph, cycle_graph, path_graph
 
 from conftest import random_connected_graph
 
@@ -130,6 +130,15 @@ class TestSubdivision:
             report = spread.subdivide_edge_delta(g, u, v, brute)
             assert report.spread >= 0
 
+    def test_an_optimum_that_falls_is_a_solver_fault(self):
+        """A double star needs both centers; the solver claims that the
+        subdivided graph needs one vertex, as a path of two does."""
+        g = Graph(["a", "b", "a1", "a2", "b1", "b2"], [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)])
+        solver = lambda h: brute(h if h is g else path_graph(2))  # noqa: E731
+        with pytest.raises(SolverInternalError) as info:
+            spread.subdivide_edge_delta(g, 0, 1, solver)
+        assert str(info.value) == "subdivision lowered the optimum from 2 to 1"
+
 
 class TestDefaults:
     def test_auto_solver_used_when_none_given(self):
@@ -151,3 +160,9 @@ class TestDefaults:
             with pytest.raises(GraphError, match=message):
                 operation(cycle_graph(4), *target, solved.append)
         assert solved == []
+
+
+def test_a_cycle_gadget_needs_a_positive_swing():
+    with pytest.raises(GraphError) as info:
+        spread.make_cycle_gadget(0)
+    assert (type(info.value), str(info.value)) == (GraphError, "c must be positive")

@@ -12,8 +12,8 @@ import pytest
 from powerdom import exact, structural
 from powerdom import propagation as prop
 from powerdom.decomposition import blocks, classify_cut_vertices, cycle_order, recognize
-from powerdom.errors import (BudgetExceededError, GraphClassError, PowerDomError,
-                             SolverInternalError)
+from powerdom.errors import (BudgetExceededError, DecompositionError, GraphClassError, GraphError,
+                             PowerDomError, SolverInternalError)
 from powerdom.graph_io import load_graph
 from powerdom.graphs import (Graph, attach_leaves, bits_of, complete_graph, cycle_graph, iter_bits,
                              path_graph)
@@ -519,6 +519,20 @@ class TestPieceTable:
                     passed += checks != []
         assert caught >= 20 and passed >= 20
 
+    def test_a_local_witness_without_an_anchor_breaks_the_count(self, monkeypatch):
+        """The union still holds the dropped anchor, so it certifies; only
+        the count of the vertices the pieces add catches the bad witness."""
+        grow = exact._grow
+
+        def drop_an_anchor(nbr, seed, rounds, deadline):
+            optima, last = grow(nbr, seed, rounds, deadline)
+            low = (seed & -seed).bit_length() - 1
+            return [tuple(v for v in optima[0] if v != low)], last
+
+        monkeypatch.setattr(exact, "_grow", drop_an_anchor)
+        with pytest.raises(DecompositionError, match="^recombined witness has "):
+            structural.decompose_cpds(chain_of_blocks(GENERAL_BLOCKS))
+
     def test_one_certification_per_solve(self, monkeypatch):
         """Several distinct pieces, and only the recombined witness is
         certified, on the whole graph."""
@@ -724,3 +738,18 @@ class TestAutoDispatch:
         result = structural.solve_cpds(g)
         assert result.method == "decomposition"
         assert result.optimum == exact.min_cpds(g).optimum
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: structural.solve_cpds(path_graph(4), "bogus"), GraphError,
+     "unknown method 'bogus'"),
+    (lambda: structural.tree_pd_equals_cpd(cycle_graph(5)), GraphClassError,
+     "input is not a tree"),
+    (lambda: structural.feasible_segments(cycle_graph(5), [0, 2, 1, 3, 4],
+                                          classify_cut_vertices(cycle_graph(5))),
+     GraphError, "vertex list is not a cycle in traversal order"),
+], ids=["method", "not a tree", "misordered cycle"])
+def test_each_refusal_is_one_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
