@@ -208,19 +208,25 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     (the vertices whose closed neighborhood meets it). For power domination
     the store starts with the short pendant-path forts of
     :func:`_pendant_forts`, found without a closure. A node is a chosen
-    set and a banned set. When more forts are missed than the level has
-    vertices left, and a greedy packing of missed forts whose unbanned
-    hitters are pairwise disjoint needs more than that, the node is cut:
-    every completion needs a new vertex for each of them. Otherwise it
-    branches on the unbanned hitters of the missed fort with the fewest of
-    them, in ascending order, banning each hitter after its branch, so
-    every k-set is reached at most once. When every learned fort is hit,
-    one closure on the neighbor masks either yields a new fort to branch
-    on, an optimum (k vertices that color ``g`` within ``rounds``), or, for
-    a smaller set that colors ``g`` too slowly, branches on every unbanned
-    vertex. Every optimum of the first level that has one is found, and
-    they are returned sorted, with the least last round of the closures
-    that accepted them as the result's ``ppt``.
+    set, a banned set, the mask its chosen set colors at once (N[S], or S
+    for zero forcing, one OR per push, where each closure starts) and the
+    unbanned hitters of the forts its parent missed, so it scans only
+    those, plus any fort learned since the push, in store order. When more
+    forts are missed than the level has vertices left, and a greedy packing
+    of missed forts whose unbanned hitters are pairwise disjoint needs more
+    than that, the node is cut: every completion needs a new vertex for
+    each of them. Otherwise it branches on the unbanned hitters of the
+    missed fort with the fewest of them, in ascending order, banning each
+    hitter after its branch, so every k-set is reached at most once. When
+    every learned fort is hit, one closure on the neighbor masks either
+    yields a new fort to branch on, an optimum (k vertices that color ``g``
+    within ``rounds``), or, for a smaller set that colors ``g`` too slowly,
+    branches on every unbanned vertex. A passing closure's last round is
+    kept by its mask, so sets that color the same mask at once share one
+    closure; a failing one never repeats, since every set with its mask
+    misses the fort it teaches. Every optimum of the first level that has
+    one is found, and they are returned sorted, with the least last round
+    of the closures that accepted them as the result's ``ppt``.
 
     With ``forcing`` set the search finds zero forcing sets: the closure
     skips the domination step, and a set is zero forcing exactly when it
@@ -231,48 +237,61 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     taxonomy = None if forcing else connected_profile(g).taxonomy
     budget.check_size(g.n)
     deadline = budget.deadline()
-    closure = propagation._unforced if forcing else propagation._uncolored
     nbr = [bits_of(row) for row in g.adj]
     closed = [m | 1 << v for v, m in enumerate(nbr)]
+    # what a chosen vertex colors at once, and the round forcing starts in
+    at_once, first = ([1 << v for v in range(g.n)], 1) if forcing else (closed, 2)
     everyone = g.full_mask
     hitters = [] if forcing else [_hitters(closed, fort) for fort in _pendant_forts(taxonomy)]
+    passed: dict[int, int] = {}  # colored-at-once mask -> last round of its passing closure
     for k in range(1, g.n + 1):
-        found: list[tuple[int, int]] = []  # last round, chosen
-        stack = [(0, 0, 0)]  # chosen, banned, number chosen
+        found: list[int] = []
+        least = g.n
+        # chosen, banned, number chosen, colored at once, the parent's missed forts (unbanned
+        # hitters) and the number of forts stored when it pushed
+        stack = [(0, 0, 0, 0, hitters, len(hitters))]
         while stack:
             _check_deadline(deadline)
-            chosen, banned, size = stack.pop()
-            missed = [hit & ~banned for hit in hitters if not hit & chosen]
+            chosen, banned, size, reach, missed, known = stack.pop()
+            missed = [hit & ~banned for hit in missed if not hit & chosen]
+            if known < len(hitters):
+                missed += [hit & ~banned for hit in hitters[known:] if not hit & chosen]
             if missed:
                 if len(missed) > k - size and _packs_more_than(missed, k - size):
                     continue
                 branch = min(missed, key=int.bit_count)
             else:
-                gap, last = closure(nbr, closed, chosen)
+                gap, last = 0, passed.get(reach)
+                if last is None:
+                    gap, last = propagation._resume(nbr, closed, reach, reach, first)
                 if gap:
                     hit = _minimal_fort(nbr, closed, gap, deadline)
-                    if not forcing:
-                        hit = _hitters(closed, hit)
-                    hitters.append(hit)
-                    branch = hit & ~banned
-                elif size == k:
-                    if last <= rounds:
-                        found.append((last, chosen))
-                    continue
+                    hitters.append(hit if forcing else _hitters(closed, hit))
+                    branch = hitters[-1] & ~banned
                 else:
+                    passed[reach] = last
+                    if size == k:
+                        if last <= rounds:
+                            found.append(chosen)
+                            least = min(least, last)
+                        continue
                     branch = everyone & ~chosen & ~banned
             if size == k:
                 continue
-            for v in reversed(list(iter_bits(branch))):
-                low = 1 << v
-                stack.append((chosen | low, banned | (branch & (low - 1)), size + 1))
+            known = len(hitters)
+            while branch:  # children in descending order, so they pop ascending
+                v = branch.bit_length() - 1
+                branch ^= 1 << v
+                stack.append((chosen | 1 << v, banned | branch, size + 1, reach | at_once[v],
+                              missed, known))
         if found:
-            optima = _sorted_sets(s for _, s in found)
+            passed.clear()  # the optima's tuples are the search's peak
+            optima = _sorted_sets(found)
             # every zero forcing set power dominates, so only its forcing
             # closure certifies it; a closure that forces nothing still
             # counts round 1, as its trace does
             return certify(g, optima[0], METHOD_BRUTE, connected=False,
-                           optima=tuple(optima), ppt=max(1, min(found)[0]),
+                           optima=tuple(optima), ppt=max(1, least),
                            trace=propagation.forcing_closure(g, optima[0]) if forcing else None)
     raise SolverInternalError("no set colors the graph (unreachable)")
 
@@ -324,15 +343,16 @@ def _grow(nbr: list[int], seed: int, rounds: int,
             chosen, reach, banned, size = stack.pop()
             if size == k:
                 if _connected(nbr, chosen):
-                    gap, last = propagation._uncolored(nbr, closed, chosen, rounds)
+                    colored = reach | chosen
+                    gap, last = propagation._resume(nbr, closed, colored, colored, 2, rounds)
                     if not gap:
                         found.append((last, chosen))
                 continue
             branch = (reach if chosen else everyone) & ~chosen & ~banned
-            for v in reversed(list(iter_bits(branch))):
-                low = 1 << v
-                stack.append((chosen | low, reach | nbr[v], banned | (branch & (low - 1)),
-                              size + 1))
+            while branch:  # children in descending order, so they pop ascending
+                v = branch.bit_length() - 1
+                branch ^= 1 << v
+                stack.append((chosen | 1 << v, reach | nbr[v], banned | branch, size + 1))
         if found:
             return _sorted_sets(s for _, s in found), min(found)[0]
     raise SolverInternalError("no connected power dominating set found (unreachable)")

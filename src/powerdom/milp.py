@@ -267,12 +267,14 @@ def _integral(value: object) -> bool:
 
 def check_assignment(model: MilpModel, assignment: dict[str, int]) -> list[str]:
     """All integrality, bound and constraint violations of a full assignment;
-    a row that names a value other than an int or a float is skipped."""
+    a row that names a missing value or one other than an int or a float is
+    skipped."""
     problems = []
     unread = set()
     for var in model.variables:
         if var.name not in assignment:
             problems.append(f"missing value for {var.name}")
+            unread.add(var.name)
             continue
         val = assignment[var.name]
         if not _integral(val):

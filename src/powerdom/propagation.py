@@ -25,9 +25,8 @@ round, source and target of every coloring, the domination step's
 included, as plain integers in one flat list, which :func:`trace_lines`
 prints directly, and builds its :class:`Force` entries only when
 ``forces`` is read. The yes/no checks record nothing.
-The closures of the exact searches (:func:`_uncolored`,
-:func:`_unforced`) run the same rounds on neighbor bitmasks instead
-(:func:`_resume`).
+The closures of the exact searches run the same rounds on neighbor
+bitmasks instead (:func:`_resume`), from the mask a search colors at once.
 """
 
 from __future__ import annotations
@@ -254,7 +253,10 @@ def _resume(nbr: list[int], closed: list[int], colored: int, active: int, t: int
     no force fires or round ``limit`` is done. Round ``t`` checks only
     ``active`` (no other colored vertex may have one uncolored neighbor),
     each later round the colored closed neighbors of the round's targets.
-    Returns the uncolored mask and the last round that colored a vertex."""
+    A set's closure starts from what it colors at once, with ``active`` the
+    same mask: N[S] from round 2 after the domination step, S from round 1
+    without it. Returns the uncolored mask, a fort when not empty and there
+    is no ``limit``, and the last round that colored a vertex."""
     uncolored = ((1 << len(nbr)) - 1) ^ colored
     last = t - 1
     while active and uncolored and (limit is None or t <= limit):
@@ -275,24 +277,6 @@ def _resume(nbr: list[int], closed: list[int], colored: int, active: int, t: int
         active &= ~uncolored
         last, t = t, t + 1
     return uncolored, last
-
-
-def _uncolored(nbr: list[int], closed: list[int], s: int,
-               limit: int | None = None) -> tuple[int, int]:
-    """Power domination closure of the mask ``s`` (:func:`_resume`); without a
-    ``limit``, the uncolored mask it returns is a fort when not empty."""
-    colored = 0
-    while s:
-        low = s & -s
-        colored |= closed[low.bit_length() - 1]
-        s ^= low
-    return _resume(nbr, closed, colored, colored, 2, limit)
-
-
-def _unforced(nbr: list[int], closed: list[int], s: int,
-              limit: int | None = None) -> tuple[int, int]:
-    """:func:`_uncolored` for the forcing rule alone (no domination step)."""
-    return _resume(nbr, closed, s, s, 1, limit)
 
 
 def ppt_of_set(g: Graph, s: Iterable[int]) -> int:

@@ -14,7 +14,7 @@ from powerdom.errors import (BudgetExceededError, DisconnectedError, GraphError,
 from powerdom.exact import Budget
 from powerdom.decomposition import classify_cut_vertices
 from powerdom.graphs import (Graph, attach_leaves, bits_of, complete_graph, cycle_graph,
-                             path_graph)
+                             iter_bits, path_graph)
 
 from conftest import (
     complete_bipartite,
@@ -243,7 +243,15 @@ class TestZeroForcing:
     def test_witness_is_certified_by_forcing(self, monkeypatch):
         """A search whose closure runs the domination step finds power
         dominating sets; the forcing certificate must reject them."""
-        monkeypatch.setattr(prop, "_unforced", prop._uncolored)
+        resume = prop._resume
+
+        def dominating(nbr, closed, colored, active, t, limit=None):
+            reach = colored
+            for v in iter_bits(colored):
+                reach |= closed[v]
+            return resume(nbr, closed, reach, reach, t, limit)
+
+        monkeypatch.setattr(prop, "_resume", dominating)
         with pytest.raises(SolverInternalError, match="non power dominating set"):
             exact.min_zero_forcing(cycle_graph(6))
 

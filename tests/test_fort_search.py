@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from powerdom import exact, graph_io, propagation
 from powerdom.cli import main
 from powerdom.decomposition import connected_profile
-from powerdom.graphs import Graph
+from powerdom.graphs import Graph, bits_of
 
 from conftest import (
     connected_graphs,
@@ -117,23 +117,30 @@ def seeded_forts(search) -> list[int]:
     return seeded
 
 
+def failed_closures(search) -> list[int]:
+    """What every failed closure of the fort search leaves uncolored while
+    ``search()`` runs: each goes to ``exact._minimal_fort`` to be shrunk."""
+    gaps = []
+    shrink = exact._minimal_fort
+
+    def recording(nbr, closed, gap, deadline):
+        gaps.append(gap)
+        return shrink(nbr, closed, gap, deadline)
+
+    exact._minimal_fort = recording
+    try:
+        search()
+    finally:
+        exact._minimal_fort = shrink
+    return gaps
+
+
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs(), st.sampled_from([1, 2, None]))
 def test_every_learned_fort_is_a_fort(g, rounds):
-    learned = []
-    closure = propagation._uncolored
-
-    def recording(*args):
-        gap, last = closure(*args)
-        if gap:
-            learned.append(gap)
-        return gap, last
-
-    propagation._uncolored = recording
-    try:
-        seeded = seeded_forts(lambda: exact.l_round_pd(g, g.n if rounds is None else rounds))
-    finally:
-        propagation._uncolored = closure
+    seeded = []
+    learned = failed_closures(lambda: seeded.extend(seeded_forts(
+        lambda: exact.l_round_pd(g, g.n if rounds is None else rounds))))
     # the empty set misses a seeded fort or its closure leaves one
     assert seeded or learned
     for gap in seeded + learned:
@@ -143,20 +150,7 @@ def test_every_learned_fort_is_a_fort(g, rounds):
 @settings(max_examples=100, deadline=None)
 @given(connected_graphs())
 def test_every_learned_zero_forcing_fort_is_a_fort(g):
-    learned = []
-    closure = propagation._unforced
-
-    def recording(*args):
-        gap, last = closure(*args)
-        if gap:
-            learned.append(gap)
-        return gap, last
-
-    propagation._unforced = recording
-    try:
-        exact.min_zero_forcing(g)
-    finally:
-        propagation._unforced = closure
+    learned = failed_closures(lambda: exact.min_zero_forcing(g))
     # a closure runs only on a set that meets every fort learned so far,
     # so it never leaves one of them uncolored again
     assert learned and len(set(learned)) == len(learned)
@@ -267,7 +261,7 @@ def test_hubs_need_one_closure_and_learn_no_fort(k):
     """The forts of hubs(k) are its leaf pairs, so the search starts with
     all it needs: one closure accepts the spine, and nothing is learned."""
     calls = Counter()
-    closure, shrink = propagation._uncolored, exact._minimal_fort
+    closure, shrink = propagation._resume, exact._minimal_fort
 
     def counting(name, fn):
         def wrapper(*args):
@@ -275,14 +269,43 @@ def test_hubs_need_one_closure_and_learn_no_fort(k):
             return fn(*args)
         return wrapper
 
-    propagation._uncolored = counting("closure", closure)
+    propagation._resume = counting("closure", closure)
     exact._minimal_fort = counting("shrink", shrink)
     try:
         result = exact.min_pds(hubs(k))
     finally:
-        propagation._uncolored, exact._minimal_fort = closure, shrink
+        propagation._resume, exact._minimal_fort = closure, shrink
     assert result.witness == tuple(range(k))
     assert calls == {"closure": 1}
+
+
+# a 17-vertex tree whose 300 minimum power dominating sets have only 235
+# distinct closed neighborhoods
+SHARED_NEIGHBORHOODS = [(1, 0), (2, 0), (3, 1), (4, 1), (5, 3), (6, 2), (7, 4), (8, 0), (9, 1),
+                        (10, 4), (11, 5), (12, 10), (13, 0), (14, 2), (15, 13), (16, 8)]
+
+
+def test_one_closure_per_distinct_colored_mask(monkeypatch):
+    """Optima that color the same closed neighborhood at once share one
+    closure, and a failed closure never repeats."""
+    g = Graph([str(v) for v in range(17)], SHARED_NEIGHBORHOODS)
+    closures = []
+    resume = propagation._resume
+
+    def recording(nbr, closed, colored, active, t, limit=None):
+        gap, last = resume(nbr, closed, colored, active, t, limit)
+        if t == 2:  # a search closure; a fort shrinks by closures from round 1
+            closures.append((colored, gap))
+        return gap, last
+
+    monkeypatch.setattr(propagation, "_resume", recording)
+    result = exact.min_pds(g)
+    assert list(result.all_optima) == naive_min_coloring(g, g.n)
+    masks = [colored for colored, _ in closures]
+    assert len(set(masks)) == len(masks)
+    dominated = {bits_of(naive_propagate(g, set(s), rounds=1)) for s in result.all_optima}
+    assert {colored for colored, gap in closures if not gap} == dominated
+    assert len(dominated) == 235 and len(result.all_optima) == 300
 
 
 def least_ppt(g: Graph, result: exact.SolveResult) -> int:
@@ -328,12 +351,19 @@ def test_ppt_and_batch_print_the_least_ppt_over_the_optima(family):
 WIDE = exact.Budget(max_vertices=200)
 
 
+def cubic(n: int) -> Graph:
+    """networkx's random cubic graph on n vertices, seeded with n."""
+    nx = pytest.importorskip("networkx")
+    return Graph([str(v) for v in range(n)], list(nx.random_regular_graph(3, n, seed=n).edges()))
+
+
 @pytest.mark.parametrize("search,make,optimum,limit", [
     (exact.min_pds, lambda: hubs(16), 16, 1.0),
     (exact.min_pds, lambda: random_tree(random.Random(4), 40), 6, 1.0),
     (exact.min_zero_forcing, lambda: random_tree(random.Random(30), 30), 10, 2.0),
     (exact.min_zero_forcing, lambda: random_tree_with_chords(random.Random(2), 24, 6), 7, 1.0),
-], ids=["pd-hubs16", "pd-tree40", "zf-tree30", "zf-tree24-chords6"])
+    (exact.min_pds, lambda: cubic(50), 4, 2.5),
+], ids=["pd-hubs16", "pd-tree40", "zf-tree30", "zf-tree24-chords6", "pd-cubic50"])
 def test_reach_within_a_wall_limit(search, make, optimum, limit):
     g = make()
     started = time.perf_counter()

@@ -235,6 +235,9 @@ class TestSolveSmall:
         solved = milp.solve_small(model).assignment
         missing = {k: v for k, v in solved.items() if k != "x_v1"}
         assert milp.check_assignment(model, missing) == ["missing value for x_v1"]
+        # a missing variable is reported once, not also in every row naming it
+        arc = {k: v for k, v in solved.items() if k != "y_v2__v3"}
+        assert milp.check_assignment(model, arc) == ["missing value for y_v2__v3"]
         assert milp.check_assignment(model, dict(solved, x_v3=7)) == [
             "x_v3=7 outside [0, 3]", "order_v3__v2: 6 <= 3 violated",
             "watch_v2__v1__v3: 7 <= 3 violated"]

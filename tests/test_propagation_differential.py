@@ -2,9 +2,9 @@
 
 Every public entry point of the engine is compared on seeded random trees,
 cacti and general graphs (n <= 20), on long paths, spiders and cycles, and
-on hypothesis-generated graphs. The bitmask closures of the exact searches
-(``_uncolored``, ``_unforced`` and the resumed ``_resume``) are compared
-with the engine itself. A recorded trace builds its entries on first read;
+on hypothesis-generated graphs. The bitmask closure of the exact searches
+(``_resume``, from a fresh or a stalled coloring) is compared with the
+engine itself. A recorded trace builds its entries on first read;
 it is compared with one built eagerly from the reference, it prints the
 same lines as its entries, and the CLI is checked to run the engine once
 per traced solve and to build no entry, whether it prints a trace or not.
@@ -165,8 +165,13 @@ def test_mask_closures_match_the_engine(g, seed):
     for _ in range(8):
         s = rng.getrandbits(g.n)
         for limit in (1, 2, 3, None):
-            assert prop._uncolored(nbr, closed, s, limit) == engine_closure(g, s, True, limit)
-            assert prop._unforced(nbr, closed, s, limit) == engine_closure(g, s, False, limit)
+            reach = s
+            for v in iter_bits(s):
+                reach |= closed[v]
+            # the domination step colors N[s] in round 1, so forcing starts in round 2
+            assert prop._resume(nbr, closed, reach, reach, 2, limit) == engine_closure(
+                g, s, True, limit)
+            assert prop._resume(nbr, closed, s, s, 1, limit) == engine_closure(g, s, False, limit)
 
 
 @settings(max_examples=200, deadline=None)
@@ -178,7 +183,8 @@ def test_resumed_closure_matches_a_fresh_one(g, seed):
     rng = random.Random(seed)
     nbr, closed = masks(g)
     for _ in range(8):
-        fort, _ = prop._unforced(nbr, closed, rng.getrandbits(g.n))
+        s = rng.getrandbits(g.n)
+        fort, _ = prop._resume(nbr, closed, s, s, 1)
         for v in iter_bits(fort):
             colored = (g.full_mask ^ fort) | 1 << v
             resumed = prop._resume(nbr, closed, colored, closed[v] & colored, 1)
