@@ -325,9 +325,9 @@ def _grow(nbr: list[int], seed: int, rounds: int,
     order, banning each after its branch, so every k-set grown from the
     seed is reached exactly once. A k-set is tested where the search
     reaches it: a disconnected seed can grow into a disconnected set, so
-    connectivity first (:func:`_connected`), then one closure on neighbor
-    masks that stops after round ``rounds``. Every optimum of the first
-    level that has one is found.
+    connectivity first (:func:`_connected`), then one full closure on
+    neighbor masks, which must color the graph by round ``rounds``. Every
+    optimum of the first level that has one is found.
     """
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     seed_reach = 0
@@ -344,8 +344,8 @@ def _grow(nbr: list[int], seed: int, rounds: int,
             if size == k:
                 if _connected(nbr, chosen):
                     colored = reach | chosen
-                    gap, last = propagation._resume(nbr, closed, colored, colored, 2, rounds)
-                    if not gap:
+                    gap, last = propagation._resume(nbr, closed, colored, colored, 2)
+                    if not gap and last <= rounds:
                         found.append((last, chosen))
                 continue
             branch = (reach if chosen else everyone) & ~chosen & ~banned

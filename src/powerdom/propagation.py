@@ -246,20 +246,19 @@ def colors_within(g: Graph, s: Iterable[int], rounds: int) -> bool:
     return _propagate(g, seeds, dominate=True, limit=rounds)[1] == g.n
 
 
-def _resume(nbr: list[int], closed: list[int], colored: int, active: int, t: int,
-            limit: int | None = None) -> tuple[int, int]:
+def _resume(nbr: list[int], closed: list[int], colored: int, active: int,
+            t: int) -> tuple[int, int]:
     """Synchronized forcing rounds ``t``, ``t + 1``, ... from the mask
     ``colored``, on masks ``nbr[v]`` and ``closed[v] = nbr[v] | 1 << v``, until
-    no force fires or round ``limit`` is done. Round ``t`` checks only
-    ``active`` (no other colored vertex may have one uncolored neighbor),
-    each later round the colored closed neighbors of the round's targets.
-    A set's closure starts from what it colors at once, with ``active`` the
-    same mask: N[S] from round 2 after the domination step, S from round 1
-    without it. Returns the uncolored mask, a fort when not empty and there
-    is no ``limit``, and the last round that colored a vertex."""
+    no force fires. Round ``t`` checks only ``active`` (no other colored vertex
+    may have one uncolored neighbor), each later round the colored closed
+    neighbors of the round's targets. A set's closure starts from what it
+    colors at once, with ``active`` the same mask: N[S] from round 2 after the
+    domination step, S from round 1 without it. Returns the uncolored mask, a
+    fort when not empty, and the last round that colored a vertex."""
     uncolored = ((1 << len(nbr)) - 1) ^ colored
     last = t - 1
-    while active and uncolored and (limit is None or t <= limit):
+    while active and uncolored:
         targets = 0
         while active:
             low = active & -active

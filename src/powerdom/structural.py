@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from . import exact
-from .decomposition import CutVertexTaxonomy, blocks, connected_profile, cycle_order, recognize
+from .decomposition import CutVertexTaxonomy, blocks, connected_profile, recognize
 from .errors import DecompositionError, GraphClassError, GraphError
 from .exact import Budget, DEFAULT_BUDGET, SolveResult, certify
 from .graphs import Graph
@@ -121,12 +121,11 @@ def _spans(cycle: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[tuple[in
 def feasible_segments(
     g: Graph, cycle: Sequence[int], taxonomy: CutVertexTaxonomy
 ) -> FeasibleSegmentFamily:
-    """Candidate segment families for one cycle block with >= 1 cut vertex.
-
-    One walk in the stored orientation finds every segment; the reverse
-    walk would find the same vertex sets, so the maximum does not depend
-    on the orientation. Segments are merged by vertex set, since adjacent
-    cut vertices yield several empty ones.
+    """Candidate segment families for one cycle block with >= 1 cut vertex,
+    from the walk ``cycle`` as given; the reverse walk finds the same vertex
+    sets. Segments are merged by vertex set, since adjacent cut vertices
+    yield several empty ones. ``best`` is the segment of the set that
+    :func:`_largest_segment` returns.
     """
     cycle = tuple(cycle)
     size = len(cycle)
@@ -137,17 +136,16 @@ def feasible_segments(
     for level, a, b in _spans(cycle, taxonomy):
         seg = Segment(cycle, cycle[a], cycle[b], _arc(cycle, a, b))
         families[level].setdefault(frozenset(seg.interior), seg)
+    largest = frozenset(_largest_segment(cycle, taxonomy))
+    best = next(fam[largest] for fam in families if largest in fam)
     groups = tuple(tuple(sorted(fam.values(), key=lambda s: s.interior)) for fam in families)
-    every = [seg for fam in groups for seg in fam]
-    max_size = max(seg.size for seg in every)
-    # among maximum segments prefer the one avoiding small vertex ids,
-    # which lexicographically minimizes the complementary solution set
-    best = max((seg for seg in every if seg.size == max_size), key=lambda s: sorted(s.interior))
-    return FeasibleSegmentFamily(groups[0], groups[1], groups[2], max_size, best)
+    return FeasibleSegmentFamily(groups[0], groups[1], groups[2], best.size, best)
 
 
 def _largest_segment(cycle: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> tuple[int, ...]:
-    """A largest excludable segment, tie broken as in :func:`feasible_segments`."""
+    """A largest excludable segment of the walk ``cycle``, the one avoiding
+    small vertex ids, which lexicographically minimizes the complementary
+    solution set: the same set in every rotation and direction of the walk."""
     size = len(cycle)
     spans = _spans(cycle, taxonomy)
     most = max((b - a - 1) % size for _, a, b in spans)
@@ -184,26 +182,6 @@ def _piece_vertices(blk: tuple[int, ...], taxonomy: CutVertexTaxonomy) -> list[i
     return verts
 
 
-def _cut_rows(g: Graph, rows: list[Sequence[int]], hubs: dict[int, frozenset[int] | None],
-              vertices: list[int], blk: Sequence[int]) -> None:
-    """Point ``rows[a]`` of each hub ``a`` of the block ``blk`` at its
-    neighbors among the piece's ``vertices`` when its row is over eight
-    times longer than the piece, looked up in the set of the row that
-    ``hubs`` keeps once built; else at its row. Only a mandatory vertex's
-    row leaves its piece, and one that is no hub's is at most 32 long, so
-    reading the pieces' rows costs O(m) plus a constant per piece vertex,
-    where reading a hub's whole row for each of its pieces took quadratic
-    time."""
-    for a in hubs.keys() & blk:
-        row = g.adj[a]
-        if len(row) > 8 * len(vertices):
-            near = hubs[a]
-            if near is None:
-                near = hubs[a] = frozenset(row)
-            row = [v for v in vertices if v in near]
-        rows[a] = row
-
-
 def nontrivial_block_subgraphs(g: Graph) -> list[tuple[tuple[int, ...], list[int]]]:
     """Each nontrivial block with its piece, as (core, vertices): the
     block's vertices and the sorted vertices the decomposition searches for
@@ -219,17 +197,21 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
     certified under ``method``; a path or a cycle gets vertex 0.
 
     A block's anchors are the mandatory vertices it holds; only the graph's
-    sole nontrivial block can have none, and a clique or a bridge then
-    gives its least vertex. Each distinct piece (the same neighbor masks
-    over local ids and the same anchors, which hold its own mandatory set)
-    is searched once on those masks by :func:`exact._grow`, within the
-    vertex budget at its own size and one deadline for every piece. A union
-    whose size is not the mandatory set's plus what the blocks add beyond
-    their anchors raises. Only the union is certified: a piece meets the
-    rest of ``g`` at its anchors alone, which the witness holds, so they
-    never force and a piece's vertex is colored in ``g`` exactly when it is
-    in the piece; as the block-cut tree has no cycle, the union is
-    connected only if each piece's part is.
+    sole nontrivial block can have none, and a clique or a bridge then gives
+    its least vertex. A cycle's walk is the profile's, as the block DFS left
+    it: its largest segment is one set in any orientation. Only an anchor's
+    row leaves its piece, and one over 8 times the piece's size is read
+    through the piece, in the row's set built once, so reading the pieces'
+    rows costs O(n + m). Each distinct piece (the same neighbor masks over
+    local ids and the same anchors, which hold its own mandatory set) is
+    searched once on those masks by :func:`exact._grow`, within the vertex
+    budget at its own size and one deadline for every piece. A union whose
+    size is not the mandatory set's plus what the blocks add beyond their
+    anchors raises. Only the union is certified: a piece meets the rest of
+    ``g`` at its anchors alone, which the witness holds, so they never force
+    and a piece's vertex is colored in ``g`` exactly when it is in the
+    piece; as the block-cut tree has no cycle, the union is connected only
+    if each piece's part is.
     """
     info = connected_profile(g)
     if info.graph_class.path or info.graph_class.cycle:
@@ -239,9 +221,8 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
     bit_of = bit.__getitem__
     deadline = budget.deadline()
     mandatory = taxonomy.mandatory_set
-    rows: list[Sequence[int]] = list(g.adj)  # a copy for _cut_rows to cut
-    # the hubs, the mandatory vertices with rows of over 32 entries
-    hubs: dict[int, frozenset[int] | None] = {a: None for a in mandatory if len(rows[a]) > 32}
+    rows: list[Sequence[int]] = list(g.adj)  # a copy whose anchors' rows each piece sets
+    near: dict[int, frozenset[int]] = {}  # the set of each long anchor row
     # a mandatory vertex in no nontrivial block is the hub of a spider
     union = set(mandatory)
     added = 0  # vertices the blocks' witnesses hold beyond their anchors
@@ -258,14 +239,19 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
             continue
         inside = [v for v in blk if v in mandatory]
         if edges == k:  # a cycle of 4 or more vertices
-            witness = set(blk).difference(_largest_segment(cycle_order(g, blk), taxonomy))
+            witness = set(blk).difference(_largest_segment(dec.cycles[blk], taxonomy))
         else:
             vertices = _piece_vertices(blk, taxonomy)
             if len(vertices) > budget.max_vertices:  # refused before its masks are built
                 exact._check_deadline(deadline)  # a spent deadline outranks an oversized piece
                 budget.check_size(len(vertices))
-            if hubs:
-                _cut_rows(g, rows, hubs, vertices, blk)
+            for a in inside:
+                row = g.adj[a]
+                if len(row) > 8 * len(vertices):
+                    if a not in near:
+                        near[a] = frozenset(row)
+                    row = [v for v in vertices if v in near[a]]
+                rows[a] = row
             for i, v in enumerate(vertices):
                 bit[v] = 1 << i
             # the bits summed are distinct, so each sum is a neighbor mask

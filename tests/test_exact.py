@@ -245,11 +245,11 @@ class TestZeroForcing:
         dominating sets; the forcing certificate must reject them."""
         resume = prop._resume
 
-        def dominating(nbr, closed, colored, active, t, limit=None):
+        def dominating(nbr, closed, colored, active, t):
             reach = colored
             for v in iter_bits(colored):
                 reach |= closed[v]
-            return resume(nbr, closed, reach, reach, t, limit)
+            return resume(nbr, closed, reach, reach, t)
 
         monkeypatch.setattr(prop, "_resume", dominating)
         with pytest.raises(SolverInternalError, match="non power dominating set"):

@@ -292,8 +292,8 @@ def test_one_closure_per_distinct_colored_mask(monkeypatch):
     closures = []
     resume = propagation._resume
 
-    def recording(nbr, closed, colored, active, t, limit=None):
-        gap, last = resume(nbr, closed, colored, active, t, limit)
+    def recording(nbr, closed, colored, active, t):
+        gap, last = resume(nbr, closed, colored, active, t)
         if t == 2:  # a search closure; a fort shrinks by closures from round 1
             closures.append((colored, gap))
         return gap, last

@@ -160,18 +160,25 @@ def engine_closure(g: Graph, s: int, dominate: bool, limit: int | None) -> tuple
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(), st.integers(0, 2**32 - 1))
 def test_mask_closures_match_the_engine(g, seed):
+    """The mask closure runs to the end, as the engine does without a
+    limit. Within ``limit`` rounds a set colors the graph exactly when that
+    closure leaves nothing uncolored by round ``limit``, the rule both
+    exact searches apply."""
     rng = random.Random(seed)
     nbr, closed = masks(g)
     for _ in range(8):
         s = rng.getrandbits(g.n)
-        for limit in (1, 2, 3, None):
-            reach = s
-            for v in iter_bits(s):
-                reach |= closed[v]
-            # the domination step colors N[s] in round 1, so forcing starts in round 2
-            assert prop._resume(nbr, closed, reach, reach, 2, limit) == engine_closure(
-                g, s, True, limit)
-            assert prop._resume(nbr, closed, s, s, 1, limit) == engine_closure(g, s, False, limit)
+        reach = s
+        for v in iter_bits(s):
+            reach |= closed[v]
+        # the domination step colors N[s] in round 1, so forcing starts in round 2
+        closures = {True: prop._resume(nbr, closed, reach, reach, 2),
+                    False: prop._resume(nbr, closed, s, s, 1)}
+        for dominate, (gap, last) in closures.items():
+            assert (gap, last) == engine_closure(g, s, dominate, None)
+            for limit in (1, 2, 3):
+                left, _ = engine_closure(g, s, dominate, limit)
+                assert (gap == 0 and last <= limit) == (left == 0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -165,15 +165,28 @@ def test_structural_searches_no_piece_through_a_public_search():
     assert allowed, "solve_cpds has no brute branch"
 
 
+def _structural_calls(names: set[str]) -> list[str]:
+    """Calls in ``structural.py`` of a function named in ``names``, bare or
+    as an attribute."""
+    tree = ast.parse((SRC / "structural.py").read_text(encoding="utf-8"))
+    return [f"structural.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+                node.func, "id", None)) in names]
+
+
 def test_structural_builds_no_graph_or_row_of_a_piece():
     """The decomposition searches a piece on neighbor masks read from the
     whole graph's rows and lists a piece as its vertices, so ``structural``
     calls neither ``induced_subgraph`` nor ``_induced_rows``."""
-    tree = ast.parse((SRC / "structural.py").read_text(encoding="utf-8"))
-    found = [f"structural.py:{node.lineno}" for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
-                 node.func, "id", None)) in {"induced_subgraph", "_induced_rows"}]
-    assert found == []
+    assert _structural_calls({"induced_subgraph", "_induced_rows"}) == []
+
+
+def test_structural_reads_each_cycle_walk_as_built():
+    """The block core takes a cycle's walk from the profile as the block
+    DFS left it, and ``feasible_segments`` the walk it is given: a largest
+    segment is one vertex set in any orientation, so ``structural`` never
+    calls ``cycle_order`` to reorient a walk."""
+    assert _structural_calls({"cycle_order"}) == []
 
 
 def test_no_function_takes_an_all_optima_parameter():

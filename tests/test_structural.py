@@ -212,6 +212,32 @@ class TestSegments:
         assert min(cut_families) > 0 and min(cuts_per_cycle[1:]) > 0
 
 
+    def test_a_cycles_walk_may_start_anywhere_and_run_either_way(self):
+        """The block core reads each cycle's walk as the block DFS left it.
+        The largest segment's vertex set is the same from every rotation
+        and both directions of the walk, and reversing every walk in the
+        profile leaves the cactus witness as it was."""
+        rng = random.Random("walk orientation")
+        walks = 0
+        for _ in range(150):
+            g = random_cactus(rng, rng.randint(6, 40))
+            g = attach_leaves(g, rng.sample(range(g.n), rng.randint(1, 4)), rng.randint(1, 2))
+            taxonomy = classify_cut_vertices(g)
+            cycles = blocks(g).cycles
+            witness = structural.cactus_cpds(g).witness
+            for walk in cycles.values():
+                largest = set(structural._largest_segment(walk, taxonomy))
+                for way in (walk, walk[::-1]):
+                    for i in range(len(way)):
+                        assert set(structural._largest_segment(way[i:] + way[:i],
+                                                               taxonomy)) == largest
+                walks += len(walk) >= 4
+            for blk, walk in list(cycles.items()):  # the cached profile, changed in place
+                cycles[blk] = walk[::-1]
+            assert structural.cactus_cpds(g).witness == witness
+        assert walks >= 200
+
+
 class TestCactus:
     def test_pure_cycle(self):
         assert structural.cactus_cpds(cycle_graph(10)).optimum == 1
@@ -656,17 +682,31 @@ class TestPieceTable:
         with pytest.raises(BudgetExceededError, match="graph has 25 vertices, budget allows 24"):
             structural.decompose_cpds(Graph(labels, edges))
 
-    @pytest.mark.parametrize("petals,leaves", [(3, 21), (200, 200)])
-    def test_a_hubs_leaves_stay_out_of_its_pieces(self, petals, leaves):
+    @pytest.mark.parametrize("petals,leaves", [(3, 21), (16, 0), (16, 1), (200, 200)])
+    def test_a_hubs_leaves_stay_out_of_its_pieces(self, petals, leaves, monkeypatch):
         """Diamonds and leaves on one hub, which every witness holds: each
         piece is a diamond of 4 vertices, within the default budget of 24,
-        and the hub alone colors the graph."""
-        g = attach_leaves(flower(petals, "diamond"), [0], leaves)
+        and the hub alone colors the graph. Sixteen petals give the hub a
+        row of 32 entries, 8 times a piece, which is read in full; one leaf
+        more makes it 33, which is read through the piece. Either way the
+        search gets the diamond's induced masks and the witness is the naive
+        decomposition's."""
+        g = flower(petals, "diamond")
+        if leaves:
+            g = attach_leaves(g, [0], leaves)
+        assert len(g.adj[0]) == 2 * petals + leaves
+        grow, searched = exact._grow, []
+        monkeypatch.setattr(exact, "_grow",
+                            lambda nbr, *args: searched.append(tuple(nbr)) or grow(nbr, *args))
         pieces = structural.nontrivial_block_subgraphs(g)
         assert [len(vertices) for _, vertices in pieces] == [4] * petals
         result = structural.solve_cpds(g)
         assert (result.optimum, result.method) == (1, exact.METHOD_DECOMPOSITION)
         assert g.labels_of(result.witness) == ("v0",)
+        assert set(searched) == {tuple(map(bits_of, g.induced_subgraph(vertices)[0].adj))
+                                 for _, vertices in pieces}
+        naive = naive_decompose(Graph(g.labels, g.edges()))
+        assert (result.optimum, result.witness) == (naive.optimum, naive.witness)
 
 
 def flower(k: int, petal: str) -> Graph:
