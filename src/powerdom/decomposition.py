@@ -23,6 +23,7 @@ power dominating set, which is what makes the fast solvers work.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from itertools import compress, groupby
 from operator import itemgetter
@@ -32,18 +33,6 @@ from .errors import DisconnectedError, GraphError
 from .graphs import Graph
 
 
-def _side_data(cls: type) -> type:
-    """Leave the last field of named tuple ``cls``, a dict of side data, out
-    of ``==``, hash and repr: the other fields stand for the record."""
-    cls.__eq__ = lambda self, other: (self[:-1] == other[:-1] if other.__class__ is cls
-                                      else NotImplemented)
-    cls.__ne__, cls.__hash__ = object.__ne__, lambda self: hash(self[:-1])
-    cls.__repr__ = lambda self: "{}({})".format(
-        cls.__name__, ", ".join(map("{}={!r}".format, cls._fields, self[:-1])))
-    return cls
-
-
-@_side_data
 class BlockDecomposition(NamedTuple):
     """Biconnected components of a connected graph.
 
@@ -52,15 +41,16 @@ class BlockDecomposition(NamedTuple):
     vertex, necessarily a cut vertex. ``trivial`` flags blocks that are
     single edges lying on a pendant path (including the edge that joins
     the path to its attachment vertex). ``edges`` holds each block's edge
-    count. ``cycles`` maps each block that is a cycle to its vertices in
-    the order of a walk around it.
+    count. ``walks`` holds, for each block that is a cycle of three or
+    more vertices, its vertices in the order of a walk around it, as the
+    block DFS left it, and None for every other block.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     cut_vertices: tuple[int, ...]
     trivial: tuple[bool, ...]
     edges: tuple[int, ...]
-    cycles: dict[tuple[int, ...], tuple[int, ...]]
+    walks: tuple[tuple[int, ...] | None, ...]
 
 
 class _Taxonomy(NamedTuple):
@@ -228,13 +218,12 @@ def _pendant_paths(g: Graph) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], t
 def _analyse(g: Graph) -> GraphProfile:
     """One O(n + m) pass: a search for a tree, the block DFS for any other
     graph, then per-vertex arrays."""
-    n = g.n
-    if g.m == n - 1:
+    if g.m == g.n - 1:
         if not g.is_connected():
             return GraphProfile(False, None, None, None)
         # a tree: each edge is a block, and a vertex lies in one block per edge
-        return _connected_profile(g, tuple(g.edges()), (1,) * g.m, list(map(len, g.adj)), {},
-                                  True, True)
+        return _connected_profile(g, tuple(g.edges()), (1,) * g.m, list(map(len, g.adj)),
+                                  (None,) * g.m, True, True)
     return _profile_from_blocks(g, _block_dfs(g))
 
 
@@ -251,16 +240,16 @@ def _profile_from_blocks(
             membership[v] += 1
     return _connected_profile(
         g, block_sets, tuple(e for _, e, _ in found), membership,
-        {blk: walk for blk, _, walk in found if walk is not None},
+        tuple(walk for _, _, walk in found),
         block_graph=all(e == len(blk) * (len(blk) - 1) // 2 for blk, e, _ in found),
         cactus=all(e == len(blk) for blk, e, _ in found if len(blk) > 2))
 
 
 def _connected_profile(g: Graph, block_sets: tuple[tuple[int, ...], ...], edges: tuple[int, ...],
-                       membership: list[int], cycles: dict[tuple[int, ...], tuple[int, ...]],
+                       membership: list[int], walks: tuple[tuple[int, ...] | None, ...],
                        block_graph: bool, cactus: bool) -> GraphProfile:
     """Taxonomy and class of a connected graph from its sorted blocks,
-    their edge counts and the number of blocks holding each vertex."""
+    their edge counts and walks and the number of blocks holding each vertex."""
     n, m = g.n, g.m
     # in a connected graph the cut vertices are the vertices of two or more blocks
     cut_vertices = tuple(compress(range(n), map((2).__le__, membership)))
@@ -283,7 +272,7 @@ def _connected_profile(g: Graph, block_sets: tuple[tuple[int, ...], ...], edges:
         block_graph=block_graph,
         cactus=cactus,
     )
-    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial, edges, cycles),
+    return GraphProfile(True, BlockDecomposition(block_sets, cut_vertices, trivial, edges, walks),
                         taxonomy, graph_class)
 
 
@@ -329,13 +318,13 @@ def cycle_order(g: Graph, block: tuple[int, ...]) -> tuple[int, ...]:
 
     The walk starts at the smallest-index vertex and moves toward its
     smaller-index neighbor inside the block, which fixes a deterministic
-    orientation for segment scans. The block's walk comes from the
-    profile, so the cost is O(len(block)) however many other blocks share
-    its vertices.
+    orientation for segment scans. A binary search finds the block among
+    the profile's sorted blocks, and its walk lies beside it, so the cost is
+    O(len(block) + log B) however many other blocks share its vertices.
     """
-    if len(block) < 3:
-        raise GraphError("cycle block needs at least three vertices")
-    walk = connected_profile(g).decomposition.cycles.get(tuple(sorted(block)))
+    key, dec = tuple(sorted(block)), connected_profile(g).decomposition
+    at = bisect_left(dec.blocks, key)
+    walk = dec.walks[at] if dec.blocks[at:at + 1] == (key,) else None
     if walk is None:
         raise GraphError("block is not a cycle")
     i = walk.index(min(walk))

@@ -50,7 +50,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import exact, propagation
-from .decomposition import _side_data, connected_profile
+from .decomposition import connected_profile
 from .errors import GraphError, ModelError
 from .graph_io import _INTEGER
 from .graphs import Graph, _count, fresh_label
@@ -87,6 +87,17 @@ class Constraint(NamedTuple):
 # __new__: a model holds one per column and row
 _variable = partial(tuple.__new__, Variable)
 _row = partial(tuple.__new__, Constraint)
+
+
+def _side_data(cls: type) -> type:
+    """Leave the last field of named tuple ``cls``, a mapping of side data,
+    out of ``==``, hash and repr: the other fields stand for the record."""
+    cls.__eq__ = lambda self, other: (self[:-1] == other[:-1] if other.__class__ is cls
+                                      else NotImplemented)
+    cls.__ne__, cls.__hash__ = object.__ne__, lambda self: hash(self[:-1])
+    cls.__repr__ = lambda self: "{}({})".format(
+        cls.__name__, ", ".join(map("{}={!r}".format, cls._fields, self[:-1])))
+    return cls
 
 
 @_side_data
@@ -338,7 +349,9 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
     assignment produced by this module; the first variable it lacks, the
     first binary it sets to neither 0 nor 1, or the first integer variable
     it sets to a value that is not integral or lies outside the variable's
-    bounds, raises :class:`ModelError`."""
+    bounds, raises :class:`ModelError`, as does a model read back from text."""
+    if "names" not in model.meta:
+        raise ModelError("decode_assignment only handles models built by this module")
     for var in model.variables:
         if var.name not in assignment:
             raise ModelError(f"assignment has no value for {var.name}")
@@ -474,12 +487,10 @@ def _export_lp(model: MilpModel) -> str:
     binaries = [v for v in model.variables if v.kind == BINARY]
     if integers:
         lines.append("Generals")
-        for var in integers:
-            lines.append(f" {var.name}")
+        lines += [f" {var.name}" for var in integers]
     if binaries:
         lines.append("Binaries")
-        for var in binaries:
-            lines.append(f" {var.name}")
+        lines += [f" {var.name}" for var in binaries]
     lines.append("End")
     return "\n".join(lines) + "\n"
 

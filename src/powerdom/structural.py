@@ -228,7 +228,7 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
     added = 0  # vertices the blocks' witnesses hold beyond their anchors
     # (masks, anchors) fix a piece's search, which reads no labels
     solved: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for blk, edges, trivial in zip(dec.blocks, dec.edges, dec.trivial):
+    for blk, edges, trivial, walk in zip(dec.blocks, dec.edges, dec.trivial, dec.walks):
         if trivial:
             continue
         k = len(blk)
@@ -238,8 +238,8 @@ def _by_blocks(g: Graph, method: str, budget: Budget = DEFAULT_BUDGET) -> SolveR
                 added += 1
             continue
         inside = [v for v in blk if v in mandatory]
-        if edges == k:  # a cycle of 4 or more vertices
-            witness = set(blk).difference(_largest_segment(dec.cycles[blk], taxonomy))
+        if walk is not None:  # a cycle of 4 or more vertices
+            witness = set(blk).difference(_largest_segment(walk, taxonomy))
         else:
             vertices = _piece_vertices(blk, taxonomy)
             if len(vertices) > budget.max_vertices:  # refused before its masks are built

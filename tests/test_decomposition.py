@@ -10,9 +10,11 @@ from powerdom.decomposition import (
     blocks,
     classify_cut_vertices,
     cycle_order,
+    profile,
     recognize,
 )
 from powerdom.errors import DisconnectedError, GraphError
+from powerdom.graph_io import load_graph
 from powerdom.graphs import (
     Graph,
     attach_leaves,
@@ -21,6 +23,7 @@ from powerdom.graphs import (
     cycle_graph,
     path_graph,
 )
+from powerdom.structural import cactus_cpds
 
 from conftest import (
     bowtie,
@@ -249,8 +252,41 @@ class TestCycleOrder:
                         cycle_order(g, blk)
 
     def test_rejects_blocks_that_are_not_cycles(self):
-        g = complete_graph(4)
-        with pytest.raises(GraphError):
-            cycle_order(g, (0, 1, 2, 3))
-        with pytest.raises(GraphError):
-            cycle_order(path_graph(3), (0, 1))
+        """A clique, part of one, a bridge, no vertex at all and a tuple
+        past the last block get one message."""
+        for g, block in ((complete_graph(4), (0, 1, 2, 3)), (complete_graph(4), (0, 1, 2)),
+                         (path_graph(3), (0, 1)), (path_graph(3), ()),
+                         (cycle_graph(4), (0, 1, 2, 3, 4))):
+            with pytest.raises(GraphError, match="^block is not a cycle$"):
+                cycle_order(g, block)
+
+
+class TestWalks:
+    """Each cycle's walk sits beside its block in a plain record, which no
+    caller can change under the cached profile."""
+
+    TEXT = "a b\nb c\nc d\nd a\na x\nc y\n"  # a 4-cycle with a leaf on two opposite vertices
+
+    def test_a_walk_lies_beside_each_cycle_block(self):
+        rng = random.Random("walks")
+        for _ in range(40):
+            g = random_cactus(rng, rng.randint(3, 40))
+            dec = blocks(g)
+            assert type(dec.walks) is tuple and len(dec.walks) == len(dec.blocks)
+            for blk, edges, walk in zip(dec.blocks, dec.edges, dec.walks):
+                assert (walk is not None) == (len(blk) == edges >= 3)
+                assert walk is None or tuple(sorted(walk)) == blk
+        assert blocks(path_graph(4)).walks == (None,) * 3
+
+    def test_the_cached_walks_cannot_be_changed(self):
+        g = load_graph(self.TEXT)
+        walks = blocks(g).walks
+        with pytest.raises(TypeError):
+            walks[0] = ()
+        for _ in range(2):
+            assert g.labels_of(cactus_cpds(g).witness) == ("a",)
+
+    def test_a_profile_hashes_and_equals_a_fresh_one(self):
+        first, second = profile(load_graph(self.TEXT)), profile(load_graph(self.TEXT))
+        assert first == second and hash(first) == hash(second)
+        assert first is not second

@@ -21,8 +21,10 @@ from conftest import (
     double_star,
     naive_min_cpds,
     naive_min_pds_size,
+    random_block_graph,
     random_cactus,
     random_connected_graph,
+    random_tree,
 )
 
 
@@ -192,6 +194,20 @@ class TestSubjectTo:
             direct = exact.min_cpds_subject_to(g, x).optimum
             expanded = exact.min_cpds(attach_leaves(g, x, 3)).optimum
             assert direct == expanded
+
+    def test_l3_equivalent_keeps_exactly_the_optima_containing_x(self):
+        """The lemma behind ``l3_equivalent``: with three leaves on each
+        vertex of ``x``, the minimum connected power dominating sets are
+        those of ``g`` that contain ``x``, under the original ids."""
+        rng = random.Random("l3 equivalent")
+        families = (random_tree, random_cactus, random_block_graph, random_connected_graph)
+        for i in range(300):
+            g = families[i % 4](rng, rng.randint(3, 12))
+            x = rng.sample(range(g.n), rng.randint(1, 2))
+            expanded = exact.l3_equivalent(g, x)
+            assert expanded.labels[:g.n] == g.labels
+            assert (exact.min_cpds(expanded).all_optima
+                    == exact.min_cpds_subject_to(g, x).all_optima)
 
 
 class TestLRound:

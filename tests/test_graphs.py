@@ -99,7 +99,13 @@ class TestConstruction:
     @pytest.mark.parametrize("make, message", [
         (lambda: Graph(["a", "b"], [(0, 2)]), "edge (0, 2) out of range for n=2"),
         (lambda: Graph.from_labeled_edges([]), "graph must have at least one vertex"),
-    ], ids=["endpoint out of range", "no pair"])
+        (lambda: path_graph(0), "path needs at least one vertex"),
+        (lambda: cycle_graph(2), "cycle needs at least three vertices"),
+        (lambda: complete_graph(0), "complete graph needs at least one vertex"),
+        (lambda: attach_leaves(path_graph(2), [0], 0), "r must be at least 1"),
+        (lambda: path_graph(1).delete_vertex(0), "cannot delete the only vertex"),
+    ], ids=["endpoint out of range", "no pair", "empty path", "short cycle", "empty clique",
+            "no leaves", "only vertex"])
     def test_refusal_names_its_cause(self, make, message):
         with pytest.raises(GraphError) as info:
             make()
@@ -136,6 +142,14 @@ class TestConstruction:
         with pytest.raises(GraphError, match=message):
             Graph.from_labeled_edges(pairs)
 
+    def test_equality_hash_and_repr(self):
+        """Two graphs with the same labels and rows are equal and hash
+        alike; a graph never equals another type."""
+        g = path_graph(3)
+        same = Graph(["v1", "v2", "v3"], [(2, 1), (0, 1)])
+        assert g == same and hash(g) == hash(same) and repr(g) == "Graph(n=3, m=2)"
+        assert g != cycle_graph(3) and (g == 5) is False and g != 5
+
     def test_label_lookup(self):
         g = path_graph(3)
         assert g.index("v2") == 1
@@ -155,6 +169,14 @@ class TestLoaders:
         g = load_graph("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n", "dimacs")
         assert (g.n, g.m) == (3, 3)
         assert g.labels == ("1", "2", "3")
+
+    def test_text_stream(self):
+        assert_same_graph(load_graph(io.StringIO("a b\nb c\n")), load_graph("a b\nb c\n"))
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ParseError, match="^unknown format 'gml'; expected one of "
+                                             "edgelist, dimacs, matrixmarket$"):
+            load_graph("a b\n", "gml")
 
     def test_edgelist_cleaning(self):
         g = load_graph("a a\na b\na b")

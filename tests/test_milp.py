@@ -617,6 +617,7 @@ class TestMalformedText:
         ("x_v1 - x_v2", "x_v1 x_v2", "LP line 7"),
         ("x_v1 - x_v2 + 3 y_v1__v2", "x_v1 - x_v2 + 2.5 y_v1__v2", "LP line 7"),
         (" 0 <= s_v2 <= 1\n", " 0 <= s_v1 <= 1\n", "LP line 11"),
+        (" obj: s_v1 + s_v2", " obj: s_v1 * s_v2", "LP line 3"),
         ("Minimize\n", "", "LP line 2"),
         (" cover_v2:", " cover_v1:", "LP line 6"),
         ("3 y_v1__v2 <= 2", "3 y_v1__v2 <= \u0662", "LP line 7"),
@@ -625,7 +626,7 @@ class TestMalformedText:
         (" x_v1\n x_v2\n", " x_v2\n", "'x_v1'"),
         ("Binaries\n", "Binaries\n x_v1\n", "'x_v1'"),
         (P2_LP, "", "no variables"),
-    ], ids=["junk-between-terms", "missing-sign", "fraction", "bound-twice",
+    ], ids=["junk-between-terms", "missing-sign", "fraction", "bound-twice", "objective",
             "outside-sections", "label-twice", "non-ascii-rhs", "non-ascii-coefficient",
             "non-ascii-bound", "neither-kind", "both-kinds", "empty"])
     def test_lp_other_defects(self, old, new, where):
@@ -638,6 +639,13 @@ def test_signed_integers_read_back():
     mps = milp.parse_mps(edited(P2_MPS, "    rhs    cover_v1    1", "    rhs    cover_v1    +1"))
     assert lp == milp.parse_lp(P2_LP)
     assert mps == milp.parse_mps(P2_MPS)
+
+
+def test_blank_lines_are_skipped():
+    """Both readers pass over an empty or all-blank line wherever it stands."""
+    lp = milp.parse_lp(edited(P2_LP, "Subject To\n", "\nSubject To\n  \n"))
+    mps = milp.parse_mps(edited(P2_MPS, "RHS\n", "\nRHS\n \n"))
+    assert lp == milp.parse_lp(P2_LP) and mps == milp.parse_mps(P2_MPS)
 
 
 def test_mps_row_without_rhs_entry_has_rhs_zero():
@@ -653,7 +661,10 @@ def test_mps_row_without_rhs_entry_has_rhs_zero():
      ModelError, "solve_small only handles models built by this module"),
     (lambda: milp.export(milp.build_model1(path_graph(4)), "xml"), ModelError,
      "unknown export format 'xml'"),
-], ids=["horizon", "other graph", "parsed model", "format"])
+    (lambda m=milp.build_model1(path_graph(4)): milp.decode_assignment(
+        milp.parse_lp(milp.export(m)), milp.solve_small(m).assignment),
+     ModelError, "decode_assignment only handles models built by this module"),
+], ids=["horizon", "other graph", "parsed model", "format", "decode parsed model"])
 def test_each_refusal_is_one_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -1,6 +1,6 @@
 """The package's records: each keeps its fields in order and refuses
-assignment to them, and the side data of a block decomposition (its cycle
-walks) and of a model (its meta) stays out of ``==``, hash and repr."""
+assignment to them, and the side data of a model (its meta) stays out of
+``==``, hash and repr."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ MODEL = milp.build_model1(G, 3)
 
 RECORDS = {
     "BlockDecomposition": (PROFILE.decomposition,
-                           ("blocks", "cut_vertices", "trivial", "edges", "cycles")),
+                           ("blocks", "cut_vertices", "trivial", "edges", "walks")),
     "CutVertexTaxonomy": (PROFILE.taxonomy, ("r1", "r2", "r3", "mandatory", "pendant_paths",
                                              "pendant_count")),
     "GraphClass": (PROFILE.graph_class, ("path", "cycle", "tree", "block_graph", "cactus")),
@@ -53,10 +53,12 @@ def test_record_keeps_its_fields_and_refuses_assignment(name):
             setattr(record, field, value)
     assert type(record)(*values) == record == pickle.loads(pickle.dumps(record))
     assert not isinstance(record, tuple) or record == tuple(values)
-    side = fields[-1]
-    if side in ("cycles", "meta"):  # side data: out of ==, hash and repr
+    shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, values)
+                      if field != "meta")
+    assert repr(record) == f"{name}({shown})"
+    if fields[-1] == "meta":  # side data: out of ==, hash and repr
         assert values[-1]
-        bare = record._replace(**{side: {}})
+        bare = record._replace(meta={})
         assert bare == record and not bare != record and hash(bare) == hash(record)
-        assert repr(bare) == repr(record) and f"{side}=" not in repr(record)
+        assert repr(bare) == repr(record) and "meta=" not in repr(record)
         assert record._replace(**{fields[0]: values[0][:-1]}) != record

@@ -189,6 +189,30 @@ def test_structural_reads_each_cycle_walk_as_built():
     assert _structural_calls({"cycle_order"}) == []
 
 
+def test_only_milp_keeps_side_data_out_of_a_record():
+    """A model's ``meta`` is the one field left out of a record's ``==``,
+    hash and repr; every other record, the block decomposition with its
+    cycle walks too, is a plain named tuple. So only ``milp.py`` defines,
+    imports or applies ``_side_data``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                named = [node.name]
+            elif isinstance(node, ast.ImportFrom):
+                named = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                named = [node.attr]
+            elif isinstance(node, ast.Name):
+                named = [node.id]
+            else:
+                continue
+            if "_side_data" in named:
+                found.add(path.name)
+    assert found == {"milp.py"}
+
+
 def test_no_function_takes_an_all_optima_parameter():
     """The exact searches find every optimum of the optimal level anyway,
     so each result carries them and their least propagation time; no

@@ -223,17 +223,17 @@ class TestSegments:
             g = random_cactus(rng, rng.randint(6, 40))
             g = attach_leaves(g, rng.sample(range(g.n), rng.randint(1, 4)), rng.randint(1, 2))
             taxonomy = classify_cut_vertices(g)
-            cycles = blocks(g).cycles
+            dec = blocks(g)
             witness = structural.cactus_cpds(g).witness
-            for walk in cycles.values():
+            for walk in filter(None, dec.walks):
                 largest = set(structural._largest_segment(walk, taxonomy))
                 for way in (walk, walk[::-1]):
                     for i in range(len(way)):
                         assert set(structural._largest_segment(way[i:] + way[:i],
                                                                taxonomy)) == largest
                 walks += len(walk) >= 4
-            for blk, walk in list(cycles.items()):  # the cached profile, changed in place
-                cycles[blk] = walk[::-1]
+            g._profile = g._profile._replace(decomposition=dec._replace(
+                walks=tuple(walk and walk[::-1] for walk in dec.walks)))
             assert structural.cactus_cpds(g).witness == witness
         assert walks >= 200
 
@@ -788,7 +788,10 @@ class TestAutoDispatch:
     (lambda: structural.feasible_segments(cycle_graph(5), [0, 2, 1, 3, 4],
                                           classify_cut_vertices(cycle_graph(5))),
      GraphError, "vertex list is not a cycle in traversal order"),
-], ids=["method", "not a tree", "misordered cycle"])
+    (lambda: structural.feasible_segments(cycle_graph(5), range(5),
+                                          classify_cut_vertices(cycle_graph(5))),
+     GraphError, "cycle block has no cut vertex"),
+], ids=["method", "not a tree", "misordered cycle", "no cut vertex"])
 def test_each_refusal_is_one_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
