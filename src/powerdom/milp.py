@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import re
 from functools import cache, partial
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from . import exact, propagation
 from .decomposition import connected_profile
@@ -89,32 +88,14 @@ _variable = partial(tuple.__new__, Variable)
 _row = partial(tuple.__new__, Constraint)
 
 
-def _side_data(cls: type) -> type:
-    """Leave the last field of named tuple ``cls``, a mapping of side data,
-    out of ``==``, hash and repr: the other fields stand for the record."""
-    cls.__eq__ = lambda self, other: (self[:-1] == other[:-1] if other.__class__ is cls
-                                      else NotImplemented)
-    cls.__ne__, cls.__hash__ = object.__ne__, lambda self: hash(self[:-1])
-    cls.__repr__ = lambda self: "{}({})".format(
-        cls.__name__, ", ".join(map("{}={!r}".format, cls._fields, self[:-1])))
-    return cls
-
-
-@_side_data
 class MilpModel(NamedTuple):
-    """Solver-agnostic variable/constraint container.
-
-    ``meta`` carries the originating graph, its name table and the horizon
-    so the built-in validator can reconstruct solutions; it is excluded
-    from equality so that a model re-read from disk compares equal to the
-    original. A model read from disk has an empty, read-only ``meta``.
-    """
+    """Solver-agnostic variable/constraint container, and nothing else:
+    the calls that need the model's graph take it as an argument."""
 
     name: str
     variables: tuple[Variable, ...]
     objective: tuple[tuple[int, str], ...]
     constraints: tuple[Constraint, ...]
-    meta: Mapping = MappingProxyType({})
 
     def canonical(self) -> tuple:
         """Order-insensitive structural form (for round-trip comparisons;
@@ -139,11 +120,11 @@ class ModelSolution(NamedTuple):
 _SANITIZE = re.compile(r"[^A-Za-z0-9_]")
 
 
-def _check_unique(names: list[str], what: str, taken: set[str] | None = None) -> None:
-    """Raise on a repeated name, or on one already in ``taken``."""
+def _check_unique(names: list[str], what: str, taken: set[str] | None = None) -> set[str]:
+    """The set of ``names``; raise on a repeated name, or on one in ``taken``."""
     unique = set(names)
     if len(unique) == len(names) and (taken is None or unique.isdisjoint(taken)):
-        return
+        return unique
     seen = set() if taken is None else set(taken)
     for name in names:
         if name in seen:
@@ -156,9 +137,8 @@ def _names(g: Graph) -> tuple[list[str], list[tuple[int, int, str]]]:
     vertex, and every arc (each edge in both directions, tail-major) with
     its ``u__v`` suffix. Every variable and row name is a prefix followed
     by one of these. A label that cleans to the name of an earlier vertex
-    takes the first free name with underscores appended. :func:`build_model1`
-    builds it once and keeps it in the model's ``meta``, where the
-    connectivity extension, the encoder and the decoder read it."""
+    takes the first free name with underscores appended. It is built from
+    the graph by each call that needs it."""
     labs = [_SANITIZE.sub("_", lab) for lab in g.labels]
     taken, seen = set(labs), set()
     for v, lab in enumerate(labs):
@@ -223,8 +203,23 @@ def build_model1(g: Graph, t: int | None = None) -> MilpModel:
         variables=tuple(variables),
         objective=tuple(s_one),
         constraints=tuple(constraints),
-        meta={"graph": g, "names": (labs, arcs), "horizon": horizon, "connected": False},
     )
+
+
+def _layout(model: MilpModel, g: Graph) -> tuple[tuple, int, bool]:
+    """The name table of ``g``, the horizon (the upper bound of the first
+    ``x_`` column) and whether the arborescence is present, of a model whose
+    columns are exactly the base columns of ``g`` (``s_``, ``x_``, ``y_``),
+    or those followed by the arborescence columns (``zr_``, ``z_``, ``o_``)."""
+    names = labs, arcs = _names(g)
+    uvs = [uv for _, _, uv in arcs]
+    expected = [prefix + suffix for prefix, suffixes in (
+        ("s_", labs), ("x_", labs), ("y_", uvs), ("zr_", labs), ("z_", uvs), ("o_", labs))
+        for suffix in suffixes]
+    columns, base = [v.name for v in model.variables], 2 * g.n + len(arcs)
+    if columns != expected[:base] and columns != expected:
+        raise ModelError("model was not built from this graph")
+    return names, model.variables[g.n].upper, len(columns) > base
 
 
 def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
@@ -234,11 +229,9 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
     exactly one root arc, one parent per selected vertex, selected parents
     only, and rank variables that rise along arcs to rule out cycles.
     """
-    if model.meta.get("connected"):
+    (labs, arcs), _, connected = _layout(model, g)
+    if connected:
         raise ModelError("connectivity constraints already present")
-    if model.meta.get("graph") is not g and model.meta.get("graph") != g:
-        raise ModelError("model was not built from this graph")
-    labs, arcs = model.meta["names"]
     root = ["zr_" + lab for lab in labs]
     z = ["z_" + uv for _, _, uv in arcs]
     rank = ["o_" + lab for lab in labs]
@@ -258,14 +251,13 @@ def add_mtz_connectivity(model: MilpModel, g: Graph) -> MilpModel:
                     for i, (u, _, uv) in enumerate(arcs)]
     constraints += [_row(("rank_" + uv, (rank_one[u], rank_minus[v], z_n[i]), "<=", g.n - 1))
                     for i, (u, v, uv) in enumerate(arcs)]
-    # build_model1 checked the base's names, and export checks any model's
-    _check_unique([v.name for v in variables], "variable", {v.name for v in model.variables})
+    # the columns are the base columns of g, so the new ones cannot clash
+    # with them; the base model may hold any row, so the rows are checked
     _check_unique([c.name for c in constraints], "constraint",
                   {c.name for c in model.constraints})
     return model._replace(name="connected_power_domination",
                           variables=model.variables + tuple(variables),
-                          constraints=model.constraints + tuple(constraints),
-                          meta={**model.meta, "connected": True})
+                          constraints=model.constraints + tuple(constraints))
 
 
 # -- solution checking and the validator -----------------------------------
@@ -308,12 +300,10 @@ def check_assignment(model: MilpModel, assignment: dict[str, int]) -> list[str]:
     return problems
 
 
-def _encode(model: MilpModel, chosen: tuple[int, ...],
+def _encode(g: Graph, names: tuple, horizon: int, connected: bool, chosen: tuple[int, ...],
             trace: propagation.PropagationTrace) -> dict[str, int]:
-    """Turn a propagation run into a full variable assignment."""
-    g: Graph = model.meta["graph"]
-    horizon: int = model.meta["horizon"]
-    labs, arcs = model.meta["names"]
+    """Turn a propagation run into a full assignment of a model of ``g``."""
+    labs, arcs = names
     chosen_set = set(chosen)
     assignment = {"s_" + lab: int(v in chosen_set) for v, lab in enumerate(labs)}
     colored_at = {v: 0 for v in chosen_set}
@@ -325,7 +315,7 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
         assignment["x_" + lab] = min(colored_at[v], horizon)
     for u, v, uv in arcs:
         assignment["y_" + uv] = int((u, v) in parent_arc)
-    if model.meta.get("connected"):
+    if connected:
         root = min(chosen_set)
         left = bytearray(g.n)
         for v in chosen_set:
@@ -343,15 +333,14 @@ def _encode(model: MilpModel, chosen: tuple[int, ...],
     return assignment
 
 
-def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
+def decode_assignment(model: MilpModel, g: Graph, assignment: dict[str, int]) -> tuple[
         tuple[int, ...], propagation.PropagationTrace]:
     """Read the selected set and its force schedule back out of a feasible
-    assignment produced by this module; the first variable it lacks, the
-    first binary it sets to neither 0 nor 1, or the first integer variable
-    it sets to a value that is not integral or lies outside the variable's
-    bounds, raises :class:`ModelError`, as does a model read back from text."""
-    if "names" not in model.meta:
-        raise ModelError("decode_assignment only handles models built by this module")
+    assignment of a model of ``g``; the first variable it lacks, the first
+    binary it sets to neither 0 nor 1, or the first integer variable it
+    sets to a value that is not integral or lies outside the variable's
+    bounds, raises :class:`ModelError`, as does a model not built from ``g``."""
+    (labs, arcs), _, _ = _layout(model, g)
     for var in model.variables:
         if var.name not in assignment:
             raise ModelError(f"assignment has no value for {var.name}")
@@ -361,7 +350,6 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
         if not (_integral(value) and var.lower <= value <= var.upper):
             raise ModelError(f"integer {var.name} is {value!r}, "
                              f"not an integer in [{var.lower}, {var.upper}]")
-    labs, arcs = model.meta["names"]
     chosen = tuple(v for v, lab in enumerate(labs) if assignment["s_" + lab] == 1)
     chosen_set = set(chosen)
     forces = []
@@ -374,9 +362,9 @@ def decode_assignment(model: MilpModel, assignment: dict[str, int]) -> tuple[
     return chosen, propagation.PropagationTrace(chosen, tuple(forces), final)
 
 
-def solve_small(model: MilpModel,
+def solve_small(model: MilpModel, g: Graph,
                 budget: exact.Budget = exact.DEFAULT_BUDGET) -> ModelSolution:
-    """Exact optimum of a model built here.
+    """Exact optimum of a model of ``g``, built here or read back from text.
 
     The selection is the lexicographically smallest optimum of the exact
     oracle for the model's horizon: :func:`exact.l_round_pd` for a power
@@ -386,11 +374,10 @@ def solve_small(model: MilpModel,
     from the selection's propagation run, and the assignment is verified
     against every constraint before it is returned.
     """
-    if "graph" not in model.meta:
-        raise ModelError("solve_small only handles models built by this module")
-    oracle = exact.l_round_cpd if model.meta.get("connected") else exact.l_round_pd
-    result = oracle(model.meta["graph"], model.meta["horizon"], budget)
-    assignment = _encode(model, result.witness, result.trace)
+    names, horizon, connected = _layout(model, g)
+    oracle = exact.l_round_cpd if connected else exact.l_round_pd
+    result = oracle(g, horizon, budget)
+    assignment = _encode(g, names, horizon, connected, result.witness, result.trace)
     problems = check_assignment(model, assignment)
     if problems:
         raise ModelError("derived assignment violates the model: " + "; ".join(problems))
@@ -409,7 +396,7 @@ def solve_graph(g: Graph, t: int | None = None, connected: bool = False,
     model = build_model1(g, t)
     if connected:
         model = add_mtz_connectivity(model, g)
-    chosen, trace = decode_assignment(model, solve_small(model, budget).assignment)
+    chosen, trace = decode_assignment(model, g, solve_small(model, g, budget).assignment)
     return exact.certify(g, chosen, exact.METHOD_MILP, connected, trace=trace)
 
 
@@ -441,10 +428,16 @@ def ppt_by_search(g: Graph, connected: bool = False,
 
 class _Shown(dict):
     """Each distinct term as LP text writes it after a row's first term,
-    with its leading space (`` + x``, `` - 3 y``), formatted on first use."""
+    with its leading space (`` + x``, `` - 3 y``), formatted on first use;
+    a term whose name is not ``declared`` is refused there."""
+
+    def __init__(self, declared: set[str]) -> None:
+        self.declared = declared
 
     def __missing__(self, term: tuple[int, str]) -> str:
         coef, name = term
+        if name not in self.declared:
+            raise ModelError(f"a term names undeclared variable {name!r}")
         body = name if abs(coef) == 1 else f"{abs(coef)} {name}"
         text = self[term] = f" {'-' if coef < 0 else '+'} {body}"
         return text
@@ -460,20 +453,25 @@ def _expr(terms: tuple[tuple[int, str], ...], shown: _Shown) -> str:
 
 
 def export(model: MilpModel, fmt: str = "lp") -> str:
-    """Serialize to LP or (fixed-layout) MPS text, byte-deterministic."""
+    """Serialize to LP or (fixed-layout) MPS text, byte-deterministic; a
+    term naming an undeclared variable, or a row whose relation is not
+    ``<=``, ``=`` or ``>=``, is refused in both formats."""
     if not model.variables:
         raise ModelError("model has no variables")
-    _check_unique([v.name for v in model.variables], "variable")
+    declared = _check_unique([v.name for v in model.variables], "variable")
     _check_unique([c.name for c in model.constraints], "constraint")
+    if not _CODE_OF.keys() >= {con.relation for con in model.constraints}:
+        con = next(con for con in model.constraints if con.relation not in _CODE_OF)
+        raise ModelError(f"row {con.name!r} has relation {con.relation!r}, not <=, = or >=")
     if fmt == "lp":
-        return _export_lp(model)
+        return _export_lp(model, declared)
     if fmt == "mps":
         return _export_mps(model)
     raise ModelError(f"unknown export format {fmt!r}")
 
 
-def _export_lp(model: MilpModel) -> str:
-    shown = _Shown()
+def _export_lp(model: MilpModel, declared: set[str]) -> str:
+    shown = _Shown(declared)
     lines = [f"\\ {model.name}", "Minimize", f" obj: {_expr(model.objective, shown)}",
              "Subject To"]
     lines += [f" {con.name}: {_expr(con.terms, shown)} {con.relation} {con.rhs}"
@@ -483,39 +481,35 @@ def _export_lp(model: MilpModel) -> str:
     lines.append("Bounds")
     for var in model.variables:
         lines.append(f" {var.lower} <= {var.name} <= {var.upper}")
-    integers = [v for v in model.variables if v.kind == INTEGER]
-    binaries = [v for v in model.variables if v.kind == BINARY]
-    if integers:
-        lines.append("Generals")
-        lines += [f" {var.name}" for var in integers]
-    if binaries:
-        lines.append("Binaries")
-        lines += [f" {var.name}" for var in binaries]
+    for section, kind in (("Generals", INTEGER), ("Binaries", BINARY)):
+        listed = [f" {var.name}" for var in model.variables if var.kind == kind]
+        if listed:
+            lines += [section, *listed]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
 def _export_mps(model: MilpModel) -> str:
-    rel_code = {"<=": "L", ">=": "G", "=": "E"}
     lines = [f"NAME          {model.name}", "ROWS", " N  obj"]
-    for con in model.constraints:
-        lines.append(f" {rel_code[con.relation]}  {con.name}")
+    lines += [f" {_CODE_OF[con.relation]}  {con.name}" for con in model.constraints]
     # each column's entry lines, in row order
     by_var: dict[str, list[str]] = {v.name: [] for v in model.variables}
-    for coef, name in model.objective:
-        by_var[name].append(f"    {name}    obj    {coef}")
-    for con in model.constraints:
-        row = con.name
-        for coef, name in con.terms:
-            by_var[name].append(f"    {name}    {row}    {coef}")
+    try:
+        for coef, name in model.objective:
+            by_var[name].append(f"    {name}    obj    {coef}")
+        for con in model.constraints:
+            row = con.name
+            for coef, name in con.terms:
+                by_var[name].append(f"    {name}    {row}    {coef}")
+    except KeyError as missing:
+        raise ModelError(f"a term names undeclared variable {missing.args[0]!r}") from None
     lines.append("COLUMNS")
     lines.append("    MARKER_ALL    'MARKER'    'INTORG'")
     for entries in by_var.values():
         lines += entries
     lines.append("    MARKER_ALL    'MARKER'    'INTEND'")
     lines.append("RHS")
-    for con in model.constraints:
-        lines.append(f"    rhs    {con.name}    {con.rhs}")
+    lines += [f"    rhs    {con.name}    {con.rhs}" for con in model.constraints]
     lines.append("BOUNDS")
     for var in model.variables:
         if var.kind == BINARY:
@@ -535,7 +529,8 @@ _EXPR = rf"(?:[+-]?\s*{_TERM_BODY}(?:\s*[+-]\s*{_TERM_BODY})*)?"
 _LP_SECTIONS = frozenset(("minimize", "subject to", "bounds", "generals", "binaries", "end"))
 _LP_SECTION_LENGTH = max(map(len, _LP_SECTIONS))
 _MPS_SECTIONS = frozenset(("ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"))
-_REL_OF = {"L": "<=", "G": ">=", "E": "="}
+_CODE_OF = {"<=": "L", ">=": "G", "=": "E"}  # each relation a row may have: its MPS row type
+_REL_OF = {code: relation for relation, code in _CODE_OF.items()}
 
 
 @cache
@@ -587,8 +582,9 @@ def parse_lp(text: str) -> MilpModel:
         line = raw.strip()
         if not line:
             continue
-        if line[0] == "\\":
-            name = line[1:].strip() or name
+        if line[0] == "\\":  # a comment: the model's name before the first section
+            if section is None:
+                name = line[1:].strip() or name
             continue
         if len(line) <= _LP_SECTION_LENGTH:
             lowered = line.lower()

@@ -268,10 +268,10 @@ def test_criterion_07_milp_semantics():
     rng = random.Random(20267)
     for _ in range(300):
         g = random_connected_graph(rng, rng.randint(1, 6))
-        plain = milp.solve_small(milp.build_model1(g))
+        plain = milp.solve_small(milp.build_model1(g), g)
         assert plain.objective_value == exact.min_pds(g).optimum
         extended = milp.add_mtz_connectivity(milp.build_model1(g), g)
-        connected = milp.solve_small(extended)
+        connected = milp.solve_small(extended, g)
         assert connected.objective_value == exact.min_cpds(g).optimum
         for rounds in range(1, g.n + 1):
             assert milp.round_number(g, rounds) == exact.l_round_pd(g, rounds).optimum

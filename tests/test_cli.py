@@ -86,8 +86,8 @@ class TestSolve:
     def test_milp_method_certifies_the_decoded_trace(self, monkeypatch, problem):
         decode = milp.decode_assignment
 
-        def drop_last_force(model, assignment):
-            chosen, trace = decode(model, assignment)
+        def drop_last_force(model, g, assignment):
+            chosen, trace = decode(model, g, assignment)
             forces = trace.forces[:-1]
             final = tuple(sorted(set(chosen) | {f.target for f in forces}))
             return chosen, prop.PropagationTrace(chosen, forces, final)
@@ -98,8 +98,8 @@ class TestSolve:
         assert err == "error: method milp produced a non power dominating set\n"
 
     def test_milp_method_certifies_connectivity(self, monkeypatch):
-        def pd_witness(model, assignment):
-            result = exact.min_pds(model.meta["graph"])
+        def pd_witness(model, g, assignment):
+            result = exact.min_pds(g)
             return result.witness, result.trace
 
         monkeypatch.setattr(milp, "decode_assignment", pd_witness)

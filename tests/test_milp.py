@@ -7,6 +7,7 @@ import itertools
 import random
 import re
 import time
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 import pytest
@@ -50,8 +51,8 @@ class TestBuildModel:
         assert len(watch) == expected
 
     def test_default_horizon_is_n(self):
-        model = milp.build_model1(path_graph(4))
-        assert model.meta["horizon"] == 4
+        g = path_graph(4)
+        assert milp._layout(milp.build_model1(g), g)[1] == 4
 
 
 class TestMtz:
@@ -70,36 +71,36 @@ class TestMtz:
     def test_p3_value_unchanged(self):
         g = path_graph(3)
         extended = milp.add_mtz_connectivity(milp.build_model1(g), g)
-        assert milp.solve_small(extended).objective_value == 1
+        assert milp.solve_small(extended, g).objective_value == 1
 
-    def test_name_table_built_once_per_graph(self, monkeypatch):
-        """The builder's name table serves the connectivity extension, the
-        encoder and the decoder of the same model."""
+    def test_name_table_is_built_from_the_given_graph(self, monkeypatch):
+        """The builder, the connectivity extension, the validator and the
+        decoder each build the name table from the graph they are given."""
         calls = []
         names = milp._names
         monkeypatch.setattr(milp, "_names", lambda g: calls.append(g) or names(g))
         g = two_triangles_bridge()
         model = milp.add_mtz_connectivity(milp.build_model1(g), g)
-        solution = milp.solve_small(model)
-        chosen, _ = milp.decode_assignment(model, solution.assignment)
+        solution = milp.solve_small(model, g)
+        chosen, _ = milp.decode_assignment(model, g, solution.assignment)
         assert chosen == exact.min_cpds(g).witness
-        assert calls == [g]
+        assert calls and all(call is g for call in calls)
 
     def test_bridge_graph_value_rises(self):
         g = two_triangles_bridge()
-        plain = milp.solve_small(milp.build_model1(g))
-        extended = milp.solve_small(milp.add_mtz_connectivity(milp.build_model1(g), g))
+        plain = milp.solve_small(milp.build_model1(g), g)
+        extended = milp.solve_small(milp.add_mtz_connectivity(milp.build_model1(g), g), g)
         assert plain.objective_value == exact.min_pds(g).optimum
         assert extended.objective_value == exact.min_cpds(g).optimum == 2
 
 
-def reference_encode(model: milp.MilpModel, chosen: tuple[int, ...],
+def reference_encode(g: Graph, horizon: int, connected: bool, chosen: tuple[int, ...],
                      trace: prop.PropagationTrace) -> dict[str, int]:
-    """Every variable of a model from a selection and its propagation run;
+    """Every variable of the model of ``g`` with ``horizon`` (and the
+    arborescence if ``connected``) from a selection and its propagation run;
     the arborescence by its own queue-based breadth-first search from the
     least selected vertex, each vertex's parent the one that discovered it."""
-    g = model.meta["graph"]
-    labs, arcs = model.meta["names"]
+    labs, arcs = milp._names(g)
     assignment = {"s_" + lab: int(v in chosen) for v, lab in enumerate(labs)}
     colored_at = {v: 0 for v in chosen}
     arc_used = set()
@@ -107,10 +108,10 @@ def reference_encode(model: milp.MilpModel, chosen: tuple[int, ...],
         colored_at[f.target] = f.timestep
         arc_used.add((f.source, f.target))
     for v, lab in enumerate(labs):
-        assignment["x_" + lab] = min(colored_at[v], model.meta["horizon"])
+        assignment["x_" + lab] = min(colored_at[v], horizon)
     for u, v, uv in arcs:
         assignment["y_" + uv] = int((u, v) in arc_used)
-    if model.meta["connected"]:
+    if connected:
         root = min(chosen)
         order, parent, queue = {root: 1}, {}, [root]
         while queue:
@@ -143,27 +144,28 @@ class TestSolveSmall:
                 model = milp.add_mtz_connectivity(model, g)
                 oracle = exact.l_round_cpd
             result = oracle(g, horizon)
-            expected = reference_encode(model, result.witness, result.trace)
-            assert milp.solve_small(model).assignment == expected
+            expected = reference_encode(g, horizon, connected, result.witness, result.trace)
+            assert milp.solve_small(model, g).assignment == expected
 
     def test_p5(self):
-        assert milp.solve_small(milp.build_model1(path_graph(5), 5)).objective_value == 1
+        g = path_graph(5)
+        assert milp.solve_small(milp.build_model1(g, 5), g).objective_value == 1
 
     def test_k33(self):
-        model = milp.build_model1(complete_bipartite(3, 3), 6)
-        assert milp.solve_small(model).objective_value == 2
+        g = complete_bipartite(3, 3)
+        assert milp.solve_small(milp.build_model1(g, 6), g).objective_value == 2
 
     def test_budget_status(self):
-        model = milp.build_model1(complete_bipartite(3, 3), 6)
+        g = complete_bipartite(3, 3)
         with pytest.raises(BudgetExceededError):
-            milp.solve_small(model, exact.Budget(max_vertices=5))
+            milp.solve_small(milp.build_model1(g, 6), g, exact.Budget(max_vertices=5))
 
     def test_winning_assignment_satisfies_every_row(self):
         rng = random.Random(7)
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 6))
             model = milp.add_mtz_connectivity(milp.build_model1(g), g)
-            solution = milp.solve_small(model)
+            solution = milp.solve_small(model, g)
             assert milp.check_assignment(model, solution.assignment) == []
 
     def test_decode_round_trip(self):
@@ -171,8 +173,8 @@ class TestSolveSmall:
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 6))
             model = milp.build_model1(g)
-            solution = milp.solve_small(model)
-            chosen, trace = milp.decode_assignment(model, solution.assignment)
+            solution = milp.solve_small(model, g)
+            chosen, trace = milp.decode_assignment(model, g, solution.assignment)
             assert prop.replay_trace(g, trace) == g.full_mask
             ok, _ = prop.is_power_dominating(g, chosen)
             assert ok and len(chosen) == solution.objective_value
@@ -184,38 +186,39 @@ class TestSolveSmall:
         model = milp.build_model1(g)
         if connected:
             model = milp.add_mtz_connectivity(model, g)
-        solved = milp.solve_small(model).assignment
+        solved = milp.solve_small(model, g).assignment
         with pytest.raises(ModelError, match="^assignment has no value for s_v1$"):
-            milp.decode_assignment(model, {})
+            milp.decode_assignment(model, g, {})
         last = model.variables[-1].name
         with pytest.raises(ModelError, match=f"^assignment has no value for {last}$"):
-            milp.decode_assignment(model, {k: v for k, v in solved.items() if k != last})
+            milp.decode_assignment(model, g, {k: v for k, v in solved.items() if k != last})
         for value in (2, -1, 0.5):
             with pytest.raises(ModelError, match=f"^binary s_v1 is {value!r}, not 0 or 1$"):
-                milp.decode_assignment(model, dict(solved, s_v1=value))
+                milp.decode_assignment(model, g, dict(solved, s_v1=value))
         with pytest.raises(ModelError, match="^binary y_v1__v2 is 3, not 0 or 1$"):
-            milp.decode_assignment(model, dict(solved, y_v1__v2=3))
+            milp.decode_assignment(model, g, dict(solved, y_v1__v2=3))
         for name, value in (("x_v3", 2.5), ("x_v4", 10**6), ("x_v2", -1), ("x_v1", "3")):
             with pytest.raises(ModelError, match=re.escape(
                     f"integer {name} is {value!r}, not an integer in [0, 4]")):
-                milp.decode_assignment(model, dict(solved, **{name: value}))
+                milp.decode_assignment(model, g, dict(solved, **{name: value}))
         if connected:
             with pytest.raises(ModelError, match=re.escape(
                     "integer o_v2 is 0, not an integer in [1, 4]")):
-                milp.decode_assignment(model, dict(solved, o_v2=0))
+                milp.decode_assignment(model, g, dict(solved, o_v2=0))
         # an integer variable within its bounds is read as it is, and a
         # whole float (as a solver returns) as the int it equals
-        chosen, _ = milp.decode_assignment(model, dict(solved, x_v1=3))
-        assert chosen == milp.decode_assignment(model, solved)[0]
-        _, trace = milp.decode_assignment(model, {k: float(v) for k, v in solved.items()})
-        assert trace.forces == milp.decode_assignment(model, solved)[1].forces
+        chosen, _ = milp.decode_assignment(model, g, dict(solved, x_v1=3))
+        assert chosen == milp.decode_assignment(model, g, solved)[0]
+        _, trace = milp.decode_assignment(model, g, {k: float(v) for k, v in solved.items()})
+        assert trace.forces == milp.decode_assignment(model, g, solved)[1].forces
         assert all(type(f.timestep) is int for f in trace.forces)
 
     def test_check_reports_a_value_that_is_not_integral(self):
         """Two halves of an arc into v3 satisfy every row of the model, but
         no integer solution has them."""
-        model = milp.build_model1(cycle_graph(4))
-        solved = milp.solve_small(model).assignment
+        g = cycle_graph(4)
+        model = milp.build_model1(g)
+        solved = milp.solve_small(model, g).assignment
         halves = dict(solved, y_v2__v3=0.5, y_v4__v3=0.5)
         assert milp.check_assignment(model, halves) == [
             "y_v2__v3=0.5 is not integral", "y_v4__v3=0.5 is not integral"]
@@ -225,14 +228,16 @@ class TestSolveSmall:
     def test_check_reports_a_value_that_is_not_a_number(self, value):
         """The value is reported as not integral, and the rows that name it
         are skipped rather than summed."""
-        model = milp.build_model1(path_graph(3))
-        solved = milp.solve_small(model).assignment
+        g = path_graph(3)
+        model = milp.build_model1(g)
+        solved = milp.solve_small(model, g).assignment
         assert milp.check_assignment(model, dict(solved, s_v1=value)) == [
             f"s_v1={value!r} is not integral"]
 
     def test_check_reports_a_missing_value_a_bound_and_a_row(self):
-        model = milp.build_model1(path_graph(3))
-        solved = milp.solve_small(model).assignment
+        g = path_graph(3)
+        model = milp.build_model1(g)
+        solved = milp.solve_small(model, g).assignment
         missing = {k: v for k, v in solved.items() if k != "x_v1"}
         assert milp.check_assignment(model, missing) == ["missing value for x_v1"]
         # a missing variable is reported once, not also in every row naming it
@@ -249,7 +254,7 @@ class TestSolveSmall:
         monkeypatch.setattr(milp, "_encode", lambda *args: {
             k: v for k, v in encode(*args).items() if k != "x_v1"})
         with pytest.raises(ModelError) as info:
-            milp.solve_small(milp.build_model1(path_graph(3)))
+            milp.solve_small(milp.build_model1(path_graph(3)), path_graph(3))
         assert str(info.value) == "derived assignment violates the model: missing value for x_v1"
 
 
@@ -312,8 +317,8 @@ def test_round_number_and_ppt_by_search_replay_the_decoded_schedule(monkeypatch,
     decoder that drops the last force is refused, as on the command line."""
     decode = milp.decode_assignment
 
-    def drop_last_force(model, assignment):
-        chosen, trace = decode(model, assignment)
+    def drop_last_force(model, g, assignment):
+        chosen, trace = decode(model, g, assignment)
         forces = trace.forces[:-1]
         final = tuple(sorted(set(chosen) | {f.target for f in forces}))
         return chosen, prop.PropagationTrace(chosen, forces, final)
@@ -349,12 +354,11 @@ class TestExport:
         base = milp.build_model1(g)
         extra = milp.Variable("zr_a", milp.BINARY, 0, 1)
         clash = milp.MilpModel(base.name, base.variables + (extra,), base.objective,
-                               base.constraints, base.meta)
-        with pytest.raises(ModelError, match="zr_a"):
+                               base.constraints)
+        with pytest.raises(ModelError, match="^model was not built from this graph$"):
             milp.add_mtz_connectivity(clash, g)
         clash = milp.MilpModel(base.name, base.variables, base.objective,
-                               base.constraints + (milp.Constraint("root_choice", (), "=", 0),),
-                               base.meta)
+                               base.constraints + (milp.Constraint("root_choice", (), "=", 0),))
         with pytest.raises(ModelError, match="root_choice"):
             milp.add_mtz_connectivity(clash, g)
 
@@ -375,24 +379,27 @@ class TestExport:
         assert milp.export(model, "mps") == milp.export(model, "mps")
 
     def test_lp_round_trip(self):
-        rng = random.Random(23)
-        for _ in range(6):
-            g = random_connected_graph(rng, rng.randint(2, 7))
-            model = milp.build_model1(g)
-            if rng.random() < 0.5:
-                model = milp.add_mtz_connectivity(model, g)
+        for model in round_trip_models(23):
             parsed = milp.parse_lp(milp.export(model, "lp"))
             assert parsed.canonical() == model.canonical()
 
     def test_mps_round_trip(self):
-        rng = random.Random(29)
-        for _ in range(6):
-            g = random_connected_graph(rng, rng.randint(2, 7))
-            model = milp.build_model1(g)
-            if rng.random() < 0.5:
-                model = milp.add_mtz_connectivity(model, g)
+        for model in round_trip_models(29):
             parsed = milp.parse_mps(milp.export(model, "mps"))
             assert parsed.canonical() == model.canonical()
+
+
+def round_trip_models(seed: int) -> Iterator[milp.MilpModel]:
+    """Six seeded pd or cpd models, then a model with an empty objective
+    and one with a row of no terms: the writers' empty sums."""
+    rng = random.Random(seed)
+    for _ in range(6):
+        g = random_connected_graph(rng, rng.randint(2, 7))
+        model = milp.build_model1(g)
+        yield milp.add_mtz_connectivity(model, g) if rng.random() < 0.5 else model
+    a = milp.Variable("a", milp.INTEGER, 0, 3)
+    yield milp.MilpModel("no_objective", (a,), (), (milp.Constraint("c", ((2, "a"),), "<=", 5),))
+    yield milp.MilpModel("empty_row", (a,), ((1, "a"),), (milp.Constraint("c", (), ">=", 0),))
 
 
 REWRITTEN = ["bus-1", "bus.2", "3/4", "a b", "bus-5", "x+y", "v7"]
@@ -411,8 +418,8 @@ def test_rewritten_labels(connected):
                 model = milp.add_mtz_connectivity(model, g)
             assert {"s_bus_1", "x_bus_2", "s_3_4", "s_a_b", "s_x_y"} <= {
                 v.name for v in model.variables}
-            solution = milp.solve_small(model)
-            chosen, trace = milp.decode_assignment(model, solution.assignment)
+            solution = milp.solve_small(model, g)
+            chosen, trace = milp.decode_assignment(model, g, solution.assignment)
             assert prop.replay_trace(g, trace) == g.full_mask
             assert len(chosen) == solution.objective_value
             assert not connected or prop.is_connected_set(g, chosen)
@@ -433,8 +440,8 @@ def test_labels_that_clash_after_cleaning(connected):
         model = milp.add_mtz_connectivity(model, g)
     assert [v.name for v in model.variables[:g.n]] == [
         "s_bus_1", "s_bus_1__", "s_bus_1_", "s_c", "s_bus_1___", "s_d"]
-    solution = milp.solve_small(model)
-    chosen, trace = milp.decode_assignment(model, solution.assignment)
+    solution = milp.solve_small(model, g)
+    chosen, trace = milp.decode_assignment(model, g, solution.assignment)
     assert prop.replay_trace(g, trace) == g.full_mask
     assert not connected or prop.is_connected_set(g, chosen)
     assert milp.parse_lp(milp.export(model, "lp")) == model
@@ -653,19 +660,71 @@ def test_mps_row_without_rhs_entry_has_rhs_zero():
     assert [c.rhs for c in parsed.constraints] == [0, 1, 2, 2]
 
 
+P4 = milp.build_model1(path_graph(4))
+# the labels of path_graph(4) on a star: as many arcs, other arc names
+STAR = Graph(["v1", "v2", "v3", "v4"], [(0, 1), (0, 2), (0, 3)])
+GHOST_ROW = milp.Constraint("ghost_row", ((1, "s_v1"), (2, "ghost")), "<=", 1)
+STRICT_ROW = milp.Constraint("strict", ((1, "s_v1"),), "<", 1)
+NOT_BUILT = "model was not built from this graph"
+GHOST = "a term names undeclared variable 'ghost'"
+STRICT = "row 'strict' has relation '<', not <=, = or >="
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda: milp.build_model1(path_graph(4), 0), GraphError, "horizon must be at least 1"),
-    (lambda: milp.add_mtz_connectivity(milp.build_model1(path_graph(4)), path_graph(5)),
-     ModelError, "model was not built from this graph"),
-    (lambda: milp.solve_small(milp.parse_lp(milp.export(milp.build_model1(path_graph(4))))),
-     ModelError, "solve_small only handles models built by this module"),
-    (lambda: milp.export(milp.build_model1(path_graph(4)), "xml"), ModelError,
-     "unknown export format 'xml'"),
-    (lambda m=milp.build_model1(path_graph(4)): milp.decode_assignment(
-        milp.parse_lp(milp.export(m)), milp.solve_small(m).assignment),
-     ModelError, "decode_assignment only handles models built by this module"),
-], ids=["horizon", "other graph", "parsed model", "format", "decode parsed model"])
+    (lambda: milp.add_mtz_connectivity(P4, path_graph(5)), ModelError, NOT_BUILT),
+    (lambda: milp.add_mtz_connectivity(P4, STAR), ModelError, NOT_BUILT),
+    (lambda: milp.add_mtz_connectivity(milp.add_mtz_connectivity(P4, path_graph(4)),
+                                       path_graph(4)),
+     ModelError, "connectivity constraints already present"),
+    (lambda: milp.solve_small(P4, path_graph(5)), ModelError, NOT_BUILT),
+    (lambda: milp.solve_small(P4, STAR), ModelError, NOT_BUILT),
+    (lambda: milp.decode_assignment(P4, path_graph(5), milp.solve_small(
+        P4, path_graph(4)).assignment), ModelError, NOT_BUILT),
+    (lambda: milp.decode_assignment(P4, STAR, milp.solve_small(
+        P4, path_graph(4)).assignment), ModelError, NOT_BUILT),
+    (lambda: milp.export(P4, "xml"), ModelError, "unknown export format 'xml'"),
+    *[(lambda fmt=fmt, model=model: milp.export(model, fmt), ModelError, message)
+      for fmt in ("lp", "mps") for model, message in (
+          (P4._replace(objective=P4.objective + ((1, "ghost"),)), GHOST),
+          (P4._replace(constraints=P4.constraints + (GHOST_ROW,)), GHOST),
+          (P4._replace(constraints=(STRICT_ROW,) + P4.constraints), STRICT))],
+], ids=["horizon", "other graph", "mtz same labels", "mtz twice", "solve other graph",
+        "solve same labels", "decode other graph", "decode same labels", "format",
+        *(f"{fmt} {case}" for fmt in ("lp", "mps")
+          for case in ("ghost in objective", "ghost in row", "strict relation"))])
 def test_each_refusal_is_one_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_comment_after_the_first_section_does_not_rename_the_model():
+    """Only a comment before the first section names the model; a later
+    one is skipped, so the text still reads back as the model written."""
+    model = milp.build_model1(path_graph(3))
+    text = edited(milp.export(model, "lp"), "Subject To\n", "Subject To\n\\ a note\n")
+    assert milp.parse_lp(text) == model
+
+
+@pytest.mark.parametrize("fmt", ["lp", "mps"])
+@pytest.mark.parametrize("connected", [False, True], ids=["pd", "cpd"])
+def test_a_parsed_model_solves_and_decodes_like_the_built_one(connected, fmt):
+    """Given its graph, a model read back from LP or MPS text gives the
+    built model's assignment, selection and schedule, on labels that clash
+    after cleaning and on seeded graphs and horizons."""
+    parse = milp.parse_lp if fmt == "lp" else milp.parse_mps
+    rng = random.Random(41)
+    graphs = [(Graph(CLASHING, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (0, 5)]), None)]
+    for _ in range(12):
+        g = random_connected_graph(rng, rng.randint(1, 8))
+        graphs.append((g, rng.choice([1, 2, g.n])))
+    for g, horizon in graphs:
+        model = milp.build_model1(g, horizon)
+        if connected:
+            model = milp.add_mtz_connectivity(model, g)
+        parsed = parse(milp.export(model, fmt))
+        solution = milp.solve_small(model, g)
+        assert milp.solve_small(parsed, g) == solution
+        assert (milp.decode_assignment(parsed, g, solution.assignment)
+                == milp.decode_assignment(model, g, solution.assignment))

@@ -1,6 +1,5 @@
 """The package's records: each keeps its fields in order and refuses
-assignment to them, and the side data of a model (its meta) stays out of
-``==``, hash and repr."""
+assignment to them, and ``==``, hash and repr cover every field."""
 
 from __future__ import annotations
 
@@ -35,8 +34,8 @@ RECORDS = {
                      ("operation", "target", "before", "after", "spread")),
     "Segment": (FAMILY.best, ("cycle", "start", "end", "interior")),
     "FeasibleSegmentFamily": (FAMILY, ("zero_cut", "one_cut", "two_cut", "max_size", "best")),
-    "MilpModel": (MODEL, ("name", "variables", "objective", "constraints", "meta")),
-    "ModelSolution": (milp.solve_small(MODEL), ("assignment", "objective_value")),
+    "MilpModel": (MODEL, ("name", "variables", "objective", "constraints")),
+    "ModelSolution": (milp.solve_small(MODEL, G), ("assignment", "objective_value")),
 }
 
 
@@ -53,12 +52,5 @@ def test_record_keeps_its_fields_and_refuses_assignment(name):
             setattr(record, field, value)
     assert type(record)(*values) == record == pickle.loads(pickle.dumps(record))
     assert not isinstance(record, tuple) or record == tuple(values)
-    shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, values)
-                      if field != "meta")
+    shown = ", ".join(f"{field}={value!r}" for field, value in zip(fields, values))
     assert repr(record) == f"{name}({shown})"
-    if fields[-1] == "meta":  # side data: out of ==, hash and repr
-        assert values[-1]
-        bare = record._replace(meta={})
-        assert bare == record and not bare != record and hash(bare) == hash(record)
-        assert repr(bare) == repr(record) and "meta=" not in repr(record)
-        assert record._replace(**{fields[0]: values[0][:-1]}) != record

@@ -189,28 +189,28 @@ def test_structural_reads_each_cycle_walk_as_built():
     assert _structural_calls({"cycle_order"}) == []
 
 
-def test_only_milp_keeps_side_data_out_of_a_record():
-    """A model's ``meta`` is the one field left out of a record's ``==``,
-    hash and repr; every other record, the block decomposition with its
-    cycle walks too, is a plain named tuple. So only ``milp.py`` defines,
-    imports or applies ``_side_data``."""
-    found = set()
+def test_no_record_keeps_side_data():
+    """Every record's ``==``, hash and repr cover all of its fields: no
+    module defines, imports or applies ``_side_data``, and none assigns
+    ``__eq__``, ``__hash__`` or ``__repr__`` to a class from outside its
+    body, as an attribute or through ``setattr``."""
+    dunders = {"__eq__", "__hash__", "__repr__"}
+    found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                named = [node.name]
-            elif isinstance(node, ast.ImportFrom):
-                named = [alias.name for alias in node.names]
-            elif isinstance(node, ast.Attribute):
-                named = [node.attr]
-            elif isinstance(node, ast.Name):
-                named = [node.id]
-            else:
-                continue
-            if "_side_data" in named:
-                found.add(path.name)
-    assert found == {"milp.py"}
+            # a def or an imported alias has a name, an attribute an attr
+            # and a bare use an id
+            named = {getattr(node, key, None) for key in ("name", "attr", "id")}
+            stored = (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                      and node.attr in dunders)
+            set_by_call = (isinstance(node, ast.Call)
+                           and getattr(node.func, "id", None) == "setattr"
+                           and any(isinstance(arg, ast.Constant) and arg.value in dunders
+                                   for arg in node.args))
+            if "_side_data" in named or stored or set_by_call:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_function_takes_an_all_optima_parameter():
