@@ -25,6 +25,7 @@ where the search reaches it.
 from __future__ import annotations
 
 import time
+from bisect import bisect
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -137,10 +138,6 @@ def certify(g: Graph, witness: Iterable[int], method: str, connected: bool,
     return SolveResult(len(wit), wit, trace, method, optima, ppt)
 
 
-def _sorted_sets(masks: Iterable[int]) -> list[tuple[int, ...]]:
-    return sorted(tuple(iter_bits(m)) for m in masks)
-
-
 def _minimal_fort(nbr: list[int], closed: list[int], fort: int, deadline: float | None) -> int:
     """A minimal fort inside the fort ``fort``.
 
@@ -181,6 +178,29 @@ def _hitters(closed: list[int], fort: int) -> int:
     for v in iter_bits(fort):
         hit |= closed[v]
     return hit
+
+
+def _inserted(base: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """The sorted tuple ``base`` with the vertex ``v`` inserted."""
+    i = bisect(base, v)
+    return base[:i] + (v,) + base[i:]
+
+
+def _stalled_gap(nbr: list[int], closed: list[int], stalled: int, leaf: int) -> int:
+    """What the closure of the mask ``leaf`` leaves uncolored, resumed from
+    ``stalled``, the closure of a mask inside ``leaf``. A closure is
+    monotone and idempotent, so the closure of ``stalled | leaf`` is that
+    of ``leaf``. No vertex of ``stalled`` can force, so the first round
+    checks only the colored closed neighbors of the vertices ``leaf``
+    adds to it."""
+    new = leaf & ~stalled
+    colored = stalled | new
+    active = 0
+    while new:
+        low = new & -new
+        active |= closed[low.bit_length() - 1]
+        new ^= low
+    return propagation._resume(nbr, closed, colored, active & colored, 2)[0]
 
 
 def _packs_more_than(free: list[int], room: int) -> bool:
@@ -228,6 +248,26 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     one is found, and they are returned sorted, with the least last round
     of the closures that accepted them as the result's ``ppt``.
 
+    A node one vertex short of the level pushes no children: it tests its
+    leaves where it stands, in ascending order. A leaf must hit every fort
+    the node misses, so their unbanned hitters are ANDed into the branch,
+    and so are those of each fort an earlier leaf learns. An optimum's
+    tuple is the node's sorted tuple, unpacked on its first optimum, with
+    the leaf's vertex inserted by bisection.
+
+    With no round limit (``rounds >= g.n``, power domination only) every
+    passing leaf is an optimum. Once one has colored ``g`` by round 2, a
+    leaf can lower ``ppt`` only by coloring everything at once (round 1),
+    since any other passing closure forces in round 2 or later. So every
+    other leaf needs only its pass or fail and its gap, and resumes from
+    the node's stalled coloring (:func:`_stalled_gap`). A closure is
+    monotone and idempotent, so this gives the gap, and the fort, that a
+    full closure gives. What each failing closure colors is kept by its
+    mask, so the node's own closure serves, or a node that missed a fort
+    closes its mask when a leaf first needs it; a mask closed that way
+    misses a learned fort, so no later node or leaf tests it, and no
+    closure mask ever repeats.
+
     With ``forcing`` set the search finds zero forcing sets: the closure
     skips the domination step, and a set is zero forcing exactly when it
     meets every fort, so each fort's hitters are the fort itself.
@@ -242,11 +282,19 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
     # what a chosen vertex colors at once, and the round forcing starts in
     at_once, first = ([1 << v for v in range(g.n)], 1) if forcing else (closed, 2)
     everyone = g.full_mask
+    # no round limit binds: every passing leaf is an optimum, and once one colors g by
+    # round 2 only a leaf that colors everything at once can lower the least round
+    unlimited = not forcing and rounds >= g.n
     hitters = [] if forcing else [_hitters(closed, fort) for fort in _pendant_forts(taxonomy)]
-    passed: dict[int, int] = {}  # colored-at-once mask -> last round of its passing closure
+    # colored-at-once mask -> last round of its passing closure; while the stalled-parent
+    # rule is on, a resumed leaf's entry holds 2, a bound its closure meets or exceeds, and
+    # the level that stores it has an optimum, so it ends by clearing the table
+    passed: dict[int, int] = {}
+    # colored-at-once mask -> what its failing closure colors, where a resumed leaf starts
+    failed: dict[int, int] = {}
     for k in range(1, g.n + 1):
-        found: list[int] = []
-        least = g.n
+        found: list[tuple[int, ...]] = []
+        least = g.n  # no closure takes more rounds
         # chosen, banned, number chosen, colored at once, the parent's missed forts (unbanned
         # hitters) and the number of forts stored when it pushed
         stack = [(0, 0, 0, 0, hitters, len(hitters))]
@@ -265,28 +313,58 @@ def _min_coloring(g: Graph, rounds: int, budget: Budget, forcing: bool = False) 
                 if last is None:
                     gap, last = propagation._resume(nbr, closed, reach, reach, first)
                 if gap:
+                    failed[reach] = everyone ^ gap
                     hit = _minimal_fort(nbr, closed, gap, deadline)
                     hitters.append(hit if forcing else _hitters(closed, hit))
                     branch = hitters[-1] & ~banned
                 else:
                     passed[reach] = last
-                    if size == k:
-                        if last <= rounds:
-                            found.append(chosen)
-                            least = min(least, last)
-                        continue
                     branch = everyone & ~chosen & ~banned
-            if size == k:
+            if size + 1 < k:
+                known = len(hitters)
+                while branch:  # children in descending order, so they pop ascending
+                    v = branch.bit_length() - 1
+                    branch ^= 1 << v
+                    stack.append((chosen | 1 << v, banned | branch, size + 1,
+                                  reach | at_once[v], missed, known))
                 continue
-            known = len(hitters)
-            while branch:  # children in descending order, so they pop ascending
-                v = branch.bit_length() - 1
-                branch ^= 1 << v
-                stack.append((chosen | 1 << v, banned | branch, size + 1, reach | at_once[v],
-                              missed, known))
+            # the children are leaves, tested here in ascending order; each must hit every
+            # fort this node misses, those its earlier siblings learn among them
+            for hit in missed:
+                branch &= hit
+            base = None  # this node's sorted tuple, unpacked on its first optimum
+            while branch:
+                _check_deadline(deadline)
+                low = branch & -branch
+                branch ^= low
+                v = low.bit_length() - 1
+                leaf = reach | at_once[v]
+                gap, last = 0, passed.get(leaf)
+                if last is None:
+                    if unlimited and least <= 2 and leaf != everyone:
+                        stalled = failed.get(reach)
+                        if stalled is None:  # no closure of this mask ran: the node missed a fort
+                            stalled = failed[reach] = everyone ^ propagation._resume(
+                                nbr, closed, reach, reach, first)[0]
+                        # its last round is 2 or more, which leaves the least round as it is
+                        gap, last = _stalled_gap(nbr, closed, stalled, leaf), 2
+                    else:
+                        gap, last = propagation._resume(nbr, closed, leaf, leaf, first)
+                if gap:
+                    failed[leaf] = everyone ^ gap
+                    hit = _minimal_fort(nbr, closed, gap, deadline)
+                    hitters.append(hit if forcing else _hitters(closed, hit))
+                    branch &= hitters[-1]
+                else:
+                    passed[leaf] = last
+                    if last <= rounds:
+                        if base is None:
+                            base = tuple(iter_bits(chosen))
+                        found.append(_inserted(base, v))
+                        least = min(least, last)
         if found:
             passed.clear()  # the optima's tuples are the search's peak
-            optima = _sorted_sets(found)
+            optima = sorted(found)
             # every zero forcing set power dominates, so only its forcing
             # closure certifies it; a closure that forces nothing still
             # counts round 1, as its trace does
@@ -323,11 +401,15 @@ def _grow(nbr: list[int], seed: int, rounds: int,
     banned set and the number chosen. It branches on the unbanned neighbors
     of the chosen set (on every vertex at the empty root) in ascending
     order, banning each after its branch, so every k-set grown from the
-    seed is reached exactly once. A k-set is tested where the search
-    reaches it: a disconnected seed can grow into a disconnected set, so
-    connectivity first (:func:`_connected`), then one full closure on
-    neighbor masks, which must color the graph by round ``rounds``. Every
-    optimum of the first level that has one is found.
+    seed is reached exactly once. The seed is the only set of its own
+    level. Above it, a node one vertex short of the level tests its leaves
+    where it stands, in ascending order, and pushes none. Growing along
+    neighbor masks keeps a connected seed, or a first vertex, connected, so
+    only a leaf grown from a disconnected seed is tested for connectivity
+    (:func:`_connected`). Then one full closure on neighbor masks must
+    color the graph by round ``rounds``. Every optimum of the first level
+    that has one is found; its tuple is its node's sorted tuple, unpacked
+    once, with the leaf's vertex inserted by bisection.
     """
     closed = [m | 1 << v for v, m in enumerate(nbr)]
     seed_reach = 0
@@ -335,26 +417,45 @@ def _grow(nbr: list[int], seed: int, rounds: int,
         seed_reach |= nbr[v]
     everyone = (1 << len(nbr)) - 1
     start = seed.bit_count()
-    for k in range(max(1, start), len(nbr) + 1):
-        found: list[tuple[int, int]] = []  # last round, chosen
+    disconnected = seed and not _connected(nbr, seed)
+    _check_deadline(deadline)
+    if seed and not disconnected:  # the first level holds only the seed
+        colored = seed_reach | seed
+        gap, last = propagation._resume(nbr, closed, colored, colored, 2)
+        if not gap and last <= rounds:
+            return [tuple(iter_bits(seed))], last
+    for k in range(start + 1, len(nbr) + 1):
+        found: list[tuple[int, ...]] = []
+        least = rounds
         stack = [(seed, seed_reach, 0, start)]  # chosen, reach, banned, number chosen
         while stack:
             _check_deadline(deadline)
             chosen, reach, banned, size = stack.pop()
-            if size == k:
-                if _connected(nbr, chosen):
-                    colored = reach | chosen
-                    gap, last = propagation._resume(nbr, closed, colored, colored, 2)
-                    if not gap and last <= rounds:
-                        found.append((last, chosen))
-                continue
             branch = (reach if chosen else everyone) & ~chosen & ~banned
-            while branch:  # children in descending order, so they pop ascending
-                v = branch.bit_length() - 1
-                branch ^= 1 << v
-                stack.append((chosen | 1 << v, reach | nbr[v], banned | branch, size + 1))
+            if size + 1 < k:
+                while branch:  # children in descending order, so they pop ascending
+                    v = branch.bit_length() - 1
+                    branch ^= 1 << v
+                    stack.append((chosen | 1 << v, reach | nbr[v], banned | branch, size + 1))
+                continue
+            base = None  # this node's sorted tuple, unpacked on its first optimum
+            while branch:  # the children are leaves, tested here in ascending order
+                _check_deadline(deadline)
+                low = branch & -branch
+                branch ^= low
+                grown = chosen | low
+                if disconnected and not _connected(nbr, grown):
+                    continue
+                v = low.bit_length() - 1
+                colored = reach | closed[v] | grown
+                gap, last = propagation._resume(nbr, closed, colored, colored, 2)
+                if not gap and last <= rounds:
+                    if base is None:
+                        base = tuple(iter_bits(chosen))
+                    found.append(_inserted(base, v))
+                    least = min(least, last)
         if found:
-            return _sorted_sets(s for _, s in found), min(found)[0]
+            return sorted(found), least
     raise SolverInternalError("no connected power dominating set found (unreachable)")
 
 

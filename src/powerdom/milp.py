@@ -677,7 +677,7 @@ def parse_mps(text: str) -> MilpModel:
         if not parts:
             continue
         if raw[0] not in " \t":
-            if parts[0] == "NAME":
+            if parts[0] == "NAME" and section is None:  # only the header names the model
                 name = parts[1] if len(parts) > 1 else name
             elif len(parts) == 1 and parts[0] in _MPS_SECTIONS:
                 section = parts[0]

@@ -41,7 +41,28 @@ from conftest import (
     random_tree_with_chords,
 )
 
-GENERATORS = {"tree": random_tree, "cactus": random_cactus, "general": random_connected_graph}
+
+def random_hub_tree(rng: random.Random, n: int) -> Graph:
+    """A random tree of max(1, n // 4) hubs, each edge a path through one to
+    three new vertices, with two or three leaves hung on every hub. Each
+    hub, or one of its leaves, is in every power dominating set. The middle
+    of a path with three inner vertices needs a force, so the domination
+    number can exceed gamma_P, and many optima finish in round 2."""
+    hubs = random_tree(rng, max(1, n // 4))
+    edges, size = [], hubs.n
+    for u, v in hubs.edges():
+        path = [u, *range(size, size + rng.randint(1, 3)), v]
+        size += len(path) - 2
+        edges += zip(path, path[1:])
+    for hub in range(hubs.n):
+        leaves = rng.choice((2, 3))
+        edges += [(hub, size + j) for j in range(leaves)]
+        size += leaves
+    return Graph([str(v) for v in range(size)], edges)
+
+
+GENERATORS = {"tree": random_tree, "cactus": random_cactus, "general": random_connected_graph,
+              "hub-tree": random_hub_tree}
 
 
 def hubs(k: int) -> Graph:
@@ -287,25 +308,52 @@ SHARED_NEIGHBORHOODS = [(1, 0), (2, 0), (3, 1), (4, 1), (5, 3), (6, 2), (7, 4), 
 
 def test_one_closure_per_distinct_colored_mask(monkeypatch):
     """Optima that color the same closed neighborhood at once share one
-    closure, and a failed closure never repeats."""
+    closure, and no closure mask repeats, failed or not. Once an optimum
+    colors the graph by round 2, no leaf runs a full closure from its closed
+    neighborhood: each resumes from its parent's stalled coloring, closed
+    once per mask, and gets the gap a full closure leaves."""
     g = Graph([str(v) for v in range(17)], SHARED_NEIGHBORHOODS)
-    closures = []
-    resume = propagation._resume
+    closures = []  # (mask, gap, last round) of every full closure, in order
+    resumed = []  # (index of the next full closure, stalled, leaf, gap) of every resumed leaf
+    resume, stalled_gap = propagation._resume, exact._stalled_gap
+    resuming = []
 
     def recording(nbr, closed, colored, active, t):
         gap, last = resume(nbr, closed, colored, active, t)
-        if t == 2:  # a search closure; a fort shrinks by closures from round 1
-            closures.append((colored, gap))
+        # a search closure; a fort shrinks by closures from round 1
+        if t == 2 and not resuming:
+            closures.append((colored, gap, last))
         return gap, last
 
+    def recording_resumed(nbr, closed, stalled, leaf):
+        resuming.append(leaf)
+        try:
+            gap = stalled_gap(nbr, closed, stalled, leaf)
+        finally:
+            resuming.pop()
+        assert gap == resume(nbr, closed, leaf, leaf, 2)[0]
+        resumed.append((len(closures), stalled, leaf, gap))
+        return gap
+
     monkeypatch.setattr(propagation, "_resume", recording)
+    monkeypatch.setattr(exact, "_stalled_gap", recording_resumed)
     result = exact.min_pds(g)
     assert list(result.all_optima) == naive_min_coloring(g, g.n)
-    masks = [colored for colored, _ in closures]
+    masks = [colored for colored, *_ in closures] + [leaf for _, _, leaf, _ in resumed]
     assert len(set(masks)) == len(masks)
     dominated = {bits_of(naive_propagate(g, set(s), rounds=1)) for s in result.all_optima}
-    assert {colored for colored, gap in closures if not gap} == dominated
+    passing = ([colored for colored, gap, _ in closures if not gap]
+               + [leaf for _, _, leaf, gap in resumed if not gap])
+    assert sorted(passing) == sorted(dominated)
     assert len(dominated) == 235 and len(result.all_optima) == 300
+    # a parent's closure colors what a later resumed leaf starts from
+    first = next(i for i, (_, gap, last) in enumerate(closures) if not gap and last == 2)
+    assert resumed[0][0] > first
+    stalled = {start for _, start, *_ in resumed}
+    parents = {i for i, (_, gap, _) in enumerate(closures) if g.full_mask ^ gap in stalled}
+    assert all(i in parents for i in range(first + 1, len(closures)))
+    assert all(closures[i][1] for i in parents)  # no parent colors g: gamma_P is 4
+    assert (len(closures), len(parents), len(resumed)) == (54, 52, 233)
 
 
 def least_ppt(g: Graph, result: exact.SolveResult) -> int:
@@ -313,17 +361,27 @@ def least_ppt(g: Graph, result: exact.SolveResult) -> int:
 
 
 @pytest.mark.parametrize("family", sorted(GENERATORS))
-def test_reported_ppt_is_the_least_over_the_optima(family):
+def test_reported_ppt_is_the_least_over_the_optima(family, monkeypatch):
     rng = random.Random(f"fort/ppt/{family}")
+    resumed = []  # one entry per leaf resumed from its parent's stalled coloring
+    stalled_gap = exact._stalled_gap
+    monkeypatch.setattr(exact, "_stalled_gap",
+                        lambda *args: resumed.append(1) or stalled_gap(*args))
+    resuming = 0  # min_pds searches that resume a leaf
     for _ in range(20):
         g = GENERATORS[family](rng, rng.randint(1, 12))
-        results = [exact.min_pds(g), exact.min_cpds(g)]
+        before = len(resumed)
+        results = [exact.min_pds(g)]
+        resuming += len(resumed) > before
+        results.append(exact.min_cpds(g))
         for rounds in sorted({1, 2, 3, g.n}):
             results += [exact.l_round_pd(g, rounds),
                         exact.l_round_cpd(g, rounds)]
         for result in results:
             assert result.all_optima[0] == result.witness
             assert result.ppt == least_ppt(g, result)
+    if family == "hub-tree":
+        assert resuming >= 10  # at least half of the searches
 
 
 def run_cli(*argv: str, stdin: str) -> str:

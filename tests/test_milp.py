@@ -707,6 +707,18 @@ def test_a_comment_after_the_first_section_does_not_rename_the_model():
     assert milp.parse_lp(text) == model
 
 
+def test_a_name_line_after_the_first_section_is_refused():
+    """Only a NAME line before the first section names the model; a later
+    one is an unknown section, refused with its line number."""
+    text = milp.export(milp.build_model1(path_graph(2)), "mps")
+    assert milp.parse_mps(edited(text, "ROWS\n", "NAME other\nROWS\n")).name == "other"
+    later = edited(text, "RHS\n", "NAME other\nRHS\n")
+    number = later.splitlines().index("NAME other") + 1
+    with pytest.raises(ModelError) as info:
+        milp.parse_mps(later)
+    assert str(info.value) == f"MPS line {number}: unknown section 'NAME other'"
+
+
 @pytest.mark.parametrize("fmt", ["lp", "mps"])
 @pytest.mark.parametrize("connected", [False, True], ids=["pd", "cpd"])
 def test_a_parsed_model_solves_and_decodes_like_the_built_one(connected, fmt):
